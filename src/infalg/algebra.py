@@ -9,12 +9,14 @@ unless a lenient check is requested, be closed under composition.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import product
 
 from .equivalence import Equivalence, star
-from .errors import StructureError
+from .errors import NonCommutingError, StructureError
 from .order import (BoundedJoinSemilattice, FinitePoset, FiniteLattice, bits, down_sets,
-                    glb, is_distributive, semilattice_from_poset, try_lattice)
+                    first_row_witness, gatherer, is_distributive, lattice_from_semilattice,
+                    semilattice_from_poset, try_lattice)
 from .report import Report
 
 
@@ -72,6 +74,27 @@ class InfoAlgebra:
                                  witness=(k, l))
         return idx
 
+    @cached_property
+    def cdf(self) -> CdfReport:
+        """Distributive-algebra verdict: all pairwise meets exist, the lattice
+        is distributive, and every extractor preserves binary meets."""
+        try:
+            lat = lattice_from_semilattice(self.sl)
+        except StructureError as exc:
+            return CdfReport(False, "missing_meet", exc.witness, None)
+        ok, w = is_distributive(lat)
+        if not ok:
+            return CdfReport(False, "not_distributive", w, None)
+        # row (k, x) over y: e[meet[x][y]] against meet[e[x]][e[y]]
+        meet = lat.meet
+        by_meet = [gatherer(row) for row in meet]
+        by_ext = [gatherer(e) for e in self.extractors]
+        w = first_row_witness(((k, x), by_meet[x](e), by_ext[k](meet[e[x]]))
+                              for k, e in enumerate(self.extractors) for x in range(self.n))
+        if w is not None:
+            return CdfReport(False, "extractor_breaks_meets", w, None)
+        return CdfReport(True, None, None, lat)
+
 
 @dataclass(frozen=True)
 class AlgebraMorphism:
@@ -118,9 +141,12 @@ def verify_axioms(a: InfoAlgebra, require_closure: bool = True) -> Report:
               if a.join(a.apply(k, x), x) != x), None)
     report.add("extraction_dominated", w is None, w)
 
-    w = next(((k, x, y) for k in ks for x in range(n) for y in range(n)
-              if a.apply(k, a.join(a.apply(k, x), y)) != a.join(a.apply(k, x), a.apply(k, y))),
-             None)
+    # row (k, x) over y: e[join[e[x]][y]] against join[e[x]][e[y]]
+    join = a.sl.join
+    by_join = [gatherer(row) for row in join]
+    by_ext = [gatherer(e) for e in a.extractors]
+    w = first_row_witness(((k, x), by_join[e[x]](e), by_ext[k](join[e[x]]))
+                          for k, e in enumerate(a.extractors) for x in range(n))
     report.add("extraction_combination", w is None, w)
 
     w = next(((k, l, x) for k in ks for l in ks for x in range(n)
@@ -163,16 +189,11 @@ def check_kernel_theorem(a: InfoAlgebra) -> bool:
         for l in ks:
             try:
                 prod = star(kernels[k], kernels[l])
-            except Exception:
+            except NonCommutingError:
                 return False
             if prod != kernel_of_array(a.compose_arrays(k, l)):
                 return False
     return True
-
-
-def meet_table(a: InfoAlgebra) -> tuple[tuple[int, ...], ...] | None:
-    lat = try_lattice(a.sl)
-    return None if lat is None else lat.meet
 
 
 @dataclass(frozen=True)
@@ -186,22 +207,9 @@ class CdfReport:
 
 
 def is_distributive_cdf(a: InfoAlgebra) -> CdfReport:
-    """All pairwise meets exist, the lattice is distributive, and every
-    extractor preserves binary meets."""
-    lat = try_lattice(a.sl)
-    if lat is None:
-        w = next((x, y) for x in range(a.n) for y in range(a.n)
-                 if glb(a.poset, x, y) is None)
-        return CdfReport(False, "missing_meet", w, None)
-    ok, w = is_distributive(lat)
-    if not ok:
-        return CdfReport(False, "not_distributive", w, None)
-    for k in range(len(a.extractors)):
-        for x in range(a.n):
-            for y in range(a.n):
-                if a.apply(k, lat.meet[x][y]) != lat.meet[a.apply(k, x)][a.apply(k, y)]:
-                    return CdfReport(False, "extractor_breaks_meets", (k, x, y), None)
-    return CdfReport(True, None, None, lat)
+    """The verdict of InfoAlgebra.cdf, computed on the first call and cached
+    on the algebra."""
+    return a.cdf
 
 
 def is_homomorphism(m: AlgebraMorphism, a: InfoAlgebra, b: InfoAlgebra,
@@ -312,7 +320,7 @@ def ideal_completion(a: InfoAlgebra) -> tuple[InfoAlgebra, AlgebraMorphism]:
     which is checked.
     """
     poset, n = a.poset, a.n
-    down = [poset.down_mask(x) for x in range(n)]
+    down = poset.down
     ideals = []
     for mask in down_sets(poset):
         if mask == 0:

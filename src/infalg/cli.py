@@ -30,15 +30,16 @@ class SemanticFailure(InfAlgError):
 
 
 def _cap(args) -> int:
-    if args.cap is not None:
-        return args.cap
-    env = os.environ.get(CAP_ENV)
-    if env is not None:
+    cap = args.cap
+    if cap is None:
+        env = os.environ.get(CAP_ENV, str(DEFAULT_CAP))
         try:
-            return int(env)
+            cap = int(env)
         except ValueError as exc:
             raise FormatError(f"{CAP_ENV} must be an integer, got {env!r}") from exc
-    return DEFAULT_CAP
+    if cap < 0:
+        raise FormatError(f"size cap must be non-negative, got {cap}")
+    return cap
 
 
 def _read(path: str) -> str:
@@ -205,6 +206,8 @@ def cmd_classify(args) -> int:
 def cmd_gen(args) -> int:
     cap = _cap(args)
     if args.kind == "string":
+        if len(args.params) != 2:
+            raise FormatError(f"gen string takes two parameters K N, got {len(args.params)}")
         algebra = gen_string(args.params[0], args.params[1], cap=cap)
         labels = string_elements(args.params[0], args.params[1])
     elif args.kind == "multivariate":
@@ -212,6 +215,8 @@ def cmd_gen(args) -> int:
         algebra = sa.to_info_algebra()
         labels = None
     elif args.kind == "lattice":
+        if args.chain < 1:
+            raise FormatError(f"--chain must be a positive integer, got {args.chain}")
         algebra = gen_lattice_valued(args.params, chain_lattice(args.chain), cap=cap)
         labels = None
     else:

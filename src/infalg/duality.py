@@ -169,9 +169,8 @@ def _dual(a: InfoAlgebra):
     poset = a.poset.restrict(points)
     members = []
     for k in range(len(a.extractors)):
-        image = set(a.extractors[k])
-        traces = [mask_of(e for e in image if a.le(e, p)) for p in points]
-        members.append(Equivalence(len(points), traces))
+        image = mask_of(a.extractors[k])
+        members.append(Equivalence(len(points), [a.poset.down[p] & image for p in points]))
     # The trace equivalences of a distributive algebra are each separating,
     # but they need NOT commute pairwise as relations (the smallest
     # counterexample is the 2x2 diamond with a pendant top and its two
@@ -312,10 +311,6 @@ def _compose_arrays(arrays: list[tuple[int, ...]], i: int, j: int) -> int:
     if composed not in arrays:
         raise StructureError(f"saturations not closed under composition at ({i},{j})")
     return arrays.index(composed)
-
-
-def _compose_member_index(space: QSpace, i: int, j: int) -> int:
-    return _compose_arrays(_member_arrays(space), i, j)
 
 
 def check_q_morphism(m: QMorphism, s: QSpace, t: QSpace) -> Report:

@@ -14,7 +14,7 @@ from .algebra import InfoAlgebra, verify_axioms
 from .duality import QSpace, q_space_report
 from .equivalence import Equivalence, star_family
 from .errors import FormatError, NonCommutingError, StructureError
-from .order import (FinitePoset, glb, semilattice_from_join, semilattice_from_poset,
+from .order import (FinitePoset, glb, join_semilattice, semilattice_from_poset, up_rows,
                     verify_poset, verify_semilattice)
 from .report import Report
 
@@ -109,7 +109,7 @@ def parse_algebra(text: str, lenient: bool = False) -> ParsedAlgebra:
         report.items.extend(poset_report.items)
         if not poset_report.ok:
             return ParsedAlgebra(None, report, element_labels)
-        poset = FinitePoset.from_bool_table(rows)
+        poset = FinitePoset(n, up_rows(rows))
         try:
             sl = semilattice_from_poset(poset, unit=doc["unit"], zero=doc["zero"])
         except StructureError as exc:
@@ -126,7 +126,7 @@ def parse_algebra(text: str, lenient: bool = False) -> ParsedAlgebra:
         report.items.extend(sl_report.items)
         if not sl_report.ok:
             return ParsedAlgebra(None, report, element_labels)
-        sl = semilattice_from_join(join, doc["unit"], doc["zero"])
+        sl = join_semilattice(join, doc["unit"], doc["zero"])
 
     if "meet" in doc:
         meet = _int_table(doc, "meet", n, n)
@@ -168,7 +168,7 @@ def parse_qspace(text: str) -> ParsedQSpace:
     report.items.extend(poset_report.items)
     if not poset_report.ok:
         return ParsedQSpace(None, report)
-    poset = FinitePoset.from_bool_table(rows)
+    poset = FinitePoset(n, up_rows(rows))
     labels = sorted(eqmap)
     members = [Equivalence(n, eqmap[lab]) for lab in labels]
     try:

@@ -14,10 +14,10 @@ from string import ascii_lowercase
 from .algebra import InfoAlgebra
 from .duality import QSpace, check_separating
 from .equivalence import Equivalence, all_equivalences, star, star_family
-from .errors import CapExceeded, PreconditionError, StructureError
+from .errors import CapExceeded, NonCommutingError, PreconditionError, StructureError
 from .order import (BoundedJoinSemilattice, FiniteLattice, FinitePoset, automorphisms,
                     bits, is_distributive, lattice_from_semilattice, mask_of,
-                    semilattice_from_poset, up_sets)
+                    semilattice_from_poset, up_rows, up_sets)
 from .set_algebra import SetAlgebra, build_set_algebra
 
 DEFAULT_CAP = 4096
@@ -264,9 +264,8 @@ def enumerate_posets(max_n: int) -> list[FinitePoset]:
             key = _canonical_poset_key(poset)
             if key not in seen:
                 seen.add(key)
-                rows = [[key[a * n + b] for b in range(n)] for a in range(n)]
-                found.append((key, FinitePoset(n, tuple(mask_of(b for b in range(n) if rows[a][b])
-                                                        for a in range(n)))))
+                found.append((key, FinitePoset(n, up_rows(key[a * n:(a + 1) * n]
+                                                          for a in range(n)))))
         found.sort(key=lambda t: t[0])
         out.extend(p for _, p in found)
     return out
@@ -297,7 +296,7 @@ def extraction_maps(lat: FiniteLattice, require_meets: bool = True) -> list[tupl
     over maps dominated by the identity."""
     n = lat.n
     sl = lat.sl
-    down = [list(bits(lat.poset.down_mask(x))) for x in range(n)]
+    down = [list(bits(row)) for row in lat.poset.down]
     down[sl.zero] = [sl.zero]
     out = []
     for cand in product(*down):
@@ -422,7 +421,7 @@ def enumerate_q_spaces(max_points: int):
             for j in range(k):
                 try:
                     prod = star(seps[i], seps[j])
-                except Exception:
+                except NonCommutingError:
                     continue
                 commute[i] |= 1 << j
                 star_idx[i][j] = by_eq.get(prod, -1)

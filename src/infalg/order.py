@@ -5,13 +5,18 @@ Conventions used throughout the package:
 * carrier elements are dense indices 0..n-1;
 * the information order puts the vacuous element (``unit``) at the bottom
   and the contradiction (``zero``) at the top; combination is join;
-* subsets of a carrier are bitmasks, bit x set meaning x is a member.
+* subsets of a carrier are bitmasks, bit x set meaning x is a member;
+* derived order data (the down rows of a poset, the meet table of a
+  semilattice, the CDF verdict of an algebra) is computed on first use and
+  cached on the frozen structure that owns it; callers must not mutate it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import permutations
+from operator import itemgetter
 
 from .errors import CapExceeded, FormatError, StructureError
 from .report import Report
@@ -44,24 +49,22 @@ class FinitePoset:
     def le(self, a: int, b: int) -> bool:
         return (self.up[a] >> b) & 1 == 1
 
-    def lt(self, a: int, b: int) -> bool:
-        return a != b and self.le(a, b)
-
     def full_mask(self) -> int:
         return (1 << self.n) - 1
 
-    def down_mask(self, a: int) -> int:
-        return mask_of(b for b in range(self.n) if self.le(b, a))
+    @cached_property
+    def down(self) -> tuple[int, ...]:
+        """Row ``down[a]`` is the bitmask of all b with b <= a."""
+        down = [0] * self.n
+        for a, row in enumerate(self.up):
+            for b in bits(row):
+                down[b] |= 1 << a
+        return tuple(down)
 
     def covers(self, a: int) -> list[int]:
         """Upper neighbors of a: minimal elements strictly above a."""
         strict = self.up[a] & ~(1 << a)
-        out = []
-        for b in bits(strict):
-            between = strict & self.down_mask(b) & ~(1 << b)
-            if between == 0:
-                out.append(b)
-        return out
+        return [b for b in bits(strict) if strict & self.down[b] & ~(1 << b) == 0]
 
     def bottom(self) -> int | None:
         full = self.full_mask()
@@ -69,12 +72,11 @@ class FinitePoset:
         return lows[0] if len(lows) == 1 else None
 
     def top(self) -> int | None:
-        tops = [a for a in range(self.n) if self.down_mask(a) == self.full_mask()]
+        tops = [a for a in range(self.n) if self.down[a] == self.full_mask()]
         return tops[0] if len(tops) == 1 else None
 
     def dual(self) -> "FinitePoset":
-        return FinitePoset(self.n, tuple(mask_of(b for b in range(self.n) if self.le(b, a))
-                                         for a in range(self.n)))
+        return FinitePoset(self.n, self.down)
 
     def restrict(self, elems) -> "FinitePoset":
         """Induced subposet on the given element sequence, in that order."""
@@ -96,8 +98,29 @@ class FinitePoset:
         report = verify_poset(rows)
         if not report.ok:
             raise StructureError("not a partial order:\n" + report.format(), report=report)
-        n = len(rows)
-        return cls(n, tuple(mask_of(b for b in range(n) if rows[a][b]) for a in range(n)))
+        return cls(len(rows), up_rows(rows))
+
+
+def up_rows(rows) -> tuple[int, ...]:
+    """Bitmask rows of a boolean order table: bit b of row a is rows[a][b]."""
+    return tuple(mask_of(b for b, v in enumerate(row) if v) for row in rows)
+
+
+def gatherer(indices):
+    """Function sending a row r to the tuple of r[i] for i in indices."""
+    if len(indices) > 1:
+        return itemgetter(*indices)  # a single index would give a bare value
+    return lambda row: tuple(row[i] for i in indices)
+
+
+def first_row_witness(rows):
+    """First failing (*key, index) of a law given as (key, lhs, rhs) rows:
+    the two sides as tuples over the last variable, keys in lexicographic
+    order. Only a row that differs is rescanned for its failing index."""
+    for key, lhs, rhs in rows:
+        if lhs != rhs:
+            return (*key, next(i for i, (x, y) in enumerate(zip(lhs, rhs)) if x != y))
+    return None
 
 
 def verify_poset(rows) -> Report:
@@ -119,8 +142,10 @@ def verify_poset(rows) -> Report:
     anti = next(((a, b) for a in range(n) for b in range(n)
                  if a != b and rows[a][b] and rows[b][a]), None)
     report.add("antisymmetric", anti is None, anti)
-    trans = next(((a, b, c) for a in range(n) for b in range(n) for c in range(n)
-                  if rows[a][b] and rows[b][c] and not rows[a][c]), None)
+    # a <= b <= c without a <= c: up[b] is not a subset of up[a]
+    up = up_rows(rows)
+    trans = next(((a, b, next(bits(up[b] & ~up[a])))
+                  for a in range(n) for b in bits(up[a]) if up[b] & ~up[a]), None)
     report.add("transitive", trans is None, trans)
     return report
 
@@ -140,20 +165,22 @@ def glb(poset: FinitePoset, a: int, b: int) -> int | None:
     Join-semilattices need not have meets; callers decide whether a
     missing meet is an error.
     """
-    lowers = poset.down_mask(a) & poset.down_mask(b)
+    down = poset.down
+    lowers = down[a] & down[b]
     for c in bits(lowers):
-        if lowers & ~poset.down_mask(c) == 0:
+        if lowers & ~down[c] == 0:
             return c
     return None
 
 
 def glb_of_set(poset: FinitePoset, mask: int) -> int | None:
     """Greatest lower bound of a subset; the top element for the empty set."""
+    down = poset.down
     lowers = poset.full_mask()
     for a in bits(mask):
-        lowers &= poset.down_mask(a)
+        lowers &= down[a]
     for c in bits(lowers):
-        if lowers & ~poset.down_mask(c) == 0:
+        if lowers & ~down[c] == 0:
             return c
     return None
 
@@ -168,6 +195,12 @@ class BoundedJoinSemilattice:
     @property
     def n(self) -> int:
         return self.poset.n
+
+    @cached_property
+    def lattice(self) -> FiniteLattice | None:
+        """Completion with the meet table, or None if a meet is missing."""
+        meet = tuple(tuple(glb(self.poset, a, b) for b in range(self.n)) for a in range(self.n))
+        return None if any(None in row for row in meet) else FiniteLattice(self, meet)
 
 
 def lub(sl: BoundedJoinSemilattice, a: int, b: int) -> int:
@@ -219,8 +252,11 @@ def verify_semilattice(join, unit: int, zero: int) -> Report:
     comm = next(((a, b) for a in range(n) for b in range(n)
                  if join[a][b] != join[b][a]), None)
     report.add("commutative", comm is None, comm)
-    assoc = next(((a, b, c) for a in range(n) for b in range(n) for c in range(n)
-                  if join[join[a][b]][c] != join[a][join[b][c]]), None)
+    # row (a, b) over c: join[join[a][b]][c] against join[a][join[b][c]]
+    table = [tuple(row) for row in join]
+    by_join = [gatherer(row) for row in table]
+    assoc = first_row_witness(((a, b), table[table[a][b]], by_join[b](table[a]))
+                              for a in range(n) for b in range(n))
     report.add("associative", assoc is None, assoc)
     un = next((a for a in range(n) if join[a][unit] != a), None)
     report.add("unit_neutral", un is None, un)
@@ -233,8 +269,7 @@ def verify_semilattice(join, unit: int, zero: int) -> Report:
     if not (order_report.ok and report.items[0].ok and report.items[1].ok):
         return report
 
-    poset = FinitePoset(n, tuple(mask_of(b for b in range(n) if rows[a][b])
-                                 for a in range(n)))
+    poset = FinitePoset(n, up_rows(rows))
     bad = next(((a, b) for a in range(n) for b in range(n)
                 if lub_of_pair(poset, a, b) != join[a][b]), None)
     report.add("join_is_least_upper_bound", bad is None, bad)
@@ -246,10 +281,14 @@ def semilattice_from_join(join, unit: int, zero: int) -> BoundedJoinSemilattice:
     if not report.ok:
         raise StructureError("not a bounded join-semilattice:\n" + report.format(),
                              report=report)
-    n = len(join)
-    rows = [[join[a][b] == b for b in range(n)] for a in range(n)]
-    poset = FinitePoset(n, tuple(mask_of(b for b in range(n) if rows[a][b])
-                                 for a in range(n)))
+    return join_semilattice(join, unit, zero)
+
+
+def join_semilattice(join, unit: int, zero: int) -> BoundedJoinSemilattice:
+    """Semilattice of a join table that verify_semilattice accepted, unchecked;
+    a <= b iff join[a][b] == b."""
+    poset = FinitePoset(len(join), tuple(mask_of(b for b, j in enumerate(row) if j == b)
+                                         for row in join))
     return BoundedJoinSemilattice(poset, tuple(tuple(row) for row in join), unit, zero)
 
 
@@ -268,18 +307,9 @@ class FiniteLattice:
 
 
 def try_lattice(sl: BoundedJoinSemilattice) -> FiniteLattice | None:
-    """Complete a semilattice with its meet table, or None if a meet is missing."""
-    n = sl.n
-    meet = []
-    for a in range(n):
-        row = []
-        for b in range(n):
-            m = glb(sl.poset, a, b)
-            if m is None:
-                return None
-            row.append(m)
-        meet.append(tuple(row))
-    return FiniteLattice(sl, tuple(meet))
+    """Complete a semilattice with its meet table, or None if a meet is missing;
+    computed on the first call and cached on the semilattice."""
+    return sl.lattice
 
 
 def lattice_from_semilattice(sl: BoundedJoinSemilattice) -> FiniteLattice:
@@ -299,12 +329,12 @@ def is_distributive(lat: FiniteLattice) -> tuple[bool, tuple | None]:
     """Exhaustive scan of a /\\ (b \\/ c) == (a /\\ b) \\/ (a /\\ c); witness triple on failure."""
     n = lat.n
     join, meet = lat.sl.join, lat.meet
-    for a in range(n):
-        for b in range(n):
-            for c in range(n):
-                if meet[a][join[b][c]] != join[meet[a][b]][meet[a][c]]:
-                    return False, (a, b, c)
-    return True, None
+    # row (a, b) over c: meet[a][join[b][c]] against join[meet[a][b]][meet[a][c]]
+    by_join = [gatherer(row) for row in join]
+    by_meet = [gatherer(row) for row in meet]
+    w = first_row_witness(((a, b), by_join[b](meet[a]), by_meet[a](join[meet[a][b]]))
+                          for a in range(n) for b in range(n))
+    return w is None, w
 
 
 def complements(lat: FiniteLattice) -> tuple[dict[int, int] | None, int | None]:
@@ -318,12 +348,6 @@ def complements(lat: FiniteLattice) -> tuple[dict[int, int] | None, int | None]:
             return None, a
         out[a] = c
     return out, None
-
-
-def is_boolean(lat: FiniteLattice) -> bool:
-    if not is_distributive(lat)[0]:
-        return False
-    return complements(lat)[0] is not None
 
 
 def meet_irreducibles(lat: FiniteLattice) -> list[int]:
@@ -346,10 +370,6 @@ def meet_irreducibles(lat: FiniteLattice) -> list[int]:
         raise StructureError("meet-irreducible characterizations disagree: "
                              f"{by_def} vs {sorted(by_covers)}")
     return by_def
-
-
-def is_up_set(poset: FinitePoset, mask: int) -> bool:
-    return all(poset.up[x] & ~mask == 0 for x in bits(mask))
 
 
 def up_sets(poset: FinitePoset) -> list[int]:

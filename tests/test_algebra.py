@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from infalg.algebra import (AlgebraMorphism, InfoAlgebra, check_kernel_theorem, enumerate_homomorphisms,
@@ -6,8 +8,8 @@ from infalg.algebra import (AlgebraMorphism, InfoAlgebra, check_kernel_theorem, 
                             kernel_of_array, make_algebra, verify_axioms)
 from infalg.equivalence import Equivalence, star
 from infalg.errors import StructureError
-from infalg.generators import string_elements
-from infalg.order import chain_poset
+from infalg.generators import gen_string, string_elements
+from infalg.order import FinitePoset, chain_poset, powerset_lattice, try_lattice
 
 
 def two_chain_algebra(extra=()):
@@ -141,18 +143,79 @@ def test_distributive_cdf_classification(string22, mv22_algebra, lv_2_chain3):
 def test_extractor_breaking_meets_detected():
     # diamond with a pendant bottom: 4 < 3 < {1,2} < 0; skipping the middle
     # in the retraction keeps every axiom but loses binary meets
+    a = meet_breaking_algebra()
+    assert verify_axioms(a).ok
+    rep = is_distributive_cdf(a)
+    assert not rep.ok and rep.reason == "extractor_breaks_meets"
+
+
+def meet_breaking_algebra():
     rows = [[True, False, False, False, False],
             [True, True, False, False, False],
             [True, False, True, False, False],
             [True, True, True, True, False],
             [True, True, True, True, True]]
-    from infalg.order import FinitePoset
-
     poset = FinitePoset.from_bool_table(rows)
-    a = make_algebra(poset, [(0, 1, 2, 4, 4), (0, 1, 2, 3, 4)])
-    assert verify_axioms(a).ok
+    return make_algebra(poset, [(0, 1, 2, 4, 4), (0, 1, 2, 3, 4)])
+
+
+# Literal triple-loop definitions: the references the row-at-a-time scans in
+# the library must match witness for witness.
+
+def literal_breaks_meets(a, meet):
+    return next(((k, x, y) for k in range(len(a.extractors))
+                 for x in range(a.n) for y in range(a.n)
+                 if a.apply(k, meet[x][y]) != meet[a.apply(k, x)][a.apply(k, y)]), None)
+
+
+def literal_combination(a):
+    return next(((k, x, y) for k in range(len(a.extractors))
+                 for x in range(a.n) for y in range(a.n)
+                 if a.apply(k, a.join(a.apply(k, x), y))
+                 != a.join(a.apply(k, x), a.apply(k, y))), None)
+
+
+def test_meet_preservation_witness_matches_literal(lv_2_chain3, mv22_algebra):
+    a = meet_breaking_algebra()
     rep = is_distributive_cdf(a)
-    assert not rep.ok and rep.reason == "extractor_breaks_meets"
+    assert rep.witness == literal_breaks_meets(a, try_lattice(a.sl).meet) is not None
+    for good in (lv_2_chain3, mv22_algebra):
+        assert is_distributive_cdf(good).ok
+        assert literal_breaks_meets(good, try_lattice(good.sl).meet) is None
+
+
+def test_combination_witness_matches_literal_on_corrupted_extractors():
+    rng = random.Random(2012)
+    failing = 0
+    for k, max_len in ((2, 3), (3, 2)):
+        base = gen_string(k, max_len)
+        assert verify_axioms(base).witness("extraction_combination") is None
+        for _ in range(60):
+            arrays = [list(e) for e in base.extractors]
+            arr = arrays[rng.randrange(len(arrays))]
+            arr[rng.randrange(base.n)] = rng.randrange(base.n)
+            a = InfoAlgebra(base.sl, tuple(map(tuple, arrays)), base.labels)
+            expected = literal_combination(a)
+            assert verify_axioms(a).witness("extraction_combination") == expected
+            failing += expected is not None
+    assert failing >= 30
+    # subsets of {0, 1}, combination is intersection: x -> x | {0} off the empty set
+    a = InfoAlgebra(powerset_lattice(2).sl, ((0, 1, 3, 3),), ("e",))
+    assert verify_axioms(a).witness("extraction_combination") == literal_combination(a) == (0, 1, 2)
+
+
+def test_cdf_verdict_is_cached(string22):
+    a = meet_breaking_algebra()
+    assert is_distributive_cdf(a) is a.cdf
+    assert is_distributive_cdf(string22) is is_distributive_cdf(string22)
+
+
+def test_algebra_equality_and_hash_ignore_cached_verdict():
+    a1, a2 = meet_breaking_algebra(), meet_breaking_algebra()
+    assert a1.sl is not a2.sl
+    is_distributive_cdf(a1)
+    assert "cdf" in vars(a1) and "cdf" not in vars(a2)
+    assert a1 == a2 and hash(a1) == hash(a2)
 
 
 def test_ideal_completion_two_chain():

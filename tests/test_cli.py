@@ -203,6 +203,18 @@ def test_cli_cap_env(tmp_path, monkeypatch):
     assert main(["gen", "string", "2", "2", "-o", str(tmp_path / "x.json")]) == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["gen", "string", "2"],                      # K N arity
+    ["gen", "lattice", "2", "--chain", "0"],     # empty value chain
+    ["--cap", "-1", "gen", "string", "2", "2"],  # negative size cap
+], ids=["string-arity", "chain-zero", "negative-cap"])
+def test_cli_malformed_gen_arguments_exit_2(tmp_path, capsys, argv):
+    assert main([*argv, "-o", str(tmp_path / "x.json")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not (tmp_path / "x.json").exists()
+
+
 def test_cli_close_empty_extractors(tmp_path):
     doc = {"n": 2, "join": [[0, 1], [1, 1]], "unit": 0, "zero": 1, "extractors": {}}
     path = write(tmp_path, "empty.json", json.dumps(doc))

@@ -1,14 +1,15 @@
+import random
 from itertools import combinations
 
 import pytest
 
 from infalg.errors import FormatError, StructureError
 from infalg.generators import enumerate_lattices, gen_string, string_elements
-from infalg.order import (FinitePoset, antichain_poset, bits, chain_lattice, chain_poset,
-                          complements, diamond_m3, glb, is_distributive, lub,
-                          meet_irreducibles, pentagon_n5, powerset_lattice,
-                          principal_up_set, semilattice_from_poset, try_lattice, up_sets,
-                          verify_poset, verify_semilattice)
+from infalg.order import (BoundedJoinSemilattice, FinitePoset, antichain_poset, bits,
+                          chain_lattice, chain_poset, complements, diamond_m3, glb,
+                          is_distributive, lub, meet_irreducibles, pentagon_n5,
+                          powerset_lattice, principal_up_set, semilattice_from_poset,
+                          try_lattice, up_sets, verify_poset, verify_semilattice)
 
 
 def test_verify_poset_singleton():
@@ -205,3 +206,97 @@ def test_semilattice_from_poset_rejects_no_bottom():
 
 def test_bits_roundtrip():
     assert list(bits(0b10110)) == [1, 2, 4]
+
+
+# Literal triple-loop definitions: the references the row-at-a-time scans in
+# the library must match witness for witness.
+
+def literal_transitive(rows):
+    n = len(rows)
+    return next(((a, b, c) for a in range(n) for b in range(n) for c in range(n)
+                 if rows[a][b] and rows[b][c] and not rows[a][c]), None)
+
+
+def literal_associative(join):
+    n = len(join)
+    return next(((a, b, c) for a in range(n) for b in range(n) for c in range(n)
+                 if join[join[a][b]][c] != join[a][join[b][c]]), None)
+
+
+def literal_distributive(lat):
+    n, join, meet = lat.n, lat.sl.join, lat.meet
+    return next(((a, b, c) for a in range(n) for b in range(n) for c in range(n)
+                 if meet[a][join[b][c]] != join[meet[a][b]][meet[a][c]]), None)
+
+
+def witness_lattices():
+    return {"M3": diamond_m3(), "N5": pentagon_n5(),
+            "string23": try_lattice(gen_string(2, 3).sl),
+            "string32": try_lattice(gen_string(3, 2).sl)}
+
+
+def test_distributivity_witness_matches_literal_definition():
+    lattices = dict(witness_lattices())
+    lattices.update((f"enum{i}", lat) for i, lat
+                    in enumerate(enumerate_lattices(5, distributive_only=False)))
+    failing = 0
+    for name, lat in lattices.items():
+        expected = literal_distributive(lat)
+        assert is_distributive(lat) == (expected is None, expected), name
+        failing += expected is not None
+    assert is_distributive(diamond_m3())[1] == (1, 2, 3)
+    assert failing >= 4  # M3, N5 and both string lattices fail
+
+
+def test_associativity_witness_matches_literal_on_corrupted_tables():
+    rng = random.Random(20201230)
+    failing = 0
+    for name, lat in witness_lattices().items():
+        sl = lat.sl
+        assert verify_semilattice(sl.join, sl.unit, sl.zero).witness("associative") is None
+        for _ in range(40):
+            join = [list(row) for row in sl.join]
+            for _ in range(rng.randint(1, 3)):
+                join[rng.randrange(sl.n)][rng.randrange(sl.n)] = rng.randrange(sl.n)
+            expected = literal_associative(join)
+            report = verify_semilattice(join, sl.unit, sl.zero)
+            assert report.witness("associative") == expected, (name, join)
+            failing += expected is not None
+    assert failing >= 40
+
+
+def test_transitivity_witness_matches_literal_on_random_tables():
+    rng = random.Random(1512)
+    tables = [lat.poset.bool_table() for lat in witness_lattices().values()]
+    for _ in range(300):
+        n = rng.randint(1, 7)
+        density = rng.random()
+        tables.append([[a == b or rng.random() < density for b in range(n)]
+                       for a in range(n)])
+    failing = 0
+    for rows in tables:
+        expected = literal_transitive(rows)
+        assert verify_poset(rows).witness("transitive") == expected, rows
+        failing += expected is not None
+    assert failing >= 100
+
+
+def test_derived_order_data_is_cached():
+    sl = gen_string(2, 3).sl
+    assert try_lattice(sl) is try_lattice(sl)
+    assert sl.poset.down is sl.poset.down
+    assert sl.poset.down == tuple(sum(1 << b for b in range(sl.n) if sl.poset.le(b, a))
+                                  for a in range(sl.n))
+
+
+def test_equality_and_hash_ignore_cached_order_data():
+    lat = diamond_m3()
+    p1 = FinitePoset(lat.n, lat.poset.up)
+    p2 = FinitePoset(lat.n, lat.poset.up)
+    s1 = BoundedJoinSemilattice(p1, lat.sl.join, lat.sl.unit, lat.sl.zero)
+    s2 = BoundedJoinSemilattice(p2, lat.sl.join, lat.sl.unit, lat.sl.zero)
+    assert try_lattice(s1) is not None
+    assert "down" in vars(p1) and "down" not in vars(p2)
+    assert "lattice" in vars(s1) and "lattice" not in vars(s2)
+    assert p1 == p2 and hash(p1) == hash(p2)
+    assert s1 == s2 and hash(s1) == hash(s2)
