@@ -18,6 +18,7 @@ from .order import (BoundedJoinSemilattice, FinitePoset, FiniteLattice, bits, do
                     first_row_witness, gatherer, is_distributive, lattice_from_semilattice,
                     semilattice_from_poset, try_lattice)
 from .report import Report
+from .semigroup import compose, table, unlisted
 
 
 @dataclass(frozen=True)
@@ -25,8 +26,9 @@ class InfoAlgebra:
     sl: BoundedJoinSemilattice
     extractors: tuple[tuple[int, ...], ...]
     labels: tuple[str, ...]
-    # optional label-level composition table; needed when distinct labels
-    # denote extensionally equal maps (restricted saturations can collide)
+    # optional supplied label-level composition table; needed when distinct
+    # labels denote extensionally equal maps (restricted saturations can
+    # collide), where a table resolved from the arrays would pick one label
     composition: tuple[tuple[int, ...], ...] | None = None
 
     @property
@@ -54,21 +56,16 @@ class InfoAlgebra:
     def apply(self, k: int, x: int) -> int:
         return self.extractors[k][x]
 
-    def compose_arrays(self, k: int, l: int) -> tuple[int, ...]:
-        """Array of the composite map: first l, then k."""
-        ek, el = self.extractors[k], self.extractors[l]
-        return tuple(ek[el[x]] for x in range(self.n))
-
-    def find_extractor(self, arr: tuple[int, ...]) -> int | None:
-        try:
-            return self.extractors.index(arr)
-        except ValueError:
-            return None
+    @cached_property
+    def label_table(self) -> tuple[tuple[int | None, ...], ...]:
+        """The supplied composition table, else the one resolved from the arrays."""
+        if self.composition is not None:
+            return self.composition
+        return table(self.extractors)
 
     def compose_label(self, k: int, l: int) -> int:
-        if self.composition is not None:
-            return self.composition[k][l]
-        idx = self.find_extractor(self.compose_arrays(k, l))
+        """Label of the composite map: first l, then k."""
+        idx = self.label_table[k][l]
         if idx is None:
             raise StructureError(f"composite of extractors ({k},{l}) is not listed",
                                  witness=(k, l))
@@ -161,13 +158,13 @@ def verify_axioms(a: InfoAlgebra, require_closure: bool = True) -> Report:
     report.add("unit_fixed", w is None, w)
 
     if require_closure:
-        w = next(((k, l) for k in ks for l in ks
-                  if a.find_extractor(a.compose_arrays(k, l)) is None), None)
+        w = unlisted(table(a.extractors))
         report.add("composition_closed", w is None, w)
 
     if a.composition is not None:
         w = next(((k, l) for k in ks for l in ks
-                  if a.extractors[a.composition[k][l]] != a.compose_arrays(k, l)), None)
+                  if a.extractors[a.composition[k][l]]
+                  != compose(a.extractors[k], a.extractors[l])), None)
         report.add("composition_table_consistent", w is None, w)
     return report
 
@@ -191,7 +188,7 @@ def check_kernel_theorem(a: InfoAlgebra) -> bool:
                 prod = star(kernels[k], kernels[l])
             except NonCommutingError:
                 return False
-            if prod != kernel_of_array(a.compose_arrays(k, l)):
+            if prod != kernel_of_array(compose(a.extractors[k], a.extractors[l])):
                 return False
     return True
 
@@ -368,7 +365,8 @@ def dedupe_extractors(a: InfoAlgebra) -> tuple[InfoAlgebra, AlgebraMorphism]:
     Restriction constructions can make distinct labels act identically;
     duals and representations need one label per map. The returned morphism
     (identity on elements, merge on labels) is a homomorphism onto the
-    deduped algebra.
+    deduped algebra. A family whose deduped maps are not closed under
+    composition is rejected with the first unlisted pair.
     """
     arrays: list[tuple[int, ...]] = []
     labels: list[str] = []
@@ -378,11 +376,11 @@ def dedupe_extractors(a: InfoAlgebra) -> tuple[InfoAlgebra, AlgebraMorphism]:
             arrays.append(arr)
             labels.append(lab)
         merge.append(arrays.index(arr))
-    ks = range(len(arrays))
-    composition = tuple(tuple(arrays.index(tuple(arrays[i][arrays[j][x]]
-                                                 for x in range(a.n)))
-                              for j in ks)
-                        for i in ks)
+    composition = table(arrays)
+    w = unlisted(composition)
+    if w is not None:
+        raise StructureError(f"composite of extractors ({w[0]},{w[1]}) is not listed",
+                             witness=w)
     deduped = InfoAlgebra(a.sl, tuple(arrays), tuple(labels), composition)
     return deduped, AlgebraMorphism(tuple(range(a.n)), tuple(merge))
 

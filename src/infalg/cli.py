@@ -21,6 +21,7 @@ from .generators import (DEFAULT_CAP, enumerate_algebras, enumerate_q_spaces, ge
                          gen_multivariate, gen_string, string_elements)
 from .order import bits, chain_lattice
 from .report import Report
+from .semigroup import close, compose
 
 CAP_ENV = "INFALG_CAP"
 
@@ -78,21 +79,21 @@ def _jsonable(value):
     return repr(value)
 
 
-def _load_algebra(path: str, lenient: bool = False) -> tuple[InfoAlgebra, list | None]:
-    parsed = files.parse_algebra(_read(path), lenient=lenient)
+def _load_algebra(args, path: str, lenient: bool = False) -> tuple[InfoAlgebra, list | None]:
+    parsed = files.parse_algebra(_read(path), lenient=lenient, cap=_cap(args))
     if not parsed.report.ok or parsed.algebra is None:
         raise SemanticFailure("invalid algebra file:\n" + parsed.report.format())
     return parsed.algebra, parsed.element_labels
 
 
 def cmd_verify(args) -> int:
-    parsed = files.parse_algebra(_read(args.path), lenient=args.lenient)
+    parsed = files.parse_algebra(_read(args.path), lenient=args.lenient, cap=_cap(args))
     _emit_report(args, parsed.report)
     return 0 if parsed.report.ok else 1
 
 
 def cmd_close(args) -> int:
-    a, element_labels = _load_algebra(args.path, lenient=True)
+    a, element_labels = _load_algebra(args, args.path, lenient=True)
     cap = _cap(args)
     labels = list(a.labels)
     arrays = [tuple(arr) for arr in a.extractors]
@@ -101,28 +102,14 @@ def cmd_close(args) -> int:
         if ident not in arrays:
             arrays.append(ident)
             labels.append("id")
-    i = 0
-    while i < len(arrays):
-        for j in range(len(arrays)):
-            for x, y, lx, ly in ((i, j, labels[i], labels[j]),
-                                 (j, i, labels[j], labels[i])):
-                comp = tuple(arrays[x][arrays[y][t]] for t in range(a.n))
-                if comp not in arrays:
-                    arrays.append(comp)
-                    label = f"{lx}.{ly}"
-                    while label in labels:
-                        label += "'"
-                    labels.append(label)
-                    if len(arrays) > cap:
-                        raise SemanticFailure(f"closure exceeds cap {cap}")
-        i += 1
+    arrays, labels = close(arrays, labels, compose, ".", cap)
     closed = InfoAlgebra(a.sl, tuple(arrays), tuple(labels))
     _write_out(args, files.dumps(files.algebra_doc(closed, element_labels)))
     return 0
 
 
 def cmd_dualize(args) -> int:
-    a, _ = _load_algebra(args.path)
+    a, _ = _load_algebra(args, args.path)
     space = dualize(a)
     _write_out(args, files.dumps(files.qspace_doc(space)))
     return 0
@@ -133,7 +120,7 @@ def _upset_label(mask: int) -> str:
 
 
 def cmd_reconstruct(args) -> int:
-    parsed = files.parse_qspace(_read(args.path))
+    parsed = files.parse_qspace(_read(args.path), cap=_cap(args))
     if parsed.space is None:
         raise SemanticFailure("invalid Q-space file:\n" + parsed.report.format())
     algebra = reconstruct(parsed.space, cap=_cap(args))
@@ -152,7 +139,7 @@ def cmd_roundtrip(args) -> int:
         raise FormatError(f"invalid JSON: {exc}") from exc
     report = Report()
     if isinstance(doc, dict) and "extractors" in doc:
-        a, _ = _load_algebra(args.path)
+        a, _ = _load_algebra(args, args.path)
         rt = round_trip_algebra(a)
         report.add("isomorphism", True)
         _emit_report(args, report, header="")
@@ -161,7 +148,7 @@ def cmd_roundtrip(args) -> int:
             print("extractor map:", {a.labels[i]: rt.target.labels[g]
                                      for i, g in enumerate(rt.morphism.g)})
     else:
-        parsed = files.parse_qspace(text)
+        parsed = files.parse_qspace(text, cap=_cap(args))
         if parsed.space is None:
             raise SemanticFailure("invalid Q-space file:\n" + parsed.report.format())
         rt = round_trip_space(parsed.space)
@@ -173,7 +160,7 @@ def cmd_roundtrip(args) -> int:
 
 
 def cmd_atoms(args) -> int:
-    a, element_labels = _load_algebra(args.path)
+    a, element_labels = _load_algebra(args, args.path)
     ats = atom_set(a)
     if args.format == "json":
         print(json.dumps({"atoms": list(ats)}))
@@ -184,7 +171,7 @@ def cmd_atoms(args) -> int:
 
 
 def cmd_classify(args) -> int:
-    a, _ = _load_algebra(args.path)
+    a, _ = _load_algebra(args, args.path)
     rep = classify(a)
     if rep.completely_atomistic:
         text = "completely atomistic"
@@ -226,8 +213,8 @@ def cmd_gen(args) -> int:
 
 
 def cmd_check_hom(args) -> int:
-    a, _ = _load_algebra(args.path_a)
-    b, _ = _load_algebra(args.path_b)
+    a, _ = _load_algebra(args, args.path_a)
+    b, _ = _load_algebra(args, args.path_b)
     try:
         doc = json.loads(_read(args.mapfile))
     except json.JSONDecodeError as exc:

@@ -21,6 +21,7 @@ from .errors import CapExceeded, PreconditionError, StructureError
 from .order import (FinitePoset, bits, complements, is_distributive, mask_of,
                     meet_irreducibles, try_lattice, up_closure, up_sets)
 from .report import Report
+from .semigroup import table
 
 RECONSTRUCT_CAP = 4096
 
@@ -301,18 +302,6 @@ def _member_arrays(space: QSpace) -> list[tuple[int, ...]]:
     return arrays
 
 
-def _compose_arrays(arrays: list[tuple[int, ...]], i: int, j: int) -> int:
-    """Label-level semigroup composition through up-set saturation arrays.
-
-    For a star-closed family this agrees with the star product; for a dual
-    family it is the image of the extractor composition.
-    """
-    composed = tuple(arrays[i][arrays[j][k]] for k in range(len(arrays[i])))
-    if composed not in arrays:
-        raise StructureError(f"saturations not closed under composition at ({i},{j})")
-    return arrays.index(composed)
-
-
 def check_q_morphism(m: QMorphism, s: QSpace, t: QSpace) -> Report:
     """Q-morphism laws for (alpha, omega): s -> t.
 
@@ -333,12 +322,21 @@ def check_q_morphism(m: QMorphism, s: QSpace, t: QSpace) -> Report:
               if s.poset.le(p, q) and not t.poset.le(m.alpha[p], m.alpha[q])), None)
     report.add("alpha_order_preserving", w is None, w)
 
-    arrays_s = _member_arrays(s)
-    arrays_t = _member_arrays(t)
+    # label-level composition through up-set saturation arrays: for a
+    # star-closed family it agrees with the star product, for a dual family
+    # it is the image of the extractor composition
+    tab_s = table(_member_arrays(s))
+    tab_t = table(_member_arrays(t))
+
+    def composite(tab, i, j):
+        if tab[i][j] is None:
+            raise StructureError(f"saturations not closed under composition at ({i},{j})")
+        return tab[i][j]
+
     ks = range(len(t.eqs.members))
     w = next(((i, j) for i in ks for j in ks
-              if m.omega[_compose_arrays(arrays_t, i, j)]
-              != _compose_arrays(arrays_s, m.omega[i], m.omega[j])), None)
+              if m.omega[composite(tab_t, i, j)]
+              != composite(tab_s, m.omega[i], m.omega[j])), None)
     report.add("omega_semigroup_map", w is None, w)
 
     def preimage(u: int) -> int:

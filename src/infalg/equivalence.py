@@ -10,6 +10,7 @@ from dataclasses import dataclass
 
 from .errors import NonCommutingError, StructureError
 from .order import bits
+from .semigroup import close
 
 
 class Equivalence:
@@ -116,39 +117,15 @@ def star(theta: Equivalence, gamma: Equivalence) -> Equivalence:
     rows_gt = compose_rows(gamma, theta)
     if rows_tg != rows_gt:
         raise NonCommutingError(commutation_witness(theta, gamma))
-    result = Equivalence(theta.n, rows_tg)
-    # the product of commuting equivalences is transitive; guard anyway
-    for u in range(theta.n):
-        if result.block_mask(u) != rows_tg[u]:
-            raise StructureError(f"product rows do not form a partition at {u}")
-    return result
+    # the product of commuting equivalences is transitive, so its rows are
+    # the blocks of a partition
+    return Equivalence(theta.n, rows_tg)
 
 
 def least_upper_equivalence(theta: Equivalence, gamma: Equivalence) -> Equivalence:
-    """Least equivalence containing both, via transitive closure of the union.
-
-    Requires the arguments to commute, in which case the closure equals
-    their star product; the two routes are compared.
-    """
-    starred = star(theta, gamma)
-    n = theta.n
-    parent = list(range(n))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for eq in (theta, gamma):
-        for block in eq.blocks:
-            xs = list(bits(block))
-            for y in xs[1:]:
-                parent[find(y)] = find(xs[0])
-    closure = Equivalence(n, [find(x) for x in range(n)])
-    if closure != starred:
-        raise StructureError("star product differs from transitive closure of the union")
-    return closure
+    """Least equivalence containing both. Requires the arguments to commute,
+    in which case it is their star product."""
+    return star(theta, gamma)
 
 
 @dataclass(frozen=True)
@@ -239,29 +216,16 @@ def star_closure(members, labels=None) -> StarFamily:
             w = commutation_witness(a, members[j])
             if w is not None:
                 raise NonCommutingError(w, f"members {i} and {j} do not commute, witness {w}")
-    seen = {m: lab for m, lab in zip(members, labels)}
-    work = list(members)
-    out = list(members)
-    while work:
-        a = work.pop(0)
-        for b in list(out):
-            for x, y in ((a, b), (b, a)):
-                prod = star(x, y)
-                if prod not in seen:
-                    seen[prod] = f"{seen[x]}*{seen[y]}"
-                    out.append(prod)
-                    work.append(prod)
-    return star_family(out, [seen[m] for m in out])
+    return star_family(*close(members, labels, star, "*", None))
 
 
 def is_downward_directed(family: StarFamily) -> bool:
     """For every two members some member refines both (inclusion as relations)."""
-    ms = family.members
-    return all(any(c.refines(a) and c.refines(b) for c in ms)
-               for a in ms for b in ms)
+    return directedness_witness(family) is None
 
 
 def directedness_witness(family: StarFamily) -> tuple[int, int] | None:
+    """First index pair (i, j) such that no member refines both, or None."""
     ms = family.members
     for i, a in enumerate(ms):
         for j, b in enumerate(ms):

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from .algebra import InfoAlgebra, verify_axioms
 from .duality import QSpace, q_space_report
 from .equivalence import Equivalence, star_family
-from .errors import FormatError, NonCommutingError, StructureError
+from .errors import CapExceeded, FormatError, NonCommutingError, StructureError
 from .order import (FinitePoset, glb, join_semilattice, semilattice_from_poset, up_rows,
                     verify_poset, verify_semilattice)
 from .report import Report
@@ -66,10 +66,19 @@ class ParsedAlgebra:
     element_labels: list[str] | None
 
 
-def parse_algebra(text: str, lenient: bool = False) -> ParsedAlgebra:
+def _size(doc, cap, what):
+    n = doc["n"]
+    _require(isinstance(n, int) and not isinstance(n, bool) and n >= 1, "n must be a positive integer")
+    if cap is not None and n > cap:
+        raise CapExceeded(f"{what} of {n} exceeds cap {cap}")
+    return n
+
+
+def parse_algebra(text: str, lenient: bool = False, cap: int | None = None) -> ParsedAlgebra:
     """Parse and verify an algebra document.
 
-    Format problems raise FormatError; semantic problems (order or join
+    Format problems raise FormatError; a carrier larger than cap raises
+    CapExceeded before any table is read; semantic problems (order or join
     laws, axiom failures) come back in the report with algebra=None when
     the tables are too broken to build on.
     """
@@ -82,8 +91,7 @@ def parse_algebra(text: str, lenient: bool = False) -> ParsedAlgebra:
     _require(set(doc) <= known, f"unknown keys {sorted(set(doc) - known)}")
     for key in ("n", "unit", "zero", "extractors"):
         _require(key in doc, f"missing key {key!r}")
-    n = doc["n"]
-    _require(isinstance(n, int) and not isinstance(n, bool) and n >= 1, "n must be a positive integer")
+    n = _size(doc, cap, "carrier")
     _require(("leq" in doc) != ("join" in doc), "give exactly one of leq or join")
     for key in ("unit", "zero"):
         v = doc[key]
@@ -148,7 +156,9 @@ class ParsedQSpace:
     report: Report
 
 
-def parse_qspace(text: str) -> ParsedQSpace:
+def parse_qspace(text: str, cap: int | None = None) -> ParsedQSpace:
+    """Parse and verify a Q-space document; like parse_algebra, a space of
+    more than cap points raises CapExceeded before any table is read."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -158,8 +168,7 @@ def parse_qspace(text: str) -> ParsedQSpace:
     _require(set(doc) <= known, f"unknown keys {sorted(set(doc) - known)}")
     for key in known:
         _require(key in doc, f"missing key {key!r}")
-    n = doc["n"]
-    _require(isinstance(n, int) and not isinstance(n, bool) and n >= 1, "n must be a positive integer")
+    n = _size(doc, cap, "point set")
     rows = _bool_table(doc, "leq", n)
     eqmap = _label_map(doc, "equivalences", n, n)
 

@@ -18,6 +18,7 @@ from .errors import CapExceeded, NonCommutingError, PreconditionError, Structure
 from .order import (BoundedJoinSemilattice, FiniteLattice, FinitePoset, automorphisms,
                     bits, is_distributive, lattice_from_semilattice, mask_of,
                     semilattice_from_poset, up_rows, up_sets)
+from .semigroup import table
 from .set_algebra import SetAlgebra, build_set_algebra
 
 DEFAULT_CAP = 4096
@@ -186,14 +187,7 @@ def gen_lattice_valued(domain_sizes, lam: FiniteLattice,
             extractors.append(arr)
             labels.append(_subset_label(smask))
 
-    composition = []
-    for a in extractors:
-        row = []
-        for b in extractors:
-            composed = tuple(a[b[x]] for x in range(count))
-            row.append(extractors.index(composed))
-        composition.append(tuple(row))
-    return InfoAlgebra(sl, tuple(extractors), tuple(labels), tuple(composition))
+    return InfoAlgebra(sl, tuple(extractors), tuple(labels), table(extractors))
 
 
 # ---------------------------------------------------------------------------
@@ -329,32 +323,16 @@ def extraction_families(ops: list[tuple[int, ...]]) -> list[tuple[tuple[int, ...
     k = len(ops)
     if k > FAMILY_BASE_LIMIT:
         raise CapExceeded(f"operator pool of {k} exceeds limit {FAMILY_BASE_LIMIT}")
-    n = len(ops[0]) if ops else 0
-    pos = {op: i for i, op in enumerate(ops)}
-    commute = [0] * k
-    compose = [[-1] * k for _ in range(k)]
-    for i in range(k):
-        for j in range(k):
-            ij = tuple(ops[i][ops[j][x]] for x in range(n))
-            ji = tuple(ops[j][ops[i][x]] for x in range(n))
-            if ij == ji:
-                commute[i] |= 1 << j
-                compose[i][j] = pos.get(ij, -1)
+    tab = table(ops)
+    # bit j of commute[i]: ops i and j commute and their composite is listed
+    commute = [mask_of(j for j in range(k) if tab[i][j] is not None and tab[i][j] == tab[j][i])
+               for i in range(k)]
     families = []
     for mask in range(1, 1 << k):
         members = list(bits(mask))
         if any(mask & ~commute[i] for i in members):
             continue
-        closed = True
-        for i in members:
-            for j in members:
-                c = compose[i][j]
-                if c < 0 or not (mask >> c) & 1:
-                    closed = False
-                    break
-            if not closed:
-                break
-        if closed:
+        if all((mask >> tab[i][j]) & 1 for i in members for j in members):
             families.append(tuple(ops[i] for i in members))
     return families
 
@@ -386,11 +364,8 @@ def enumerate_algebras(max_n: int):
                 continue
             seen.add(key)
             arrays = tuple(sorted(fam))
-            composition = tuple(tuple(arrays.index(tuple(a[b[x]] for x in range(lat.n)))
-                                      for b in arrays)
-                                for a in arrays)
             labels = tuple(f"e{i}" for i in range(len(arrays)))
-            yield InfoAlgebra(lat.sl, arrays, labels, composition)
+            yield InfoAlgebra(lat.sl, arrays, labels, table(arrays))
 
 
 def _conjugate_eq(eq: Equivalence, perm) -> Equivalence:

@@ -351,25 +351,9 @@ def complements(lat: FiniteLattice) -> tuple[dict[int, int] | None, int | None]:
 
 
 def meet_irreducibles(lat: FiniteLattice) -> list[int]:
-    """Elements that are not proper meets, excluding the top (zero).
-
-    Computed twice: from the definition (a = b /\\ c forces a in {b, c}) and
-    from the single-upper-neighbor characterization. The two must agree.
-    """
-    n = lat.n
-    zero = lat.sl.zero
-    by_def = []
-    for a in range(n):
-        if a == zero:
-            continue
-        if all(a in (b, c)
-               for b in range(n) for c in range(n) if lat.meet[b][c] == a):
-            by_def.append(a)
-    by_covers = [a for a in range(n) if len(lat.poset.covers(a)) == 1]
-    if by_def != sorted(by_covers):
-        raise StructureError("meet-irreducible characterizations disagree: "
-                             f"{by_def} vs {sorted(by_covers)}")
-    return by_def
+    """Elements that are not proper meets, excluding the top (zero): in a
+    finite lattice, exactly the elements with a single upper neighbor."""
+    return [a for a in range(lat.n) if len(lat.poset.covers(a)) == 1]
 
 
 def up_sets(poset: FinitePoset) -> list[int]:

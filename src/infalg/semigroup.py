@@ -1,0 +1,61 @@
+"""Transformation semigroups of index arrays.
+
+A self-map of range(n) is stored as a tuple of images. The extraction
+operators of an algebra, the saturations of a Q-space family and the
+closures built by the CLI are all such maps, composed and looked up here.
+"""
+
+from __future__ import annotations
+
+from .errors import CapExceeded
+
+
+def compose(f, g) -> tuple[int, ...]:
+    """The map x -> f[g[x]]: first g, then f."""
+    return tuple([f[x] for x in g])
+
+
+def table(arrays) -> tuple[tuple[int | None, ...], ...]:
+    """Label table of a listed family: entry [k][l] is the first index of
+    compose(arrays[k], arrays[l]) in the list, or None when it is not listed."""
+    first: dict = {}
+    for i, arr in enumerate(arrays):
+        first.setdefault(arr, i)
+    return tuple(tuple(first.get(compose(f, g)) for g in arrays) for f in arrays)
+
+
+def unlisted(tab) -> tuple[int, int] | None:
+    """First (k, l), row by row, whose composite is not listed in the table."""
+    return next(((k, l) for k, row in enumerate(tab) for l, c in enumerate(row)
+                 if c is None), None)
+
+
+def close(items, labels, product, sep: str, cap: int | None) -> tuple[list, list[str]]:
+    """The items and labels extended until closed under product.
+
+    Each item, in list order, is multiplied both ways by every item listed
+    when its turn starts. A new product x*y is labeled lx + sep + ly, primed
+    until the label is unused; CapExceeded is raised once more than cap
+    items are listed.
+    """
+    items, labels = list(items), list(labels)
+    seen = set(items)
+    used = set(labels)
+    i = 0
+    while i < len(items):
+        for j in range(len(items)):
+            for x, y in ((i, j), (j, i)):
+                prod = product(items[x], items[y])
+                if prod in seen:
+                    continue
+                label = labels[x] + sep + labels[y]
+                while label in used:
+                    label += "'"
+                seen.add(prod)
+                used.add(label)
+                items.append(prod)
+                labels.append(label)
+                if cap is not None and len(items) > cap:
+                    raise CapExceeded(f"closure exceeds cap {cap}")
+        i += 1
+    return items, labels

@@ -14,6 +14,7 @@ from .equivalence import Equivalence, StarFamily, saturate, star_family
 from .errors import CapExceeded, NotDirectedError, StructureError
 from .order import BoundedJoinSemilattice, FinitePoset, bits, mask_of
 from .report import Report
+from .semigroup import table, unlisted
 
 
 @dataclass(frozen=True)
@@ -49,16 +50,11 @@ class SetAlgebra:
         else:
             if len(set(extractors)) != len(extractors):
                 raise StructureError("cannot resolve composition: saturation arrays collide")
-            composition = []
-            for k in ks:
-                row = []
-                for l in ks:
-                    composed = tuple(extractors[k][extractors[l][i]] for i in range(m))
-                    if composed not in extractors:
-                        raise StructureError(f"saturations not closed under composition at ({k},{l})")
-                    row.append(extractors.index(composed))
-                composition.append(tuple(row))
-            composition = tuple(composition)
+            composition = table(extractors)
+            w = unlisted(composition)
+            if w is not None:
+                raise StructureError("saturations not closed under composition "
+                                     f"at ({w[0]},{w[1]})")
         return InfoAlgebra(sl, extractors, self.eqs.labels, composition)
 
 

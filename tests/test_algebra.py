@@ -2,14 +2,16 @@ import random
 
 import pytest
 
-from infalg.algebra import (AlgebraMorphism, InfoAlgebra, check_kernel_theorem, enumerate_homomorphisms,
-                            extraction_image, ideal_completion, identity_morphism, image_algebra,
-                            is_distributive_cdf, is_homomorphism, is_isomorphism, kernel,
-                            kernel_of_array, make_algebra, verify_axioms)
+from infalg.algebra import (AlgebraMorphism, InfoAlgebra, check_kernel_theorem, dedupe_extractors,
+                            enumerate_homomorphisms, extraction_image, ideal_completion,
+                            identity_morphism, image_algebra, is_distributive_cdf,
+                            is_homomorphism, is_isomorphism, kernel, kernel_of_array,
+                            make_algebra, verify_axioms)
 from infalg.equivalence import Equivalence, star
 from infalg.errors import StructureError
 from infalg.generators import gen_string, string_elements
 from infalg.order import FinitePoset, chain_poset, powerset_lattice, try_lattice
+from infalg.semigroup import compose
 
 
 def two_chain_algebra(extra=()):
@@ -34,16 +36,26 @@ def test_extraction_dominated_failure_witnessed():
     assert report.witness("extraction_dominated") == (0, 0)
 
 
-def test_lenient_mode_skips_only_closure(mv22_algebra):
-    b = mv22_algebra
+def lenient_partial(b):
     # drop the composite of the two single-variable projections
     keep = [i for i, lab in enumerate(b.labels) if lab in ("s0", "s1")]
-    partial = InfoAlgebra(b.sl, tuple(b.extractors[i] for i in keep),
-                          tuple(b.labels[i] for i in keep))
+    return InfoAlgebra(b.sl, tuple(b.extractors[i] for i in keep),
+                       tuple(b.labels[i] for i in keep))
+
+
+def test_lenient_mode_skips_only_closure(mv22_algebra):
+    partial = lenient_partial(mv22_algebra)
     strict = verify_axioms(partial)
     assert not strict.ok
     assert [i.name for i in strict.failures()] == ["composition_closed"]
     assert verify_axioms(partial, require_closure=False).ok
+
+
+def test_dedupe_rejects_unclosed_family(mv22_algebra):
+    partial = lenient_partial(mv22_algebra)
+    with pytest.raises(StructureError) as exc:
+        dedupe_extractors(partial)
+    assert exc.value.witness == verify_axioms(partial).witness("composition_closed") == (0, 1)
 
 
 def test_kernel_of_identity_is_identity(string22):
@@ -82,7 +94,7 @@ def test_kernel_star_matches_composite_kernel(string23):
     for k in range(len(a.extractors)):
         for l in range(len(a.extractors)):
             prod = star(kernel(a, k), kernel(a, l))
-            assert prod == kernel_of_array(a.compose_arrays(k, l))
+            assert prod == kernel_of_array(compose(a.extractors[k], a.extractors[l]))
 
 
 def test_identity_is_homomorphism(generated_suite):
@@ -252,7 +264,7 @@ def test_composite_maps_satisfy_extraction_axioms(generated_suite):
     for a in generated_suite.values():
         for k in range(len(a.extractors)):
             for l in range(len(a.extractors)):
-                comp = a.compose_arrays(k, l)
+                comp = compose(a.extractors[k], a.extractors[l])
                 assert comp[a.zero] == a.zero
                 for x in range(a.n):
                     assert a.join(comp[x], x) == x

@@ -203,6 +203,25 @@ def test_cli_cap_env(tmp_path, monkeypatch):
     assert main(["gen", "string", "2", "2", "-o", str(tmp_path / "x.json")]) == 2
 
 
+@pytest.mark.parametrize("command", ["verify", "reconstruct"])
+@pytest.mark.parametrize("flag, env", [(["--cap", "3"], None), ([], "3")], ids=["flag", "env"])
+def test_cli_cap_bounds_parsed_files(tmp_path, capsys, monkeypatch, command, flag, env):
+    if command == "verify":
+        path = gen_file(tmp_path, "gen", "multivariate", 2)  # 4 elements
+    else:
+        doc = {"n": 4, "leq": [[a <= b for b in range(4)] for a in range(4)],
+               "equivalences": {"id": [0, 1, 2, 3]}}
+        path = write(tmp_path, "chain4.json", json.dumps(doc))
+    assert main([command, path]) == 0
+    capsys.readouterr()
+    if env is not None:
+        monkeypatch.setenv("INFALG_CAP", env)
+    assert main([*flag, command, path]) == 1
+    out, err = capsys.readouterr()
+    what = "carrier" if command == "verify" else "point set"
+    assert (out, err) == ("", f"failure: {what} of 4 exceeds cap 3\n")
+
+
 @pytest.mark.parametrize("argv", [
     ["gen", "string", "2"],                      # K N arity
     ["gen", "lattice", "2", "--chain", "0"],     # empty value chain

@@ -6,6 +6,7 @@ from infalg.equivalence import (Equivalence, all_equivalences, commutation_witne
                                 compose_rows, is_downward_directed, least_upper_equivalence,
                                 saturate, star, star_closure, star_family)
 from infalg.errors import NonCommutingError, StructureError
+from infalg.order import bits
 
 GRID_ROWS = Equivalence.from_blocks(4, [[0, 1], [2, 3]])
 GRID_COLS = Equivalence.from_blocks(4, [[0, 2], [1, 3]])
@@ -77,6 +78,14 @@ def test_star_closure_idempotent():
     assert set(again.members) == set(fam.members)
 
 
+def test_star_closure_primes_a_label_in_use():
+    left = Equivalence.from_blocks(4, [[0, 1], [2], [3]])
+    right = Equivalence.from_blocks(4, [[0], [1], [2, 3]])
+    fam = star_closure([left, right, Equivalence.identity(4)], labels=["a", "b", "a*b"])
+    assert fam.labels == ("a", "b", "a*b", "a*b'")
+    assert fam.members[3] == GRID_ROWS
+
+
 def test_star_closure_rejects_non_commuting():
     theta = Equivalence.from_blocks(4, [[0, 1], [2, 3]])
     gamma = Equivalence.from_blocks(4, [[1, 2], [0], [3]])
@@ -105,6 +114,45 @@ def test_least_upper_equivalence():
     assert least_upper_equivalence(GRID_ROWS, GRID_COLS) == Equivalence.all_relation(4)
     delta = Equivalence.identity(4)
     assert least_upper_equivalence(GRID_ROWS, delta) == GRID_ROWS
+
+
+def union_closure(theta, gamma):
+    """Least equivalence containing both, as the transitive closure of the
+    union (union-find over the blocks); needs no commutation."""
+    parent = list(range(theta.n))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for eq in (theta, gamma):
+        for block in eq.blocks:
+            xs = list(bits(block))
+            for y in xs[1:]:
+                parent[find(y)] = find(xs[0])
+    return Equivalence(theta.n, [find(x) for x in range(theta.n)])
+
+
+def test_star_and_least_upper_match_oracles():
+    # differential oracles for the single routes the library keeps: the star
+    # product's blocks are the relational product rows, and the least upper
+    # equivalence is the transitive closure of the union
+    eqs = all_equivalences(4)
+    pairs = 0
+    for theta in eqs:
+        for gamma in eqs:
+            if commutation_witness(theta, gamma) is not None:
+                with pytest.raises(NonCommutingError):
+                    least_upper_equivalence(theta, gamma)
+                continue
+            pairs += 1
+            product = star(theta, gamma)
+            rows = compose_rows(theta, gamma)
+            assert all(product.block_mask(u) == rows[u] for u in range(4)), (theta, gamma)
+            assert least_upper_equivalence(theta, gamma) == union_closure(theta, gamma) == product
+    assert 0 < pairs < len(eqs) ** 2
 
 
 def test_least_upper_is_least():

@@ -7,7 +7,7 @@ from infalg.errors import FormatError, StructureError
 from infalg.generators import enumerate_lattices, gen_string, string_elements
 from infalg.order import (BoundedJoinSemilattice, FinitePoset, antichain_poset, bits,
                           chain_lattice, chain_poset, complements, diamond_m3, glb,
-                          is_distributive, lub, meet_irreducibles, pentagon_n5,
+                          is_distributive, lattice_from_poset, lub, meet_irreducibles, pentagon_n5,
                           powerset_lattice, principal_up_set, semilattice_from_poset,
                           try_lattice, up_sets, verify_poset, verify_semilattice)
 
@@ -175,6 +175,40 @@ def test_order_join_coherence():
         for a in range(sl.n):
             for b in range(sl.n):
                 assert sl.poset.le(a, b) == (sl.join[a][b] == b)
+
+
+def naturally_labeled_lattices(max_n):
+    """Every lattice on 1..max_n elements whose order extends the index
+    order. Relabeling along a linear extension puts every finite lattice in
+    this form, so each isomorphism class occurs at least once."""
+    for n in range(1, max_n + 1):
+        inner = list(combinations(range(1, n - 1), 2))
+        for choice in range(1 << len(inner)):
+            up = [(1 << a) | (1 << (n - 1)) for a in range(n)]
+            up[0] = (1 << n) - 1
+            for i, (a, b) in enumerate(inner):
+                if (choice >> i) & 1:
+                    up[a] |= 1 << b
+            if any(up[b] & ~up[a] for a in range(n) for b in bits(up[a])):
+                continue
+            try:
+                yield lattice_from_poset(FinitePoset(n, tuple(up)))
+            except StructureError:
+                continue
+
+
+def test_meet_irreducibles_match_definition():
+    # differential oracle for the single-upper-neighbor route: a is
+    # meet-irreducible when a = b /\ c forces a in {b, c}, and a is not the top
+    sizes = set()
+    for lat in naturally_labeled_lattices(6):
+        n, top = lat.n, lat.sl.zero
+        by_def = [a for a in range(n) if a != top
+                  and all(a in (b, c) for b in range(n) for c in range(n)
+                          if lat.meet[b][c] == a)]
+        assert meet_irreducibles(lat) == by_def, lat.poset
+        sizes.add(n)
+    assert sizes == set(range(1, 7))
 
 
 def test_birkhoff_count_on_enumerated_distributive_lattices():
