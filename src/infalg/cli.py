@@ -7,6 +7,7 @@ hold), 2 I/O or parse failure. All commands are deterministic.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -79,8 +80,8 @@ def _jsonable(value):
     return repr(value)
 
 
-def _load_algebra(args, path: str, lenient: bool = False) -> tuple[InfoAlgebra, list | None]:
-    parsed = files.parse_algebra(_read(path), lenient=lenient, cap=_cap(args))
+def _load_algebra(args, text: str, lenient: bool = False) -> tuple[InfoAlgebra, list | None]:
+    parsed = files.parse_algebra(text, lenient=lenient, cap=_cap(args))
     if not parsed.report.ok or parsed.algebra is None:
         raise SemanticFailure("invalid algebra file:\n" + parsed.report.format())
     return parsed.algebra, parsed.element_labels
@@ -93,7 +94,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_close(args) -> int:
-    a, element_labels = _load_algebra(args, args.path, lenient=True)
+    a, element_labels = _load_algebra(args, _read(args.path), lenient=True)
     cap = _cap(args)
     labels = list(a.labels)
     arrays = [tuple(arr) for arr in a.extractors]
@@ -109,7 +110,7 @@ def cmd_close(args) -> int:
 
 
 def cmd_dualize(args) -> int:
-    a, _ = _load_algebra(args, args.path)
+    a, _ = _load_algebra(args, _read(args.path))
     space = dualize(a)
     _write_out(args, files.dumps(files.qspace_doc(space)))
     return 0
@@ -139,7 +140,7 @@ def cmd_roundtrip(args) -> int:
         raise FormatError(f"invalid JSON: {exc}") from exc
     report = Report()
     if isinstance(doc, dict) and "extractors" in doc:
-        a, _ = _load_algebra(args, args.path)
+        a, _ = _load_algebra(args, text)
         rt = round_trip_algebra(a)
         report.add("isomorphism", True)
         _emit_report(args, report, header="")
@@ -160,7 +161,7 @@ def cmd_roundtrip(args) -> int:
 
 
 def cmd_atoms(args) -> int:
-    a, element_labels = _load_algebra(args, args.path)
+    a, element_labels = _load_algebra(args, _read(args.path))
     ats = atom_set(a)
     if args.format == "json":
         print(json.dumps({"atoms": list(ats)}))
@@ -171,7 +172,7 @@ def cmd_atoms(args) -> int:
 
 
 def cmd_classify(args) -> int:
-    a, _ = _load_algebra(args, args.path)
+    a, _ = _load_algebra(args, _read(args.path))
     rep = classify(a)
     if rep.completely_atomistic:
         text = "completely atomistic"
@@ -213,8 +214,8 @@ def cmd_gen(args) -> int:
 
 
 def cmd_check_hom(args) -> int:
-    a, _ = _load_algebra(args, args.path_a)
-    b, _ = _load_algebra(args, args.path_b)
+    a, _ = _load_algebra(args, _read(args.path_a))
+    b, _ = _load_algebra(args, _read(args.path_b))
     try:
         doc = json.loads(_read(args.mapfile))
     except json.JSONDecodeError as exc:
@@ -251,7 +252,9 @@ def cmd_enumerate(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """Built once per process: each parse_args call returns a fresh namespace."""
     parser = argparse.ArgumentParser(prog="infalg")
     parser.add_argument("--cap", type=int, default=None,
                         help=f"size cap (default {DEFAULT_CAP}, env {CAP_ENV})")

@@ -343,10 +343,11 @@ def check_q_morphism(m: QMorphism, s: QSpace, t: QSpace) -> Report:
         return mask_of(p for p in range(s.poset.n) if (u >> m.alpha[p]) & 1)
 
     w = None
+    t_up_sets = up_sets(t.poset)
     for i in ks:
         gamma = t.eqs.members[i]
         th = s.eqs.members[m.omega[i]]
-        for v in up_sets(t.poset):
+        for v in t_up_sets:
             if preimage(saturate(gamma, v)) != saturate(th, preimage(v)):
                 w = (i, v)
                 break

@@ -14,8 +14,8 @@ from .algebra import InfoAlgebra, verify_axioms
 from .duality import QSpace, q_space_report
 from .equivalence import Equivalence, star_family
 from .errors import CapExceeded, FormatError, NonCommutingError, StructureError
-from .order import (FinitePoset, glb, join_semilattice, semilattice_from_poset, up_rows,
-                    verify_poset, verify_semilattice)
+from .order import (FinitePoset, bound_table_witness, join_semilattice, semilattice_from_poset,
+                    up_rows, verify_poset, verify_semilattice)
 from .report import Report
 
 
@@ -24,14 +24,22 @@ def _require(cond, message):
         raise FormatError(message)
 
 
+def _require_indices(values, limit, what):
+    # JSON yields no int subclass but bool, so the type test is the entry
+    # test below; only a row that fails it is rescanned for the first bad entry
+    if set(map(type, values)) == {int} and min(values) >= 0 and max(values) < limit:
+        return
+    for v in values:
+        _require(isinstance(v, int) and not isinstance(v, bool) and 0 <= v < limit,
+                 f"{what} entries must be indices below {limit}, got {v!r}")
+
+
 def _int_table(doc, key, n, limit):
     table = doc[key]
     _require(isinstance(table, list) and len(table) == n, f"{key} must be an n-row table")
     for row in table:
         _require(isinstance(row, list) and len(row) == n, f"{key} rows must have length {n}")
-        for v in row:
-            _require(isinstance(v, int) and not isinstance(v, bool) and 0 <= v < limit,
-                     f"{key} entries must be indices below {limit}, got {v!r}")
+        _require_indices(row, limit, key)
     return [list(row) for row in table]
 
 
@@ -52,9 +60,7 @@ def _label_map(doc, key, n, limit):
     for label, arr in mapping.items():
         _require(isinstance(label, str), f"{key} labels must be strings")
         _require(isinstance(arr, list) and len(arr) == n, f"{key}[{label}] must have length {n}")
-        for v in arr:
-            _require(isinstance(v, int) and not isinstance(v, bool) and 0 <= v < limit,
-                     f"{key}[{label}] entries must be indices below {limit}, got {v!r}")
+        _require_indices(arr, limit, f"{key}[{label}]")
         out[label] = tuple(arr)
     return out
 
@@ -138,8 +144,7 @@ def parse_algebra(text: str, lenient: bool = False, cap: int | None = None) -> P
 
     if "meet" in doc:
         meet = _int_table(doc, "meet", n, n)
-        w = next(((a, b) for a in range(n) for b in range(n)
-                  if glb(sl.poset, a, b) != meet[a][b]), None)
+        w = bound_table_witness(sl.poset.down, meet)
         report.add("meet_is_greatest_lower_bound", w is None, w)
         if w is not None:
             return ParsedAlgebra(None, report, element_labels)

@@ -6,9 +6,10 @@ Conventions used throughout the package:
 * the information order puts the vacuous element (``unit``) at the bottom
   and the contradiction (``zero``) at the top; combination is join;
 * subsets of a carrier are bitmasks, bit x set meaning x is a member;
-* derived order data (the down rows of a poset, the meet table of a
-  semilattice, the CDF verdict of an algebra) is computed on first use and
-  cached on the frozen structure that owns it; callers must not mutate it.
+* derived order data (the down rows and the rank-indexed rows of a poset,
+  the meet table of a semilattice, the CDF verdict of an algebra) is
+  computed on first use and cached on the frozen structure that owns it;
+  callers must not mutate it.
 """
 
 from __future__ import annotations
@@ -60,6 +61,23 @@ class FinitePoset:
             for b in bits(row):
                 down[b] |= 1 << a
         return tuple(down)
+
+    @cached_property
+    def ranked(self) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
+        """``(by_rank, rank_up, rank_down)``: the points by ascending down-set
+        size, a linear extension (a < b gives |down a| < |down b|), and the
+        ``up``/``down`` rows with bit r standing for ``by_rank[r]``. A set has
+        a greatest (least) element iff its highest- (lowest-) ranked member is
+        one, so bounds are found without a scan."""
+        down = self.down
+        by_rank = tuple(sorted(range(self.n), key=lambda a: down[a].bit_count()))
+        rank_up, rank_down = [0] * self.n, [0] * self.n
+        for r, a in enumerate(by_rank):
+            for b in bits(down[a]):
+                rank_up[b] |= 1 << r
+            for b in bits(self.up[a]):
+                rank_down[b] |= 1 << r
+        return by_rank, tuple(rank_up), tuple(rank_down)
 
     def covers(self, a: int) -> list[int]:
         """Upper neighbors of a: minimal elements strictly above a."""
@@ -150,13 +168,15 @@ def verify_poset(rows) -> Report:
     return report
 
 
+# In the bound lookups below an empty set picks by_rank[-1]; its rank row
+# holds the point itself, so the row check rejects it.
+
 def lub_of_pair(poset: FinitePoset, a: int, b: int) -> int | None:
     """Least upper bound of {a, b}, or None if it does not exist."""
-    uppers = poset.up[a] & poset.up[b]
-    for c in bits(uppers):
-        if uppers & ~poset.up[c] == 0:
-            return c
-    return None
+    by_rank, rank_up, _ = poset.ranked
+    uppers = rank_up[a] & rank_up[b]
+    c = by_rank[(uppers & -uppers).bit_length() - 1]
+    return c if rank_up[c] == uppers else None
 
 
 def glb(poset: FinitePoset, a: int, b: int) -> int | None:
@@ -165,24 +185,56 @@ def glb(poset: FinitePoset, a: int, b: int) -> int | None:
     Join-semilattices need not have meets; callers decide whether a
     missing meet is an error.
     """
-    down = poset.down
-    lowers = down[a] & down[b]
-    for c in bits(lowers):
-        if lowers & ~down[c] == 0:
-            return c
-    return None
+    by_rank, _, rank_down = poset.ranked
+    lowers = rank_down[a] & rank_down[b]
+    c = by_rank[lowers.bit_length() - 1]
+    return c if rank_down[c] == lowers else None
 
 
 def glb_of_set(poset: FinitePoset, mask: int) -> int | None:
     """Greatest lower bound of a subset; the top element for the empty set."""
-    down = poset.down
+    by_rank, _, rank_down = poset.ranked
     lowers = poset.full_mask()
     for a in bits(mask):
-        lowers &= down[a]
-    for c in bits(lowers):
-        if lowers & ~down[c] == 0:
-            return c
-    return None
+        lowers &= rank_down[a]
+    c = by_rank[lowers.bit_length() - 1]
+    return c if rank_down[c] == lowers else None
+
+
+# Row kernels: one row of a bound table per call, each step a map over the
+# row at C speed.
+
+def _bound_row(rows, bounds, picks) -> tuple[int | None, ...]:
+    """Entries c of picks with rows[c] == bounds, None elsewhere."""
+    if tuple(map(rows.__getitem__, picks)) == bounds:
+        return picks
+    return tuple(c if rows[c] == m else None for c, m in zip(picks, bounds))
+
+
+def lub_row(poset: FinitePoset, a: int) -> tuple[int | None, ...]:
+    """``lub_of_pair(poset, a, b)`` for b = 0..n-1."""
+    by_rank, rank_up, _ = poset.ranked
+    uppers = tuple(map(rank_up[a].__and__, rank_up))
+    lowest = map(int.__and__, uppers, map(int.__neg__, uppers))
+    picks = map(by_rank.__getitem__, map((-1).__add__, map(int.bit_length, lowest)))
+    return _bound_row(rank_up, uppers, tuple(picks))
+
+
+def glb_row(poset: FinitePoset, a: int) -> tuple[int | None, ...]:
+    """``glb(poset, a, b)`` for b = 0..n-1."""
+    by_rank, _, rank_down = poset.ranked
+    lowers = tuple(map(rank_down[a].__and__, rank_down))
+    picks = map(by_rank.__getitem__, map((-1).__add__, map(int.bit_length, lowers)))
+    return _bound_row(rank_down, lowers, tuple(picks))
+
+
+def bound_table_witness(rows, table) -> tuple[int, int] | None:
+    """First (a, b) where table[a][b] is not the bound of {a, b}: c is the join
+    of a and b iff up[c] == up[a] & up[b], and their meet iff the same holds
+    for down rows, so ``rows`` decides which table is checked."""
+    return first_row_witness(((a,), tuple(map(row.__and__, rows)),
+                              tuple(map(rows.__getitem__, table[a])))
+                             for a, row in enumerate(rows))
 
 
 @dataclass(frozen=True)
@@ -199,8 +251,13 @@ class BoundedJoinSemilattice:
     @cached_property
     def lattice(self) -> FiniteLattice | None:
         """Completion with the meet table, or None if a meet is missing."""
-        meet = tuple(tuple(glb(self.poset, a, b) for b in range(self.n)) for a in range(self.n))
-        return None if any(None in row for row in meet) else FiniteLattice(self, meet)
+        meet = []
+        for a in range(self.n):
+            row = glb_row(self.poset, a)
+            if None in row:
+                return None
+            meet.append(row)
+        return FiniteLattice(self, tuple(meet))
 
 
 def lub(sl: BoundedJoinSemilattice, a: int, b: int) -> int:
@@ -218,16 +275,13 @@ def semilattice_from_poset(poset: FinitePoset,
                            unit: int | None = None,
                            zero: int | None = None) -> BoundedJoinSemilattice:
     """Build the join table from the order; every pair must have a lub."""
-    n = poset.n
     join = []
-    for a in range(n):
-        row = []
-        for b in range(n):
-            j = lub_of_pair(poset, a, b)
-            if j is None:
-                raise StructureError(f"no least upper bound for ({a},{b})", witness=(a, b))
-            row.append(j)
-        join.append(tuple(row))
+    for a in range(poset.n):
+        row = lub_row(poset, a)
+        if None in row:
+            b = row.index(None)
+            raise StructureError(f"no least upper bound for ({a},{b})", witness=(a, b))
+        join.append(row)
     if unit is None:
         unit = poset.bottom()
         if unit is None:
@@ -269,9 +323,7 @@ def verify_semilattice(join, unit: int, zero: int) -> Report:
     if not (order_report.ok and report.items[0].ok and report.items[1].ok):
         return report
 
-    poset = FinitePoset(n, up_rows(rows))
-    bad = next(((a, b) for a in range(n) for b in range(n)
-                if lub_of_pair(poset, a, b) != join[a][b]), None)
+    bad = bound_table_witness(up_rows(rows), table)
     report.add("join_is_least_upper_bound", bad is None, bad)
     return report
 
@@ -315,8 +367,8 @@ def try_lattice(sl: BoundedJoinSemilattice) -> FiniteLattice | None:
 def lattice_from_semilattice(sl: BoundedJoinSemilattice) -> FiniteLattice:
     lat = try_lattice(sl)
     if lat is None:
-        bad = next((a, b) for a in range(sl.n) for b in range(sl.n)
-                   if glb(sl.poset, a, b) is None)
+        bad = next((a, row.index(None)) for a in range(sl.n)
+                   if None in (row := glb_row(sl.poset, a)))
         raise StructureError(f"no greatest lower bound for {bad}", witness=bad)
     return lat
 

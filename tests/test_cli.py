@@ -1,12 +1,14 @@
 import json
+import random
 
 import pytest
 
-from infalg import files
+from infalg import cli, files
 from infalg.cli import main
 from infalg.duality import dualize
 from infalg.errors import FormatError
-from infalg.generators import gen_string, string_elements
+from infalg.generators import enumerate_lattices, gen_string, string_elements
+from infalg.order import diamond_m3, pentagon_n5, try_lattice
 
 
 def run(tmp_path, *argv):
@@ -64,6 +66,58 @@ def test_leq_and_join_inputs_agree(string22):
     assert via_join == via_leq
 
 
+def literal_glb(poset, a, b):
+    lowers = [c for c in range(poset.n) if poset.le(c, a) and poset.le(c, b)]
+    return next((c for c in lowers if all(poset.le(d, c) for d in lowers)), None)
+
+
+def test_meet_witness_matches_literal_on_corrupted_tables():
+    rng = random.Random(2718)
+    lattices = [diamond_m3(), pentagon_n5(), try_lattice(gen_string(2, 3).sl)]
+    lattices += enumerate_lattices(5, distributive_only=False)
+    failing = 0
+    for lat in lattices:
+        n = lat.n
+        assert files.parse_algebra(json.dumps({
+            "n": n, "join": lat.sl.join, "unit": lat.sl.unit, "zero": lat.sl.zero,
+            "meet": lat.meet, "extractors": {}})).report.ok
+        for _ in range(8):
+            meet = [list(row) for row in lat.meet]
+            for _ in range(rng.randint(1, 3)):
+                meet[rng.randrange(n)][rng.randrange(n)] = rng.randrange(n)
+            doc = {"n": n, "join": lat.sl.join, "unit": lat.sl.unit, "zero": lat.sl.zero,
+                   "meet": meet, "extractors": {}}
+            expected = next(((a, b) for a in range(n) for b in range(n)
+                             if literal_glb(lat.poset, a, b) != meet[a][b]), None)
+            report = files.parse_algebra(json.dumps(doc)).report
+            assert report.witness("meet_is_greatest_lower_bound") == expected, meet
+            assert report.ok == (expected is None)
+            failing += expected is not None
+    assert failing >= 80
+
+
+@pytest.mark.parametrize("key, row, shown", [
+    ("join", [1, True, 7], "True"),
+    ("join", [1, -1, 7], "-1"),
+    ("join", [1, 3, 7], "3"),
+    ("join", [1, 1.0, 7], "1.0"),
+    ("join", [1, "1", 7], "'1'"),
+    ("meet", [0, False, 7], "False"),
+    ("extractors[e]", [0, 2.5, 7], "2.5"),
+], ids=["bool", "negative", "too-large", "float", "string", "meet-bool", "extractor-float"])
+def test_index_table_errors_name_the_first_bad_entry(key, row, shown):
+    # 3-chain; the bad entry sits mid-row, before an out-of-range 7
+    chain = [[0, 1, 2], [1, 1, 2], [2, 2, 2]]
+    doc = {"n": 3, "join": chain, "unit": 0, "zero": 2, "extractors": {"e": [0, 1, 2]}}
+    if key == "extractors[e]":
+        doc["extractors"]["e"] = row
+    else:
+        doc[key] = [chain[0], row, chain[2]]
+    with pytest.raises(FormatError) as exc:
+        files.parse_algebra(json.dumps(doc))
+    assert str(exc.value) == f"{key} entries must be indices below 3, got {shown}"
+
+
 def test_duplicate_extractor_maps_rejected():
     doc = {"n": 2, "join": [[0, 1], [1, 1]], "unit": 0, "zero": 1,
            "extractors": {"a": [0, 1], "b": [0, 1]}}
@@ -84,6 +138,9 @@ def test_cli_verify_lenient(tmp_path):
     partial = write(tmp_path, "partial.json", json.dumps(doc))
     assert main(["verify", partial]) == 1
     assert main(["verify", "--lenient", partial]) == 0
+    # the parser is built once per process, and no flag leaks into the next call
+    assert main(["verify", partial]) == 1
+    assert cli.build_parser() is cli.build_parser()
 
 
 def test_cli_close_adds_missing_composites(tmp_path):
@@ -155,6 +212,15 @@ def test_cli_roundtrip_both_kinds(tmp_path, capsys):
     assert main(["roundtrip", str(out)]) == 0
 
 
+def test_cli_roundtrip_reads_an_algebra_file_once(tmp_path, capsys, monkeypatch):
+    path = gen_file(tmp_path, "gen", "lattice", 2, "--chain", 3)
+    reads = []
+    read = cli._read
+    monkeypatch.setattr(cli, "_read", lambda p: reads.append(p) or read(p))
+    assert main(["roundtrip", path]) == 0
+    assert reads == [path]
+
+
 def test_cli_atoms_and_classify(tmp_path, capsys):
     path = gen_file(tmp_path, "gen", "multivariate", 2, 2)
     assert main(["classify", path]) == 0
@@ -203,22 +269,22 @@ def test_cli_cap_env(tmp_path, monkeypatch):
     assert main(["gen", "string", "2", "2", "-o", str(tmp_path / "x.json")]) == 2
 
 
-@pytest.mark.parametrize("command", ["verify", "reconstruct"])
+@pytest.mark.parametrize("command", ["verify", "reconstruct", "roundtrip"])
 @pytest.mark.parametrize("flag, env", [(["--cap", "3"], None), ([], "3")], ids=["flag", "env"])
 def test_cli_cap_bounds_parsed_files(tmp_path, capsys, monkeypatch, command, flag, env):
-    if command == "verify":
-        path = gen_file(tmp_path, "gen", "multivariate", 2)  # 4 elements
-    else:
+    if command == "reconstruct":
         doc = {"n": 4, "leq": [[a <= b for b in range(4)] for a in range(4)],
                "equivalences": {"id": [0, 1, 2, 3]}}
         path = write(tmp_path, "chain4.json", json.dumps(doc))
+    else:
+        path = gen_file(tmp_path, "gen", "multivariate", 2)  # 4 elements
     assert main([command, path]) == 0
     capsys.readouterr()
     if env is not None:
         monkeypatch.setenv("INFALG_CAP", env)
     assert main([*flag, command, path]) == 1
     out, err = capsys.readouterr()
-    what = "carrier" if command == "verify" else "point set"
+    what = "point set" if command == "reconstruct" else "carrier"
     assert (out, err) == ("", f"failure: {what} of 4 exceeds cap 3\n")
 
 

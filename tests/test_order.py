@@ -4,10 +4,12 @@ from itertools import combinations
 import pytest
 
 from infalg.errors import FormatError, StructureError
-from infalg.generators import enumerate_lattices, gen_string, string_elements
+from infalg.generators import (all_labeled_posets, enumerate_lattices, enumerate_posets,
+                               gen_string, string_elements)
 from infalg.order import (BoundedJoinSemilattice, FinitePoset, antichain_poset, bits,
-                          chain_lattice, chain_poset, complements, diamond_m3, glb,
-                          is_distributive, lattice_from_poset, lub, meet_irreducibles, pentagon_n5,
+                          chain_lattice, chain_poset, complements, diamond_m3, glb, glb_of_set,
+                          glb_row, is_distributive, lattice_from_poset, lattice_from_semilattice,
+                          lub, lub_of_pair, lub_row, mask_of, meet_irreducibles, pentagon_n5,
                           powerset_lattice, principal_up_set, semilattice_from_poset,
                           try_lattice, up_sets, verify_poset, verify_semilattice)
 
@@ -334,3 +336,110 @@ def test_equality_and_hash_ignore_cached_order_data():
     assert "lattice" in vars(s1) and "lattice" not in vars(s2)
     assert p1 == p2 and hash(p1) == hash(p2)
     assert s1 == s2 and hash(s1) == hash(s2)
+
+
+# Bit scans by point index: the references the rank-indexed bound kernels
+# must match, None included.
+
+def scan_lub(poset, a, b):
+    uppers = poset.up[a] & poset.up[b]
+    return next((c for c in bits(uppers) if uppers & ~poset.up[c] == 0), None)
+
+
+def scan_glb_of_set(poset, mask):
+    lowers = poset.full_mask()
+    for a in bits(mask):
+        lowers &= poset.down[a]
+    return next((c for c in bits(lowers) if lowers & ~poset.down[c] == 0), None)
+
+
+def relabeled(poset, perm):
+    """The same order with point a renamed perm[a]."""
+    up = [0] * poset.n
+    for a in range(poset.n):
+        up[perm[a]] = mask_of(perm[b] for b in bits(poset.up[a]))
+    return FinitePoset(poset.n, tuple(up))
+
+
+def kernel_posets():
+    """Every labeled 4-point poset, and three seeded relabelings of every
+    poset up to 5 points, so that most labelings are not linear extensions."""
+    rng = random.Random(8128)
+    posets = all_labeled_posets(4)
+    for poset in enumerate_posets(5):
+        for _ in range(3):
+            posets.append(relabeled(poset, rng.sample(range(poset.n), poset.n)))
+    return posets
+
+
+def test_rank_kernels_match_bit_scans():
+    missing = {"meets": 0, "joins": 0, "tables": 0, "lattices": 0}
+    unsorted = 0
+    for poset in kernel_posets():
+        n = poset.n
+        by_rank, rank_up, rank_down = poset.ranked
+        assert sorted(by_rank) == list(range(n))
+        unsorted += any(b < a for a in range(n) for b in bits(poset.up[a]))
+        rank = {a: r for r, a in enumerate(by_rank)}
+        assert all(rank[a] < rank[b] for a in range(n) for b in bits(poset.up[a]) if a != b)
+        assert rank_up == tuple(mask_of(rank[b] for b in bits(row)) for row in poset.up)
+        assert rank_down == tuple(mask_of(rank[b] for b in bits(row)) for row in poset.down)
+        meets = [tuple(scan_glb_of_set(poset, 1 << a | 1 << b) for b in range(n))
+                 for a in range(n)]
+        joins = [tuple(scan_lub(poset, a, b) for b in range(n)) for a in range(n)]
+        for a in range(n):
+            assert glb_row(poset, a) == meets[a]
+            assert lub_row(poset, a) == joins[a]
+            assert tuple(glb(poset, a, b) for b in range(n)) == meets[a]
+            assert tuple(lub_of_pair(poset, a, b) for b in range(n)) == joins[a]
+        for mask in range(1 << n):
+            assert glb_of_set(poset, mask) == scan_glb_of_set(poset, mask)
+        missing["meets"] += any(None in row for row in meets)
+        missing["joins"] += any(None in row for row in joins)
+
+        no_join = next(((a, b) for a in range(n) for b in range(n) if joins[a][b] is None), None)
+        if no_join is not None:
+            with pytest.raises(StructureError) as exc:
+                semilattice_from_poset(poset, unit=0, zero=0)
+            assert exc.value.witness == no_join
+            missing["tables"] += 1
+            continue
+        sl = semilattice_from_poset(poset, unit=0, zero=0)  # bounds unchecked
+        assert sl.join == tuple(joins)
+        no_meet = next(((a, b) for a in range(n) for b in range(n) if meets[a][b] is None), None)
+        if no_meet is None:
+            assert try_lattice(sl).meet == tuple(meets)
+        else:
+            assert try_lattice(sl) is None
+            with pytest.raises(StructureError) as exc:
+                lattice_from_semilattice(sl)
+            assert exc.value.witness == no_meet
+            missing["lattices"] += 1
+    assert unsorted > 100
+    assert all(count > 10 for count in missing.values()), missing
+
+
+def test_least_upper_bound_witness_matches_literal_on_corrupted_tables():
+    # moving the join of an incomparable pair off the pair keeps the order,
+    # idempotence and commutativity, so only the lub check can catch it
+    rng = random.Random(3141)
+    lattices = list(witness_lattices().values()) + enumerate_lattices(5, distributive_only=False)
+    failing = 0
+    for lat in lattices:
+        sl, n = lat.sl, lat.n
+        pairs = [(a, b) for a in range(n) for b in range(a + 1, n)
+                 if sl.join[a][b] not in (a, b)]
+        for _ in range(10 if pairs else 0):
+            join = [list(row) for row in sl.join]
+            for _ in range(rng.randint(1, 3)):
+                a, b = rng.choice(pairs)
+                join[a][b] = join[b][a] = rng.choice([c for c in range(n) if c not in (a, b)])
+            report = verify_semilattice(join, sl.unit, sl.zero)
+            assert all(item.ok for item in report.items
+                       if item.name in ("idempotent", "commutative", "reflexive",
+                                        "antisymmetric", "transitive"))
+            expected = next(((a, b) for a in range(n) for b in range(n)
+                             if scan_lub(sl.poset, a, b) != join[a][b]), None)
+            assert report.witness("join_is_least_upper_bound") == expected, join
+            failing += expected is not None
+    assert failing >= 50
