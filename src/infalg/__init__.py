@@ -17,8 +17,7 @@ from .errors import (CapExceeded, FormatError, InfAlgError, NonCommutingError, N
 from .generators import (enumerate_algebras, enumerate_q_spaces, enumerate_small,
                          gen_lattice_valued, gen_multivariate, gen_string)
 from .order import (BoundedJoinSemilattice, FiniteLattice, FinitePoset, complements, glb,
-                    is_distributive, lub, meet_irreducibles, principal_up_set, up_sets,
-                    verify_poset)
+                    is_distributive, meet_irreducibles, principal_up_set, up_sets, verify_poset)
 from .set_algebra import (SetAlgebra, build_block_union_algebra, build_set_algebra,
                           principal_upset_representation)
 

@@ -20,7 +20,7 @@ from .duality import dualize, reconstruct, round_trip_algebra, round_trip_space
 from .errors import FormatError, InfAlgError
 from .generators import (DEFAULT_CAP, enumerate_algebras, enumerate_q_spaces, gen_lattice_valued,
                          gen_multivariate, gen_string, string_elements)
-from .order import bits, chain_lattice
+from .order import bits, chain_lattice, up_sets
 from .report import Report
 from .semigroup import close, compose
 
@@ -125,8 +125,6 @@ def cmd_reconstruct(args) -> int:
     if parsed.space is None:
         raise SemanticFailure("invalid Q-space file:\n" + parsed.report.format())
     algebra = reconstruct(parsed.space, cap=_cap(args))
-    from .order import up_sets
-
     labels = [_upset_label(m) for m in up_sets(parsed.space.poset)]
     _write_out(args, files.dumps(files.algebra_doc(algebra, labels)))
     return 0

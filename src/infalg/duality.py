@@ -22,6 +22,7 @@ from .order import (FinitePoset, bits, complements, is_distributive, mask_of,
                     meet_irreducibles, try_lattice, up_closure, up_sets)
 from .report import Report
 from .semigroup import table
+from .set_algebra import build_set_algebra
 
 RECONSTRUCT_CAP = 4096
 
@@ -44,25 +45,23 @@ class QMorphism:
     omega: tuple[int, ...]
 
 
-def check_separating(poset: FinitePoset, theta: Equivalence,
-                     _usets: list[int] | None = None) -> tuple[bool, object]:
+def check_separating(poset: FinitePoset, theta: Equivalence) -> tuple[bool, object]:
     """Separating test for an equivalence on an ordered set.
 
     (i) saturation maps every up-set to an up-set; (ii) every inequivalent
     pair is split by some saturated up-set containing exactly one of the
     two. The witness names the failing up-set or pair.
     """
-    usets = up_sets(poset) if _usets is None else _usets
-    uset_set = set(usets)
+    usets = poset.up_set_index
     for u in usets:
-        if saturate(theta, u) not in uset_set:
+        if saturate(theta, u) not in usets:
             return False, ("saturation_image", u)
-    sat_usets = [u for u in usets if saturate(theta, u) == u]
+    saturated = [u for u in usets if saturate(theta, u) == u]
     for p in range(poset.n):
         for q in range(p + 1, poset.n):
             if theta.relates(p, q):
                 continue
-            if not any(((u >> p) & 1) != ((u >> q) & 1) for u in sat_usets):
+            if not any(((u >> p) & 1) != ((u >> q) & 1) for u in saturated):
                 return False, ("unseparated_pair", (p, q))
     return True, None
 
@@ -141,9 +140,8 @@ def sentence_commutation(ti: Equivalence, tj: Equivalence) -> bool:
 def q_space_report(space: QSpace) -> Report:
     report = Report()
     report.add("universe_match", space.eqs.n == space.poset.n)
-    usets = up_sets(space.poset)
     for lab, theta in zip(space.eqs.labels, space.eqs.members):
-        ok, w = check_separating(space.poset, theta, _usets=usets)
+        ok, w = check_separating(space.poset, theta)
         report.add(f"separating[{lab}]", ok, w)
     return report
 
@@ -199,8 +197,6 @@ def dualize(a: InfoAlgebra) -> QSpace:
 def reconstruct(s: QSpace, cap: int = RECONSTRUCT_CAP) -> InfoAlgebra:
     """Algebra of all up-sets of a Q-space under reverse inclusion, with the
     restricted saturation operators. The output is re-verified."""
-    from .set_algebra import build_set_algebra
-
     report = q_space_report(s)
     if not report.ok:
         raise PreconditionError("invalid Q-space:\n" + report.format())
@@ -229,8 +225,7 @@ def round_trip_algebra(a: InfoAlgebra) -> AlgebraRoundTrip:
     x -> (up-set of dual points at or above x); verified isomorphism."""
     space, points, _ = _dual(a)
     target = reconstruct(space)
-    masks = up_sets(space.poset)
-    index = {m: i for i, m in enumerate(masks)}
+    index = space.poset.up_set_index
     h = range(len(points))
     f = tuple(index[mask_of(i for i in h if a.le(x, points[i]))] for x in range(a.n))
     morphism = AlgebraMorphism(f, tuple(range(len(a.extractors))))
@@ -255,7 +250,7 @@ def round_trip_space(s: QSpace) -> SpaceRoundTrip:
     compatibility law.
     """
     algebra = reconstruct(s)
-    masks = up_sets(s.poset)
+    index = s.poset.up_set_index
     target, points, _ = _dual(algebra)
     n = s.poset.n
     if target.poset.n != n or len(target.eqs.members) != len(s.eqs.members):
@@ -263,7 +258,7 @@ def round_trip_space(s: QSpace) -> SpaceRoundTrip:
     carrier_of = {c: i for i, c in enumerate(points)}
     lam = []
     for p in range(n):
-        c = masks.index(s.poset.up[p])
+        c = index[s.poset.up[p]]
         if c not in carrier_of:
             raise StructureError(f"principal up-set of point {p} is not a dual point")
         lam.append(carrier_of[c])
@@ -293,9 +288,8 @@ def _member_arrays(space: QSpace) -> list[tuple[int, ...]]:
     Distinct separating members always give distinct arrays; collisions are
     rejected because they would make label-level composition ambiguous.
     """
-    usets = up_sets(space.poset)
-    pos = {u: k for k, u in enumerate(usets)}
-    arrays = [tuple(pos[saturate(member, u)] for u in usets)
+    pos = space.poset.up_set_index
+    arrays = [tuple(pos[saturate(member, u)] for u in pos)
               for member in space.eqs.members]
     if len(set(arrays)) != len(arrays):
         raise StructureError("ambiguous composition: saturation arrays collide")
@@ -343,11 +337,10 @@ def check_q_morphism(m: QMorphism, s: QSpace, t: QSpace) -> Report:
         return mask_of(p for p in range(s.poset.n) if (u >> m.alpha[p]) & 1)
 
     w = None
-    t_up_sets = up_sets(t.poset)
     for i in ks:
         gamma = t.eqs.members[i]
         th = s.eqs.members[m.omega[i]]
-        for v in t_up_sets:
+        for v in t.poset.up_set_index:
             if preimage(saturate(gamma, v)) != saturate(th, preimage(v)):
                 w = (i, v)
                 break
@@ -395,9 +388,8 @@ def dualize_morphism(m: AlgebraMorphism, a: InfoAlgebra, b: InfoAlgebra) -> QMor
 def double_dual_element_map(qm: QMorphism, space_a: QSpace, space_b: QSpace) -> tuple[int, ...]:
     """Carrier map between the reconstructed algebras induced by a dual
     point map: an up-set of the domain's dual goes to its alpha-preimage."""
-    masks_a = up_sets(space_a.poset)
-    masks_b = up_sets(space_b.poset)
-    index_b = {u: i for i, u in enumerate(masks_b)}
+    masks_a = space_a.poset.up_set_index
+    index_b = space_b.poset.up_set_index
     out = []
     for u in masks_a:
         pre = mask_of(p for p in range(space_b.poset.n) if (u >> qm.alpha[p]) & 1)

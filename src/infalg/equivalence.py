@@ -163,10 +163,11 @@ def closure_defect(members) -> tuple | None:
     seen = set(members)
     for i, a in enumerate(members):
         for j, b in enumerate(members):
-            w = commutation_witness(a, b)
-            if w is not None:
-                return ("commute", i, j, w)
-            if star(a, b) not in seen:
+            try:
+                prod = star(a, b)
+            except NonCommutingError as exc:
+                return ("commute", i, j, exc.witness)
+            if prod not in seen:
                 return ("closure", i, j)
     return None
 

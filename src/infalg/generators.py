@@ -17,7 +17,7 @@ from .equivalence import Equivalence, all_equivalences, star, star_family
 from .errors import CapExceeded, NonCommutingError, PreconditionError, StructureError
 from .order import (BoundedJoinSemilattice, FiniteLattice, FinitePoset, automorphisms,
                     bits, is_distributive, lattice_from_semilattice, mask_of,
-                    semilattice_from_poset, up_rows, up_sets)
+                    semilattice_from_poset, up_rows)
 from .semigroup import table
 from .set_algebra import SetAlgebra, build_set_algebra
 
@@ -194,31 +194,25 @@ def gen_lattice_valued(domain_sizes, lam: FiniteLattice,
 # brute-force enumeration
 
 
-def all_labeled_posets(n: int) -> list[FinitePoset]:
-    """Every partial order on n labeled points (reflexive table variants)."""
-    if n == 0:
-        return [FinitePoset(0, ())]
-    pairs = [(a, b) for a in range(n) for b in range(n) if a != b]
-    out = []
+def _orders(n: int, pairs):
+    """Up rows of every partial order on n points whose strict part is a
+    subset of pairs, in subset-mask order."""
     for choice in range(1 << len(pairs)):
         rel = [1 << a for a in range(n)]
-        ok = True
         for i, (a, b) in enumerate(pairs):
             if (choice >> i) & 1:
                 rel[a] |= 1 << b
-        for a in range(n):
-            if not ok:
-                break
-            for b in bits(rel[a]):
-                if a != b and (rel[b] >> a) & 1:
-                    ok = False
-                    break
-                if rel[b] & ~rel[a]:
-                    ok = False
-                    break
-        if ok:
-            out.append(FinitePoset(n, tuple(rel)))
-    return out
+        # antisymmetric and transitive: the row of every point strictly
+        # above a lies within the strict up-set of a
+        strict = [row & ~(1 << a) for a, row in enumerate(rel)]
+        if all(rel[b] & ~strict[a] == 0 for a in range(n) for b in bits(strict[a])):
+            yield tuple(rel)
+
+
+def all_labeled_posets(n: int) -> list[FinitePoset]:
+    """Every partial order on n labeled points (reflexive table variants)."""
+    pairs = [(a, b) for a in range(n) for b in range(n) if a != b]
+    return [FinitePoset(n, up) for up in _orders(n, pairs)]
 
 
 def _canonical_poset_key(poset: FinitePoset):
@@ -236,32 +230,12 @@ def enumerate_posets(max_n: int) -> list[FinitePoset]:
     isomorphism class, generated from upper-triangular order tables."""
     out = []
     for n in range(1, max_n + 1):
-        pairs = list(combinations(range(n), 2))
-        seen = set()
-        found = []
-        for choice in range(1 << len(pairs)):
-            rel = [1 << a for a in range(n)]
-            for i, (a, b) in enumerate(pairs):
-                if (choice >> i) & 1:
-                    rel[a] |= 1 << b
-            ok = True
-            for a in range(n):
-                for b in bits(rel[a]):
-                    if rel[b] & ~rel[a]:
-                        ok = False
-                        break
-                if not ok:
-                    break
-            if not ok:
-                continue
-            poset = FinitePoset(n, tuple(rel))
-            key = _canonical_poset_key(poset)
-            if key not in seen:
-                seen.add(key)
-                found.append((key, FinitePoset(n, up_rows(key[a * n:(a + 1) * n]
-                                                          for a in range(n)))))
-        found.sort(key=lambda t: t[0])
-        out.extend(p for _, p in found)
+        found = {}
+        for up in _orders(n, list(combinations(range(n), 2))):
+            key = _canonical_poset_key(FinitePoset(n, up))
+            if key not in found:
+                found[key] = FinitePoset(n, up_rows(key[a * n:(a + 1) * n] for a in range(n)))
+        out.extend(found[key] for key in sorted(found))
     return out
 
 
@@ -317,24 +291,30 @@ def extraction_maps(lat: FiniteLattice, require_meets: bool = True) -> list[tupl
     return out
 
 
+def _closed_subsets(tab):
+    """Member index lists, in subset-mask order, of every nonempty subset of
+    a pool whose members pairwise commute and whose products are all
+    members. ``tab[i][j]`` is the pool index of the product of members i and
+    j, or None when the product is missing from the pool or does not exist."""
+    k = len(tab)
+    # bit j of commute[i]: i and j commute and their product is listed
+    commute = [mask_of(j for j in range(k) if tab[i][j] is not None and tab[i][j] == tab[j][i])
+               for i in range(k)]
+    for mask in range(1, 1 << k):
+        members = list(bits(mask))
+        if any(mask & ~commute[i] for i in members):
+            continue
+        if all((mask >> tab[i][j]) & 1 for i in members for j in members):
+            yield members
+
+
 def extraction_families(ops: list[tuple[int, ...]]) -> list[tuple[tuple[int, ...], ...]]:
     """All nonempty pairwise-commuting composition-closed subsets of the
     given operator pool, in subset-mask order."""
     k = len(ops)
     if k > FAMILY_BASE_LIMIT:
         raise CapExceeded(f"operator pool of {k} exceeds limit {FAMILY_BASE_LIMIT}")
-    tab = table(ops)
-    # bit j of commute[i]: ops i and j commute and their composite is listed
-    commute = [mask_of(j for j in range(k) if tab[i][j] is not None and tab[i][j] == tab[j][i])
-               for i in range(k)]
-    families = []
-    for mask in range(1, 1 << k):
-        members = list(bits(mask))
-        if any(mask & ~commute[i] for i in members):
-            continue
-        if all((mask >> tab[i][j]) & 1 for i in members for j in members):
-            families.append(tuple(ops[i] for i in members))
-    return families
+    return [tuple(ops[i] for i in members) for members in _closed_subsets(table(ops))]
 
 
 def _conjugate_map(arr, perm, inv):
@@ -373,9 +353,7 @@ def _conjugate_eq(eq: Equivalence, perm) -> Equivalence:
 
 
 def separating_equivalences(poset: FinitePoset) -> list[Equivalence]:
-    usets = up_sets(poset)
-    return [eq for eq in all_equivalences(poset.n)
-            if check_separating(poset, eq, _usets=usets)[0]]
+    return [eq for eq in all_equivalences(poset.n) if check_separating(poset, eq)[0]]
 
 
 def enumerate_q_spaces(max_points: int):
@@ -389,27 +367,17 @@ def enumerate_q_spaces(max_points: int):
         k = len(seps)
         if k > FAMILY_BASE_LIMIT:
             raise CapExceeded(f"separating pool of {k} exceeds limit {FAMILY_BASE_LIMIT}")
-        commute = [0] * k
-        star_idx = [[-1] * k for _ in range(k)]
         by_eq = {eq: i for i, eq in enumerate(seps)}
-        for i in range(k):
-            for j in range(k):
+        star_idx = [[None] * k for _ in range(k)]
+        for i, a in enumerate(seps):
+            for j, b in enumerate(seps):
                 try:
-                    prod = star(seps[i], seps[j])
+                    star_idx[i][j] = by_eq.get(star(a, b))
                 except NonCommutingError:
-                    continue
-                commute[i] |= 1 << j
-                star_idx[i][j] = by_eq.get(prod, -1)
+                    pass
         auts = automorphisms(poset)
         seen = set()
-        for mask in range(1, 1 << k):
-            members = list(bits(mask))
-            if any(mask & ~commute[i] for i in members):
-                continue
-            closed = all(star_idx[i][j] >= 0 and (mask >> star_idx[i][j]) & 1
-                         for i in members for j in members)
-            if not closed:
-                continue
+        for members in _closed_subsets(star_idx):
             fam = [seps[i] for i in members]
             key = min(tuple(sorted(_conjugate_eq(eq, perm).block_of for eq in fam))
                       for perm in auts)

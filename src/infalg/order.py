@@ -6,10 +6,10 @@ Conventions used throughout the package:
 * the information order puts the vacuous element (``unit``) at the bottom
   and the contradiction (``zero``) at the top; combination is join;
 * subsets of a carrier are bitmasks, bit x set meaning x is a member;
-* derived order data (the down rows and the rank-indexed rows of a poset,
-  the meet table of a semilattice, the CDF verdict of an algebra) is
-  computed on first use and cached on the frozen structure that owns it;
-  callers must not mutate it.
+* derived order data (the down rows, the rank-indexed rows and the up-set
+  index of a poset, the meet table of a semilattice, the CDF verdict of an
+  algebra) is computed on first use and cached on the frozen structure that
+  owns it; callers must not mutate it.
 """
 
 from __future__ import annotations
@@ -78,6 +78,25 @@ class FinitePoset:
             for b in bits(self.up[a]):
                 rank_down[b] |= 1 << r
         return by_rank, tuple(rank_up), tuple(rank_down)
+
+    @cached_property
+    def up_set_index(self) -> dict[int, int]:
+        """Every up-set mask mapped to its position in ascending mask order."""
+        n = self.n
+        if n > UPSET_ENUM_LIMIT:
+            raise CapExceeded(f"up-set enumeration limited to {UPSET_ENUM_LIMIT} points, got {n}")
+        up = self.up
+        out = {}
+        for mask in range(1 << n):
+            m = mask
+            while m:
+                low = m & -m
+                if up[low.bit_length() - 1] & ~mask:
+                    break
+                m ^= low
+            else:
+                out[mask] = len(out)
+        return out
 
     def covers(self, a: int) -> list[int]:
         """Upper neighbors of a: minimal elements strictly above a."""
@@ -171,14 +190,6 @@ def verify_poset(rows) -> Report:
 # In the bound lookups below an empty set picks by_rank[-1]; its rank row
 # holds the point itself, so the row check rejects it.
 
-def lub_of_pair(poset: FinitePoset, a: int, b: int) -> int | None:
-    """Least upper bound of {a, b}, or None if it does not exist."""
-    by_rank, rank_up, _ = poset.ranked
-    uppers = rank_up[a] & rank_up[b]
-    c = by_rank[(uppers & -uppers).bit_length() - 1]
-    return c if rank_up[c] == uppers else None
-
-
 def glb(poset: FinitePoset, a: int, b: int) -> int | None:
     """Greatest lower bound of {a, b} in the poset, or None.
 
@@ -212,7 +223,7 @@ def _bound_row(rows, bounds, picks) -> tuple[int | None, ...]:
 
 
 def lub_row(poset: FinitePoset, a: int) -> tuple[int | None, ...]:
-    """``lub_of_pair(poset, a, b)`` for b = 0..n-1."""
+    """Least upper bound of {a, b} for b = 0..n-1, None where it is missing."""
     by_rank, rank_up, _ = poset.ranked
     uppers = tuple(map(rank_up[a].__and__, rank_up))
     lowest = map(int.__and__, uppers, map(int.__neg__, uppers))
@@ -258,17 +269,6 @@ class BoundedJoinSemilattice:
                 return None
             meet.append(row)
         return FiniteLattice(self, tuple(meet))
-
-
-def lub(sl: BoundedJoinSemilattice, a: int, b: int) -> int:
-    """Join table entry, asserted to be the unique least upper bound."""
-    j = sl.join[a][b]
-    expected = lub_of_pair(sl.poset, a, b)
-    if expected != j:
-        raise StructureError(f"join table inconsistent at ({a},{b}): "
-                             f"table says {j}, least upper bound is {expected}",
-                             witness=(a, b))
-    return j
 
 
 def semilattice_from_poset(poset: FinitePoset,
@@ -410,23 +410,7 @@ def meet_irreducibles(lat: FiniteLattice) -> list[int]:
 
 def up_sets(poset: FinitePoset) -> list[int]:
     """All upward-closed subsets as masks, ascending; includes 0 and the full set."""
-    n = poset.n
-    if n > UPSET_ENUM_LIMIT:
-        raise CapExceeded(f"up-set enumeration limited to {UPSET_ENUM_LIMIT} points, got {n}")
-    up = poset.up
-    out = []
-    for mask in range(1 << n):
-        m = mask
-        ok = True
-        while m:
-            low = m & -m
-            if up[low.bit_length() - 1] & ~mask:
-                ok = False
-                break
-            m ^= low
-        if ok:
-            out.append(mask)
-    return out
+    return list(poset.up_set_index)
 
 
 def down_sets(poset: FinitePoset) -> list[int]:

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .algebra import AlgebraMorphism, InfoAlgebra, is_isomorphism
-from .equivalence import Equivalence, StarFamily, saturate, star_family
+from .equivalence import Equivalence, StarFamily, directedness_witness, saturate, star_family
 from .errors import CapExceeded, NotDirectedError, StructureError
 from .order import BoundedJoinSemilattice, FinitePoset, bits, mask_of
 from .report import Report
@@ -87,8 +87,6 @@ def build_block_union_algebra(eqs: StarFamily, cap: int = 1 << 16) -> SetAlgebra
     This is intersection-closed exactly when the family is downward
     directed; a non-directed family is rejected with a witness pair.
     """
-    from .equivalence import directedness_witness
-
     w = directedness_witness(eqs)
     if w is not None:
         raise NotDirectedError(w)

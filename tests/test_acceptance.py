@@ -174,7 +174,7 @@ def test_criterion_07_first_order_characterization():
         eqs = eq_pool[poset.n]
         separating = {}
         for theta in eqs:
-            sep = check_separating(poset, theta, _usets=usets)[0]
+            sep = check_separating(poset, theta)[0]
             separating[theta] = sep
             lhs = sentence_saturation_upsets(poset, theta) and \
                 sentence_separation(poset, theta)
@@ -188,7 +188,7 @@ def test_criterion_07_first_order_characterization():
                 if commute and separating[ti] and separating[tj]:
                     if sentence_separation_star(poset, ti, tj):
                         prod = star(ti, tj)
-                        assert check_separating(poset, prod, _usets=usets)[0], \
+                        assert check_separating(poset, prod)[0], \
                             (poset.up, ti.block_of, tj.block_of)
                 pairs += 1
     report(7, f"first-order sentences match the semantic notions on "

@@ -367,13 +367,13 @@ def test_trace_inclusion_matches_membership_transfer(generated_suite):
             theta = space.eqs.members[k]
             from infalg.equivalence import saturate
 
-            sat_usets = [u for u in usets if saturate(theta, u) == u]
+            saturated = [u for u in usets if saturate(theta, u) == u]
             image = set(a.extractors[k])
             traces = [frozenset(e for e in image if a.le(e, p)) for p in points]
             for p in range(len(points)):
                 for q in range(len(points)):
                     incl = traces[p] <= traces[q]
-                    transfer = all((u >> q) & 1 for u in sat_usets if (u >> p) & 1)
+                    transfer = all((u >> q) & 1 for u in saturated if (u >> p) & 1)
                     assert incl == transfer
 
 

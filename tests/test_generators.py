@@ -1,16 +1,20 @@
 from collections import Counter
+from itertools import product
 
 import pytest
 
+from infalg import generators
 from infalg.algebra import is_distributive_cdf, verify_axioms
 from infalg.atoms import classify
 from infalg.equivalence import Equivalence, saturate, star
-from infalg.errors import CapExceeded, PreconditionError
+from infalg.errors import CapExceeded, NonCommutingError, PreconditionError
 from infalg.generators import (all_labeled_posets, enumerate_algebras, enumerate_lattices,
                                enumerate_posets, enumerate_q_spaces, enumerate_small,
-                               extraction_maps, gen_lattice_valued, gen_string,
-                               separating_equivalences, string_elements)
-from infalg.order import chain_lattice, diamond_m3, is_distributive, semilattice_from_poset
+                               extraction_families, extraction_maps, gen_lattice_valued,
+                               gen_string, separating_equivalences, string_elements)
+from infalg.order import (automorphisms, bits, chain_lattice, diamond_m3, is_distributive,
+                          semilattice_from_poset, up_rows, verify_poset)
+from infalg.semigroup import compose, table
 
 
 def test_string_one_letter_is_three_chain():
@@ -94,8 +98,6 @@ def test_lattice_valued_global_extractor_is_constant_meet(lv_2_chain3):
     lam = chain_lattice(3)
     k = a.labels.index("s")
     # carrier tuples in lexicographic order over two points
-    from itertools import product
-
     carrier = list(product(range(3), repeat=2))
     for i, phi in enumerate(carrier):
         m = lam.meet[phi[0]][phi[1]]
@@ -116,9 +118,28 @@ def test_labeled_poset_counts():
     assert [len(all_labeled_posets(n)) for n in range(5)] == [1, 1, 3, 19, 219]
 
 
+def test_labeled_posets_match_verify_poset():
+    # every table over the off-diagonal pairs, in subset-mask order, kept
+    # iff verify_poset accepts it
+    for n in range(5):
+        pairs = [(a, b) for a in range(n) for b in range(n) if a != b]
+        expected = []
+        for choice in range(1 << len(pairs)):
+            rows = [[a == b for b in range(n)] for a in range(n)]
+            for i, (a, b) in enumerate(pairs):
+                rows[a][b] = bool((choice >> i) & 1)
+            if verify_poset(rows).ok:
+                expected.append(up_rows(rows))
+        assert [p.up for p in all_labeled_posets(n)] == expected
+
+
 def test_poset_counts_up_to_iso():
-    counts = Counter(p.n for p in enumerate_posets(4))
-    assert counts == {1: 1, 2: 2, 3: 5, 4: 16}
+    counts = Counter(p.n for p in enumerate_posets(5))
+    assert counts == {1: 1, 2: 2, 3: 5, 4: 16, 5: 63}
+
+
+def test_enumerated_algebra_total():
+    assert sum(1 for _ in enumerate_algebras(5)) == 94
 
 
 def test_distributive_lattice_counts():
@@ -209,3 +230,89 @@ def test_enumeration_guards():
 def test_enumerate_small_combined():
     items = list(enumerate_small(max_n=2, poset_cap=2))
     assert len(items) == 2 + 7
+
+
+# Literal subset scans over a whole pool: the references the shared
+# closed-subset scan of the generators must match, order included.
+
+def literal_extraction_families(ops):
+    k = len(ops)
+    tab = table(ops)
+    commute = [sum(1 << j for j in range(k) if tab[i][j] is not None and tab[i][j] == tab[j][i])
+               for i in range(k)]
+    families = []
+    for mask in range(1, 1 << k):
+        members = list(bits(mask))
+        if any(mask & ~commute[i] for i in members):
+            continue
+        if all((mask >> tab[i][j]) & 1 for i in members for j in members):
+            families.append(tuple(ops[i] for i in members))
+    return families
+
+
+def literal_q_space_families(poset):
+    seps = separating_equivalences(poset)
+    k = len(seps)
+    commute = [0] * k
+    star_idx = [[-1] * k for _ in range(k)]
+    by_eq = {eq: i for i, eq in enumerate(seps)}
+    for i in range(k):
+        for j in range(k):
+            try:
+                prod = star(seps[i], seps[j])
+            except NonCommutingError:
+                continue
+            commute[i] |= 1 << j
+            star_idx[i][j] = by_eq.get(prod, -1)
+    auts = automorphisms(poset)
+    seen = set()
+    out = []
+    for mask in range(1, 1 << k):
+        members = list(bits(mask))
+        if any(mask & ~commute[i] for i in members):
+            continue
+        if not all(star_idx[i][j] >= 0 and (mask >> star_idx[i][j]) & 1
+                   for i in members for j in members):
+            continue
+        fam = [seps[i] for i in members]
+        key = min(tuple(sorted(Equivalence(eq.n, [eq.block_of[x] for x in perm]).block_of
+                               for eq in fam))
+                  for perm in auts)
+        if key not in seen:
+            seen.add(key)
+            out.append((poset.up, tuple(eq.block_of for eq in fam)))
+    return out
+
+
+def test_extraction_families_match_literal_scan():
+    lattices = enumerate_lattices(5, distributive_only=False) + [chain_lattice(6)]
+    pools = [extraction_maps(lat, require_meets=require_meets)
+             for lat in lattices for require_meets in (True, False)]
+    # self-maps of a 2-set and idempotent self-maps of a 3-set hold closed
+    # but non-commuting subsets, such as two constant maps
+    pools.append(list(product(range(2), repeat=2)))
+    pools.append([f for f in product(range(3), repeat=3) if compose(f, f) == f])
+    for ops in pools:
+        assert extraction_families(ops) == literal_extraction_families(ops), ops
+    assert max(map(len, pools)) == 16
+
+
+def test_q_space_scan_matches_literal_loop():
+    expected = [fam for poset in enumerate_posets(4) for fam in literal_q_space_families(poset)]
+    got = [(s.poset.up, tuple(eq.block_of for eq in s.eqs.members))
+           for s in enumerate_q_spaces(4)]
+    assert got == expected
+    assert sum(len(up) <= 3 for up, _ in got) == 54 and len(got) == 768
+
+
+def test_operator_pool_guard():
+    with pytest.raises(CapExceeded, match=r"^operator pool of 19 exceeds limit 18$"):
+        extraction_families([(i,) for i in range(19)])
+
+
+def test_separating_pool_guard(monkeypatch):
+    # the first five-point poset is the antichain, whose 52 equivalences
+    # are all separating
+    monkeypatch.setattr(generators, "QSPACE_POINT_LIMIT", 5)
+    with pytest.raises(CapExceeded, match=r"^separating pool of 52 exceeds limit 18$"):
+        list(enumerate_q_spaces(5))

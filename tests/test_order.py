@@ -9,7 +9,7 @@ from infalg.generators import (all_labeled_posets, enumerate_lattices, enumerate
 from infalg.order import (BoundedJoinSemilattice, FinitePoset, antichain_poset, bits,
                           chain_lattice, chain_poset, complements, diamond_m3, glb, glb_of_set,
                           glb_row, is_distributive, lattice_from_poset, lattice_from_semilattice,
-                          lub, lub_of_pair, lub_row, mask_of, meet_irreducibles, pentagon_n5,
+                          lub_row, mask_of, meet_irreducibles, pentagon_n5,
                           powerset_lattice, principal_up_set, semilattice_from_poset,
                           try_lattice, up_sets, verify_poset, verify_semilattice)
 
@@ -42,21 +42,20 @@ def test_verify_poset_rejects_non_square():
 
 def test_lub_two_chain():
     sl = semilattice_from_poset(chain_poset(2))
-    assert lub(sl, sl.unit, sl.zero) == sl.zero
+    assert lub_row(sl.poset, sl.unit)[sl.zero] == sl.zero
 
 
 def test_lub_unit_neutral():
     for lat in (chain_lattice(4), powerset_lattice(2), diamond_m3()):
         sl = lat.sl
-        for a in range(sl.n):
-            assert lub(sl, a, sl.unit) == a
+        assert lub_row(sl.poset, sl.unit) == sl.join[sl.unit] == tuple(range(sl.n))
 
 
 def test_lub_detects_inconsistent_table():
     sl = semilattice_from_poset(chain_poset(3))
-    broken = sl.__class__(sl.poset, ((0, 1, 2), (1, 1, 2), (2, 2, 1)), sl.unit, sl.zero)
-    with pytest.raises(StructureError):
-        lub(broken, 2, 2)
+    assert lub_row(sl.poset, 2)[2] == 2
+    report = verify_semilattice(((0, 1, 2), (1, 1, 2), (2, 2, 1)), sl.unit, sl.zero)
+    assert not report.ok and report.witness("idempotent") == 2
 
 
 def test_glb_string_longest_common_prefix():
@@ -331,8 +330,9 @@ def test_equality_and_hash_ignore_cached_order_data():
     p2 = FinitePoset(lat.n, lat.poset.up)
     s1 = BoundedJoinSemilattice(p1, lat.sl.join, lat.sl.unit, lat.sl.zero)
     s2 = BoundedJoinSemilattice(p2, lat.sl.join, lat.sl.unit, lat.sl.zero)
-    assert try_lattice(s1) is not None
+    assert try_lattice(s1) is not None and up_sets(p1)
     assert "down" in vars(p1) and "down" not in vars(p2)
+    assert "up_set_index" in vars(p1) and "up_set_index" not in vars(p2)
     assert "lattice" in vars(s1) and "lattice" not in vars(s2)
     assert p1 == p2 and hash(p1) == hash(p2)
     assert s1 == s2 and hash(s1) == hash(s2)
@@ -391,7 +391,6 @@ def test_rank_kernels_match_bit_scans():
             assert glb_row(poset, a) == meets[a]
             assert lub_row(poset, a) == joins[a]
             assert tuple(glb(poset, a, b) for b in range(n)) == meets[a]
-            assert tuple(lub_of_pair(poset, a, b) for b in range(n)) == joins[a]
         for mask in range(1 << n):
             assert glb_of_set(poset, mask) == scan_glb_of_set(poset, mask)
         missing["meets"] += any(None in row for row in meets)
