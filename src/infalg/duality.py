@@ -13,6 +13,7 @@ operators. Both round trips are verified, not assumed.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .algebra import (AlgebraMorphism, InfoAlgebra, is_distributive_cdf, is_homomorphism,
                       is_isomorphism, verify_axioms)
@@ -35,6 +36,17 @@ class QSpace:
     @property
     def n(self) -> int:
         return self.poset.n
+
+    @cached_property
+    def report(self) -> Report:
+        """Q-space validity, one separating test per family member; computed
+        once and returned by q_space_report, so callers must not mutate it."""
+        report = Report()
+        report.add("universe_match", self.eqs.n == self.poset.n)
+        for lab, theta in zip(self.eqs.labels, self.eqs.members):
+            ok, w = check_separating(self.poset, theta)
+            report.add(f"separating[{lab}]", ok, w)
+        return report
 
 
 @dataclass(frozen=True)
@@ -138,12 +150,7 @@ def sentence_commutation(ti: Equivalence, tj: Equivalence) -> bool:
 
 
 def q_space_report(space: QSpace) -> Report:
-    report = Report()
-    report.add("universe_match", space.eqs.n == space.poset.n)
-    for lab, theta in zip(space.eqs.labels, space.eqs.members):
-        ok, w = check_separating(space.poset, theta)
-        report.add(f"separating[{lab}]", ok, w)
-    return report
+    return space.report
 
 
 def make_q_space(poset: FinitePoset, eqs: StarFamily) -> QSpace:
@@ -432,14 +439,12 @@ def make_nontrivial_separating(poset: FinitePoset) -> Equivalence | None:
         raise PreconditionError(f"need at least two points, got {n}")
     full = poset.full_mask()
     principal = [poset.up[x] for x in range(n)]
-    rest = [u for u in up_sets(poset) if u not in set(principal)]
+    rest = sorted(set(up_sets(poset)).difference(principal))
     for u in principal + rest:
         if u == full or bin(u).count("1") < 2:
             continue
         labels = [0 if (u >> x) & 1 else x + 1 for x in range(n)]
         theta = Equivalence(n, labels)
-        if theta.is_identity() or theta.is_all():
-            continue
         ok, _ = check_separating(poset, theta)
         if ok:
             return theta

@@ -1,7 +1,15 @@
+import os
+
 import pytest
+from hypothesis import settings
 
 from infalg.generators import gen_lattice_valued, gen_multivariate, gen_string
 from infalg.order import chain_lattice
+
+# HYPOTHESIS_PROFILE=ci: a fixed example sequence and no per-example deadline,
+# so property tests neither flake nor time out on slow runners
+settings.register_profile("ci", derandomize=True, deadline=None)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 
 @pytest.fixture(scope="session")

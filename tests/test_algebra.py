@@ -7,6 +7,7 @@ from infalg.algebra import (AlgebraMorphism, InfoAlgebra, check_kernel_theorem, 
                             identity_morphism, image_algebra, is_distributive_cdf,
                             is_homomorphism, is_isomorphism, kernel, kernel_of_array,
                             make_algebra, verify_axioms)
+from infalg.duality import QSpace, dualize, q_space_report
 from infalg.equivalence import Equivalence, star
 from infalg.errors import StructureError
 from infalg.generators import gen_string, string_elements
@@ -187,6 +188,17 @@ def literal_combination(a):
                  != a.join(a.apply(k, x), a.apply(k, y))), None)
 
 
+def literal_commute(a):
+    ks = range(len(a.extractors))
+    return next(((k, l, x) for k in ks for l in ks for x in range(a.n)
+                 if a.apply(k, a.apply(l, x)) != a.apply(l, a.apply(k, x))), None)
+
+
+def literal_idempotent(a):
+    return next(((k, x) for k in range(len(a.extractors)) for x in range(a.n)
+                 if a.apply(k, a.apply(k, x)) != a.apply(k, x)), None)
+
+
 def test_meet_preservation_witness_matches_literal(lv_2_chain3, mv22_algebra):
     a = meet_breaking_algebra()
     rep = is_distributive_cdf(a)
@@ -216,6 +228,28 @@ def test_combination_witness_matches_literal_on_corrupted_extractors():
     assert verify_axioms(a).witness("extraction_combination") == literal_combination(a) == (0, 1, 2)
 
 
+def test_commutation_and_idempotence_witnesses_match_literal_on_corrupted_extractors(
+        mv22_algebra):
+    rng = random.Random(1984)
+    failing = {"extractors_commute": 0, "extraction_idempotent": 0}
+    for base in (gen_string(2, 3), gen_string(3, 2), mv22_algebra):
+        report = verify_axioms(base)
+        assert report.witness("extractors_commute") is None
+        assert report.witness("extraction_idempotent") is None
+        for _ in range(60):
+            arrays = [list(e) for e in base.extractors]
+            for _ in range(rng.randint(1, 2)):
+                arrays[rng.randrange(len(arrays))][rng.randrange(base.n)] = rng.randrange(base.n)
+            a = InfoAlgebra(base.sl, tuple(map(tuple, arrays)), base.labels)
+            report = verify_axioms(a, require_closure=False)
+            for name, literal in (("extractors_commute", literal_commute),
+                                  ("extraction_idempotent", literal_idempotent)):
+                expected = literal(a)
+                assert report.witness(name) == expected, (name, a.extractors)
+                failing[name] += expected is not None
+    assert min(failing.values()) >= 60, failing
+
+
 def test_cdf_verdict_is_cached(string22):
     a = meet_breaking_algebra()
     assert is_distributive_cdf(a) is a.cdf
@@ -228,6 +262,11 @@ def test_algebra_equality_and_hash_ignore_cached_verdict():
     is_distributive_cdf(a1)
     assert "cdf" in vars(a1) and "cdf" not in vars(a2)
     assert a1 == a2 and hash(a1) == hash(a2)
+    space = dualize(two_chain_algebra())
+    s1, s2 = QSpace(space.poset, space.eqs), QSpace(space.poset, space.eqs)
+    q_space_report(s1)
+    assert "report" in vars(s1) and "report" not in vars(s2)
+    assert s1 == s2 and hash(s1) == hash(s2)
 
 
 def test_ideal_completion_two_chain():

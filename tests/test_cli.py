@@ -288,6 +288,26 @@ def test_cli_cap_bounds_parsed_files(tmp_path, capsys, monkeypatch, command, fla
     assert (out, err) == ("", f"failure: {what} of 4 exceeds cap 3\n")
 
 
+@pytest.mark.parametrize("command", ["gen", "verify", "reconstruct"])
+@pytest.mark.parametrize("flag, env", [(["--cap", "0"], None), ([], "0")], ids=["flag", "env"])
+def test_cli_cap_zero_admits_no_carrier(tmp_path, capsys, monkeypatch, command, flag, env):
+    # a cap of 0 is valid; every carrier and point set has n >= 1, so it fails
+    out = tmp_path / "x.json"
+    if command == "gen":
+        argv, what = ["gen", "string", "2", "2", "-o", str(out)], "carrier of 8"
+    elif command == "verify":
+        argv, what = ["verify", gen_file(tmp_path, "gen", "multivariate", 2)], "carrier of 4"
+    else:
+        doc = {"n": 2, "leq": [[True, True], [False, True]], "equivalences": {"id": [0, 1]}}
+        argv, what = ["reconstruct", write(tmp_path, "q.json", json.dumps(doc))], "point set of 2"
+    capsys.readouterr()
+    if env is not None:
+        monkeypatch.setenv("INFALG_CAP", env)
+    assert main([*flag, *argv]) == 1
+    assert capsys.readouterr() == ("", f"failure: {what} exceeds cap 0\n")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("argv", [
     ["gen", "string", "2"],                      # K N arity
     ["gen", "lattice", "2", "--chain", "0"],     # empty value chain

@@ -1,8 +1,9 @@
 import pytest
 
+from infalg import duality
 from infalg.algebra import (AlgebraMorphism, extraction_image, identity_morphism,
                             is_distributive_cdf, is_homomorphism, make_algebra, verify_axioms)
-from infalg.duality import (QMorphism, _dual, _member_arrays, boolean_diagnostics,
+from infalg.duality import (QMorphism, QSpace, _dual, _member_arrays, boolean_diagnostics,
                             check_q_morphism, check_separating, dual_point_map, dualize,
                             dualize_morphism, double_dual_element_map, make_nontrivial_separating,
                             make_q_space, q_space_report, reconstruct, round_trip_algebra,
@@ -311,6 +312,37 @@ def test_make_nontrivial_separating_antichain_falls_back():
 
 def test_make_nontrivial_separating_two_chain_none():
     assert make_nontrivial_separating(chain_poset(2)) is None
+
+
+def test_make_nontrivial_separating_matches_literal_search():
+    # principal up-sets first, in point order, then the other up-sets
+    # ascending; the first one of >= 2 points, short of the whole set, whose
+    # single-block equivalence is separating
+    for n in range(2, 5):
+        for poset in all_labeled_posets(n):
+            principal = [poset.up[x] for x in range(n)]
+            candidates = principal + [u for u in up_sets(poset) if u not in principal]
+            expected = None
+            for u in candidates:
+                theta = Equivalence(n, [0 if (u >> x) & 1 else x + 1 for x in range(n)])
+                if (u != poset.full_mask() and bin(u).count("1") >= 2
+                        and not theta.is_identity() and not theta.is_all()
+                        and check_separating(poset, theta)[0]):
+                    expected = theta
+                    break
+            assert make_nontrivial_separating(poset) == expected, poset
+
+
+def test_q_space_is_validated_once(monkeypatch):
+    space = delta_space(chain_poset(3))
+    calls = []
+    monkeypatch.setattr(duality, "check_separating",
+                        lambda *args: calls.append(args) or check_separating(*args))
+    assert q_space_report(space) is q_space_report(space) is space.report
+    reconstruct(space)
+    assert calls == []
+    reconstruct(QSpace(space.poset, space.eqs))
+    assert len(calls) == len(space.eqs.members)
 
 
 def test_make_nontrivial_separating_rejects_singleton():

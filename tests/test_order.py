@@ -3,11 +3,13 @@ from itertools import combinations
 
 import pytest
 
+from infalg import order
 from infalg.errors import FormatError, StructureError
 from infalg.generators import (all_labeled_posets, enumerate_lattices, enumerate_posets,
-                               gen_string, string_elements)
+                               gen_lattice_valued, gen_string, string_elements)
 from infalg.order import (BoundedJoinSemilattice, FinitePoset, antichain_poset, bits,
-                          chain_lattice, chain_poset, complements, diamond_m3, glb, glb_of_set,
+                          chain_lattice, chain_poset, complements, diamond_m3,
+                          first_row_witness, glb, glb_of_set,
                           glb_row, is_distributive, lattice_from_poset, lattice_from_semilattice,
                           lub_row, mask_of, meet_irreducibles, pentagon_n5,
                           powerset_lattice, principal_up_set, semilattice_from_poset,
@@ -298,6 +300,101 @@ def test_associativity_witness_matches_literal_on_corrupted_tables():
             assert report.witness("associative") == expected, (name, join)
             failing += expected is not None
     assert failing >= 40
+
+
+# The certificates: a quadratic test that accepts a valid structure before
+# any cubic scan runs. The tests below reach the case where a certificate is
+# tried and must refuse, and check that it spares the scan on valid inputs.
+
+def test_associativity_certificate_on_symmetric_corruptions():
+    # join[a][b] = join[b][a] = v keeps idempotence and commutativity, so the
+    # derived order decides whether the least-upper-bound certificate is tried
+    rng = random.Random(1998)
+    lattices = dict(witness_lattices(), chain6=chain_lattice(6))
+    tried = refused = 0
+    for name, lat in lattices.items():
+        sl = lat.sl
+        for _ in range(60):
+            join = [list(row) for row in sl.join]
+            for _ in range(rng.randint(1, 2)):
+                a, b = rng.sample(range(sl.n), 2)
+                join[a][b] = join[b][a] = rng.randrange(sl.n)
+            expected = literal_associative(join)
+            report = verify_semilattice(join, sl.unit, sl.zero)
+            assert report.witness("commutative") is None
+            assert report.witness("associative") == expected, (name, join)
+            lub = [item for item in report.items if item.name == "join_is_least_upper_bound"]
+            if lub:
+                tried += 1
+                refused += expected is not None
+                assert expected is None or not lub[0].ok, (name, join)
+    assert tried >= 100 and refused >= 60
+
+
+def test_associativity_of_a_three_cycle():
+    # idempotent and commutative, but the derived order 0 <= 1 <= 2 <= 0 is
+    # not transitive, so the certificate is never tried
+    join = [[0, 1, 0], [1, 1, 2], [0, 2, 2]]
+    report = verify_semilattice(join, 0, 2)
+    assert report.witness("associative") == literal_associative(join) == (0, 1, 2)
+    assert report.witness("transitive") == (0, 1, 2)
+    assert "join_is_least_upper_bound" not in [item.name for item in report.items]
+
+
+def test_associativity_certificate_needs_entries_in_range():
+    # -1 indexes the last row, the true join of 0 and 1 in a 3-chain, so the
+    # bound check alone cannot tell this table from the valid one
+    join = [[0, -1, 2], [-1, 1, 2], [2, 2, 2]]
+    report = verify_semilattice(join, 0, 2)
+    assert report.witness("associative") == literal_associative(join) == (0, 0, 1)
+
+
+def product_lattice(l1, l2):
+    """Componentwise order on pairs; (a1, a2) has index a1 * l2.n + a2."""
+    n1, n2 = l1.n, l2.n
+    up = tuple(mask_of(b1 * n2 + b2 for b1 in bits(l1.poset.up[a1]) for b2 in bits(l2.poset.up[a2]))
+               for a1 in range(n1) for a2 in range(n2))
+    return lattice_from_poset(FinitePoset(n1 * n2, up))
+
+
+def test_distributivity_certificate_on_generator_lattices():
+    distributive = [powerset_lattice(k) for k in range(5)]
+    distributive += [product_lattice(chain_lattice(m), chain_lattice(k))
+                     for m, k in ((2, 3), (3, 3), (4, 5))]
+    distributive += [try_lattice(gen_lattice_valued(sizes, chain_lattice(3)).sl)
+                     for sizes in ([2], [3], [2, 2])]
+    assert max(lat.n for lat in distributive) == 81
+    for lat in distributive:
+        assert literal_distributive(lat) is None
+        assert is_distributive(lat) == (True, None), lat.n
+    # M3 x 2 and 3 x N5 fail; every lattice up to 6 elements is either
+    mixed = [product_lattice(diamond_m3(), chain_lattice(2)),
+             product_lattice(chain_lattice(3), pentagon_n5())]
+    mixed += naturally_labeled_lattices(6)
+    refused = 0
+    for lat in mixed:
+        expected = literal_distributive(lat)
+        assert is_distributive(lat) == (expected is None, expected), lat.poset
+        refused += expected is not None
+    assert refused >= 30 and None not in map(literal_distributive, mixed[:2])
+
+
+def test_certificates_spare_the_scan_on_valid_structures(monkeypatch):
+    scans = []
+
+    def counting(rows):
+        scans.append(1)
+        return first_row_witness(rows)
+
+    monkeypatch.setattr(order, "first_row_witness", counting)
+    grid = product_lattice(chain_lattice(2), chain_lattice(3))
+    for lat in (powerset_lattice(3), chain_lattice(5), grid):
+        assert is_distributive(lat) == (True, None)
+        assert scans == []
+        # the one row scan left is the least-upper-bound check itself
+        assert verify_semilattice(lat.sl.join, lat.sl.unit, lat.sl.zero).ok
+        assert scans == [1]
+        scans.clear()
 
 
 def test_transitivity_witness_matches_literal_on_random_tables():
