@@ -6,7 +6,7 @@ occurrence, so equality is array equality. Subsets are bitmasks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import NonCommutingError, StructureError
 from .order import bits
@@ -136,40 +136,45 @@ class StarFamily:
     product is again a member; families built with the default strict
     factory always are. Duals of some algebras are not (their semigroup
     structure lives on the labels instead), so the flag is data, not an
-    assumption.
+    assumption. ``products[i][j]`` is the index of the star product of
+    members i and j, recorded by ``star_family`` for a closed family.
     """
 
     n: int
     members: tuple[Equivalence, ...]
     labels: tuple[str, ...]
     closed: bool = True
+    products: tuple[tuple[int, ...], ...] | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         if len(self.members) != len(self.labels):
             raise StructureError("member/label count mismatch")
 
-    def index_of(self, eq: Equivalence) -> int:
-        return self.members.index(eq)
-
     def star_index(self, i: int, j: int) -> int:
         if not self.closed:
             raise StructureError("family is not star-closed")
-        return self.index_of(star(self.members[i], self.members[j]))
+        return self.products[i][j]
 
 
-def closure_defect(members) -> tuple | None:
-    """First witness that a member list is not a commuting star-closed set:
-    ('commute', i, j, pair) or ('closure', i, j)."""
-    seen = set(members)
+def star_table(members) -> tuple[tuple | None, tuple | None]:
+    """``(products, None)`` for a commuting star-closed list of distinct members
+    (see ``StarFamily.products``), else ``(None, defect)`` with the first
+    witness: ('commute', i, j, pair) or ('closure', i, j)."""
+    index = {m: i for i, m in enumerate(members)}
+    products = []
     for i, a in enumerate(members):
+        row = []
         for j, b in enumerate(members):
             try:
                 prod = star(a, b)
             except NonCommutingError as exc:
-                return ("commute", i, j, exc.witness)
-            if prod not in seen:
-                return ("closure", i, j)
-    return None
+                return None, ("commute", i, j, exc.witness)
+            k = index.get(prod)
+            if k is None:
+                return None, ("closure", i, j)
+            row.append(k)
+        products.append(tuple(row))
+    return tuple(products), None
 
 
 def star_family(members, labels=None, n: int | None = None,
@@ -195,14 +200,14 @@ def star_family(members, labels=None, n: int | None = None,
         if m in seen:
             raise StructureError(f"duplicate member at index {i}")
         seen.add(m)
-    defect = closure_defect(members)
+    products, defect = star_table(members)
     if defect is not None and require_closure:
         if defect[0] == "commute":
             raise NonCommutingError(defect[3], f"members {defect[1]} and {defect[2]} "
                                                f"do not commute, witness {defect[3]}")
         raise StructureError("family not star-closed: missing product of "
                              f"({defect[1]},{defect[2]})", witness=defect[1:3])
-    return StarFamily(n, members, labels, closed=defect is None)
+    return StarFamily(n, members, labels, defect is None, products)
 
 
 def star_closure(members, labels=None) -> StarFamily:

@@ -6,10 +6,10 @@ Conventions used throughout the package:
 * the information order puts the vacuous element (``unit``) at the bottom
   and the contradiction (``zero``) at the top; combination is join;
 * subsets of a carrier are bitmasks, bit x set meaning x is a member;
-* derived order data (the down rows, the rank-indexed rows and the up-set
-  index of a poset, the meet table of a semilattice, the CDF verdict of an
-  algebra) is computed on first use and cached on the frozen structure that
-  owns it; callers must not mutate it;
+* derived order data (the down rows, the row indexes and the up-set index
+  of a poset, the meet table of a semilattice, the meet-irreducibles of a
+  lattice, the CDF verdict of an algebra) is computed on first use and
+  cached on the frozen structure that owns it; callers must not mutate it;
 * a cubic law (associativity, distributivity) is decided by a quadratic
   certificate first, and scanned only to name its first witness.
 """
@@ -65,21 +65,17 @@ class FinitePoset:
         return tuple(down)
 
     @cached_property
-    def ranked(self) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
-        """``(by_rank, rank_up, rank_down)``: the points by ascending down-set
-        size, a linear extension (a < b gives |down a| < |down b|), and the
-        ``up``/``down`` rows with bit r standing for ``by_rank[r]``. A set has
-        a greatest (least) element iff its highest- (lowest-) ranked member is
-        one, so bounds are found without a scan."""
-        down = self.down
-        by_rank = tuple(sorted(range(self.n), key=lambda a: down[a].bit_count()))
-        rank_up, rank_down = [0] * self.n, [0] * self.n
-        for r, a in enumerate(by_rank):
-            for b in bits(down[a]):
-                rank_up[b] |= 1 << r
-            for b in bits(self.up[a]):
-                rank_down[b] |= 1 << r
-        return by_rank, tuple(rank_up), tuple(rank_down)
+    def up_index(self) -> dict[int, int]:
+        """Each up row mapped to its point (rows differ by antisymmetry). The
+        upper bounds of a set have a least element c iff they are ``up[c]``
+        (Davey & Priestley, Introduction to Lattices and Order, 2002, ch. 2)."""
+        return {row: a for a, row in enumerate(self.up)}
+
+    @cached_property
+    def down_index(self) -> dict[int, int]:
+        """Each down row mapped to its point; the lower bounds of a set have a
+        greatest element c iff they are ``down[c]``."""
+        return {row: a for a, row in enumerate(self.down)}
 
     @cached_property
     def up_set_index(self) -> dict[int, int]:
@@ -155,10 +151,12 @@ def gatherer(indices):
 def first_row_witness(rows):
     """First failing (*key, index) of a law given as (key, lhs, rhs) rows:
     the two sides as tuples over the last variable, keys in lexicographic
-    order. Only a row that differs is rescanned for its failing index."""
+    order. Only a row that differs is rescanned for its failing index; a
+    side that ends early differs at its end."""
     for key, lhs, rhs in rows:
         if lhs != rhs:
-            return (*key, next(i for i, (x, y) in enumerate(zip(lhs, rhs)) if x != y))
+            return (*key, next((i for i, (x, y) in enumerate(zip(lhs, rhs)) if x != y),
+                               min(len(lhs), len(rhs))))
     return None
 
 
@@ -189,64 +187,44 @@ def verify_poset(rows) -> Report:
     return report
 
 
-# In the bound lookups below an empty set picks by_rank[-1]; its rank row
-# holds the point itself, so the row check rejects it.
-
 def glb(poset: FinitePoset, a: int, b: int) -> int | None:
     """Greatest lower bound of {a, b} in the poset, or None.
 
     Join-semilattices need not have meets; callers decide whether a
     missing meet is an error.
     """
-    by_rank, _, rank_down = poset.ranked
-    lowers = rank_down[a] & rank_down[b]
-    c = by_rank[lowers.bit_length() - 1]
-    return c if rank_down[c] == lowers else None
+    return poset.down_index.get(poset.down[a] & poset.down[b])
 
 
 def glb_of_set(poset: FinitePoset, mask: int) -> int | None:
     """Greatest lower bound of a subset; the top element for the empty set."""
-    by_rank, _, rank_down = poset.ranked
     lowers = poset.full_mask()
     for a in bits(mask):
-        lowers &= rank_down[a]
-    c = by_rank[lowers.bit_length() - 1]
-    return c if rank_down[c] == lowers else None
+        lowers &= poset.down[a]
+    return poset.down_index.get(lowers)
 
 
 # Row kernels: one row of a bound table per call, each step a map over the
 # row at C speed.
 
-def _bound_row(rows, bounds, picks) -> tuple[int | None, ...]:
-    """Entries c of picks with rows[c] == bounds, None elsewhere."""
-    if tuple(map(rows.__getitem__, picks)) == bounds:
-        return picks
-    return tuple(c if rows[c] == m else None for c, m in zip(picks, bounds))
-
-
 def lub_row(poset: FinitePoset, a: int) -> tuple[int | None, ...]:
     """Least upper bound of {a, b} for b = 0..n-1, None where it is missing."""
-    by_rank, rank_up, _ = poset.ranked
-    uppers = tuple(map(rank_up[a].__and__, rank_up))
-    lowest = map(int.__and__, uppers, map(int.__neg__, uppers))
-    picks = map(by_rank.__getitem__, map((-1).__add__, map(int.bit_length, lowest)))
-    return _bound_row(rank_up, uppers, tuple(picks))
+    return tuple(map(poset.up_index.get, map(poset.up[a].__and__, poset.up)))
 
 
 def glb_row(poset: FinitePoset, a: int) -> tuple[int | None, ...]:
     """``glb(poset, a, b)`` for b = 0..n-1."""
-    by_rank, _, rank_down = poset.ranked
-    lowers = tuple(map(rank_down[a].__and__, rank_down))
-    picks = map(by_rank.__getitem__, map((-1).__add__, map(int.bit_length, lowers)))
-    return _bound_row(rank_down, lowers, tuple(picks))
+    return tuple(map(poset.down_index.get, map(poset.down[a].__and__, poset.down)))
 
 
 def bound_table_witness(rows, table) -> tuple[int, int] | None:
     """First (a, b) where table[a][b] is not the bound of {a, b}: c is the join
     of a and b iff up[c] == up[a] & up[b], and their meet iff the same holds
-    for down rows, so ``rows`` decides which table is checked."""
+    for down rows, so ``rows`` decides which table is checked. An entry
+    outside range(n) is never a bound."""
+    row_of = dict(enumerate(rows))
     return first_row_witness(((a,), tuple(map(row.__and__, rows)),
-                              tuple(map(rows.__getitem__, table[a])))
+                              tuple(map(row_of.get, table[a])))
                              for a, row in enumerate(rows))
 
 
@@ -315,8 +293,7 @@ def verify_semilattice(join, unit: int, zero: int) -> Report:
     order_report = verify_poset(rows)
     coherent = order_report.ok and idem is None and comm is None
     bad = bound_table_witness(up_rows(rows), table) if coherent else None
-    # a negative entry indexes rows from the end and can pass the bound check
-    certified = coherent and bad is None and all(min(row) >= 0 for row in table)
+    certified = coherent and bad is None
     # row (a, b) over c: join[join[a][b]][c] against join[a][join[b][c]]
     by_join = [gatherer(row) for row in table]
     assoc = None if certified else first_row_witness(
@@ -360,6 +337,12 @@ class FiniteLattice:
     @property
     def poset(self) -> FinitePoset:
         return self.sl.poset
+
+    @cached_property
+    def meet_irreducibles(self) -> list[int]:
+        """Elements that are not proper meets, excluding the top (zero): in a
+        finite lattice, exactly the elements with a single upper neighbor."""
+        return [a for a in range(self.n) if len(self.poset.covers(a)) == 1]
 
 
 def try_lattice(sl: BoundedJoinSemilattice) -> FiniteLattice | None:
@@ -414,9 +397,8 @@ def complements(lat: FiniteLattice) -> tuple[dict[int, int] | None, int | None]:
 
 
 def meet_irreducibles(lat: FiniteLattice) -> list[int]:
-    """Elements that are not proper meets, excluding the top (zero): in a
-    finite lattice, exactly the elements with a single upper neighbor."""
-    return [a for a in range(lat.n) if len(lat.poset.covers(a)) == 1]
+    """The lattice's cached list; callers must not mutate it."""
+    return lat.meet_irreducibles
 
 
 def up_sets(poset: FinitePoset) -> list[int]:

@@ -15,13 +15,19 @@ def compose(f, g) -> tuple[int, ...]:
     return tuple([f[x] for x in g])
 
 
-def table(arrays) -> tuple[tuple[int | None, ...], ...]:
+def grid(arrays) -> list[list[tuple[int, ...]]]:
+    """Every composite of a listed family: entry [k][l] is compose(arrays[k], arrays[l])."""
+    return [[compose(f, g) for g in arrays] for f in arrays]
+
+
+def table(arrays, composites=None) -> tuple[tuple[int | None, ...], ...]:
     """Label table of a listed family: entry [k][l] is the first index of
-    compose(arrays[k], arrays[l]) in the list, or None when it is not listed."""
+    compose(arrays[k], arrays[l]) in the list, or None when it is not listed;
+    ``composites`` is the family's ``grid`` when the caller already built it."""
     first: dict = {}
     for i, arr in enumerate(arrays):
         first.setdefault(arr, i)
-    return tuple(tuple(first.get(compose(f, g)) for g in arrays) for f in arrays)
+    return tuple(tuple(map(first.get, row)) for row in composites or grid(arrays))
 
 
 def unlisted(tab) -> tuple[int, int] | None:

@@ -35,14 +35,13 @@ class SetAlgebra:
         pairwise distinct (separating members always are).
         """
         fam = self.family
-        m = len(fam)
         pos = {mask: i for i, mask in enumerate(fam)}
-        up = tuple(mask_of(j for j in range(m) if fam[j] & ~fam[i] == 0)
-                   for i in range(m))
-        join = tuple(tuple(pos[fam[i] & fam[j]] for j in range(m)) for i in range(m))
+        join = tuple(tuple(map(pos.__getitem__, map(fi.__and__, fam))) for fi in fam)
+        # j is above i (a subset of it) iff their intersection is j
+        up = tuple(mask_of(j for j, c in enumerate(row) if c == j) for row in join)
         full = (1 << self.n) - 1
-        sl = BoundedJoinSemilattice(FinitePoset(m, up), join, pos[full], pos[0])
-        extractors = tuple(tuple(pos[saturate(theta, fam[i])] for i in range(m))
+        sl = BoundedJoinSemilattice(FinitePoset(len(fam), up), join, pos[full], pos[0])
+        extractors = tuple(tuple(pos[saturate(theta, x)] for x in fam)
                            for theta in self.eqs.members)
         ks = range(len(self.eqs.members))
         if self.eqs.closed:
@@ -64,11 +63,14 @@ def check_set_algebra(n: int, family, eqs: StarFamily) -> Report:
     report = Report()
     report.add("universe_match", eqs.n == n, (eqs.n, n))
     report.add("contains_bounds", 0 in fam and full in fam)
-    report.add("no_duplicates", len(set(fam)) == len(fam))
-    w = next(((a, b) for a in fam for b in fam if a & b not in fam), None)
+    members = set(fam)
+    report.add("no_duplicates", len(members) == len(fam))
+    # only a row that leaves the family is rescanned for its first b
+    w = next(((a, next(b for b in fam if a & b not in members))
+              for a in fam if not members.issuperset(map(a.__and__, fam))), None)
     report.add("intersection_closed", w is None, w)
     w = next(((lab, mask) for lab, theta in zip(eqs.labels, eqs.members)
-              for mask in fam if saturate(theta, mask) not in fam), None)
+              for mask in fam if saturate(theta, mask) not in members), None)
     report.add("saturation_compatible", w is None, w)
     return report
 

@@ -8,9 +8,9 @@ from infalg.algebra import (AlgebraMorphism, InfoAlgebra, check_kernel_theorem, 
                             is_homomorphism, is_isomorphism, kernel, kernel_of_array,
                             make_algebra, verify_axioms)
 from infalg.duality import QSpace, dualize, q_space_report
-from infalg.equivalence import Equivalence, star
+from infalg.equivalence import Equivalence, StarFamily, star, star_family
 from infalg.errors import StructureError
-from infalg.generators import gen_string, string_elements
+from infalg.generators import enumerate_algebras, gen_string, string_elements
 from infalg.order import FinitePoset, chain_poset, powerset_lattice, try_lattice
 from infalg.semigroup import compose
 
@@ -256,7 +256,7 @@ def test_cdf_verdict_is_cached(string22):
     assert is_distributive_cdf(string22) is is_distributive_cdf(string22)
 
 
-def test_algebra_equality_and_hash_ignore_cached_verdict():
+def test_algebra_equality_and_hash_ignore_cached_verdict(mv22_algebra):
     a1, a2 = meet_breaking_algebra(), meet_breaking_algebra()
     assert a1.sl is not a2.sl
     is_distributive_cdf(a1)
@@ -267,6 +267,13 @@ def test_algebra_equality_and_hash_ignore_cached_verdict():
     q_space_report(s1)
     assert "report" in vars(s1) and "report" not in vars(s2)
     assert s1 == s2 and hash(s1) == hash(s2)
+    # the star products recorded by star_family are a cache too
+    f1 = star_family(kernel(mv22_algebra, k) for k in range(len(mv22_algebra.extractors)))
+    f2 = StarFamily(f1.n, f1.members, f1.labels)
+    assert f1.products is not None and f2.products is None
+    assert f1 == f2 and hash(f1) == hash(f2)
+    assert f1.products == tuple(tuple(f1.members.index(star(p, q)) for q in f1.members)
+                                for p in f1.members)
 
 
 def test_ideal_completion_two_chain():
@@ -344,3 +351,79 @@ def test_compose_label_requires_listing():
     b = make_algebra(chain_poset(3), [(0, 0, 2), (0, 1, 1)])
     with pytest.raises(StructureError):
         b.compose_label(0, 1)
+
+
+def literal_homomorphism(m, a, b, check_meets=None):
+    """The items of is_homomorphism as (name, ok, witness), each law a literal
+    loop over its variables in lexicographic order."""
+    f, g = m.f, m.g
+    total = (len(f) == a.n and all(0 <= v < b.n for v in f)
+             and len(g) == len(a.extractors) and all(0 <= v < len(b.extractors) for v in g))
+    items = [("maps_total", total, None)]
+    if not total:
+        return items
+    xs, ks = range(a.n), range(len(a.extractors))
+    w = next(((x, y) for x in xs for y in xs if f[a.join(x, y)] != b.join(f[x], f[y])), None)
+    items.append(("preserves_join", w is None, w))
+    ok = f[a.unit] == b.unit and f[a.zero] == b.zero
+    items.append(("preserves_bounds", ok, None if ok else (f[a.unit], f[a.zero])))
+
+    def composes(k, l):
+        try:
+            return g[a.compose_label(k, l)] == b.compose_label(g[k], g[l])
+        except StructureError:
+            return False
+
+    w = next(((k, l) for k in ks for l in ks if not composes(k, l)), None)
+    items.append(("preserves_composition", w is None, w))
+    w = next(((k, x) for k in ks for x in xs if f[a.apply(k, x)] != b.apply(g[k], f[x])), None)
+    items.append(("extraction_compatible", w is None, w))
+    if check_meets is None:
+        check_meets = is_distributive_cdf(a).ok and is_distributive_cdf(b).ok
+    if check_meets:
+        meet_a, meet_b = try_lattice(a.sl).meet, try_lattice(b.sl).meet
+        w = next(((x, y) for x in xs for y in xs
+                  if f[meet_a[x][y]] != meet_b[f[x]][f[y]]), None)
+        items.append(("preserves_meet", w is None, w))
+    return items
+
+
+def test_homomorphism_items_match_literal_loops(generated_suite):
+    rng = random.Random(4096)
+    small = list(enumerate_algebras(4))
+    # the partial family has unlisted composites
+    pool = small + [*generated_suite.values(), lenient_partial(generated_suite["multivariate22"])]
+    # true homomorphisms, so that a perturbed one fails late in its rows
+    homs = [(m, a, b) for a in small[:8] for b in small[:8]
+            for m in enumerate_homomorphisms(a, b)]
+    homs += [(identity_morphism(a), a, a) for a in pool]
+    failing = dict.fromkeys(("maps_total", "preserves_join", "preserves_bounds",
+                             "preserves_composition", "extraction_compatible",
+                             "preserves_meet"), 0)
+    passing = late = 0
+    for trial in range(1500):
+        if trial % 2:
+            a, b = rng.choice(pool), rng.choice(pool)
+            f = [rng.randrange(b.n) for _ in range(a.n)]
+            if rng.random() < 0.7:
+                f[a.unit], f[a.zero] = b.unit, b.zero
+            g = [rng.randrange(len(b.extractors)) for _ in a.extractors]
+        else:
+            m, a, b = rng.choice(homs)
+            f, g = list(m.f), list(m.g)
+            if rng.random() < 0.5:
+                f[rng.randrange(a.n)] = rng.randrange(b.n)
+            if rng.random() < 0.3:
+                g[rng.randrange(len(g))] = rng.randrange(len(b.extractors))
+        if trial % 100 == 0:
+            f[rng.randrange(a.n)] = rng.choice((-1, b.n))
+        check_meets = rng.choice((None, None, True, False)) if max(a.n, b.n) <= 4 else None
+        m = AlgebraMorphism(tuple(f), tuple(g))
+        report = is_homomorphism(m, a, b, check_meets=check_meets)
+        expected = literal_homomorphism(m, a, b, check_meets)
+        assert [(i.name, i.ok, i.witness) for i in report.items] == expected, (m, a.n, b.n)
+        passing += report.ok
+        for name, ok, w in expected:
+            failing[name] += not ok
+            late += name in ("preserves_join", "preserves_meet") and w is not None and w[0] > 0
+    assert passing >= 100 and late >= 100 and min(failing.values()) >= 15, (passing, late, failing)

@@ -7,9 +7,9 @@ from infalg import order
 from infalg.errors import FormatError, StructureError
 from infalg.generators import (all_labeled_posets, enumerate_lattices, enumerate_posets,
                                gen_lattice_valued, gen_string, string_elements)
-from infalg.order import (BoundedJoinSemilattice, FinitePoset, antichain_poset, bits,
-                          chain_lattice, chain_poset, complements, diamond_m3,
-                          first_row_witness, glb, glb_of_set,
+from infalg.order import (BoundedJoinSemilattice, FiniteLattice, FinitePoset,
+                          antichain_poset, bits, bound_table_witness, chain_lattice, chain_poset,
+                          complements, diamond_m3, first_row_witness, glb, glb_of_set,
                           glb_row, is_distributive, lattice_from_poset, lattice_from_semilattice,
                           lub_row, mask_of, meet_irreducibles, pentagon_n5,
                           powerset_lattice, principal_up_set, semilattice_from_poset,
@@ -347,6 +347,12 @@ def test_associativity_certificate_needs_entries_in_range():
     join = [[0, -1, 2], [-1, 1, 2], [2, 2, 2]]
     report = verify_semilattice(join, 0, 2)
     assert report.witness("associative") == literal_associative(join) == (0, 0, 1)
+    # an entry outside range(n) is never a bound: the row fails at its first one
+    assert report.witness("join_is_least_upper_bound") == (0, 1)
+    up = chain_poset(3).up
+    assert bound_table_witness(up, [[0, 1, 2], [1, 1, 3], [2, 3, 2]]) == (1, 2)
+    assert bound_table_witness(up, [[0, 1, 2], [1, 1, 2], [2, 2, -1]]) == (2, 2)
+    assert bound_table_witness(up, [[0, 1, 2], [1, 1, 2], [2, 2, 2]]) is None
 
 
 def product_lattice(l1, l2):
@@ -377,6 +383,13 @@ def test_distributivity_certificate_on_generator_lattices():
         assert is_distributive(lat) == (expected is None, expected), lat.poset
         refused += expected is not None
     assert refused >= 30 and None not in map(literal_distributive, mixed[:2])
+
+
+def test_first_row_witness_on_rows_of_unequal_length():
+    # a row that is a prefix of the other side fails where it ends
+    assert first_row_witness([((0,), (1, 2), (1, 2)), ((1,), (1, 2), (1, 2, 3))]) == (1, 2)
+    assert first_row_witness([((0,), (5, 2, 1), (5,))]) == (0, 1)
+    assert first_row_witness([((0,), (5, 2), (5, 3, 1))]) == (0, 1)
 
 
 def test_certificates_spare_the_scan_on_valid_structures(monkeypatch):
@@ -416,6 +429,7 @@ def test_transitivity_witness_matches_literal_on_random_tables():
 def test_derived_order_data_is_cached():
     sl = gen_string(2, 3).sl
     assert try_lattice(sl) is try_lattice(sl)
+    assert meet_irreducibles(try_lattice(sl)) is meet_irreducibles(try_lattice(sl))
     assert sl.poset.down is sl.poset.down
     assert sl.poset.down == tuple(sum(1 << b for b in range(sl.n) if sl.poset.le(b, a))
                                   for a in range(sl.n))
@@ -433,9 +447,13 @@ def test_equality_and_hash_ignore_cached_order_data():
     assert "lattice" in vars(s1) and "lattice" not in vars(s2)
     assert p1 == p2 and hash(p1) == hash(p2)
     assert s1 == s2 and hash(s1) == hash(s2)
+    l1, l2 = FiniteLattice(s1, lat.meet), FiniteLattice(s2, lat.meet)
+    assert meet_irreducibles(l1) == [1, 2, 3]
+    assert "meet_irreducibles" in vars(l1) and "meet_irreducibles" not in vars(l2)
+    assert l1 == l2 and hash(l1) == hash(l2)
 
 
-# Bit scans by point index: the references the rank-indexed bound kernels
+# Bit scans by point index: the references the row-index bound kernels
 # must match, None included.
 
 def scan_lub(poset, a, b):
@@ -469,18 +487,14 @@ def kernel_posets():
     return posets
 
 
-def test_rank_kernels_match_bit_scans():
+def test_row_index_kernels_match_bit_scans():
     missing = {"meets": 0, "joins": 0, "tables": 0, "lattices": 0}
     unsorted = 0
     for poset in kernel_posets():
         n = poset.n
-        by_rank, rank_up, rank_down = poset.ranked
-        assert sorted(by_rank) == list(range(n))
+        # antisymmetry: no two points share a row, so each index is a bijection
+        assert len(poset.up_index) == len(poset.down_index) == n
         unsorted += any(b < a for a in range(n) for b in bits(poset.up[a]))
-        rank = {a: r for r, a in enumerate(by_rank)}
-        assert all(rank[a] < rank[b] for a in range(n) for b in bits(poset.up[a]) if a != b)
-        assert rank_up == tuple(mask_of(rank[b] for b in bits(row)) for row in poset.up)
-        assert rank_down == tuple(mask_of(rank[b] for b in bits(row)) for row in poset.down)
         meets = [tuple(scan_glb_of_set(poset, 1 << a | 1 << b) for b in range(n))
                  for a in range(n)]
         joins = [tuple(scan_lub(poset, a, b) for b in range(n)) for a in range(n)]

@@ -1,7 +1,7 @@
 import pytest
 
 from infalg.errors import CapExceeded
-from infalg.semigroup import close, compose, table, unlisted
+from infalg.semigroup import close, compose, grid, table, unlisted
 
 
 def test_compose_applies_right_argument_first():
@@ -23,6 +23,9 @@ def test_table_marks_unlisted_composites():
     assert unlisted(tab) == (0, 1)
     assert unlisted(table([low])) is None
     assert table([]) == ()
+    # a grid built once gives the same table
+    assert grid([low, high]) == [[low, (0, 0, 0)], [(0, 0, 1), high]]
+    assert table([low, high], grid([low, high])) == tab
 
 
 def test_close_order_labels_and_primes():

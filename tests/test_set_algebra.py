@@ -1,9 +1,12 @@
+import random
+
 import pytest
 
 from infalg.algebra import is_isomorphism, verify_axioms
 from infalg.equivalence import Equivalence, commutation_witness, saturate, star_family
 from infalg.errors import NotDirectedError, StructureError
-from infalg.set_algebra import (build_block_union_algebra, build_set_algebra,
+from infalg.generators import gen_multivariate
+from infalg.set_algebra import (build_block_union_algebra, build_set_algebra, check_set_algebra,
                                 principal_upset_representation)
 
 GRID_ROWS = Equivalence.from_blocks(4, [[0, 1], [2, 3]])
@@ -121,3 +124,46 @@ def test_representation_round_trip(generated_suite):
         again = build_set_algebra(rep.set_algebra.n, rep.set_algebra.family,
                                   rep.set_algebra.eqs)
         assert is_isomorphism(rep.morphism, a, again.to_info_algebra())
+
+
+def literal_set_algebra(n, family, eqs):
+    """The items of check_set_algebra as (name, ok, witness), each law a
+    literal loop over the family in its given order."""
+    fam = tuple(family)
+    full = (1 << n) - 1
+    w = next(((a, b) for a in fam for b in fam if a & b not in fam), None)
+    v = next(((lab, mask) for lab, theta in zip(eqs.labels, eqs.members)
+              for mask in fam if saturate(theta, mask) not in fam), None)
+    return [("universe_match", eqs.n == n, (eqs.n, n)),
+            ("contains_bounds", 0 in fam and full in fam, None),
+            ("no_duplicates", len(set(fam)) == len(fam), None),
+            ("intersection_closed", w is None, w),
+            ("saturation_compatible", v is None, v)]
+
+
+def test_set_algebra_witnesses_match_literal_on_corrupted_families(generated_suite):
+    rng = random.Random(6174)
+    bases = [gen_multivariate([2, 2]), gen_multivariate([2, 3])]
+    bases += [principal_upset_representation(a).set_algebra for a in generated_suite.values()]
+    failing = {"intersection_closed": 0, "saturation_compatible": 0}
+    late = 0
+    for sa in bases:
+        assert literal_set_algebra(sa.n, sa.family, sa.eqs) == [
+            (i.name, i.ok, i.witness) for i in check_set_algebra(sa.n, sa.family, sa.eqs).items]
+        for _ in range(80):
+            fam = list(sa.family)
+            for _ in range(rng.randint(0, 2)):
+                fam.pop(rng.randrange(len(fam)))
+            for _ in range(rng.randint(0, 2)):
+                fam.append(rng.randrange(1 << sa.n))
+            if rng.random() < 0.1:
+                fam.append(rng.choice(fam))
+            rng.shuffle(fam)
+            expected = literal_set_algebra(sa.n, fam, sa.eqs)
+            report = check_set_algebra(sa.n, fam, sa.eqs)
+            assert [(i.name, i.ok, i.witness) for i in report.items] == expected, fam
+            for name, ok, w in expected:
+                if name in failing and not ok:
+                    failing[name] += 1
+                    late += name == "intersection_closed" and w[0] != fam[0]
+    assert min(failing.values()) >= 100 and late >= 100, (failing, late)
