@@ -15,10 +15,10 @@ from itertools import product
 from .equivalence import Equivalence, star
 from .errors import NonCommutingError, StructureError
 from .order import (BoundedJoinSemilattice, FinitePoset, FiniteLattice, bits, down_sets,
-                    first_row_witness, gatherer, is_distributive, lattice_from_semilattice,
+                    is_distributive, join_semilattice, lattice_from_semilattice,
                     semilattice_from_poset, try_lattice)
 from .report import Report
-from .semigroup import compose, grid, table, unlisted
+from .semigroup import compose, first_row_witness, grid, homomorphism_witness, table, unlisted
 
 
 @dataclass(frozen=True)
@@ -82,14 +82,10 @@ class InfoAlgebra:
         ok, w = is_distributive(lat)
         if not ok:
             return CdfReport(False, "not_distributive", w, None)
-        # row (k, x) over y: e[meet[x][y]] against meet[e[x]][e[y]]
-        meet = lat.meet
-        by_meet = [gatherer(row) for row in meet]
-        by_ext = [gatherer(e) for e in self.extractors]
-        w = first_row_witness(((k, x), by_meet[x](e), by_ext[k](meet[e[x]]))
-                              for k, e in enumerate(self.extractors) for x in range(self.n))
-        if w is not None:
-            return CdfReport(False, "extractor_breaks_meets", w, None)
+        for k, e in enumerate(self.extractors):
+            w = homomorphism_witness(e, lat.meet, lat.meet)
+            if w is not None:
+                return CdfReport(False, "extractor_breaks_meets", (k, *w), None)
         return CdfReport(True, None, None, lat)
 
 
@@ -109,6 +105,13 @@ def make_algebra(poset: FinitePoset, extractors, labels=None,
     if labels is None:
         labels = tuple(f"e{i}" for i in range(len(extractors)))
     return InfoAlgebra(sl, extractors, tuple(labels), composition)
+
+
+def combination_rows(join, extractors):
+    """Rows of the combination law e(e(x) . y) = e(x) . e(y), keyed (k, x) and
+    running over y, for first_row_witness."""
+    return (((k, x), compose(e, join[e[x]]), compose(join[e[x]], e))
+            for k, e in enumerate(extractors) for x in range(len(join)))
 
 
 def verify_axioms(a: InfoAlgebra, require_closure: bool = True) -> Report:
@@ -138,12 +141,7 @@ def verify_axioms(a: InfoAlgebra, require_closure: bool = True) -> Report:
               if a.join(a.apply(k, x), x) != x), None)
     report.add("extraction_dominated", w is None, w)
 
-    # row (k, x) over y: e[join[e[x]][y]] against join[e[x]][e[y]]
-    join = a.sl.join
-    by_join = [gatherer(row) for row in join]
-    by_ext = [gatherer(e) for e in a.extractors]
-    w = first_row_witness(((k, x), by_join[e[x]](e), by_ext[k](join[e[x]]))
-                          for k, e in enumerate(a.extractors) for x in range(n))
+    w = first_row_witness(combination_rows(a.sl.join, a.extractors))
     report.add("extraction_combination", w is None, w)
 
     # each ordered pair is composed once: composites[k][l] is e_k after e_l
@@ -223,10 +221,8 @@ def is_homomorphism(m: AlgebraMorphism, a: InfoAlgebra, b: InfoAlgebra,
     if not ok_shape:
         return report
 
-    # row x over y: f[join_a[x][y]] against join_b[f[x]][f[y]]; meets alike
-    f, by_f = m.f, gatherer(m.f)
-    w = first_row_witness(((x,), tuple(map(f.__getitem__, row)), by_f(b.sl.join[f[x]]))
-                          for x, row in enumerate(a.sl.join))
+    f = m.f
+    w = homomorphism_witness(f, a.sl.join, b.sl.join)
     report.add("preserves_join", w is None, w)
 
     ok = f[a.unit] == b.unit and f[a.zero] == b.zero
@@ -240,7 +236,7 @@ def is_homomorphism(m: AlgebraMorphism, a: InfoAlgebra, b: InfoAlgebra,
     report.add("preserves_composition", w is None, w)
 
     # row k over x: f[e_k[x]] against e'_g(k)[f[x]]
-    w = first_row_witness(((k,), tuple(map(f.__getitem__, e)), by_f(b.extractors[g[k]]))
+    w = first_row_witness(((k,), compose(f, e), compose(b.extractors[g[k]], f))
                           for k, e in enumerate(a.extractors))
     report.add("extraction_compatible", w is None, w)
 
@@ -251,8 +247,7 @@ def is_homomorphism(m: AlgebraMorphism, a: InfoAlgebra, b: InfoAlgebra,
         if lat_a is None or lat_b is None:
             report.add("preserves_meet", False, "missing meets")
         else:
-            w = first_row_witness(((x,), tuple(map(f.__getitem__, row)), by_f(lat_b.meet[f[x]]))
-                                  for x, row in enumerate(lat_a.meet))
+            w = homomorphism_witness(f, lat_a.meet, lat_b.meet)
             report.add("preserves_meet", w is None, w)
     return report
 
@@ -273,32 +268,37 @@ def extraction_image(a: InfoAlgebra, k: int) -> tuple[InfoAlgebra, AlgebraMorphi
     composition table is inherited.
     """
     image = sorted(set(a.extractors[k]))
-    pos = {x: i for i, x in enumerate(image)}
-    poset = a.poset.restrict(image)
-    join = []
-    for x in image:
-        row = []
-        for y in image:
-            j = a.join(x, y)
-            if j not in pos:
-                raise StructureError(f"image not closed under join at ({x},{y})")
-            row.append(pos[j])
-        join.append(tuple(row))
-    sl = BoundedJoinSemilattice(poset, tuple(join), pos[a.unit], pos[a.zero])
     ks = range(len(a.extractors))
-    extractors = []
-    for l in ks:
-        arr = []
-        for x in image:
-            y = a.apply(l, x)
-            if y not in pos:
-                raise StructureError(f"image not closed under extractor {l} at {x}")
-            arr.append(pos[y])
-        extractors.append(tuple(arr))
+    sl, extractors = _restriction(a, image, ks)
     composition = tuple(tuple(a.compose_label(i, j) for j in ks) for i in ks)
-    sub = InfoAlgebra(sl, tuple(extractors), a.labels, composition)
+    sub = InfoAlgebra(sl, extractors, a.labels, composition)
     embed = AlgebraMorphism(tuple(image), tuple(ks))
     return sub, embed
+
+
+def _restriction(a: InfoAlgebra, carrier, ks):
+    """The semilattice and the extractors ks of a, restricted to an ascending
+    carrier; StructureError names the first pair, extractor value or bound
+    that falls outside it."""
+    pos = {x: i for i, x in enumerate(carrier)}
+    join = []
+    for x in carrier:
+        row = tuple(map(pos.get, compose(a.sl.join[x], carrier)))
+        if None in row:
+            y = carrier[row.index(None)]
+            raise StructureError(f"image not closed under join at ({x},{y})", witness=(x, y))
+        join.append(row)
+    extractors = []
+    for l in ks:
+        arr = tuple(map(pos.get, compose(a.extractors[l], carrier)))
+        if None in arr:
+            x = carrier[arr.index(None)]
+            raise StructureError(f"image not closed under extractor {l} at {x}", witness=(l, x))
+        extractors.append(arr)
+    bound = next((x for x in (a.unit, a.zero) if x not in pos), None)
+    if bound is not None:
+        raise StructureError(f"image misses the bound {bound}", witness=bound)
+    return join_semilattice(join, pos[a.unit], pos[a.zero]), tuple(extractors)
 
 
 def ideal_completion(a: InfoAlgebra) -> tuple[InfoAlgebra, AlgebraMorphism]:
@@ -327,13 +327,8 @@ def ideal_completion(a: InfoAlgebra) -> tuple[InfoAlgebra, AlgebraMorphism]:
                 out |= down[a.join(x, y)]
         return out
 
-    m = len(ideals)
-    join = tuple(tuple(pos[combine(ideals[i], ideals[j])] for j in range(m))
-                 for i in range(m))
-    up = tuple(sum(1 << j for j in range(m) if ideals[i] & ~ideals[j] == 0)
-               for i in range(m))
-    sl = BoundedJoinSemilattice(FinitePoset(m, up), join,
-                                pos[down[a.unit]], pos[poset.full_mask()])
+    join = tuple(tuple(pos[combine(im, jm)] for jm in ideals) for im in ideals)
+    sl = join_semilattice(join, pos[down[a.unit]], pos[poset.full_mask()])
 
     def extract(k, im):
         out = 0
@@ -342,7 +337,7 @@ def ideal_completion(a: InfoAlgebra) -> tuple[InfoAlgebra, AlgebraMorphism]:
         return out
 
     ks = range(len(a.extractors))
-    extractors = tuple(tuple(pos[extract(k, ideals[i])] for i in range(m)) for k in ks)
+    extractors = tuple(tuple(pos[extract(k, im)] for im in ideals) for k in ks)
     composition = tuple(tuple(a.compose_label(i, j) for j in ks) for i in ks)
     completion = InfoAlgebra(sl, extractors, a.labels, composition)
     embed = AlgebraMorphism(tuple(pos[down[x]] for x in range(n)), tuple(ks))
@@ -379,13 +374,8 @@ def dedupe_extractors(a: InfoAlgebra) -> tuple[InfoAlgebra, AlgebraMorphism]:
 
 def image_algebra(m: AlgebraMorphism, a: InfoAlgebra, b: InfoAlgebra) -> InfoAlgebra:
     """The image of a homomorphism as a subalgebra of the codomain."""
-    carrier = sorted(set(m.f))
-    pos = {x: i for i, x in enumerate(carrier)}
     gl = sorted(set(m.g))
-    poset = b.poset.restrict(carrier)
-    join = tuple(tuple(pos[b.join(x, y)] for y in carrier) for x in carrier)
-    sl = BoundedJoinSemilattice(poset, join, pos[b.unit], pos[b.zero])
-    extractors = tuple(tuple(pos[b.apply(k, x)] for x in carrier) for k in gl)
+    sl, extractors = _restriction(b, sorted(set(m.f)), gl)
     return InfoAlgebra(sl, extractors, tuple(b.labels[k] for k in gl))
 
 
@@ -400,7 +390,7 @@ def enumerate_homomorphisms(a: InfoAlgebra, b: InfoAlgebra,
         f[a.unit], f[a.zero] = b.unit, b.zero
         for x, v in zip(free, values):
             f[x] = v
-        if any(b.join(f[x], f[y]) != f[a.join(x, y)] for x in range(n) for y in range(n)):
+        if homomorphism_witness(f, a.sl.join, b.sl.join) is not None:
             continue
         for g in product(range(lbs), repeat=ks):
             m = AlgebraMorphism(tuple(f), g)

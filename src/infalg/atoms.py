@@ -9,8 +9,8 @@ from itertools import combinations
 from .algebra import AlgebraMorphism, InfoAlgebra, is_homomorphism
 from .equivalence import Equivalence, saturate
 from .errors import CapExceeded, PreconditionError, StructureError
-from .order import (BoundedJoinSemilattice, FinitePoset, bits, complements, glb_of_set,
-                    is_distributive, mask_of, try_lattice)
+from .order import (bits, complements, glb_of_set, is_distributive, join_semilattice, mask_of,
+                    try_lattice)
 from .report import Report
 
 ATOM_POWERSET_LIMIT = 10
@@ -83,19 +83,8 @@ def atom_representation(a: InfoAlgebra) -> AtomRepresentation:
     if m > ATOM_POWERSET_LIMIT:
         raise CapExceeded(f"power set of {m} atoms exceeds the limit {ATOM_POWERSET_LIMIT}")
     size = 1 << m
-    # carrier index == atom-set mask; up-set rows are the submasks
-    up = []
-    for i in range(size):
-        row = 0
-        sub = i
-        while True:
-            row |= 1 << sub
-            if sub == 0:
-                break
-            sub = (sub - 1) & i
-        up.append(row)
-    join = tuple(tuple(i & j for j in range(size)) for i in range(size))
-    sl = BoundedJoinSemilattice(FinitePoset(size, tuple(up)), join, size - 1, 0)
+    # carrier index == atom-set mask; combination is intersection
+    sl = join_semilattice([[i & j for j in range(size)] for i in range(size)], size - 1, 0)
     restricted = [Equivalence(m, [a.apply(k, al) for al in ats])
                   for k in range(len(a.extractors))]
     extractors = tuple(tuple(saturate(eq, i) for i in range(size)) for eq in restricted)

@@ -48,14 +48,17 @@ def _read(path: str) -> str:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise FormatError(f"cannot read {path}: {exc}") from exc
 
 
 def _write_out(args, text: str) -> None:
     if getattr(args, "output", None):
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.output, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise FormatError(f"cannot write {args.output}: {exc}") from exc
     else:
         sys.stdout.write(text)
 
@@ -81,7 +84,10 @@ def _jsonable(value):
 
 
 def _load_algebra(args, text: str, lenient: bool = False) -> tuple[InfoAlgebra, list | None]:
-    parsed = files.parse_algebra(text, lenient=lenient, cap=_cap(args))
+    return _valid_algebra(files.parse_algebra(text, lenient=lenient, cap=_cap(args)))
+
+
+def _valid_algebra(parsed: files.ParsedAlgebra) -> tuple[InfoAlgebra, list | None]:
     if not parsed.report.ok or parsed.algebra is None:
         raise SemanticFailure("invalid algebra file:\n" + parsed.report.format())
     return parsed.algebra, parsed.element_labels
@@ -131,14 +137,10 @@ def cmd_reconstruct(args) -> int:
 
 
 def cmd_roundtrip(args) -> int:
-    text = _read(args.path)
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"invalid JSON: {exc}") from exc
+    doc = files.decode(_read(args.path))
     report = Report()
     if isinstance(doc, dict) and "extractors" in doc:
-        a, _ = _load_algebra(args, text)
+        a, _ = _valid_algebra(files.algebra_from_doc(doc, cap=_cap(args)))
         rt = round_trip_algebra(a)
         report.add("isomorphism", True)
         _emit_report(args, report, header="")
@@ -147,7 +149,7 @@ def cmd_roundtrip(args) -> int:
             print("extractor map:", {a.labels[i]: rt.target.labels[g]
                                      for i, g in enumerate(rt.morphism.g)})
     else:
-        parsed = files.parse_qspace(text, cap=_cap(args))
+        parsed = files.qspace_from_doc(doc, cap=_cap(args))
         if parsed.space is None:
             raise SemanticFailure("invalid Q-space file:\n" + parsed.report.format())
         rt = round_trip_space(parsed.space)
@@ -214,10 +216,7 @@ def cmd_gen(args) -> int:
 def cmd_check_hom(args) -> int:
     a, _ = _load_algebra(args, _read(args.path_a))
     b, _ = _load_algebra(args, _read(args.path_b))
-    try:
-        doc = json.loads(_read(args.mapfile))
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"invalid JSON in map file: {exc}") from exc
+    doc = files.decode(_read(args.mapfile), " in map file")
     if not (isinstance(doc, dict) and "f" in doc and "g" in doc):
         raise FormatError("map file must carry keys f and g")
     f = doc["f"]

@@ -19,6 +19,16 @@ from .order import (FinitePoset, bound_table_witness, join_semilattice, semilatt
 from .report import Report
 
 
+def decode(text: str, where: str = "") -> object:
+    """The JSON value of a document; FormatError, naming ``where``, when the
+    text is not JSON (json.JSONDecodeError is a ValueError, and so is an
+    integer over the interpreter's digit limit) or nests too deeply."""
+    try:
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        raise FormatError(f"invalid JSON{where}: {exc}") from exc
+
+
 def _require(cond, message):
     if not cond:
         raise FormatError(message)
@@ -88,10 +98,11 @@ def parse_algebra(text: str, lenient: bool = False, cap: int | None = None) -> P
     laws, axiom failures) come back in the report with algebra=None when
     the tables are too broken to build on.
     """
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"invalid JSON: {exc}") from exc
+    return algebra_from_doc(decode(text), lenient, cap)
+
+
+def algebra_from_doc(doc, lenient: bool = False, cap: int | None = None) -> ParsedAlgebra:
+    """parse_algebra on an already decoded document."""
     _require(isinstance(doc, dict), "document must be an object")
     known = {"n", "leq", "join", "unit", "zero", "extractors", "meet", "labels"}
     _require(set(doc) <= known, f"unknown keys {sorted(set(doc) - known)}")
@@ -164,10 +175,11 @@ class ParsedQSpace:
 def parse_qspace(text: str, cap: int | None = None) -> ParsedQSpace:
     """Parse and verify a Q-space document; like parse_algebra, a space of
     more than cap points raises CapExceeded before any table is read."""
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"invalid JSON: {exc}") from exc
+    return qspace_from_doc(decode(text), cap)
+
+
+def qspace_from_doc(doc, cap: int | None = None) -> ParsedQSpace:
+    """parse_qspace on an already decoded document."""
     _require(isinstance(doc, dict), "document must be an object")
     known = {"n", "leq", "equivalences"}
     _require(set(doc) <= known, f"unknown keys {sorted(set(doc) - known)}")

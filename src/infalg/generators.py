@@ -11,14 +11,14 @@ from __future__ import annotations
 from itertools import combinations, permutations, product
 from string import ascii_lowercase
 
-from .algebra import InfoAlgebra
+from .algebra import InfoAlgebra, combination_rows
 from .duality import QSpace, check_separating
 from .equivalence import Equivalence, all_equivalences, star, star_family
 from .errors import CapExceeded, NonCommutingError, PreconditionError, StructureError
-from .order import (BoundedJoinSemilattice, FiniteLattice, FinitePoset, automorphisms,
-                    bits, is_distributive, lattice_from_semilattice, mask_of,
-                    semilattice_from_poset, up_rows)
-from .semigroup import table
+from .order import (FiniteLattice, FinitePoset, automorphisms, bits, is_distributive,
+                    join_semilattice, lattice_from_semilattice, mask_of, semilattice_from_poset,
+                    up_rows)
+from .semigroup import compose, first_row_witness, homomorphism_witness, table
 from .set_algebra import SetAlgebra, build_set_algebra
 
 DEFAULT_CAP = 4096
@@ -40,36 +40,16 @@ def gen_string(k: int, max_len: int, cap: int = DEFAULT_CAP) -> InfoAlgebra:
         raise PreconditionError(f"need k >= 1 and max_len >= 1, got {(k, max_len)}")
     if k > 26:
         raise PreconditionError("alphabet limited to 26 letters")
-    strs: list[str] = []
-    for length in range(max_len + 1):
-        strs.extend("".join(w) for w in product(ascii_lowercase[:k], repeat=length))
+    strs = string_elements(k, max_len)[:-1]
     n = len(strs) + 1
     if n > cap:
         raise CapExceeded(f"carrier of {n} exceeds cap {cap}")
     zero = n - 1
     idx = {s: i for i, s in enumerate(strs)}
-
-    def is_prefix(r, s):
-        return s.startswith(r)
-
-    up = []
-    for s in strs:
-        up.append(mask_of(idx[t] for t in strs if is_prefix(s, t)) | (1 << zero))
+    # s lies below each word it is a prefix of, and every word below the zero
+    up = [mask_of(idx[t] for t in strs if t.startswith(s)) | (1 << zero) for s in strs]
     up.append(1 << zero)
-    poset = FinitePoset(n, tuple(up))
-
-    join = [[0] * n for _ in range(n)]
-    for a in range(n):
-        for b in range(n):
-            if a == zero or b == zero:
-                join[a][b] = zero
-            elif is_prefix(strs[a], strs[b]):
-                join[a][b] = b
-            elif is_prefix(strs[b], strs[a]):
-                join[a][b] = a
-            else:
-                join[a][b] = zero
-    sl = BoundedJoinSemilattice(poset, tuple(map(tuple, join)), idx[""], zero)
+    sl = semilattice_from_poset(FinitePoset(n, tuple(up)), idx[""], zero)
 
     extractors = []
     for m in range(max_len + 1):
@@ -148,16 +128,10 @@ def gen_lattice_valued(domain_sizes, lam: FiniteLattice,
         raise CapExceeded(f"carrier of {count} exceeds cap {cap}")
     carrier = list(product(range(lam.n), repeat=nv))
     idx = {phi: i for i, phi in enumerate(carrier)}
-    lle = lam.poset.le
-    up = tuple(mask_of(j for j, psi in enumerate(carrier)
-                       if all(lle(x, y) for x, y in zip(phi, psi)))
-               for phi in carrier)
     join = tuple(tuple(idx[tuple(lam.sl.join[x][y] for x, y in zip(phi, psi))]
                        for psi in carrier)
                  for phi in carrier)
-    unit = idx[tuple([lam.sl.unit] * nv)]
-    zero = idx[tuple([lam.sl.zero] * nv)]
-    sl = BoundedJoinSemilattice(FinitePoset(count, up), join, unit, zero)
+    sl = join_semilattice(join, idx[(lam.sl.unit,) * nv], idx[(lam.sl.zero,) * nv])
 
     v = len(domain_sizes)
     extractors, labels = [], []
@@ -262,33 +236,13 @@ def extraction_maps(lat: FiniteLattice, require_meets: bool = True) -> list[tupl
     """Every self-map satisfying the extraction axioms on the lattice,
     optionally restricted to the meet-preserving ones. Exhaustive search
     over maps dominated by the identity."""
-    n = lat.n
     sl = lat.sl
     down = [list(bits(row)) for row in lat.poset.down]
     down[sl.zero] = [sl.zero]
-    out = []
-    for cand in product(*down):
-        ok = True
-        for x in range(n):
-            ex = cand[x]
-            for y in range(n):
-                if cand[sl.join[ex][y]] != sl.join[ex][cand[y]]:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok and require_meets:
-            for x in range(n):
-                for y in range(n):
-                    if cand[lat.meet[x][y]] != lat.meet[cand[x]][cand[y]]:
-                        ok = False
-                        break
-                if not ok:
-                    break
-        if ok:
-            out.append(tuple(cand))
-    out.sort()
-    return out
+    return sorted(cand for cand in product(*down)
+                  if first_row_witness(combination_rows(sl.join, (cand,))) is None
+                  and (not require_meets
+                       or homomorphism_witness(cand, lat.meet, lat.meet) is None))
 
 
 def _closed_subsets(tab):
@@ -318,7 +272,7 @@ def extraction_families(ops: list[tuple[int, ...]]) -> list[tuple[tuple[int, ...
 
 
 def _conjugate_map(arr, perm, inv):
-    return tuple(perm[arr[inv[x]]] for x in range(len(arr)))
+    return compose(perm, compose(arr, inv))
 
 
 def enumerate_algebras(max_n: int):
@@ -330,12 +284,7 @@ def enumerate_algebras(max_n: int):
     for lat in enumerate_lattices(max_n, distributive_only=True):
         ops = extraction_maps(lat, require_meets=True)
         auts = automorphisms(lat.poset)
-        invs = []
-        for perm in auts:
-            inv = [0] * len(perm)
-            for i, p in enumerate(perm):
-                inv[p] = i
-            invs.append(tuple(inv))
+        invs = [tuple(map(perm.index, range(len(perm)))) for perm in auts]
         seen = set()
         for fam in extraction_families(ops):
             key = min(tuple(sorted(_conjugate_map(arr, perm, inv) for arr in fam))
@@ -349,7 +298,7 @@ def enumerate_algebras(max_n: int):
 
 
 def _conjugate_eq(eq: Equivalence, perm) -> Equivalence:
-    return Equivalence(eq.n, [eq.block_of[perm[x]] for x in range(eq.n)])
+    return Equivalence(eq.n, compose(eq.block_of, perm))
 
 
 def separating_equivalences(poset: FinitePoset) -> list[Equivalence]:

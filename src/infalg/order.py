@@ -6,6 +6,9 @@ Conventions used throughout the package:
 * the information order puts the vacuous element (``unit``) at the bottom
   and the contradiction (``zero``) at the top; combination is join;
 * subsets of a carrier are bitmasks, bit x set meaning x is a member;
+* a semilattice is built from one table, its order or its join, and the
+  other is derived (a <= b iff a \\/ b == b): ``semilattice_from_poset``
+  and ``join_semilattice`` are the only constructors;
 * derived order data (the down rows, the row indexes and the up-set index
   of a poset, the meet table of a semilattice, the meet-irreducibles of a
   lattice, the CDF verdict of an algebra) is computed on first use and
@@ -19,10 +22,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import permutations
-from operator import itemgetter
 
 from .errors import CapExceeded, FormatError, StructureError
 from .report import Report
+from .semigroup import compose, first_row_witness, homomorphism_witness
 
 UPSET_ENUM_LIMIT = 20
 
@@ -139,25 +142,6 @@ class FinitePoset:
 def up_rows(rows) -> tuple[int, ...]:
     """Bitmask rows of a boolean order table: bit b of row a is rows[a][b]."""
     return tuple(mask_of(b for b, v in enumerate(row) if v) for row in rows)
-
-
-def gatherer(indices):
-    """Function sending a row r to the tuple of r[i] for i in indices."""
-    if len(indices) > 1:
-        return itemgetter(*indices)  # a single index would give a bare value
-    return lambda row: tuple(row[i] for i in indices)
-
-
-def first_row_witness(rows):
-    """First failing (*key, index) of a law given as (key, lhs, rhs) rows:
-    the two sides as tuples over the last variable, keys in lexicographic
-    order. Only a row that differs is rescanned for its failing index; a
-    side that ends early differs at its end."""
-    for key, lhs, rhs in rows:
-        if lhs != rhs:
-            return (*key, next((i for i, (x, y) in enumerate(zip(lhs, rhs)) if x != y),
-                               min(len(lhs), len(rhs))))
-    return None
 
 
 def verify_poset(rows) -> Report:
@@ -295,9 +279,9 @@ def verify_semilattice(join, unit: int, zero: int) -> Report:
     bad = bound_table_witness(up_rows(rows), table) if coherent else None
     certified = coherent and bad is None
     # row (a, b) over c: join[join[a][b]][c] against join[a][join[b][c]]
-    by_join = [gatherer(row) for row in table]
     assoc = None if certified else first_row_witness(
-        ((a, b), table[table[a][b]], by_join[b](table[a])) for a in range(n) for b in range(n))
+        ((a, b), table[table[a][b]], compose(table[a], table[b]))
+        for a in range(n) for b in range(n))
     report.add("associative", assoc is None, assoc)
     un = next((a for a in range(n) if join[a][unit] != a), None)
     report.add("unit_neutral", un is None, un)
@@ -373,14 +357,13 @@ def is_distributive(lat: FiniteLattice) -> tuple[bool, tuple | None]:
     if not any(poset.le(glb_of_set(poset, poset.full_mask() & ~poset.down[m]), m)
                for m in meet_irreducibles(lat)):
         return True, None
-    n = lat.n
-    join, meet = lat.sl.join, lat.meet
-    # row (a, b) over c: meet[a][join[b][c]] against join[meet[a][b]][meet[a][c]]
-    by_join = [gatherer(row) for row in join]
-    by_meet = [gatherer(row) for row in meet]
-    w = first_row_witness(((a, b), by_join[b](meet[a]), by_meet[a](join[meet[a][b]]))
-                          for a in range(n) for b in range(n))
-    return w is None, w
+    # distributive iff every meet translation meet[a] is a join endomorphism
+    join = lat.sl.join
+    for a, row in enumerate(lat.meet):
+        w = homomorphism_witness(row, join, join)
+        if w is not None:
+            return False, (a, *w)
+    return True, None
 
 
 def complements(lat: FiniteLattice) -> tuple[dict[int, int] | None, int | None]:

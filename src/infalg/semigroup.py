@@ -3,16 +3,43 @@
 A self-map of range(n) is stored as a tuple of images. The extraction
 operators of an algebra, the saturations of a Q-space family and the
 closures built by the CLI are all such maps, composed and looked up here.
+
+Every law of the package is an identity between composed maps, checked one
+row at a time: ``first_row_witness`` scans (key, lhs, rhs) rows and names
+the first failing entry, and ``homomorphism_witness`` builds the rows of
+f(x . y) = f(x) . f(y) for a map f between two binary operation tables.
 """
 
 from __future__ import annotations
+
+from operator import itemgetter
 
 from .errors import CapExceeded
 
 
 def compose(f, g) -> tuple[int, ...]:
     """The map x -> f[g[x]]: first g, then f."""
-    return tuple([f[x] for x in g])
+    if len(g) > 1:
+        return itemgetter(*g)(f)
+    return tuple([f[x] for x in g])  # a single index would give a bare value
+
+
+def first_row_witness(rows):
+    """First failing (*key, index) of a law given as (key, lhs, rhs) rows:
+    the two sides as tuples over the last variable, keys in lexicographic
+    order. Only a row that differs is rescanned for its failing index; a
+    side that ends early differs at its end."""
+    for key, lhs, rhs in rows:
+        if lhs != rhs:
+            return (*key, next((i for i, (x, y) in enumerate(zip(lhs, rhs)) if x != y),
+                               min(len(lhs), len(rhs))))
+    return None
+
+
+def homomorphism_witness(f, op_a, op_b) -> tuple[int, int] | None:
+    """First (x, y), row by row, with f[op_a[x][y]] != op_b[f[x]][f[y]]."""
+    return first_row_witness(((x,), compose(f, row), compose(op_b[f[x]], f))
+                             for x, row in enumerate(op_a))
 
 
 def grid(arrays) -> list[list[tuple[int, ...]]]:

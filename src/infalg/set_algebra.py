@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from .algebra import AlgebraMorphism, InfoAlgebra, is_isomorphism
 from .equivalence import Equivalence, StarFamily, directedness_witness, saturate, star_family
 from .errors import CapExceeded, NotDirectedError, StructureError
-from .order import BoundedJoinSemilattice, FinitePoset, bits, mask_of
+from .order import bits, join_semilattice, mask_of
 from .report import Report
 from .semigroup import table, unlisted
 
@@ -22,9 +22,6 @@ class SetAlgebra:
     n: int
     family: tuple[int, ...]
     eqs: StarFamily
-
-    def index_of(self, mask: int) -> int:
-        return self.family.index(mask)
 
     def to_info_algebra(self) -> InfoAlgebra:
         """The abstract algebra: carrier indexed by family position.
@@ -37,10 +34,7 @@ class SetAlgebra:
         fam = self.family
         pos = {mask: i for i, mask in enumerate(fam)}
         join = tuple(tuple(map(pos.__getitem__, map(fi.__and__, fam))) for fi in fam)
-        # j is above i (a subset of it) iff their intersection is j
-        up = tuple(mask_of(j for j, c in enumerate(row) if c == j) for row in join)
-        full = (1 << self.n) - 1
-        sl = BoundedJoinSemilattice(FinitePoset(len(fam), up), join, pos[full], pos[0])
+        sl = join_semilattice(join, pos[(1 << self.n) - 1], pos[0])
         extractors = tuple(tuple(pos[saturate(theta, x)] for x in fam)
                            for theta in self.eqs.members)
         ks = range(len(self.eqs.members))

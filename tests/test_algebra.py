@@ -11,7 +11,7 @@ from infalg.duality import QSpace, dualize, q_space_report
 from infalg.equivalence import Equivalence, StarFamily, star, star_family
 from infalg.errors import StructureError
 from infalg.generators import enumerate_algebras, gen_string, string_elements
-from infalg.order import FinitePoset, chain_poset, powerset_lattice, try_lattice
+from infalg.order import FinitePoset, bits, chain_poset, down_sets, powerset_lattice, try_lattice
 from infalg.semigroup import compose
 
 
@@ -293,6 +293,41 @@ def test_ideal_completion_generated(generated_suite):
     for name, a in generated_suite.items():
         comp, emb = ideal_completion(a)
         assert is_isomorphism(emb, a, comp), name
+
+
+def test_ideal_completion_order_is_ideal_inclusion(generated_suite):
+    for name, a in generated_suite.items():
+        comp, _ = ideal_completion(a)
+        ideals = sorted(m for m in down_sets(a.poset) if m and all(
+            (m >> a.join(x, y)) & 1 for x in bits(m) for y in bits(m)))
+        up = tuple(sum(1 << j for j, jm in enumerate(ideals) if im & ~jm == 0)
+                   for im in ideals)
+        assert comp.sl.poset.up == up, name
+
+
+def test_image_algebra_rejects_an_image_that_is_not_a_subalgebra():
+    a = gen_string(2, 1)   # "", "a", "b" and the contradiction 3
+    cases = [((0, 1, 2, 2), "image not closed under join at \\(1,2\\)", (1, 2)),
+             ((1, 1, 1, 1), "image not closed under extractor 0 at 1", (0, 1)),
+             ((3, 3, 3, 3), "image misses the bound 0", 0)]
+    for f, message, witness in cases:
+        with pytest.raises(StructureError, match=message) as err:
+            image_algebra(AlgebraMorphism(f, (0, 1)), a, a)
+        assert err.value.witness == witness
+    # extraction_image shares the restriction and its witnesses
+    broken = InfoAlgebra(a.sl, ((0, 1, 2, 2),), ("e",))
+    with pytest.raises(StructureError, match="not closed under join at \\(1,2\\)") as err:
+        extraction_image(broken, 0)
+    assert err.value.witness == (1, 2)
+
+
+def test_image_algebra_order_is_induced(generated_suite):
+    for name, a in generated_suite.items():
+        for k in range(len(a.extractors)):
+            sub, incl = extraction_image(a, k)
+            image = image_algebra(incl, sub, a)
+            assert image.sl.poset == a.poset.restrict(incl.f) == sub.poset, (name, k)
+            assert image.sl.join == sub.sl.join and image.extractors == sub.extractors
 
 
 def test_extraction_preserves_order(generated_suite):

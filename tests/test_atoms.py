@@ -70,6 +70,22 @@ def test_atom_representation_string_embeds_not_onto(string22):
     assert (1 << pos["aa"]) | (1 << pos["bb"]) in unrealized
 
 
+def test_atom_representation_order_is_submasks(generated_suite):
+    for name, a in generated_suite.items():
+        target = atom_representation(a).target
+        up = []
+        for i in range(target.n):
+            row, sub = 0, i
+            while True:   # every submask of i, down to 0
+                row |= 1 << sub
+                if sub == 0:
+                    break
+                sub = (sub - 1) & i
+            up.append(row)
+        assert target.sl.poset.up == tuple(up), name
+        assert (target.unit, target.zero) == (target.n - 1, 0)
+
+
 def test_atom_representation_matches_classification(generated_suite):
     for a in generated_suite.values():
         rep = classify(a)

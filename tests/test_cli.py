@@ -398,3 +398,55 @@ def test_cli_negative_corpus(tmp_path):
 
 def test_cli_missing_file_is_parse_error():
     assert main(["verify", "/nonexistent/nowhere.json"]) == 2
+
+
+def bad_input_argv(tmp_path, case):
+    """argv of one bad-path or bad-bytes input."""
+    small = gen_file(tmp_path, "gen", "string", "1", "1", name="small.json")
+    target = str(tmp_path / "missing" / "out.json")
+    if case == "unwritable-gen":
+        return ["gen", "string", "2", "2", "-o", target]
+    if case == "unwritable-reconstruct":
+        return ["reconstruct", gen_file(tmp_path, "dualize", small, name="space.json"),
+                "-o", target]
+    if case.startswith("unwritable-"):
+        return [case.removeprefix("unwritable-"), small, "-o", target]
+    if case == "not-utf8":
+        (tmp_path / "bytes.json").write_bytes(b"\xff\xfe")
+        return ["verify", str(tmp_path / "bytes.json")]
+    if case == "deeply-nested":
+        return ["verify", write(tmp_path, "deep.json", "[" * 100000 + "]" * 100000)]
+    if case == "huge-integer":
+        return ["verify", write(tmp_path, "huge.json", '{"n": ' + "9" * 5000 + "}")]
+    assert case == "map-not-json"
+    return ["check-hom", small, small, write(tmp_path, "map.json", "{")]
+
+
+@pytest.mark.parametrize("case", ["unwritable-gen", "unwritable-close", "unwritable-dualize",
+                                  "unwritable-reconstruct", "not-utf8", "deeply-nested",
+                                  "huge-integer", "map-not-json"])
+def test_cli_bad_path_or_bytes_is_one_error_line(tmp_path, capsys, case):
+    argv = bad_input_argv(tmp_path, case)
+    capsys.readouterr()
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    if case == "map-not-json":
+        assert err.startswith("error: invalid JSON in map file: ")
+
+
+def test_roundtrip_decodes_its_file_once(tmp_path, monkeypatch):
+    calls = []
+    loads = json.loads
+
+    def counting(text, *args, **kwargs):
+        calls.append(len(text))
+        return loads(text, *args, **kwargs)
+
+    algebra = gen_file(tmp_path, "gen", "lattice", "2")
+    space = gen_file(tmp_path, "dualize", algebra, name="space.json")
+    monkeypatch.setattr(files.json, "loads", counting)
+    for path in (algebra, space):
+        calls.clear()
+        assert main(["roundtrip", path]) == 0
+        assert len(calls) == 1, path

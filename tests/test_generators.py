@@ -1,3 +1,4 @@
+import hashlib
 from collections import Counter
 from itertools import product
 
@@ -13,7 +14,8 @@ from infalg.generators import (all_labeled_posets, enumerate_algebras, enumerate
                                extraction_families, extraction_maps, gen_lattice_valued,
                                gen_string, separating_equivalences, string_elements)
 from infalg.order import (automorphisms, bits, chain_lattice, diamond_m3, is_distributive,
-                          semilattice_from_poset, up_rows, verify_poset)
+                          mask_of, powerset_lattice, semilattice_from_poset, up_rows,
+                          verify_poset)
 from infalg.semigroup import compose, table
 
 
@@ -41,6 +43,34 @@ def test_string_join_table_is_lub_of_prefix_order(string23):
     derived = semilattice_from_poset(string23.poset)
     assert derived.join == string23.sl.join
     assert (derived.unit, derived.zero) == (string23.unit, string23.zero)
+
+
+def literal_string_join(k, max_len):
+    """The prefix join written out: the longer of two comparable words, else
+    the contradiction."""
+    strs = string_elements(k, max_len)[:-1]
+    zero = len(strs)
+    join = []
+    for a in range(zero + 1):
+        row = []
+        for b in range(zero + 1):
+            if zero in (a, b):
+                row.append(zero)
+            elif strs[b].startswith(strs[a]):
+                row.append(b)
+            elif strs[a].startswith(strs[b]):
+                row.append(a)
+            else:
+                row.append(zero)
+        join.append(tuple(row))
+    return tuple(join)
+
+
+def test_string_join_matches_literal_prefix_join():
+    for k, max_len in ((1, 1), (1, 3), (2, 2), (2, 3), (3, 2)):
+        a = gen_string(k, max_len)
+        assert a.sl.join == literal_string_join(k, max_len), (k, max_len)
+        assert (a.unit, a.zero) == (0, a.n - 1)
 
 
 def test_string_classification(string22, string23):
@@ -102,6 +132,21 @@ def test_lattice_valued_global_extractor_is_constant_meet(lv_2_chain3):
     for i, phi in enumerate(carrier):
         m = lam.meet[phi[0]][phi[1]]
         assert carrier[a.apply(k, i)] == (m, m)
+
+
+def test_lattice_valued_order_is_pointwise(lv_2_chain3, lv_2_chain2):
+    cases = [([2], chain_lattice(3), lv_2_chain3), ([2], chain_lattice(2), lv_2_chain2)]
+    cases += [(sizes, lam, gen_lattice_valued(sizes, lam))
+              for sizes, lam in (([3], chain_lattice(2)), ([2], powerset_lattice(2)))]
+    for sizes, lam, a in cases:
+        nv = len(list(product(*map(range, sizes))))
+        carrier = list(product(range(lam.n), repeat=nv))
+        up = tuple(mask_of(j for j, psi in enumerate(carrier)
+                           if all(lam.poset.le(x, y) for x, y in zip(phi, psi)))
+                   for phi in carrier)
+        assert a.sl.poset.up == up, sizes
+        assert carrier[a.unit] == (lam.sl.unit,) * nv
+        assert carrier[a.zero] == (lam.sl.zero,) * nv
 
 
 def test_lattice_valued_rejects_non_distributive_value_lattice():
@@ -218,6 +263,65 @@ def test_enumeration_deterministic():
     s2 = [(s.poset.up, tuple(m.block_of for m in s.eqs.members))
           for s in enumerate_q_spaces(3)]
     assert s1 == s2
+
+
+def stream_digest(items):
+    h = hashlib.sha256()
+    for item in items:
+        h.update(repr(item).encode())
+    return h.hexdigest()
+
+
+def test_enumerator_streams_are_pinned():
+    # digests of the streams as first released; any change to the enumerated
+    # objects, their order or their tables moves them
+    assert stream_digest((a.n, a.sl.join, a.extractors) for a in enumerate_algebras(5)) == \
+        "e5acbe29f9f85d8a70f9d9e4d4812417a06019816b3f149acb13bc7dae4a54f6"
+    assert stream_digest((s.poset.up, tuple(eq.block_of for eq in s.eqs.members))
+                         for s in enumerate_q_spaces(4)) == \
+        "aad9cb4e1176a3436407045f13e7ada70e1f7a3b24a6315b25985b169b022a7a"
+
+
+def literal_extraction_maps(lat, require_meets):
+    """The exhaustive candidate scan with its laws as literal loops."""
+    n, sl = lat.n, lat.sl
+    down = [list(bits(row)) for row in lat.poset.down]
+    down[sl.zero] = [sl.zero]
+    out = []
+    for cand in product(*down):
+        ok = True
+        for x in range(n):
+            ex = cand[x]
+            for y in range(n):
+                if cand[sl.join[ex][y]] != sl.join[ex][cand[y]]:
+                    ok = False
+                    break
+            if not ok:
+                break
+        if ok and require_meets:
+            for x in range(n):
+                for y in range(n):
+                    if cand[lat.meet[x][y]] != lat.meet[cand[x]][cand[y]]:
+                        ok = False
+                        break
+                if not ok:
+                    break
+        if ok:
+            out.append(tuple(cand))
+    out.sort()
+    return out
+
+
+def test_extraction_maps_match_literal_loops():
+    lattices = enumerate_lattices(5, distributive_only=False)
+    assert any(not is_distributive(lat)[0] for lat in lattices)
+    dropped = 0
+    for lat in lattices:
+        want = {rm: literal_extraction_maps(lat, rm) for rm in (True, False)}
+        for require_meets in (True, False):
+            assert extraction_maps(lat, require_meets=require_meets) == want[require_meets]
+        dropped += len(want[False]) > len(want[True])
+    assert dropped >= 1
 
 
 def test_enumeration_guards():

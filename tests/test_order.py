@@ -9,11 +9,12 @@ from infalg.generators import (all_labeled_posets, enumerate_lattices, enumerate
                                gen_lattice_valued, gen_string, string_elements)
 from infalg.order import (BoundedJoinSemilattice, FiniteLattice, FinitePoset,
                           antichain_poset, bits, bound_table_witness, chain_lattice, chain_poset,
-                          complements, diamond_m3, first_row_witness, glb, glb_of_set,
+                          complements, diamond_m3, glb, glb_of_set,
                           glb_row, is_distributive, lattice_from_poset, lattice_from_semilattice,
                           lub_row, mask_of, meet_irreducibles, pentagon_n5,
                           powerset_lattice, principal_up_set, semilattice_from_poset,
                           try_lattice, up_sets, verify_poset, verify_semilattice)
+from infalg.semigroup import first_row_witness, homomorphism_witness
 
 
 def test_verify_poset_singleton():
@@ -408,6 +409,23 @@ def test_certificates_spare_the_scan_on_valid_structures(monkeypatch):
         assert verify_semilattice(lat.sl.join, lat.sl.unit, lat.sl.zero).ok
         assert scans == [1]
         scans.clear()
+
+
+def test_distributivity_certificate_spares_the_homomorphism_scan(monkeypatch):
+    scanned = []
+
+    def counting(f, op_a, op_b):
+        scanned.append(tuple(f))
+        return homomorphism_witness(f, op_a, op_b)
+
+    monkeypatch.setattr(order, "homomorphism_witness", counting)
+    grid = product_lattice(chain_lattice(2), chain_lattice(3))
+    for lat in (powerset_lattice(3), chain_lattice(5), grid):
+        assert is_distributive(lat) == (True, None)
+    assert scanned == []
+    # a failing lattice is scanned translation by translation up to its witness
+    ok, w = is_distributive(diamond_m3())
+    assert not ok and scanned == [diamond_m3().meet[a] for a in range(w[0] + 1)]
 
 
 def test_transitivity_witness_matches_literal_on_random_tables():

@@ -1,7 +1,10 @@
+import random
+
 import pytest
 
 from infalg.errors import CapExceeded
-from infalg.semigroup import close, compose, grid, table, unlisted
+from infalg.generators import enumerate_lattices
+from infalg.semigroup import close, compose, grid, homomorphism_witness, table, unlisted
 
 
 def test_compose_applies_right_argument_first():
@@ -10,7 +13,54 @@ def test_compose_applies_right_argument_first():
     assert compose(g, f) == (2, 2, 2)
 
 
-def test_table_takes_first_listed_index():
+def test_compose_on_short_maps_and_lists():
+    # maps of length 0 and 1 take the tuple route, longer ones the itemgetter
+    f = (5, 6, 7)
+    assert compose(f, ()) == () and compose([], []) == ()
+    assert compose(f, (2,)) == (7,) and compose(list(f), [1]) == (6,)
+    assert compose(f, (2, 0)) == (7, 5) and compose(list(f), [2, 0]) == (7, 5)
+    assert compose([1, 0], (0, 1)) == (1, 0)
+    for got in (compose(f, ()), compose(list(f), [1]), compose(list(f), [2, 0])):
+        assert type(got) is tuple
+
+
+def literal_homomorphism_witness(f, op_a, op_b):
+    for x in range(len(op_a)):
+        for y in range(len(op_a)):
+            if f[op_a[x][y]] != op_b[f[x]][f[y]]:
+                return (x, y)
+    return None
+
+
+def test_homomorphism_witness_matches_literal_double_loop():
+    rng = random.Random(909)
+    cases = []
+    for _ in range(400):
+        na, nb = rng.randint(1, 5), rng.randint(1, 5)
+        op_a = [[rng.randrange(na) for _ in range(na)] for _ in range(na)]
+        op_b = [[rng.randrange(nb) for _ in range(nb)] for _ in range(nb)]
+        cases.append(([rng.randrange(nb) for _ in range(na)], op_a, op_b))
+        # the identity, and a constant at an idempotent, are homomorphisms
+        cases.append((list(range(na)), op_a, op_a))
+        idem = [c for c in range(nb) if op_b[c][c] == c]
+        if idem:
+            cases.append(([rng.choice(idem)] * na, op_a, op_b))
+    # meet translations are join endomorphisms exactly in distributive
+    # lattices; perturbing one entry makes near misses
+    for lat in enumerate_lattices(5, distributive_only=False):
+        join = lat.sl.join
+        for row in lat.meet:
+            cases.append((row, join, join))
+            bent = list(row)
+            bent[rng.randrange(lat.n)] = rng.randrange(lat.n)
+            cases.append((bent, join, join))
+    found = [0, 0]
+    for f, op_a, op_b in cases:
+        want = literal_homomorphism_witness(f, op_a, op_b)
+        assert homomorphism_witness(f, op_a, op_b) == want, (f, op_a, op_b)
+        found[want is None] += 1
+    assert min(found) >= 300
+
     ident, const = (0, 1), (0, 0)
     # the identity is listed twice; every lookup resolves to index 0
     assert table([ident, const, ident]) == ((0, 1, 0), (1, 1, 1), (0, 1, 0))

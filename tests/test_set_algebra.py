@@ -3,9 +3,11 @@ import random
 import pytest
 
 from infalg.algebra import is_isomorphism, verify_axioms
+from infalg.duality import dualize
 from infalg.equivalence import Equivalence, commutation_witness, saturate, star_family
-from infalg.errors import NotDirectedError, StructureError
+from infalg.errors import NotDirectedError, PreconditionError, StructureError
 from infalg.generators import gen_multivariate
+from infalg.order import up_sets
 from infalg.set_algebra import (build_block_union_algebra, build_set_algebra, check_set_algebra,
                                 principal_upset_representation)
 
@@ -42,6 +44,26 @@ def test_intersection_gap_rejected():
     report = err.value.report
     assert not report.ok
     assert report.witness("intersection_closed") == (0b01, 0b10)
+
+
+def test_to_info_algebra_order_is_reverse_inclusion(multivariate22, generated_suite):
+    set_algebras = [multivariate22, gen_multivariate([3]),
+                    build_block_union_algebra(star_family([
+                        Equivalence.identity(4), GRID_ROWS, GRID_COLS,
+                        Equivalence.all_relation(4)]))]
+    for a in generated_suite.values():
+        try:
+            space = dualize(a)
+        except PreconditionError:
+            continue
+        set_algebras.append(build_set_algebra(space.n, up_sets(space.poset), space.eqs))
+    assert len(set_algebras) >= 6
+    for sa in set_algebras:
+        b = sa.to_info_algebra()
+        fam = sa.family
+        up = tuple(sum(1 << j for j, mj in enumerate(fam) if mj & ~mi == 0) for mi in fam)
+        assert b.sl.poset.up == up
+        assert (fam[b.unit], fam[b.zero]) == ((1 << sa.n) - 1, 0)
 
 
 def test_block_union_identity_gives_power_set():
