@@ -66,6 +66,12 @@ def test_homomorphism_witness_matches_literal_double_loop():
     assert table([ident, const, ident]) == ((0, 1, 0), (1, 1, 1), (0, 1, 0))
 
 
+def test_table_takes_first_listed_index():
+    ident, const = (0, 1), (0, 0)
+    # the identity is listed twice; every lookup resolves to index 0
+    assert table([ident, const, ident]) == ((0, 1, 0), (1, 1, 1), (0, 1, 0))
+
+
 def test_table_marks_unlisted_composites():
     low, high = (0, 0, 2), (0, 1, 1)   # composite (0, 0, 0) is not listed
     tab = table([low, high])
