@@ -109,9 +109,15 @@ def make_algebra(poset: FinitePoset, extractors, labels=None,
 
 def combination_rows(join, extractors):
     """Rows of the combination law e(e(x) . y) = e(x) . e(y), keyed (k, x) and
-    running over y, for first_row_witness."""
-    return (((k, x), compose(e, join[e[x]]), compose(join[e[x]], e))
-            for k, e in enumerate(extractors) for x in range(len(join)))
+    running over y, for first_row_witness. Row (k, x) depends on x only
+    through e_k[x], so one row is built per distinct value, at the first x
+    that takes it: equal rows fail alike, and the first witness is kept."""
+    for k, e in enumerate(extractors):
+        seen = set()
+        for x, v in enumerate(e):
+            if v not in seen:
+                seen.add(v)
+                yield (k, x), compose(e, join[v]), compose(join[v], e)
 
 
 def verify_axioms(a: InfoAlgebra, require_closure: bool = True) -> Report:
@@ -373,7 +379,14 @@ def dedupe_extractors(a: InfoAlgebra) -> tuple[InfoAlgebra, AlgebraMorphism]:
 
 
 def image_algebra(m: AlgebraMorphism, a: InfoAlgebra, b: InfoAlgebra) -> InfoAlgebra:
-    """The image of a homomorphism as a subalgebra of the codomain."""
+    """The image of a homomorphism as a subalgebra of the codomain;
+    StructureError names the first entry of m.f or m.g that is not an
+    element or an extractor index of b."""
+    for name, arr, limit in (("f", m.f, b.n), ("g", m.g, len(b.extractors))):
+        i = next((i for i, v in enumerate(arr) if not 0 <= v < limit), None)
+        if i is not None:
+            raise StructureError(f"{name}[{i}] = {arr[i]} is outside range({limit})",
+                                 witness=(name, i))
     gl = sorted(set(m.g))
     sl, extractors = _restriction(b, sorted(set(m.f)), gl)
     return InfoAlgebra(sl, extractors, tuple(b.labels[k] for k in gl))

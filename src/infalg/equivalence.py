@@ -14,7 +14,7 @@ from .semigroup import close
 
 
 class Equivalence:
-    __slots__ = ("n", "block_of", "blocks")
+    __slots__ = ("n", "block_of", "blocks", "_hash")
 
     def __init__(self, n: int, labels):
         """Partition of range(n); labels may be arbitrary hashables per element."""
@@ -33,6 +33,8 @@ class Equivalence:
         self.n = n
         self.block_of = tuple(block_of)
         self.blocks = tuple(blocks)
+        # every set or dict lookup hashes; the fields never change
+        self._hash = hash((n, self.block_of))
 
     @classmethod
     def identity(cls, n: int) -> "Equivalence":
@@ -77,7 +79,7 @@ class Equivalence:
                 and self.n == other.n and self.block_of == other.block_of)
 
     def __hash__(self):
-        return hash((self.n, self.block_of))
+        return self._hash
 
     def __repr__(self):
         parts = ["{" + ",".join(map(str, bits(b))) + "}" for b in self.blocks]

@@ -14,8 +14,8 @@ from .algebra import InfoAlgebra, verify_axioms
 from .duality import QSpace, q_space_report
 from .equivalence import Equivalence, star_family
 from .errors import CapExceeded, FormatError, NonCommutingError, StructureError
-from .order import (FinitePoset, bound_table_witness, join_semilattice, semilattice_from_poset,
-                    up_rows, verify_poset, verify_semilattice)
+from .order import (FinitePoset, bound_table_witness, semilattice_from_poset, up_rows,
+                    verify_poset, verify_semilattice)
 from .report import Report
 
 
@@ -58,8 +58,9 @@ def _bool_table(doc, key, n):
     _require(isinstance(table, list) and len(table) == n, f"{key} must be an n-row table")
     for row in table:
         _require(isinstance(row, list) and len(row) == n, f"{key} rows must have length {n}")
-        for v in row:
-            _require(isinstance(v, bool), f"{key} entries must be booleans, got {v!r}")
+        if set(map(type, row)) != {bool}:  # only a failing row is rescanned
+            for v in row:
+                _require(isinstance(v, bool), f"{key} entries must be booleans, got {v!r}")
     return [list(row) for row in table]
 
 
@@ -151,7 +152,7 @@ def algebra_from_doc(doc, lenient: bool = False, cap: int | None = None) -> Pars
         report.items.extend(sl_report.items)
         if not sl_report.ok:
             return ParsedAlgebra(None, report, element_labels)
-        sl = join_semilattice(join, doc["unit"], doc["zero"])
+        sl = sl_report.semilattice
 
     if "meet" in doc:
         meet = _int_table(doc, "meet", n, n)

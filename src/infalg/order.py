@@ -14,7 +14,10 @@ Conventions used throughout the package:
   lattice, the CDF verdict of an algebra) is computed on first use and
   cached on the frozen structure that owns it; callers must not mutate it;
 * a cubic law (associativity, distributivity) is decided by a quadratic
-  certificate first, and scanned only to name its first witness.
+  certificate first, and scanned only to name its first witness;
+* so is the order a join table derives: once the table is idempotent and
+  commutative and passes the least-upper-bound check, the derived relation
+  is a partial order by proof, and no boolean table is built for it.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from functools import cached_property
 from itertools import permutations
 
 from .errors import CapExceeded, FormatError, StructureError
-from .report import Report
+from .report import CheckItem, Report
 from .semigroup import compose, first_row_witness, homomorphism_witness
 
 UPSET_ENUM_LIMIT = 20
@@ -99,11 +102,6 @@ class FinitePoset:
                 out[mask] = len(out)
         return out
 
-    def covers(self, a: int) -> list[int]:
-        """Upper neighbors of a: minimal elements strictly above a."""
-        strict = self.up[a] & ~(1 << a)
-        return [b for b in bits(strict) if strict & self.down[b] & ~(1 << b) == 0]
-
     def bottom(self) -> int | None:
         full = self.full_mask()
         lows = [a for a in range(self.n) if self.up[a] == full]
@@ -154,9 +152,10 @@ def verify_poset(rows) -> Report:
     for row in rows:
         if len(row) != n:
             raise FormatError(f"leq table is not square: {n} rows, row of length {len(row)}")
-        for v in row:
-            if not isinstance(v, bool):
-                raise FormatError(f"leq entries must be booleans, got {v!r}")
+        if set(map(type, row)) != {bool}:  # only a failing row is rescanned
+            for v in row:
+                if not isinstance(v, bool):
+                    raise FormatError(f"leq entries must be booleans, got {v!r}")
     report = Report()
     refl = next((a for a in range(n) if not rows[a][a]), None)
     report.add("reflexive", refl is None, refl)
@@ -257,39 +256,60 @@ def semilattice_from_poset(poset: FinitePoset,
     return BoundedJoinSemilattice(poset, tuple(join), unit, zero)
 
 
-def verify_semilattice(join, unit: int, zero: int) -> Report:
+@dataclass
+class SemilatticeReport(Report):
+    """The report of verify_semilattice; when it is ok, ``semilattice`` is the
+    checked structure, built on the order the check derived."""
+
+    semilattice: BoundedJoinSemilattice | None = None
+
+
+def verify_semilattice(join, unit: int, zero: int) -> SemilatticeReport:
     """Check a join table: semigroup laws, bounds, and order/join coherence.
 
     The order is derived by a <= b iff join[a][b] == b; the table must then
-    be the least-upper-bound table of that order. Certificate: a commutative,
-    idempotent table is associative iff it is that table (Davey & Priestley,
-    Introduction to Lattices and Order, 2002, ch. 2).
+    be the least-upper-bound table of that order. Certificates (Davey &
+    Priestley, Introduction to Lattices and Order, 2002, ch. 2): a
+    commutative, idempotent table is associative iff it is that table, and
+    then its order is a partial order. Idempotence gives reflexivity,
+    commutativity antisymmetry, and the bound check transitivity: a <= b
+    means join[a][b] == b, so up[b] == up[a] & up[b] is a subset of up[a].
+    The boolean order table is built for verify_poset only when the bound
+    check fails or is not reached.
     """
     n = len(join)
-    report = Report()
-    idem = next((a for a in range(n) if join[a][a] != a), None)
+    table = tuple(map(tuple, join))
+    report = SemilatticeReport()
+    idem = next((a for a in range(n) if table[a][a] != a), None)
     report.add("idempotent", idem is None, idem)
-    comm = next(((a, b) for a in range(n) for b in range(n)
-                 if join[a][b] != join[b][a]), None)
+    # row a against column a; only the first differing row is rescanned
+    comm = next(((a, next((b for b in range(n) if row[b] != col[b]), n))
+                 for a, (row, col) in enumerate(zip(table, zip(*table))) if row != col), None)
     report.add("commutative", comm is None, comm)
-    table = [tuple(row) for row in join]
-    rows = [[join[a][b] == b for b in range(n)] for a in range(n)]
-    order_report = verify_poset(rows)
-    coherent = order_report.ok and idem is None and comm is None
-    bad = bound_table_witness(up_rows(rows), table) if coherent else None
-    certified = coherent and bad is None
+    sl = bad = None
+    if idem is None and comm is None:
+        sl = join_semilattice(table, unit, zero)
+        bad = bound_table_witness(sl.poset.up, table)
+    certified = sl is not None and bad is None
+    if certified:
+        order_report = Report([CheckItem(name, True)
+                               for name in ("reflexive", "antisymmetric", "transitive")])
+    else:
+        order_report = verify_poset([[table[a][b] == b for b in range(n)] for a in range(n)])
     # row (a, b) over c: join[join[a][b]][c] against join[a][join[b][c]]
     assoc = None if certified else first_row_witness(
         ((a, b), table[table[a][b]], compose(table[a], table[b]))
         for a in range(n) for b in range(n))
     report.add("associative", assoc is None, assoc)
-    un = next((a for a in range(n) if join[a][unit] != a), None)
+    un = next((a for a in range(n) if table[a][unit] != a), None)
     report.add("unit_neutral", un is None, un)
-    zr = next((a for a in range(n) if join[a][zero] != zero), None)
+    zr = next((a for a in range(n) if table[a][zero] != zero), None)
     report.add("zero_absorbing", zr is None, zr)
     report.items.extend(order_report.items)
-    if coherent:
+    if sl is not None and order_report.ok:
         report.add("join_is_least_upper_bound", bad is None, bad)
+    if report.ok:
+        report.semilattice = sl
     return report
 
 
@@ -298,7 +318,7 @@ def semilattice_from_join(join, unit: int, zero: int) -> BoundedJoinSemilattice:
     if not report.ok:
         raise StructureError("not a bounded join-semilattice:\n" + report.format(),
                              report=report)
-    return join_semilattice(join, unit, zero)
+    return report.semilattice
 
 
 def join_semilattice(join, unit: int, zero: int) -> BoundedJoinSemilattice:
@@ -325,8 +345,10 @@ class FiniteLattice:
     @cached_property
     def meet_irreducibles(self) -> list[int]:
         """Elements that are not proper meets, excluding the top (zero): in a
-        finite lattice, exactly the elements with a single upper neighbor."""
-        return [a for a in range(self.n) if len(self.poset.covers(a)) == 1]
+        finite lattice, exactly the elements with a single upper neighbor c,
+        that is, whose strict up-set is the principal up-set of c."""
+        index = self.poset.up_index
+        return [m for m, row in enumerate(self.poset.up) if row & ~(1 << m) in index]
 
 
 def try_lattice(sl: BoundedJoinSemilattice) -> FiniteLattice | None:

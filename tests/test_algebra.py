@@ -2,8 +2,9 @@ import random
 
 import pytest
 
-from infalg.algebra import (AlgebraMorphism, InfoAlgebra, check_kernel_theorem, dedupe_extractors,
-                            enumerate_homomorphisms, extraction_image, ideal_completion,
+from infalg.algebra import (AlgebraMorphism, InfoAlgebra, check_kernel_theorem, combination_rows,
+                            dedupe_extractors, enumerate_homomorphisms, extraction_image,
+                            ideal_completion,
                             identity_morphism, image_algebra, is_distributive_cdf,
                             is_homomorphism, is_isomorphism, kernel, kernel_of_array,
                             make_algebra, verify_axioms)
@@ -12,7 +13,7 @@ from infalg.equivalence import Equivalence, StarFamily, star, star_family
 from infalg.errors import StructureError
 from infalg.generators import enumerate_algebras, gen_string, string_elements
 from infalg.order import FinitePoset, bits, chain_poset, down_sets, powerset_lattice, try_lattice
-from infalg.semigroup import compose
+from infalg.semigroup import compose, first_row_witness
 
 
 def two_chain_algebra(extra=()):
@@ -228,6 +229,30 @@ def test_combination_witness_matches_literal_on_corrupted_extractors():
     assert verify_axioms(a).witness("extraction_combination") == literal_combination(a) == (0, 1, 2)
 
 
+def all_x_combination_rows(join, extractors):
+    """The combination rows with one row for every x, repeated values included."""
+    return (((k, x), compose(e, join[e[x]]), compose(join[e[x]], e))
+            for k, e in enumerate(extractors) for x in range(len(join)))
+
+
+def test_combination_rows_keep_the_first_witness_of_the_all_x_rows(mv22_algebra, lv_2_chain3):
+    rng = random.Random(7919)
+    failing = 0
+    for base in (gen_string(2, 4), gen_string(3, 2), mv22_algebra, lv_2_chain3):
+        join = base.sl.join
+        # one row per distinct image value
+        assert len(list(combination_rows(join, base.extractors))) == sum(
+            len(set(e)) for e in base.extractors)
+        for _ in range(80):
+            arrays = [list(e) for e in base.extractors]
+            for _ in range(rng.randint(1, 3)):
+                arrays[rng.randrange(len(arrays))][rng.randrange(base.n)] = rng.randrange(base.n)
+            expected = first_row_witness(all_x_combination_rows(join, arrays))
+            assert first_row_witness(combination_rows(join, arrays)) == expected, arrays
+            failing += expected is not None
+    assert failing >= 150
+
+
 def test_commutation_and_idempotence_witnesses_match_literal_on_corrupted_extractors(
         mv22_algebra):
     rng = random.Random(1984)
@@ -313,6 +338,16 @@ def test_image_algebra_rejects_an_image_that_is_not_a_subalgebra():
     for f, message, witness in cases:
         with pytest.raises(StructureError, match=message) as err:
             image_algebra(AlgebraMorphism(f, (0, 1)), a, a)
+        assert err.value.witness == witness
+    # an entry outside the codomain's elements or extractors is named, not
+    # aliased from the end or let escape as an IndexError
+    cases = [((0, 1, -1, 3), (0, 1), "f\\[2\\] = -1 is outside range\\(4\\)", ("f", 2)),
+             ((0, 1, 2, 4), (0, 1), "f\\[3\\] = 4 is outside range\\(4\\)", ("f", 3)),
+             ((0, 1, 2, 3), (0, 2), "g\\[1\\] = 2 is outside range\\(2\\)", ("g", 1)),
+             ((0, 1, 2, 3), (-1, 1), "g\\[0\\] = -1 is outside range\\(2\\)", ("g", 0))]
+    for f, g, message, witness in cases:
+        with pytest.raises(StructureError, match=message) as err:
+            image_algebra(AlgebraMorphism(f, g), a, a)
         assert err.value.witness == witness
     # extraction_image shares the restriction and its witnesses
     broken = InfoAlgebra(a.sl, ((0, 1, 2, 2),), ("e",))

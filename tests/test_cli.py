@@ -8,7 +8,7 @@ from infalg.cli import main
 from infalg.duality import dualize
 from infalg.errors import FormatError
 from infalg.generators import enumerate_lattices, gen_string, string_elements
-from infalg.order import diamond_m3, pentagon_n5, try_lattice
+from infalg.order import diamond_m3, pentagon_n5, try_lattice, verify_poset
 
 
 def run(tmp_path, *argv):
@@ -116,6 +116,29 @@ def test_index_table_errors_name_the_first_bad_entry(key, row, shown):
     with pytest.raises(FormatError) as exc:
         files.parse_algebra(json.dumps(doc))
     assert str(exc.value) == f"{key} entries must be indices below 3, got {shown}"
+
+
+@pytest.mark.parametrize("entry, shown", [
+    (1, "1"), (0, "0"), (None, "None"), ("true", "'true'"), (1.0, "1.0"), ([], "[]"),
+], ids=["one", "zero", "null", "string", "float", "list"])
+def test_leq_errors_name_the_first_non_boolean_entry(entry, shown):
+    # 3-chain; the bad entry sits mid-row, before a second bad entry 7
+    rows = [[True, True, True], [False, entry, 7], [False, False, True]]
+    message = f"leq entries must be booleans, got {shown}"
+    algebra = {"n": 3, "leq": rows, "unit": 0, "zero": 2, "extractors": {"e": [0, 1, 2]}}
+    # the Q-space's leq table is read before its out-of-range equivalence
+    space = {"n": 3, "leq": rows, "equivalences": {"id": [0, 1, 9]}}
+    for parse, doc in ((files.parse_algebra, algebra), (files.parse_qspace, space)):
+        with pytest.raises(FormatError) as exc:
+            parse(json.dumps(doc))
+        assert str(exc.value) == message
+    with pytest.raises(FormatError) as exc:
+        verify_poset(rows)
+    assert str(exc.value) == message
+    # rows are checked in order: a short row before the bad one is named first
+    with pytest.raises(FormatError) as exc:
+        files.parse_algebra(json.dumps(dict(algebra, leq=[[True, True], *rows[1:]])))
+    assert str(exc.value) == "leq rows must have length 3"
 
 
 def test_duplicate_extractor_maps_rejected():

@@ -17,6 +17,14 @@ def test_canonical_block_ids():
     assert Equivalence(3, [7, 9, 7]).block_of == (0, 1, 0)
 
 
+def test_equal_equivalences_hash_equal():
+    same = [Equivalence(4, "bbaa"), Equivalence(4, [7, 7, 1, 1]),
+            Equivalence.from_blocks(4, [[0, 1], [2, 3]])]
+    assert len({hash(eq) for eq in same}) == 1 and len(set(same)) == 1
+    assert {same[0]: "x"}[same[2]] == "x"
+    assert Equivalence(4, "abab") not in set(same)
+
+
 def test_star_idempotent():
     for eq in all_equivalences(4):
         assert star(eq, eq) == eq

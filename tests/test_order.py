@@ -9,11 +9,12 @@ from infalg.generators import (all_labeled_posets, enumerate_lattices, enumerate
                                gen_lattice_valued, gen_string, string_elements)
 from infalg.order import (BoundedJoinSemilattice, FiniteLattice, FinitePoset,
                           antichain_poset, bits, bound_table_witness, chain_lattice, chain_poset,
-                          complements, diamond_m3, glb, glb_of_set,
-                          glb_row, is_distributive, lattice_from_poset, lattice_from_semilattice,
+                          complements, diamond_m3, glb, glb_of_set, glb_row, is_distributive,
+                          join_semilattice, lattice_from_poset, lattice_from_semilattice,
                           lub_row, mask_of, meet_irreducibles, pentagon_n5,
                           powerset_lattice, principal_up_set, semilattice_from_poset,
-                          try_lattice, up_sets, verify_poset, verify_semilattice)
+                          try_lattice, up_rows, up_sets, verify_poset, verify_semilattice)
+from infalg.report import Report
 from infalg.semigroup import first_row_witness, homomorphism_witness
 
 
@@ -215,6 +216,23 @@ def test_meet_irreducibles_match_definition():
     assert sizes == set(range(1, 7))
 
 
+def covers(poset, a):
+    """Upper neighbors of a: minimal elements strictly above a."""
+    strict = poset.up[a] & ~(1 << a)
+    return [b for b in bits(strict) if strict & poset.down[b] & ~(1 << b) == 0]
+
+
+def test_meet_irreducibles_are_the_points_with_one_upper_cover():
+    # differential oracle for the row-lookup route: the strict up-set of m is
+    # a principal up-set exactly when m has a single upper neighbor
+    lattices = enumerate_lattices(5, distributive_only=False) + [
+        diamond_m3(), pentagon_n5(), try_lattice(gen_lattice_valued([2, 2], chain_lattice(3)).sl)]
+    assert lattices[-1].n == 81
+    for lat in lattices:
+        expected = [a for a in range(lat.n) if len(covers(lat.poset, a)) == 1]
+        assert meet_irreducibles(lat) == expected, lat.poset
+
+
 def test_birkhoff_count_on_enumerated_distributive_lattices():
     for lat in enumerate_lattices(5):
         mi = meet_irreducibles(lat)
@@ -395,12 +413,18 @@ def test_first_row_witness_on_rows_of_unequal_length():
 
 def test_certificates_spare_the_scan_on_valid_structures(monkeypatch):
     scans = []
+    order_tables = []
 
     def counting(rows):
         scans.append(1)
         return first_row_witness(rows)
 
+    def recording(rows):
+        order_tables.append(rows)
+        return verify_poset(rows)
+
     monkeypatch.setattr(order, "first_row_witness", counting)
+    monkeypatch.setattr(order, "verify_poset", recording)
     grid = product_lattice(chain_lattice(2), chain_lattice(3))
     for lat in (powerset_lattice(3), chain_lattice(5), grid):
         assert is_distributive(lat) == (True, None)
@@ -409,6 +433,15 @@ def test_certificates_spare_the_scan_on_valid_structures(monkeypatch):
         assert verify_semilattice(lat.sl.join, lat.sl.unit, lat.sl.zero).ok
         assert scans == [1]
         scans.clear()
+    # the boolean order table is built only as verify_poset's argument
+    assert order_tables == []
+    # a table that fails the bound check, or never reaches it, is checked
+    # through the boolean table
+    report = verify_semilattice([[0, 1, 2], [1, 1, 0], [2, 0, 2]], 0, 0)
+    assert report.witness("join_is_least_upper_bound") == (1, 2)
+    assert not verify_semilattice([[0, 1], [1, 0]], 0, 1).ok
+    assert order_tables == [[[True, True, True], [False, True, False], [False, False, True]],
+                            [[True, True], [False, False]]]
 
 
 def test_distributivity_certificate_spares_the_homomorphism_scan(monkeypatch):
@@ -571,3 +604,66 @@ def test_least_upper_bound_witness_matches_literal_on_corrupted_tables():
             assert report.witness("join_is_least_upper_bound") == expected, join
             failing += expected is not None
     assert failing >= 50
+
+
+def literal_semilattice_items(join, unit, zero):
+    """verify_semilattice's items by the literal route: the boolean order
+    table through verify_poset, then the bound check and the triple loop."""
+    n = len(join)
+    report = Report()
+    idem = next((a for a in range(n) if join[a][a] != a), None)
+    report.add("idempotent", idem is None, idem)
+    comm = next(((a, b) for a in range(n) for b in range(n) if join[a][b] != join[b][a]), None)
+    report.add("commutative", comm is None, comm)
+    rows = [[join[a][b] == b for b in range(n)] for a in range(n)]
+    order_report = verify_poset(rows)
+    assoc = literal_associative(join)
+    report.add("associative", assoc is None, assoc)
+    un = next((a for a in range(n) if join[a][unit] != a), None)
+    report.add("unit_neutral", un is None, un)
+    zr = next((a for a in range(n) if join[a][zero] != zero), None)
+    report.add("zero_absorbing", zr is None, zr)
+    report.items.extend(order_report.items)
+    if order_report.ok and idem is None and comm is None:
+        bad = bound_table_witness(up_rows(rows), join)
+        report.add("join_is_least_upper_bound", bad is None, bad)
+    return report.items
+
+
+def test_order_certificate_matches_the_literal_route():
+    rng = random.Random(60221)
+    tables = []
+    for lat in enumerate_lattices(5, distributive_only=False) + list(witness_lattices().values()):
+        sl, n = lat.sl, lat.n
+        tables.append((sl.join, sl.unit, sl.zero))
+        for _ in range(6 if n > 1 else 0):
+            join = [list(row) for row in sl.join]
+            a, b = rng.sample(range(n), 2)
+            join[a][b] = rng.randrange(n)
+            if rng.random() < 0.7:  # most corruptions keep the table commutative
+                join[b][a] = join[a][b]
+            tables.append((join, sl.unit, sl.zero))
+    for _ in range(400):
+        n = rng.randint(1, 6)
+        join = [[a if a == b else None for b in range(n)] for a in range(n)]
+        for a in range(n):
+            for b in range(a + 1, n):
+                join[a][b] = join[b][a] = rng.randrange(n)
+        if n > 1 and rng.random() < 0.3:
+            a, b = rng.sample(range(n), 2)
+            join[a][b] = (join[b][a] + rng.randrange(1, n)) % n
+        tables.append((join, rng.randrange(n), rng.randrange(n)))
+    seen = {"certified": 0, "lub refused": 0, "order refused": 0, "not commutative": 0}
+    for join, unit, zero in tables:
+        report = verify_semilattice(join, unit, zero)
+        assert report.items == literal_semilattice_items(join, unit, zero), join
+        lub = [item.ok for item in report.items if item.name == "join_is_least_upper_bound"]
+        if report.witness("commutative") is not None:
+            seen["not commutative"] += 1
+        elif lub:
+            seen["certified" if lub[0] else "lub refused"] += 1
+        elif report.witness("idempotent") is None:
+            seen["order refused"] += 1
+        # an accepted table comes with its semilattice, built on the derived order
+        assert report.semilattice == (join_semilattice(join, unit, zero) if report.ok else None)
+    assert min(seen.values()) >= 60, seen
