@@ -19,7 +19,7 @@ from .atoms import classify
 from .duality import dualize, reconstruct, round_trip_algebra, round_trip_space
 from .errors import FormatError, InfAlgError
 from .generators import (DEFAULT_CAP, enumerate_algebras, enumerate_q_spaces, gen_lattice_valued,
-                         gen_multivariate, gen_string, string_elements)
+                         gen_multivariate, gen_string, lattice_valued_points, string_elements)
 from .order import bits, chain_lattice, up_sets
 from .report import Report
 from .semigroup import close, compose
@@ -205,6 +205,7 @@ def cmd_gen(args) -> int:
     elif args.kind == "lattice":
         if args.chain < 1:
             raise FormatError(f"--chain must be a positive integer, got {args.chain}")
+        lattice_valued_points(args.params, args.chain, cap)
         algebra = gen_lattice_valued(args.params, chain_lattice(args.chain), cap=cap)
         labels = None
     else:

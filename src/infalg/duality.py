@@ -22,7 +22,7 @@ from .errors import CapExceeded, PreconditionError, StructureError
 from .order import (FinitePoset, bits, complements, is_distributive, mask_of,
                     meet_irreducibles, try_lattice, up_closure, up_sets)
 from .report import Report
-from .semigroup import table
+from .semigroup import first_row_witness, table
 from .set_algebra import build_set_algebra
 
 RECONSTRUCT_CAP = 4096
@@ -65,17 +65,17 @@ def check_separating(poset: FinitePoset, theta: Equivalence) -> tuple[bool, obje
     two. The witness names the failing up-set or pair.
     """
     usets = poset.up_set_index
+    saturated = []
     for u in usets:
-        if saturate(theta, u) not in usets:
+        image = saturate(theta, u)
+        if image not in usets:
             return False, ("saturation_image", u)
-    saturated = [u for u in usets if saturate(theta, u) == u]
-    for p in range(poset.n):
-        for q in range(p + 1, poset.n):
-            if theta.relates(p, q):
-                continue
-            if not any(((u >> p) & 1) != ((u >> q) & 1) for u in saturated):
-                return False, ("unseparated_pair", (p, q))
-    return True, None
+        if image == u:
+            saturated.append(u)
+    w = next(((p, q) for p in range(poset.n) for q in range(p + 1, poset.n)
+              if not theta.relates(p, q)
+              and not any(((u >> p) & 1) != ((u >> q) & 1) for u in saturated)), None)
+    return (True, None) if w is None else (False, ("unseparated_pair", w))
 
 
 def sentence_saturation_upsets(poset: FinitePoset, theta: Equivalence) -> bool:
@@ -263,26 +263,22 @@ def round_trip_space(s: QSpace) -> SpaceRoundTrip:
     if target.poset.n != n or len(target.eqs.members) != len(s.eqs.members):
         raise StructureError("double dual has different size")
     carrier_of = {c: i for i, c in enumerate(points)}
-    lam = []
-    for p in range(n):
-        c = index[s.poset.up[p]]
-        if c not in carrier_of:
-            raise StructureError(f"principal up-set of point {p} is not a dual point")
-        lam.append(carrier_of[c])
-    lam = tuple(lam)
+    lam = tuple(carrier_of.get(index[row]) for row in s.poset.up)
+    if None in lam:
+        raise StructureError(f"principal up-set of point {lam.index(None)} is not a dual point")
     omega = tuple(range(len(s.eqs.members)))
     if sorted(lam) != list(range(n)):
         raise StructureError("space round trip point map is not bijective")
-    for p in range(n):
-        for q in range(n):
-            if s.poset.le(p, q) != target.poset.le(lam[p], lam[q]):
-                raise StructureError(f"order not preserved at {(p, q)}")
-    for i, theta in enumerate(s.eqs.members):
-        ti = target.eqs.members[i]
-        for p in range(n):
-            for q in range(n):
-                if theta.relates(p, q) != ti.relates(lam[p], lam[q]):
-                    raise StructureError(f"equivalence correspondence broken at {(i, p, q)}")
+    # row p of each relation against the lam-pullback of row lam[p] of its image
+    w = next(((p, q) for p in range(n)
+              for q in bits(s.poset.up[p] ^ pullback(lam, target.poset.up[lam[p]]))), None)
+    if w is not None:
+        raise StructureError(f"order not preserved at {w}")
+    w = next(((i, p, q) for i, (theta, ti) in enumerate(zip(s.eqs.members, target.eqs.members))
+              for p in range(n)
+              for q in bits(theta.block_mask(p) ^ pullback(lam, ti.block_mask(lam[p])))), None)
+    if w is not None:
+        raise StructureError(f"equivalence correspondence broken at {w}")
     qm = check_q_morphism(QMorphism(lam, omega), s, target)
     if not qm.ok:
         raise StructureError("space round trip is not a Q-morphism:\n" + qm.format())
@@ -303,6 +299,11 @@ def _member_arrays(space: QSpace) -> list[tuple[int, ...]]:
     return arrays
 
 
+def pullback(alpha, mask: int) -> int:
+    """Preimage under a point map: the mask of every p with alpha[p] in mask."""
+    return mask_of(p for p, v in enumerate(alpha) if (mask >> v) & 1)
+
+
 def check_q_morphism(m: QMorphism, s: QSpace, t: QSpace) -> Report:
     """Q-morphism laws for (alpha, omega): s -> t.
 
@@ -319,8 +320,8 @@ def check_q_morphism(m: QMorphism, s: QSpace, t: QSpace) -> Report:
     if not ok:
         return report
 
-    w = next(((p, q) for p in range(s.poset.n) for q in range(s.poset.n)
-              if s.poset.le(p, q) and not t.poset.le(m.alpha[p], m.alpha[q])), None)
+    w = next(((p, q) for p in range(s.poset.n) for q in bits(s.poset.up[p])
+              if not t.poset.le(m.alpha[p], m.alpha[q])), None)
     report.add("alpha_order_preserving", w is None, w)
 
     # label-level composition through up-set saturation arrays: for a
@@ -340,19 +341,15 @@ def check_q_morphism(m: QMorphism, s: QSpace, t: QSpace) -> Report:
               != composite(tab_s, m.omega[i], m.omega[j])), None)
     report.add("omega_semigroup_map", w is None, w)
 
-    def preimage(u: int) -> int:
-        return mask_of(p for p in range(s.poset.n) if (u >> m.alpha[p]) & 1)
-
-    w = None
-    for i in ks:
-        gamma = t.eqs.members[i]
-        th = s.eqs.members[m.omega[i]]
-        for v in t.poset.up_set_index:
-            if preimage(saturate(gamma, v)) != saturate(th, preimage(v)):
-                w = (i, v)
-                break
-        if w:
-            break
+    # row i over the codomain's up-sets v, named back by v on failure
+    ups = tuple(t.poset.up_set_index)
+    pulled = [pullback(m.alpha, v) for v in ups]
+    w = first_row_witness(
+        ((i,), tuple(pullback(m.alpha, saturate(gamma, v)) for v in ups),
+         tuple(saturate(s.eqs.members[m.omega[i]], u) for u in pulled))
+        for i, gamma in enumerate(t.eqs.members))
+    if w is not None:
+        w = (w[0], ups[w[1]])
     report.add("saturation_compatible", w is None, w)
     return report
 
@@ -395,13 +392,8 @@ def dualize_morphism(m: AlgebraMorphism, a: InfoAlgebra, b: InfoAlgebra) -> QMor
 def double_dual_element_map(qm: QMorphism, space_a: QSpace, space_b: QSpace) -> tuple[int, ...]:
     """Carrier map between the reconstructed algebras induced by a dual
     point map: an up-set of the domain's dual goes to its alpha-preimage."""
-    masks_a = space_a.poset.up_set_index
     index_b = space_b.poset.up_set_index
-    out = []
-    for u in masks_a:
-        pre = mask_of(p for p in range(space_b.poset.n) if (u >> qm.alpha[p]) & 1)
-        out.append(index_b[pre])
-    return tuple(out)
+    return tuple(index_b[pullback(qm.alpha, u)] for u in space_a.poset.up_set_index)
 
 
 def boolean_diagnostics(a: InfoAlgebra) -> Report:

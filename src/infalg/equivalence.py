@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 
 from .errors import NonCommutingError, StructureError
 from .order import bits
-from .semigroup import close
+from .semigroup import close, unlisted
 
 
 class Equivalence:
@@ -104,24 +104,25 @@ def compose_rows(theta: Equivalence, gamma: Equivalence) -> list[int]:
 
 def commutation_witness(theta: Equivalence, gamma: Equivalence) -> tuple[int, int] | None:
     """Least pair in the theta-gamma product missing from the gamma-theta product."""
-    rows_tg = compose_rows(theta, gamma)
     rows_gt = compose_rows(gamma, theta)
-    for u in range(theta.n):
-        diff = rows_tg[u] & ~rows_gt[u]
-        if diff:
-            return (u, (diff & -diff).bit_length() - 1)
-    return None
+    return next(((u, next(bits(row & ~rows_gt[u])))
+                 for u, row in enumerate(compose_rows(theta, gamma)) if row & ~rows_gt[u]), None)
+
+
+def _product(theta: Equivalence, gamma: Equivalence) -> Equivalence | None:
+    """Relational product as an equivalence, or None when the two do not commute."""
+    rows = compose_rows(theta, gamma)
+    # the product of commuting equivalences is transitive, so its rows are
+    # the blocks of a partition
+    return Equivalence(theta.n, rows) if rows == compose_rows(gamma, theta) else None
 
 
 def star(theta: Equivalence, gamma: Equivalence) -> Equivalence:
     """Relational product as an equivalence; raises NonCommutingError otherwise."""
-    rows_tg = compose_rows(theta, gamma)
-    rows_gt = compose_rows(gamma, theta)
-    if rows_tg != rows_gt:
+    prod = _product(theta, gamma)
+    if prod is None:
         raise NonCommutingError(commutation_witness(theta, gamma))
-    # the product of commuting equivalences is transitive, so its rows are
-    # the blocks of a partition
-    return Equivalence(theta.n, rows_tg)
+    return prod
 
 
 def least_upper_equivalence(theta: Equivalence, gamma: Equivalence) -> Equivalence:
@@ -138,52 +139,35 @@ class StarFamily:
     product is again a member; families built with the default strict
     factory always are. Duals of some algebras are not (their semigroup
     structure lives on the labels instead), so the flag is data, not an
-    assumption. ``products[i][j]`` is the index of the star product of
-    members i and j, recorded by ``star_family`` for a closed family.
+    assumption. ``products`` is the family's ``star_table``, recorded by
+    ``star_family`` for every family it builds, closed or not.
     """
 
     n: int
     members: tuple[Equivalence, ...]
     labels: tuple[str, ...]
     closed: bool = True
-    products: tuple[tuple[int, ...], ...] | None = field(default=None, compare=False, repr=False)
+    products: tuple[tuple, ...] | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         if len(self.members) != len(self.labels):
             raise StructureError("member/label count mismatch")
 
-    def star_index(self, i: int, j: int) -> int:
-        if not self.closed:
-            raise StructureError("family is not star-closed")
-        return self.products[i][j]
 
-
-def star_table(members) -> tuple[tuple | None, tuple | None]:
-    """``(products, None)`` for a commuting star-closed list of distinct members
-    (see ``StarFamily.products``), else ``(None, defect)`` with the first
-    witness: ('commute', i, j, pair) or ('closure', i, j)."""
+def star_table(members) -> tuple[tuple[int | None, ...], ...]:
+    """Label table of a list of distinct equivalences, as ``semigroup.table``
+    gives for arrays: entry [i][j] is the index of the star product of
+    members i and j, or None when they do not commute or the product is not
+    listed."""
     index = {m: i for i, m in enumerate(members)}
-    products = []
-    for i, a in enumerate(members):
-        row = []
-        for j, b in enumerate(members):
-            try:
-                prod = star(a, b)
-            except NonCommutingError as exc:
-                return None, ("commute", i, j, exc.witness)
-            k = index.get(prod)
-            if k is None:
-                return None, ("closure", i, j)
-            row.append(k)
-        products.append(tuple(row))
-    return tuple(products), None
+    return tuple(tuple(index.get(_product(a, b)) for b in members) for a in members)
 
 
 def star_family(members, labels=None, n: int | None = None,
                 require_closure: bool = True) -> StarFamily:
     """Validate and build a StarFamily: same universe, no duplicate members
     or labels; strict mode additionally demands pairwise commutation and
-    closure under star."""
+    closure under star, and names the first gap, row by row."""
     members = tuple(members)
     if not members and n is None:
         raise StructureError("empty family needs an explicit universe size")
@@ -202,14 +186,16 @@ def star_family(members, labels=None, n: int | None = None,
         if m in seen:
             raise StructureError(f"duplicate member at index {i}")
         seen.add(m)
-    products, defect = star_table(members)
-    if defect is not None and require_closure:
-        if defect[0] == "commute":
-            raise NonCommutingError(defect[3], f"members {defect[1]} and {defect[2]} "
-                                               f"do not commute, witness {defect[3]}")
-        raise StructureError("family not star-closed: missing product of "
-                             f"({defect[1]},{defect[2]})", witness=defect[1:3])
-    return StarFamily(n, members, labels, defect is None, products)
+    products = star_table(members)
+    gap = unlisted(products)
+    if gap is not None and require_closure:
+        i, j = gap
+        w = commutation_witness(members[i], members[j])
+        if w is not None:
+            raise NonCommutingError(w, f"members {i} and {j} do not commute, witness {w}")
+        raise StructureError(f"family not star-closed: missing product of ({i},{j})",
+                             witness=gap)
+    return StarFamily(n, members, labels, gap is None, products)
 
 
 def star_closure(members, labels=None) -> StarFamily:
@@ -235,11 +221,8 @@ def is_downward_directed(family: StarFamily) -> bool:
 def directedness_witness(family: StarFamily) -> tuple[int, int] | None:
     """First index pair (i, j) such that no member refines both, or None."""
     ms = family.members
-    for i, a in enumerate(ms):
-        for j, b in enumerate(ms):
-            if not any(c.refines(a) and c.refines(b) for c in ms):
-                return (i, j)
-    return None
+    return next(((i, j) for i, a in enumerate(ms) for j, b in enumerate(ms)
+                 if not any(c.refines(a) and c.refines(b) for c in ms)), None)
 
 
 def all_equivalences(n: int) -> list[Equivalence]:

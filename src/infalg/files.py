@@ -14,8 +14,7 @@ from .algebra import InfoAlgebra, verify_axioms
 from .duality import QSpace, q_space_report
 from .equivalence import Equivalence, star_family
 from .errors import CapExceeded, FormatError, NonCommutingError, StructureError
-from .order import (FinitePoset, bound_table_witness, semilattice_from_poset, up_rows,
-                    verify_poset, verify_semilattice)
+from .order import bound_table_witness, semilattice_from_poset, verify_poset, verify_semilattice
 from .report import Report
 
 
@@ -83,9 +82,10 @@ class ParsedAlgebra:
     element_labels: list[str] | None
 
 
-def _size(doc, cap, what):
+def _size(doc, cap, what, least):
     n = doc["n"]
-    _require(isinstance(n, int) and not isinstance(n, bool) and n >= 1, "n must be a positive integer")
+    _require(isinstance(n, int) and not isinstance(n, bool) and n >= least,
+             "n must be a positive integer" if least else "n must be a non-negative integer")
     if cap is not None and n > cap:
         raise CapExceeded(f"{what} of {n} exceeds cap {cap}")
     return n
@@ -109,7 +109,7 @@ def algebra_from_doc(doc, lenient: bool = False, cap: int | None = None) -> Pars
     _require(set(doc) <= known, f"unknown keys {sorted(set(doc) - known)}")
     for key in ("n", "unit", "zero", "extractors"):
         _require(key in doc, f"missing key {key!r}")
-    n = _size(doc, cap, "carrier")
+    n = _size(doc, cap, "carrier", 1)
     _require(("leq" in doc) != ("join" in doc), "give exactly one of leq or join")
     for key in ("unit", "zero"):
         v = doc[key]
@@ -135,7 +135,7 @@ def algebra_from_doc(doc, lenient: bool = False, cap: int | None = None) -> Pars
         report.items.extend(poset_report.items)
         if not poset_report.ok:
             return ParsedAlgebra(None, report, element_labels)
-        poset = FinitePoset(n, up_rows(rows))
+        poset = poset_report.poset
         try:
             sl = semilattice_from_poset(poset, unit=doc["unit"], zero=doc["zero"])
         except StructureError as exc:
@@ -186,7 +186,7 @@ def qspace_from_doc(doc, cap: int | None = None) -> ParsedQSpace:
     _require(set(doc) <= known, f"unknown keys {sorted(set(doc) - known)}")
     for key in known:
         _require(key in doc, f"missing key {key!r}")
-    n = _size(doc, cap, "point set")
+    n = _size(doc, cap, "point set", 0)
     rows = _bool_table(doc, "leq", n)
     eqmap = _label_map(doc, "equivalences", n, n)
 
@@ -195,7 +195,7 @@ def qspace_from_doc(doc, cap: int | None = None) -> ParsedQSpace:
     report.items.extend(poset_report.items)
     if not poset_report.ok:
         return ParsedQSpace(None, report)
-    poset = FinitePoset(n, up_rows(rows))
+    poset = poset_report.poset
     labels = sorted(eqmap)
     members = [Equivalence(n, eqmap[lab]) for lab in labels]
     try:

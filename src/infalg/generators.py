@@ -8,13 +8,15 @@ equivalence families up to automorphisms of their carrier).
 
 from __future__ import annotations
 
+from contextlib import suppress
 from itertools import combinations, permutations, product
+from math import prod
 from string import ascii_lowercase
 
 from .algebra import InfoAlgebra, combination_rows
 from .duality import QSpace, check_separating
-from .equivalence import Equivalence, all_equivalences, star, star_family
-from .errors import CapExceeded, NonCommutingError, PreconditionError, StructureError
+from .equivalence import Equivalence, all_equivalences, star, star_family, star_table
+from .errors import CapExceeded, PreconditionError, StructureError
 from .order import (FiniteLattice, FinitePoset, automorphisms, bits, is_distributive,
                     join_semilattice, lattice_from_semilattice, mask_of, semilattice_from_poset,
                     up_rows)
@@ -25,6 +27,9 @@ DEFAULT_CAP = 4096
 LATTICE_ENUM_LIMIT = 6
 QSPACE_POINT_LIMIT = 4
 FAMILY_BASE_LIMIT = 18
+# a cap read from text has at most 4300 decimal digits (CPython's default
+# limit), so fewer bits than this; a cap check never computes a longer size
+_SIZE_BITS = 1 << 14
 
 
 def gen_string(k: int, max_len: int, cap: int = DEFAULT_CAP) -> InfoAlgebra:
@@ -40,10 +45,12 @@ def gen_string(k: int, max_len: int, cap: int = DEFAULT_CAP) -> InfoAlgebra:
         raise PreconditionError(f"need k >= 1 and max_len >= 1, got {(k, max_len)}")
     if k > 26:
         raise PreconditionError("alphabet limited to 26 letters")
+    # 1 + k + ... + k^max_len words and the contradiction, more than k^max_len
+    _require_cap(f"carrier of {{}} exceeds cap {cap}",
+                 lambda: max_len + 2 if k == 1 else (k ** (max_len + 1) - 1) // (k - 1) + 1,
+                 max_len * (k.bit_length() - 1) + 1, cap)
     strs = string_elements(k, max_len)[:-1]
     n = len(strs) + 1
-    if n > cap:
-        raise CapExceeded(f"carrier of {n} exceeds cap {cap}")
     zero = n - 1
     idx = {s: i for i, s in enumerate(strs)}
     # s lies below each word it is a prefix of, and every word below the zero
@@ -74,6 +81,39 @@ def _subset_label(smask: int) -> str:
     return "s" + "".join(str(i) for i in bits(smask))
 
 
+def _require_cap(template: str, size, min_bits: int, cap: int) -> None:
+    """Raise CapExceeded(template.format(size())) when that size exceeds cap,
+    before anything of that size is built. ``min_bits`` bounds the size's bit
+    length from below; past _SIZE_BITS the size is not computed, as it
+    exceeds every cap the command line parses, and a size too long for
+    decimal text is named as a power of two."""
+    text = f"at least 2^{min_bits - 1}"
+    if min_bits <= _SIZE_BITS:
+        count = size()
+        if count <= cap:
+            return
+        with suppress(ValueError):  # more digits than int-to-str conversion allows
+            text = str(count)
+    raise CapExceeded(template.format(text))
+
+
+def _domain_points(domain_sizes) -> int:
+    """Point count of a product universe, after checking its domain sizes."""
+    if not domain_sizes or any(d < 1 for d in domain_sizes):
+        raise PreconditionError(f"domain sizes must be positive, got {domain_sizes}")
+    return prod(domain_sizes)
+
+
+def lattice_valued_points(domain_sizes, values: int, cap: int = DEFAULT_CAP) -> int:
+    """Point count of gen_lattice_valued's universe, after checking its
+    domain sizes and that the values ** points maps fit the cap; nothing of
+    that size is built."""
+    nv = _domain_points(list(domain_sizes))
+    _require_cap(f"carrier of {{}} exceeds cap {cap}", lambda: values ** nv,
+                 nv * (values.bit_length() - 1) + 1, cap)
+    return nv
+
+
 def gen_multivariate(domain_sizes, cap: int = DEFAULT_CAP) -> SetAlgebra:
     """Full power set of a finite product universe with one projection
     equivalence per variable subset.
@@ -82,12 +122,9 @@ def gen_multivariate(domain_sizes, cap: int = DEFAULT_CAP) -> SetAlgebra:
     the intersection of the variable sets; this is verified, not assumed.
     """
     domain_sizes = list(domain_sizes)
-    if not domain_sizes or any(d < 1 for d in domain_sizes):
-        raise PreconditionError(f"domain sizes must be positive, got {domain_sizes}")
+    m = _domain_points(domain_sizes)
+    _require_cap(f"family of {{}} subsets exceeds cap {cap}", lambda: 1 << m, m + 1, cap)
     points = list(product(*(range(d) for d in domain_sizes)))
-    m = len(points)
-    if 1 << m > cap:
-        raise CapExceeded(f"family of {1 << m} subsets exceeds cap {cap}")
     v = len(domain_sizes)
 
     by_mask = {}
@@ -119,13 +156,8 @@ def gen_lattice_valued(domain_sizes, lam: FiniteLattice,
     if not ok:
         raise PreconditionError(f"value lattice is not distributive, witness {w}")
     domain_sizes = list(domain_sizes)
-    if not domain_sizes or any(d < 1 for d in domain_sizes):
-        raise PreconditionError(f"domain sizes must be positive, got {domain_sizes}")
+    nv = lattice_valued_points(domain_sizes, lam.n, cap)
     points = list(product(*(range(d) for d in domain_sizes)))
-    nv = len(points)
-    count = lam.n ** nv
-    if count > cap:
-        raise CapExceeded(f"carrier of {count} exceeds cap {cap}")
     carrier = list(product(range(lam.n), repeat=nv))
     idx = {phi: i for i, phi in enumerate(carrier)}
     join = tuple(tuple(idx[tuple(lam.sl.join[x][y] for x, y in zip(phi, psi))]
@@ -137,15 +169,13 @@ def gen_lattice_valued(domain_sizes, lam: FiniteLattice,
     extractors, labels = [], []
     for smask in range(1 << v):
         svars = list(bits(smask))
-        group_of = {}
-        groups: list[list[int]] = []
-        for t, point in enumerate(points):
-            key = tuple(point[i] for i in svars)
-            if key not in group_of:
-                group_of[key] = len(groups)
-                groups.append([])
-            groups[group_of[key]].append(t)
-        gidx = [group_of[tuple(point[i] for i in svars)] for point in points]
+        # points agreeing on the variables in s, numbered by first occurrence
+        group_of: dict = {}
+        gidx = [group_of.setdefault(tuple(point[i] for i in svars), len(group_of))
+                for point in points]
+        groups: list[list[int]] = [[] for _ in group_of]
+        for t, g in enumerate(gidx):
+            groups[g].append(t)
 
         arr = []
         for phi in carrier:
@@ -316,17 +346,9 @@ def enumerate_q_spaces(max_points: int):
         k = len(seps)
         if k > FAMILY_BASE_LIMIT:
             raise CapExceeded(f"separating pool of {k} exceeds limit {FAMILY_BASE_LIMIT}")
-        by_eq = {eq: i for i, eq in enumerate(seps)}
-        star_idx = [[None] * k for _ in range(k)]
-        for i, a in enumerate(seps):
-            for j, b in enumerate(seps):
-                try:
-                    star_idx[i][j] = by_eq.get(star(a, b))
-                except NonCommutingError:
-                    pass
         auts = automorphisms(poset)
         seen = set()
-        for members in _closed_subsets(star_idx):
+        for members in _closed_subsets(star_table(seps)):
             fam = [seps[i] for i in members]
             key = min(tuple(sorted(_conjugate_eq(eq, perm).block_of for eq in fam))
                       for perm in auts)

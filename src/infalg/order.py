@@ -134,7 +134,7 @@ class FinitePoset:
         report = verify_poset(rows)
         if not report.ok:
             raise StructureError("not a partial order:\n" + report.format(), report=report)
-        return cls(len(rows), up_rows(rows))
+        return report.poset
 
 
 def up_rows(rows) -> tuple[int, ...]:
@@ -142,7 +142,15 @@ def up_rows(rows) -> tuple[int, ...]:
     return tuple(mask_of(b for b, v in enumerate(row) if v) for row in rows)
 
 
-def verify_poset(rows) -> Report:
+@dataclass
+class PosetReport(Report):
+    """The report of verify_poset; when it is ok, ``poset`` is the checked
+    order, built on the up rows the check derived."""
+
+    poset: FinitePoset | None = None
+
+
+def verify_poset(rows) -> PosetReport:
     """Check reflexivity, antisymmetry and transitivity of a boolean table.
 
     Reports the first witness of each violated axiom. Raises FormatError
@@ -156,17 +164,20 @@ def verify_poset(rows) -> Report:
             for v in row:
                 if not isinstance(v, bool):
                     raise FormatError(f"leq entries must be booleans, got {v!r}")
-    report = Report()
+    report = PosetReport()
     refl = next((a for a in range(n) if not rows[a][a]), None)
     report.add("reflexive", refl is None, refl)
-    anti = next(((a, b) for a in range(n) for b in range(n)
-                 if a != b and rows[a][b] and rows[b][a]), None)
+    up = up_rows(rows)
+    # a <= b <= a for some b != a
+    anti = next(((a, b) for a in range(n) for b in bits(up[a] & ~(1 << a))
+                 if (up[b] >> a) & 1), None)
     report.add("antisymmetric", anti is None, anti)
     # a <= b <= c without a <= c: up[b] is not a subset of up[a]
-    up = up_rows(rows)
     trans = next(((a, b, next(bits(up[b] & ~up[a])))
                   for a in range(n) for b in bits(up[a]) if up[b] & ~up[a]), None)
     report.add("transitive", trans is None, trans)
+    if report.ok:
+        report.poset = FinitePoset(n, up)
     return report
 
 

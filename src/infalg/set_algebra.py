@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from .algebra import AlgebraMorphism, InfoAlgebra, is_isomorphism
 from .equivalence import Equivalence, StarFamily, directedness_witness, saturate, star_family
 from .errors import CapExceeded, NotDirectedError, StructureError
-from .order import bits, join_semilattice, mask_of
+from .order import bits, join_semilattice
 from .report import Report
 from .semigroup import table, unlisted
 
@@ -37,9 +37,8 @@ class SetAlgebra:
         sl = join_semilattice(join, pos[(1 << self.n) - 1], pos[0])
         extractors = tuple(tuple(pos[saturate(theta, x)] for x in fam)
                            for theta in self.eqs.members)
-        ks = range(len(self.eqs.members))
         if self.eqs.closed:
-            composition = tuple(tuple(self.eqs.star_index(k, l) for l in ks) for k in ks)
+            composition = self.eqs.products
         else:
             if len(set(extractors)) != len(extractors):
                 raise StructureError("cannot resolve composition: saturation arrays collide")
@@ -115,21 +114,21 @@ def principal_upset_representation(a: InfoAlgebra) -> UpsetRepresentation:
     the contradiction is always the singleton, so nothing is lost). The
     resulting morphism is checked to be an isomorphism.
     """
-    ground = tuple(x for x in range(a.n) if x != a.zero)
-    pos = {x: i for i, x in enumerate(ground)}
+    zero = a.zero
+    ground = tuple(x for x in range(a.n) if x != zero)
     m = len(ground)
-
-    def upset_mask(x: int) -> int:
-        return mask_of(pos[y] for y in ground if a.le(x, y))
-
-    fam = sorted({upset_mask(x) for x in ground} | {0})
+    # truncated up-sets over ground positions: y below the zero, y - 1 above
+    # it; the zero's own is the empty set
+    below = (1 << zero) - 1
+    upset = [up & below | up >> (zero + 1) << zero for up in a.poset.up]
+    fam = sorted(set(upset))
     kernels = [Equivalence(m, [a.apply(k, x) for x in ground])
                for k in range(len(a.extractors))]
     eqs = star_family(kernels, a.labels, n=m)
     sa = build_set_algebra(m, fam, eqs)
     target = sa.to_info_algebra()
-    f = tuple(sa.family.index(0) if x == a.zero else sa.family.index(upset_mask(x))
-              for x in range(a.n))
+    position = {mask: i for i, mask in enumerate(sa.family)}
+    f = tuple(position[mask] for mask in upset)
     morphism = AlgebraMorphism(f, tuple(range(len(a.extractors))))
     if not is_isomorphism(morphism, a, target):
         raise StructureError("principal up-set representation failed to be an isomorphism")

@@ -1,3 +1,4 @@
+import random
 from itertools import combinations
 
 import pytest
@@ -198,3 +199,48 @@ def test_at_join_check_covers_triples(mv22_algebra):
             j = a.join(j, x)
             expected &= rep.at[x]
         assert rep.at[j] == expected
+
+
+def literal_at_join_witness(a, max_subset=3):
+    """The join item as it was once checked: every carrier subset of up to
+    max_subset elements, folded from the unit, in combinations order."""
+    rep = classify(a)
+    full = (1 << len(rep.atoms)) - 1
+    w = None
+    for size in range(max_subset + 1):
+        for xs in combinations(range(a.n), size):
+            j = a.unit
+            expected = full
+            for x in xs:
+                j = a.join(j, x)
+                expected &= rep.at[x]
+            if rep.at[j] != expected:
+                w = xs
+                break
+        if w:
+            break
+    return w
+
+
+def test_at_join_check_matches_literal_subset_loop(mv22_algebra):
+    # the completely atomistic enumerated algebras, then copies of the
+    # multivariate one whose join table is corrupted away from the unit
+    from dataclasses import replace
+
+    from infalg.generators import enumerate_algebras
+
+    cases = [a for a in enumerate_algebras(5) if classify(a).completely_atomistic]
+    a = mv22_algebra
+    rng = random.Random(9)
+    others = [x for x in range(a.n) if x != a.unit]
+    for _ in range(40):
+        join = [list(row) for row in a.sl.join]
+        x, y = rng.sample(others, 2)
+        join[x][y] = join[y][x] = rng.randrange(a.n)
+        cases.append(replace(a, sl=replace(a.sl, join=tuple(map(tuple, join)))))
+    failing = 0
+    for b in cases:
+        expected = literal_at_join_witness(b)
+        assert check_complete_atomistic_boolean(b).witness("at_preserves_joins") == expected
+        failing += expected is not None
+    assert 0 < failing < len(cases)

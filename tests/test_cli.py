@@ -314,7 +314,8 @@ def test_cli_cap_bounds_parsed_files(tmp_path, capsys, monkeypatch, command, fla
 @pytest.mark.parametrize("command", ["gen", "verify", "reconstruct"])
 @pytest.mark.parametrize("flag, env", [(["--cap", "0"], None), ([], "0")], ids=["flag", "env"])
 def test_cli_cap_zero_admits_no_carrier(tmp_path, capsys, monkeypatch, command, flag, env):
-    # a cap of 0 is valid; every carrier and point set has n >= 1, so it fails
+    # a cap of 0 is valid; every carrier has n >= 1, so it fails, and so does
+    # any point set but the empty one
     out = tmp_path / "x.json"
     if command == "gen":
         argv, what = ["gen", "string", "2", "2", "-o", str(out)], "carrier of 8"
@@ -473,3 +474,67 @@ def test_roundtrip_decodes_its_file_once(tmp_path, monkeypatch):
         calls.clear()
         assert main(["roundtrip", path]) == 0
         assert len(calls) == 1, path
+
+
+def refuse(*_args, **_kwargs):
+    raise AssertionError("built before the cap check")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--cap", "10", "gen", "string", "2", "3"], "carrier of 16 exceeds cap 10"),
+    (["--cap", "10", "gen", "string", "1", "9"], "carrier of 11 exceeds cap 10"),
+    (["--cap", "10", "gen", "multivariate", "2", "2"], "family of 16 subsets exceeds cap 10"),
+    (["--cap", "10", "gen", "lattice", "1", "--chain", "11"], "carrier of 11 exceeds cap 10"),
+    (["--cap", "1000", "gen", "lattice", "3", "5"], "carrier of 32768 exceeds cap 1000"),
+], ids=["string", "string-unary", "multivariate", "lattice-chain", "lattice"])
+def test_cli_gen_checks_its_cap_before_building(tmp_path, capsys, monkeypatch, argv, message):
+    from infalg import generators
+
+    for module, name in ((generators, "string_elements"), (generators, "product"),
+                         (cli, "chain_lattice")):
+        monkeypatch.setattr(module, name, refuse)
+    assert main([*argv, "-o", str(tmp_path / "x.json")]) == 1
+    assert capsys.readouterr() == ("", f"failure: {message}\n")
+
+
+def decimal_or_power(bits):
+    try:
+        return str(1 << bits)
+    except ValueError:  # over the interpreter's int-to-str digit limit
+        return f"at least 2^{bits}"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["gen", "multivariate", "15000"],
+     f"family of {decimal_or_power(15000)} subsets exceeds cap 4096"),
+    (["gen", "lattice", "15000"], f"carrier of {decimal_or_power(15000)} exceeds cap 4096"),
+    (["gen", "lattice", "3", "5000"], f"carrier of {decimal_or_power(15000)} exceeds cap 4096"),
+    # too many bits to be computed at all
+    (["gen", "multivariate", "16384"], "family of at least 2^16384 subsets exceeds cap 4096"),
+], ids=["multivariate", "lattice", "lattice-product", "multivariate-uncomputed"])
+def test_cli_gen_names_a_size_too_long_to_print(tmp_path, capsys, argv, message):
+    assert main([*argv, "-o", str(tmp_path / "x.json")]) == 1
+    assert capsys.readouterr() == ("", f"failure: {message}\n")
+
+
+def test_cli_one_element_algebra_dualizes_to_a_readable_empty_space(tmp_path, capsys):
+    # the dual of the one-element algebra has no points; it reads back, and
+    # both directions round-trip
+    doc = {"n": 1, "join": [[0]], "unit": 0, "zero": 0, "extractors": {"e": [0]}}
+    algebra = write(tmp_path, "one.json", json.dumps(doc))
+    dual, back = tmp_path / "dual.json", tmp_path / "back.json"
+    assert main(["dualize", algebra, "-o", str(dual)]) == 0
+    assert json.loads(dual.read_text()) == {"n": 0, "leq": [], "equivalences": {"e": []}}
+    assert main(["reconstruct", str(dual), "-o", str(back)]) == 0
+    assert json.loads(back.read_text()) == {**doc, "labels": ["{}"]}
+    capsys.readouterr()
+    assert main(["roundtrip", str(dual)]) == 0
+    assert capsys.readouterr().out == "ok    q_isomorphism\npoint map: []\n"
+    assert main(["roundtrip", algebra]) == 0
+    # an algebra file still needs a carrier; a point set needs n >= 0
+    doc["n"] = 0
+    assert main(["verify", write(tmp_path, "zero.json", json.dumps(doc))]) == 2
+    assert capsys.readouterr().err == "error: n must be a positive integer\n"
+    bad = {"n": -1, "leq": [], "equivalences": {}}
+    assert main(["reconstruct", write(tmp_path, "neg.json", json.dumps(bad))]) == 2
+    assert capsys.readouterr().err == "error: n must be a non-negative integer\n"

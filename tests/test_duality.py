@@ -1,3 +1,6 @@
+import random
+from itertools import product
+
 import pytest
 
 from infalg import duality
@@ -9,11 +12,13 @@ from infalg.duality import (QMorphism, QSpace, _dual, _member_arrays, boolean_di
                             make_q_space, q_space_report, reconstruct, round_trip_algebra,
                             round_trip_space, sentence_commutation, sentence_saturation_upsets,
                             sentence_separation, sentence_separation_star)
-from infalg.equivalence import (Equivalence, all_equivalences, commutation_witness,
-                                star_family)
-from infalg.errors import PreconditionError
+from infalg.equivalence import (Equivalence, StarFamily, all_equivalences, commutation_witness,
+                                saturate, star_family)
+from infalg.errors import PreconditionError, StructureError
 from infalg.generators import all_labeled_posets, enumerate_algebras, enumerate_q_spaces
-from infalg.order import FinitePoset, antichain_poset, chain_poset, up_sets
+from infalg.order import FinitePoset, antichain_poset, chain_poset, mask_of, up_sets
+from infalg.report import Report
+from infalg.semigroup import table
 
 
 def chain_algebra(m, extractors=None):
@@ -443,3 +448,164 @@ def test_dual_family_can_fail_to_commute():
     assert not sentence_commutation(space.eqs.members[i], space.eqs.members[j])
     rt = round_trip_algebra(a)
     assert rt.target.n == a.n
+
+
+def literal_check_separating(poset, theta):
+    """check_separating as literal loops: every up-set saturated twice."""
+    usets = poset.up_set_index
+    for u in usets:
+        if saturate(theta, u) not in usets:
+            return False, ("saturation_image", u)
+    saturated = [u for u in usets if saturate(theta, u) == u]
+    for p in range(poset.n):
+        for q in range(p + 1, poset.n):
+            if theta.relates(p, q):
+                continue
+            if not any(((u >> p) & 1) != ((u >> q) & 1) for u in saturated):
+                return False, ("unseparated_pair", (p, q))
+    return True, None
+
+
+def test_check_separating_matches_literal_loop():
+    # every labeled poset of up to four points with every equivalence; on
+    # partial orders this small no pair is ever left unseparated, so every
+    # reflexive relation on up to three points is added, preorders among them
+    cases = [(poset, theta) for n in range(1, 5) for poset in all_labeled_posets(n)
+             for theta in all_equivalences(n)]
+    assert len(cases) == 3387
+    cases += [(FinitePoset(n, tuple(row | 1 << a for a, row in enumerate(rows))), theta)
+              for n in range(1, 4) for rows in product(range(1 << n), repeat=n)
+              for theta in all_equivalences(n)]
+    kinds = set()
+    for poset, theta in cases:
+        expected = literal_check_separating(poset, theta)
+        assert check_separating(poset, theta) == expected, (poset, theta)
+        kinds.add(expected[1] and expected[1][0])
+    assert kinds == {None, "saturation_image", "unseparated_pair"}
+
+
+def literal_check_q_morphism(m, s, t):
+    """check_q_morphism with its order and saturation laws as literal loops."""
+    report = Report()
+    ok = (len(m.alpha) == s.poset.n and all(0 <= v < t.poset.n for v in m.alpha)
+          and len(m.omega) == len(t.eqs.members)
+          and all(0 <= v < len(s.eqs.members) for v in m.omega))
+    report.add("maps_total", ok)
+    if not ok:
+        return report
+    w = next(((p, q) for p in range(s.poset.n) for q in range(s.poset.n)
+              if s.poset.le(p, q) and not t.poset.le(m.alpha[p], m.alpha[q])), None)
+    report.add("alpha_order_preserving", w is None, w)
+    tab_s, tab_t = table(_member_arrays(s)), table(_member_arrays(t))
+
+    def composite(tab, i, j):
+        if tab[i][j] is None:
+            raise StructureError(f"saturations not closed under composition at ({i},{j})")
+        return tab[i][j]
+
+    ks = range(len(t.eqs.members))
+    w = next(((i, j) for i in ks for j in ks
+              if m.omega[composite(tab_t, i, j)]
+              != composite(tab_s, m.omega[i], m.omega[j])), None)
+    report.add("omega_semigroup_map", w is None, w)
+
+    def preimage(u):
+        return mask_of(p for p in range(s.poset.n) if (u >> m.alpha[p]) & 1)
+
+    w = None
+    for i in ks:
+        gamma = t.eqs.members[i]
+        th = s.eqs.members[m.omega[i]]
+        for v in t.poset.up_set_index:
+            if preimage(saturate(gamma, v)) != saturate(th, preimage(v)):
+                w = (i, v)
+                break
+        if w:
+            break
+    report.add("saturation_compatible", w is None, w)
+    return report
+
+
+def test_check_q_morphism_matches_literal_loop():
+    # seeded random (alpha, omega) pairs between Q-spaces of up to three points
+    rng = random.Random(5)
+    spaces = list(enumerate_q_spaces(3))
+    failed = 0
+    for _ in range(2000):
+        s, t = rng.choice(spaces), rng.choice(spaces)
+        m = QMorphism(tuple(rng.randrange(t.n) for _ in range(s.n)),
+                      tuple(rng.randrange(len(s.eqs.members)) for _ in t.eqs.members))
+        expected = literal_check_q_morphism(m, s, t)
+        assert check_q_morphism(m, s, t).items == expected.items, (m, s, t)
+        failed += not expected.ok
+    assert 0 < failed < 2000
+
+
+def literal_round_trip_space(s):
+    """round_trip_space with its point map and correspondence checks as
+    literal loops."""
+    algebra = reconstruct(s)
+    index = s.poset.up_set_index
+    target, points, _ = duality._dual(algebra)
+    n = s.poset.n
+    if target.poset.n != n or len(target.eqs.members) != len(s.eqs.members):
+        raise StructureError("double dual has different size")
+    carrier_of = {c: i for i, c in enumerate(points)}
+    lam = []
+    for p in range(n):
+        c = index[s.poset.up[p]]
+        if c not in carrier_of:
+            raise StructureError(f"principal up-set of point {p} is not a dual point")
+        lam.append(carrier_of[c])
+    lam = tuple(lam)
+    omega = tuple(range(len(s.eqs.members)))
+    if sorted(lam) != list(range(n)):
+        raise StructureError("space round trip point map is not bijective")
+    for p in range(n):
+        for q in range(n):
+            if s.poset.le(p, q) != target.poset.le(lam[p], lam[q]):
+                raise StructureError(f"order not preserved at {(p, q)}")
+    for i, theta in enumerate(s.eqs.members):
+        ti = target.eqs.members[i]
+        for p in range(n):
+            for q in range(n):
+                if theta.relates(p, q) != ti.relates(lam[p], lam[q]):
+                    raise StructureError(f"equivalence correspondence broken at {(i, p, q)}")
+    qm = literal_check_q_morphism(QMorphism(lam, omega), s, target)
+    if not qm.ok:
+        raise StructureError("space round trip is not a Q-morphism:\n" + qm.format())
+    return target, QMorphism(lam, omega), points
+
+
+def round_trip_outcome(run, s):
+    try:
+        return run(s)
+    except StructureError as exc:
+        return str(exc)
+
+
+def test_round_trip_space_matches_literal_loop(monkeypatch):
+    # the double dual is replaced by one with a relabeled order or altered
+    # equivalences, so that each check fails somewhere
+    rng = random.Random(3)
+    spaces = [s for s in enumerate_q_spaces(3) if s.n > 1]
+    real_dual = duality._dual
+    messages = set()
+    for _ in range(300):
+        s = rng.choice(spaces)
+        target, points, cdf = real_dual(reconstruct(s))
+        poset, members = target.poset, list(target.eqs.members)
+        if rng.random() < 0.5:
+            poset = rng.choice(all_labeled_posets(s.n))
+        else:
+            members[rng.randrange(len(members))] = rng.choice(all_equivalences(s.n))
+        tampered = QSpace(poset, StarFamily(s.n, tuple(members), target.eqs.labels, False))
+        monkeypatch.setattr(duality, "_dual", lambda a: (tampered, points, cdf))
+        expected = round_trip_outcome(literal_round_trip_space, s)
+        got = round_trip_outcome(round_trip_space, s)
+        if isinstance(expected, str):
+            assert got == expected
+            messages.add(expected.split(" at ")[0].split(":")[0])
+        else:
+            assert (got.target, got.morphism, got.points) == expected
+    assert messages == {"order not preserved", "equivalence correspondence broken"}

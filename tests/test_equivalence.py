@@ -1,10 +1,13 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from infalg.equivalence import (Equivalence, all_equivalences, commutation_witness,
                                 compose_rows, is_downward_directed, least_upper_equivalence,
-                                saturate, star, star_closure, star_family)
+                                saturate, star, star_closure, star_family,
+                                star_table)
 from infalg.errors import NonCommutingError, StructureError
 from infalg.order import bits
 
@@ -249,8 +252,7 @@ def test_star_family_rejects_duplicates_and_gaps():
         star_family([GRID_ROWS, GRID_COLS])  # product missing
     relaxed = star_family([GRID_ROWS, GRID_COLS], require_closure=False)
     assert not relaxed.closed
-    with pytest.raises(StructureError):
-        relaxed.star_index(0, 1)
+    assert relaxed.products == ((0, None), (None, 1))
 
 
 def test_star_family_empty_needs_universe():
@@ -258,3 +260,67 @@ def test_star_family_empty_needs_universe():
         star_family([])
     fam = star_family([], n=3)
     assert fam.members == () and fam.n == 3
+
+
+def literal_star_table(members):
+    """The star table as a literal loop that stops at the first gap:
+    (products, None), else (None, ('commute', i, j, pair) or ('closure', i, j))."""
+    index = {m: i for i, m in enumerate(members)}
+    products = []
+    for i, a in enumerate(members):
+        row = []
+        for j, b in enumerate(members):
+            try:
+                prod = star(a, b)
+            except NonCommutingError as exc:
+                return None, ("commute", i, j, exc.witness)
+            k = index.get(prod)
+            if k is None:
+                return None, ("closure", i, j)
+            row.append(k)
+        products.append(tuple(row))
+    return tuple(products), None
+
+
+def literal_star_family_outcome(members):
+    """What star_family did with the literal table: the strict error as
+    (type, message, witness), or the strict family's products."""
+    products, defect = literal_star_table(members)
+    if defect is None:
+        return products
+    if defect[0] == "commute":
+        return (NonCommutingError, f"members {defect[1]} and {defect[2]} do not commute, "
+                                   f"witness {defect[3]}", defect[3])
+    return (StructureError, f"family not star-closed: missing product of "
+                             f"({defect[1]},{defect[2]})", defect[1:3])
+
+
+def star_family_outcome(members):
+    try:
+        return star_family(members).products
+    except (NonCommutingError, StructureError) as exc:
+        return (type(exc), str(exc), exc.witness)
+
+
+def test_star_table_matches_literal_loop():
+    # every ordered list of up to three distinct equivalences on three points,
+    # and a seeded sample of lists of up to five on four points
+    from itertools import permutations
+
+    rng = random.Random(11)
+    eqs3, eqs4 = all_equivalences(3), all_equivalences(4)
+    cases = [list(p) for size in range(1, 4) for p in permutations(eqs3, size)]
+    cases += [rng.sample(eqs4, rng.randint(1, 5)) for _ in range(1500)]
+    failures = 0
+    for members in cases:
+        table = star_table(members)
+        for i, a in enumerate(members):
+            for j, b in enumerate(members):
+                prod = star(a, b) if commutation_witness(a, b) is None else None
+                assert table[i][j] == (members.index(prod) if prod in members else None)
+        assert star_family_outcome(members) == literal_star_family_outcome(members)
+        lenient = star_family(members, require_closure=False)
+        products, defect = literal_star_table(members)
+        assert lenient.closed == (defect is None) and lenient.products == table
+        failures += defect is not None
+    assert 0 < failures < len(cases)

@@ -667,3 +667,39 @@ def test_order_certificate_matches_the_literal_route():
         # an accepted table comes with its semilattice, built on the derived order
         assert report.semilattice == (join_semilattice(join, unit, zero) if report.ok else None)
     assert min(seen.values()) >= 60, seen
+
+
+def test_antisymmetry_witness_and_poset_match_literal_tables():
+    # every reflexive 3x3 table, then seeded random tables of up to 7 points
+    rng = random.Random(77)
+    tables = [[[a == b or bool(mask >> (3 * a + b) & 1) for b in range(3)] for a in range(3)]
+              for mask in range(1 << 9)]
+    for _ in range(300):
+        n = rng.randint(1, 7)
+        density = rng.random()
+        tables.append([[a == b or rng.random() < density for b in range(n)]
+                       for a in range(n)])
+    failing = 0
+    for rows in tables:
+        n = len(rows)
+        expected = next(((a, b) for a in range(n) for b in range(n)
+                         if a != b and rows[a][b] and rows[b][a]), None)
+        report = verify_poset(rows)
+        assert report.witness("antisymmetric") == expected, rows
+        assert report.poset == (FinitePoset(n, up_rows(rows)) if report.ok else None)
+        failing += expected is not None
+    assert failing >= 100
+
+
+def test_read_path_takes_the_poset_from_verify_poset(monkeypatch):
+    # the order files and from_bool_table build on the up rows the check derived
+    from infalg import files
+
+    derived = []
+    monkeypatch.setattr(order, "up_rows", lambda rows: derived.append(1) or up_rows(rows))
+    rows = chain_poset(3).bool_table()
+    assert FinitePoset.from_bool_table(rows) == chain_poset(3)
+    doc = {"n": 3, "leq": rows, "unit": 0, "zero": 2, "extractors": {"e": [0, 1, 2]}}
+    assert files.algebra_from_doc(doc).report.ok
+    assert files.qspace_from_doc({"n": 3, "leq": rows, "equivalences": {"d": [0, 1, 2]}}).space
+    assert len(derived) == 3

@@ -189,3 +189,24 @@ def test_set_algebra_witnesses_match_literal_on_corrupted_families(generated_sui
                     failing[name] += 1
                     late += name == "intersection_closed" and w[0] != fam[0]
     assert min(failing.values()) >= 100 and late >= 100, (failing, late)
+
+
+def test_representation_matches_literal_derivation(generated_suite):
+    # the truncated up-sets and the element map, derived with n order tests
+    # per element and positions found by list search
+    from infalg.generators import enumerate_algebras
+
+    algebras = list(generated_suite.values()) + list(enumerate_algebras(4))
+    for a in algebras:
+        ground = [x for x in range(a.n) if x != a.zero]
+        pos = {x: i for i, x in enumerate(ground)}
+
+        def upset_mask(x):
+            return sum(1 << pos[y] for y in ground if a.le(x, y))
+
+        fam = sorted({upset_mask(x) for x in ground} | {0})
+        rep = principal_upset_representation(a)
+        assert rep.set_algebra.family == tuple(fam)
+        assert rep.morphism.f == tuple(fam.index(0) if x == a.zero else fam.index(upset_mask(x))
+                                       for x in range(a.n))
+    assert {a.zero for a in algebras} != {a.n - 1 for a in algebras}
