@@ -96,10 +96,12 @@ def saturate(theta: Equivalence, mask: int) -> int:
 
 
 def compose_rows(theta: Equivalence, gamma: Equivalence) -> list[int]:
-    """Relational product rows: row u = {v : u theta w gamma v for some w}."""
+    """Relational product rows: row u = {v : u theta w gamma v for some w},
+    the same for every u of one theta-block, so saturated once per block."""
     if theta.n != gamma.n:
         raise StructureError(f"universe mismatch: {theta.n} vs {gamma.n}")
-    return [saturate(gamma, theta.block_mask(u)) for u in range(theta.n)]
+    rows = [saturate(gamma, block) for block in theta.blocks]
+    return [rows[b] for b in theta.block_of]
 
 
 def commutation_witness(theta: Equivalence, gamma: Equivalence) -> tuple[int, int] | None:

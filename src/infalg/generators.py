@@ -2,8 +2,10 @@
 small algebras and Q-spaces, used as oracles by the test suite.
 
 All streams are deterministic; enumerated objects are duplicate-free up to
-isomorphism (lattices by canonical order tables, extractor families and
-equivalence families up to automorphisms of their carrier).
+isomorphism. Lattices are kept by canonical order tables. A family is a set
+of indices into its base's pool, which the base's automorphisms permute;
+families are deduped as orbits of index sets, the first of each orbit in
+subset-mask order kept, and read their label tables from the pool's.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from string import ascii_lowercase
 
 from .algebra import InfoAlgebra, combination_rows
 from .duality import QSpace, check_separating
-from .equivalence import Equivalence, all_equivalences, star, star_family, star_table
+from .equivalence import Equivalence, StarFamily, all_equivalences, star, star_family, star_table
 from .errors import CapExceeded, PreconditionError, StructureError
 from .order import (FiniteLattice, FinitePoset, automorphisms, bits, is_distributive,
                     join_semilattice, lattice_from_semilattice, mask_of, semilattice_from_poset,
@@ -106,11 +108,15 @@ def _domain_points(domain_sizes) -> int:
 
 def lattice_valued_points(domain_sizes, values: int, cap: int = DEFAULT_CAP) -> int:
     """Point count of gen_lattice_valued's universe, after checking its
-    domain sizes and that the values ** points maps fit the cap; nothing of
-    that size is built."""
-    nv = _domain_points(list(domain_sizes))
+    domain sizes and that the values ** points maps, and the points grouped
+    once per variable subset, fit the cap; nothing of that size is built."""
+    domain_sizes = list(domain_sizes)
+    nv = _domain_points(domain_sizes)
     _require_cap(f"carrier of {{}} exceeds cap {cap}", lambda: values ** nv,
                  nv * (values.bit_length() - 1) + 1, cap)
+    v = len(domain_sizes)
+    _require_cap(f"grouping of {{}} subset-point pairs exceeds cap {cap}", lambda: nv << v,
+                 v + nv.bit_length(), cap)
     return nv
 
 
@@ -124,23 +130,22 @@ def gen_multivariate(domain_sizes, cap: int = DEFAULT_CAP) -> SetAlgebra:
     domain_sizes = list(domain_sizes)
     m = _domain_points(domain_sizes)
     _require_cap(f"family of {{}} subsets exceeds cap {cap}", lambda: 1 << m, m + 1, cap)
-    points = list(product(*(range(d) for d in domain_sizes)))
     v = len(domain_sizes)
+    _require_cap(f"projection table of {{}} star products exceeds cap {cap}",
+                 lambda: 1 << 2 * v, 2 * v + 1, cap)
+    points = list(product(*(range(d) for d in domain_sizes)))
 
-    by_mask = {}
-    members, labels = [], []
+    by_mask, first = [], {}  # first: each projection, labeled by its first subset
     for smask in range(1 << v):
         svars = list(bits(smask))
         eq = Equivalence(m, [tuple(t[i] for i in svars) for t in points])
-        by_mask[smask] = eq
-        if eq not in set(members):
-            members.append(eq)
-            labels.append(_subset_label(smask))
+        by_mask.append(eq)
+        first.setdefault(eq, _subset_label(smask))
     for a in range(1 << v):
         for b in range(1 << v):
             if star(by_mask[a], by_mask[b]) != by_mask[a & b]:
                 raise StructureError(f"projection star identity failed at {(a, b)}")
-    eqs = star_family(members, labels)
+    eqs = star_family(first, first.values())
     return build_set_algebra(m, tuple(range(1 << m)), eqs)
 
 
@@ -301,8 +306,20 @@ def extraction_families(ops: list[tuple[int, ...]]) -> list[tuple[tuple[int, ...
     return [tuple(ops[i] for i in members) for members in _closed_subsets(table(ops))]
 
 
-def _conjugate_map(arr, perm, inv):
-    return compose(perm, compose(arr, inv))
+def _first_of_orbits(pool, families, tab, conjugate, auts):
+    """Each of the families, closed subsets of the pool listed in subset-mask
+    order, whose mask is not in the orbit of one yielded before, with the
+    pool's label table ``tab`` restricted to it. Conjugation by each of the
+    base's automorphisms permutes the pool, so orbits are of index masks."""
+    index = {x: i for i, x in enumerate(pool)}
+    perms = [[index[conjugate(x, aut)] for x in pool] for aut in auts]
+    seen = set()
+    for fam in families:
+        members = [index[x] for x in fam]
+        if mask_of(members) not in seen:
+            seen.update(mask_of(perm[i] for i in members) for perm in perms)
+            pos = {i: r for r, i in enumerate(members)}
+            yield fam, tuple(tuple(pos[tab[i][j]] for j in members) for i in members)
 
 
 def enumerate_algebras(max_n: int):
@@ -311,24 +328,14 @@ def enumerate_algebras(max_n: int):
     meet-preserving extraction maps, up to lattice automorphism."""
     if max_n > LATTICE_ENUM_LIMIT:
         raise CapExceeded(f"algebra enumeration limited to {LATTICE_ENUM_LIMIT} elements")
+    # aut . arr . aut^-1 maps aut[x] to aut[arr[x]]: its graph, sorted
+    conjugate = lambda arr, aut: tuple(y for _, y in sorted(zip(aut, compose(aut, arr))))
     for lat in enumerate_lattices(max_n, distributive_only=True):
         ops = extraction_maps(lat, require_meets=True)
-        auts = automorphisms(lat.poset)
-        invs = [tuple(map(perm.index, range(len(perm)))) for perm in auts]
-        seen = set()
-        for fam in extraction_families(ops):
-            key = min(tuple(sorted(_conjugate_map(arr, perm, inv) for arr in fam))
-                      for perm, inv in zip(auts, invs))
-            if key in seen:
-                continue
-            seen.add(key)
-            arrays = tuple(sorted(fam))
+        for arrays, products in _first_of_orbits(ops, extraction_families(ops), table(ops),
+                                                 conjugate, automorphisms(lat.poset)):
             labels = tuple(f"e{i}" for i in range(len(arrays)))
-            yield InfoAlgebra(lat.sl, arrays, labels, table(arrays))
-
-
-def _conjugate_eq(eq: Equivalence, perm) -> Equivalence:
-    return Equivalence(eq.n, compose(eq.block_of, perm))
+            yield InfoAlgebra(lat.sl, arrays, labels, products)
 
 
 def separating_equivalences(poset: FinitePoset) -> list[Equivalence]:
@@ -341,22 +348,19 @@ def enumerate_q_spaces(max_points: int):
     poset automorphism."""
     if max_points > QSPACE_POINT_LIMIT:
         raise CapExceeded(f"Q-space enumeration limited to {QSPACE_POINT_LIMIT} points")
+    # eq moved by aut: x and y are related iff aut[x] and aut[y] are in eq
+    conjugate = lambda eq, aut: Equivalence(eq.n, compose(eq.block_of, aut))
     for poset in enumerate_posets(max_points):
         seps = separating_equivalences(poset)
         k = len(seps)
         if k > FAMILY_BASE_LIMIT:
             raise CapExceeded(f"separating pool of {k} exceeds limit {FAMILY_BASE_LIMIT}")
-        auts = automorphisms(poset)
-        seen = set()
-        for members in _closed_subsets(star_table(seps)):
-            fam = [seps[i] for i in members]
-            key = min(tuple(sorted(_conjugate_eq(eq, perm).block_of for eq in fam))
-                      for perm in auts)
-            if key in seen:
-                continue
-            seen.add(key)
+        tab = star_table(seps)
+        families = [tuple(seps[i] for i in members) for members in _closed_subsets(tab)]
+        for fam, products in _first_of_orbits(seps, families, tab, conjugate,
+                                              automorphisms(poset)):
             labels = tuple(f"t{i}" for i in range(len(fam)))
-            yield QSpace(poset, star_family(fam, labels))
+            yield QSpace(poset, StarFamily(poset.n, fam, labels, True, products))
 
 
 def enumerate_small(max_n: int | None = None, poset_cap: int | None = None):

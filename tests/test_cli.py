@@ -486,7 +486,13 @@ def refuse(*_args, **_kwargs):
     (["--cap", "10", "gen", "multivariate", "2", "2"], "family of 16 subsets exceeds cap 10"),
     (["--cap", "10", "gen", "lattice", "1", "--chain", "11"], "carrier of 11 exceeds cap 10"),
     (["--cap", "1000", "gen", "lattice", "3", "5"], "carrier of 32768 exceeds cap 1000"),
-], ids=["string", "string-unary", "multivariate", "lattice-chain", "lattice"])
+    # a small carrier or family can still ask for work in 2^v variable subsets
+    (["gen", "multivariate", *["1"] * 12],
+     "projection table of 16777216 star products exceeds cap 4096"),
+    (["gen", "lattice", "400", "400", "--chain", "1"],
+     "grouping of 640000 subset-point pairs exceeds cap 4096"),
+], ids=["string", "string-unary", "multivariate", "lattice-chain", "lattice",
+        "multivariate-subsets", "lattice-subset-points"])
 def test_cli_gen_checks_its_cap_before_building(tmp_path, capsys, monkeypatch, argv, message):
     from infalg import generators
 

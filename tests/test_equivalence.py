@@ -324,3 +324,21 @@ def test_star_table_matches_literal_loop():
         assert lenient.closed == (defect is None) and lenient.products == table
         failures += defect is not None
     assert 0 < failures < len(cases)
+
+
+def per_point_compose_rows(theta, gamma):
+    """The relational product saturated once per point: the reference the
+    once-per-block rows must match."""
+    if theta.n != gamma.n:
+        raise StructureError(f"universe mismatch: {theta.n} vs {gamma.n}")
+    return [saturate(gamma, theta.block_mask(u)) for u in range(theta.n)]
+
+
+def test_compose_rows_matches_per_point_saturation():
+    eqs = all_equivalences(4)
+    for theta in eqs:
+        for gamma in eqs:
+            assert compose_rows(theta, gamma) == per_point_compose_rows(theta, gamma)
+    for rows in (compose_rows, per_point_compose_rows):
+        with pytest.raises(StructureError, match=r"^universe mismatch: 3 vs 4$"):
+            rows(Equivalence.identity(3), Equivalence.identity(4))

@@ -420,3 +420,75 @@ def test_separating_pool_guard(monkeypatch):
     monkeypatch.setattr(generators, "QSPACE_POINT_LIMIT", 5)
     with pytest.raises(CapExceeded, match=r"^separating pool of 52 exceeds limit 18$"):
         list(enumerate_q_spaces(5))
+
+
+# The dedupe loops the enumerators used before orbits of pool indices: every
+# closed family is conjugated by every automorphism of its base and kept
+# when the least sorted conjugate is new. Every field must match.
+
+def conjugate_key_algebras(max_n):
+    from infalg.algebra import InfoAlgebra
+
+    for lat in enumerate_lattices(max_n, distributive_only=True):
+        ops = extraction_maps(lat, require_meets=True)
+        auts = automorphisms(lat.poset)
+        invs = [tuple(map(perm.index, range(len(perm)))) for perm in auts]
+        seen = set()
+        for fam in extraction_families(ops):
+            key = min(tuple(sorted(compose(perm, compose(arr, inv)) for arr in fam))
+                      for perm, inv in zip(auts, invs))
+            if key in seen:
+                continue
+            seen.add(key)
+            arrays = tuple(sorted(fam))
+            labels = tuple(f"e{i}" for i in range(len(arrays)))
+            yield InfoAlgebra(lat.sl, arrays, labels, table(arrays))
+
+
+def conjugate_key_q_spaces(max_points):
+    from infalg.duality import QSpace
+    from infalg.equivalence import star_family, star_table
+
+    for poset in enumerate_posets(max_points):
+        seps = separating_equivalences(poset)
+        auts = automorphisms(poset)
+        seen = set()
+        for members in generators._closed_subsets(star_table(seps)):
+            fam = [seps[i] for i in members]
+            key = min(tuple(sorted(Equivalence(eq.n, compose(eq.block_of, perm)).block_of
+                                   for eq in fam))
+                      for perm in auts)
+            if key in seen:
+                continue
+            seen.add(key)
+            labels = tuple(f"t{i}" for i in range(len(fam)))
+            yield QSpace(poset, star_family(fam, labels))
+
+
+def test_enumerate_algebras_matches_conjugate_key_loop():
+    got, want = list(enumerate_algebras(5)), list(conjugate_key_algebras(5))
+    assert len(got) == len(want) == 94
+    for a, b in zip(got, want):
+        assert (a.sl.join, a.sl.unit, a.sl.zero, a.extractors, a.labels, a.composition) == \
+            (b.sl.join, b.sl.unit, b.sl.zero, b.extractors, b.labels, b.composition)
+
+
+def test_enumerate_q_spaces_matches_conjugate_key_loop():
+    got, want = list(enumerate_q_spaces(4)), list(conjugate_key_q_spaces(4))
+    assert len(got) == len(want) == 768
+    for s, t in zip(got, want):
+        assert s.poset.up == t.poset.up
+        assert (s.eqs.n, s.eqs.members, s.eqs.labels, s.eqs.closed, s.eqs.products) == \
+            (t.eqs.n, t.eqs.members, t.eqs.labels, t.eqs.closed, t.eqs.products)
+
+
+def test_enumerate_q_spaces_takes_family_tables_from_the_pool(monkeypatch):
+    # one star product per ordered pair of each separating pool, none per family
+    from infalg import equivalence
+
+    calls = []
+    product_of = equivalence._product
+    monkeypatch.setattr(equivalence, "_product",
+                        lambda theta, gamma: calls.append(1) or product_of(theta, gamma))
+    assert sum(1 for _ in enumerate_q_spaces(4)) == 768
+    assert len(calls) == 1516
