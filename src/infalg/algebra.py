@@ -259,11 +259,13 @@ def is_homomorphism(m: AlgebraMorphism, a: InfoAlgebra, b: InfoAlgebra,
 
 
 def is_isomorphism(m: AlgebraMorphism, a: InfoAlgebra, b: InfoAlgebra) -> bool:
-    """Homomorphism with bijective f and g; inverse compatibility follows."""
-    if not is_homomorphism(m, a, b).ok:
-        return False
+    """Bijective f and g and the homomorphism laws without meets, which a
+    join-preserving bijection keeps: f(x) <= f(y) iff f(x \\/ y) = f(y) iff
+    x \\/ y = y, so it is an order isomorphism (Davey & Priestley, Introduction
+    to Lattices and Order, 2002, ch. 1-2). Inverse compatibility follows."""
     return (sorted(m.f) == list(range(b.n))
-            and sorted(m.g) == list(range(len(b.extractors))))
+            and sorted(m.g) == list(range(len(b.extractors)))
+            and is_homomorphism(m, a, b, check_meets=False).ok)
 
 
 def extraction_image(a: InfoAlgebra, k: int) -> tuple[InfoAlgebra, AlgebraMorphism]:

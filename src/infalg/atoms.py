@@ -10,7 +10,7 @@ from .algebra import AlgebraMorphism, InfoAlgebra, is_homomorphism
 from .equivalence import Equivalence, saturate
 from .errors import CapExceeded, PreconditionError, StructureError
 from .order import (bits, complements, glb_of_set, is_distributive, join_semilattice, mask_of,
-                    try_lattice)
+                    pullback, try_lattice)
 from .report import Report
 
 ATOM_POWERSET_LIMIT = 10
@@ -20,11 +20,6 @@ def atoms(a: InfoAlgebra) -> tuple[int, ...]:
     """Nonzero elements whose only strict upper bound is the contradiction."""
     want = lambda x: a.poset.up[x] == (1 << x) | (1 << a.zero)
     return tuple(x for x in range(a.n) if x != a.zero and want(x))
-
-
-def at_mask(a: InfoAlgebra, atom_list, x: int) -> int:
-    """Mask over atom positions of the atoms at or above x."""
-    return mask_of(i for i, al in enumerate(atom_list) if a.le(x, al))
 
 
 @dataclass(frozen=True)
@@ -44,7 +39,7 @@ def classify(a: InfoAlgebra) -> AtomReport:
     realizes every nonempty atom set as some At(x).
     """
     ats = atoms(a)
-    at = tuple(at_mask(a, ats, x) for x in range(a.n))
+    at = tuple(pullback(ats, up) for up in a.poset.up)
     nonzero = [x for x in range(a.n) if x != a.zero]
     atomic = all(at[x] != 0 for x in nonzero)
     atomistic = all(glb_of_set(a.poset, mask_of(ats[i] for i in bits(at[x]))) == x

@@ -7,7 +7,13 @@ elements with the inherited order (each stands for the principal prime
 ideal it generates) and, per extractor, the equivalence identifying points
 whose ideals cut the extractor image in the same trace. Reconstruction
 takes all up-sets under reverse inclusion with the restricted saturation
-operators. Both round trips are verified, not assumed.
+operators. Both round trips are verified, not assumed, each verdict by one
+route: reconstruct checks the output's axioms and CDF verdict, not the
+set-algebra laws its up-sets meet by construction; round_trip_algebra checks
+a bijection against the laws without meets, which a join-preserving bijection
+keeps; round_trip_space checks a bijective order isomorphism carrying each
+equivalence onto its namesake, which makes it a Q-morphism. The second
+routes run against these verdicts in the test suite.
 """
 
 from __future__ import annotations
@@ -20,10 +26,10 @@ from .algebra import (AlgebraMorphism, InfoAlgebra, is_distributive_cdf, is_homo
 from .equivalence import Equivalence, StarFamily, saturate, star_family
 from .errors import CapExceeded, PreconditionError, StructureError
 from .order import (FinitePoset, bits, complements, is_distributive, mask_of,
-                    meet_irreducibles, try_lattice, up_closure, up_sets)
+                    meet_irreducibles, pullback, try_lattice, up_closure, up_sets)
 from .report import Report
 from .semigroup import first_row_witness, table
-from .set_algebra import build_set_algebra
+from .set_algebra import SetAlgebra
 
 RECONSTRUCT_CAP = 4096
 
@@ -203,14 +209,17 @@ def dualize(a: InfoAlgebra) -> QSpace:
 
 def reconstruct(s: QSpace, cap: int = RECONSTRUCT_CAP) -> InfoAlgebra:
     """Algebra of all up-sets of a Q-space under reverse inclusion, with the
-    restricted saturation operators. The output is re-verified."""
+    restricted saturation operators. The up-sets form a set algebra by
+    construction and by the Q-space report, so only the output's axioms and
+    CDF verdict are checked; for a family that is not star-closed they are
+    the only check that its saturations commute."""
     report = q_space_report(s)
     if not report.ok:
         raise PreconditionError("invalid Q-space:\n" + report.format())
     fam = up_sets(s.poset)
     if len(fam) > cap:
         raise CapExceeded(f"{len(fam)} up-sets exceed the cap {cap}")
-    out = build_set_algebra(s.poset.n, tuple(fam), s.eqs).to_info_algebra()
+    out = SetAlgebra(s.poset.n, tuple(fam), s.eqs).to_info_algebra()
     axioms = verify_axioms(out)
     if not axioms.ok:
         raise StructureError("reconstructed algebra fails axioms:\n" + axioms.format())
@@ -233,8 +242,7 @@ def round_trip_algebra(a: InfoAlgebra) -> AlgebraRoundTrip:
     space, points, _ = _dual(a)
     target = reconstruct(space)
     index = space.poset.up_set_index
-    h = range(len(points))
-    f = tuple(index[mask_of(i for i in h if a.le(x, points[i]))] for x in range(a.n))
+    f = tuple(index[pullback(points, up)] for up in a.poset.up)
     morphism = AlgebraMorphism(f, tuple(range(len(a.extractors))))
     if not is_isomorphism(morphism, a, target):
         raise StructureError("algebra round trip failed to be an isomorphism")
@@ -250,11 +258,11 @@ class SpaceRoundTrip:
 
 def round_trip_space(s: QSpace) -> SpaceRoundTrip:
     """source -> dualize(reconstruct(source)) via p -> (principal up-set of p
-    as a point of the double dual); verified Q-isomorphism.
-
-    Verified: bijective order isomorphism, label bijection respecting star,
-    the pointwise equivalence correspondence, and the saturation
-    compatibility law.
+    as a point of the double dual) and the identity on labels; verified
+    Q-isomorphism: a bijective order isomorphism carrying each equivalence
+    onto its namesake. The Q-morphism laws follow: the two families'
+    saturation arrays are then conjugate, so their label tables agree, and
+    reconstruct has found them closed under composition.
     """
     algebra = reconstruct(s)
     index = s.poset.up_set_index
@@ -266,7 +274,6 @@ def round_trip_space(s: QSpace) -> SpaceRoundTrip:
     lam = tuple(carrier_of.get(index[row]) for row in s.poset.up)
     if None in lam:
         raise StructureError(f"principal up-set of point {lam.index(None)} is not a dual point")
-    omega = tuple(range(len(s.eqs.members)))
     if sorted(lam) != list(range(n)):
         raise StructureError("space round trip point map is not bijective")
     # row p of each relation against the lam-pullback of row lam[p] of its image
@@ -279,10 +286,7 @@ def round_trip_space(s: QSpace) -> SpaceRoundTrip:
               for q in bits(theta.block_mask(p) ^ pullback(lam, ti.block_mask(lam[p])))), None)
     if w is not None:
         raise StructureError(f"equivalence correspondence broken at {w}")
-    qm = check_q_morphism(QMorphism(lam, omega), s, target)
-    if not qm.ok:
-        raise StructureError("space round trip is not a Q-morphism:\n" + qm.format())
-    return SpaceRoundTrip(target, QMorphism(lam, omega), points)
+    return SpaceRoundTrip(target, QMorphism(lam, tuple(range(len(s.eqs.members)))), points)
 
 
 def _member_arrays(space: QSpace) -> list[tuple[int, ...]]:
@@ -297,11 +301,6 @@ def _member_arrays(space: QSpace) -> list[tuple[int, ...]]:
     if len(set(arrays)) != len(arrays):
         raise StructureError("ambiguous composition: saturation arrays collide")
     return arrays
-
-
-def pullback(alpha, mask: int) -> int:
-    """Preimage under a point map: the mask of every p with alpha[p] in mask."""
-    return mask_of(p for p, v in enumerate(alpha) if (mask >> v) & 1)
 
 
 def check_q_morphism(m: QMorphism, s: QSpace, t: QSpace) -> Report:

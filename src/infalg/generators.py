@@ -120,6 +120,15 @@ def lattice_valued_points(domain_sizes, values: int, cap: int = DEFAULT_CAP) -> 
     return nv
 
 
+def _projections(domain_sizes) -> list[Equivalence]:
+    """Per variable subset, in subset-mask order, the equivalence relating
+    the points of the product universe, listed lexicographically, that agree
+    on the subset's variables."""
+    points = list(product(*(range(d) for d in domain_sizes)))
+    return [Equivalence(len(points), [tuple(t[i] for i in bits(smask)) for t in points])
+            for smask in range(1 << len(domain_sizes))]
+
+
 def gen_multivariate(domain_sizes, cap: int = DEFAULT_CAP) -> SetAlgebra:
     """Full power set of a finite product universe with one projection
     equivalence per variable subset.
@@ -133,13 +142,8 @@ def gen_multivariate(domain_sizes, cap: int = DEFAULT_CAP) -> SetAlgebra:
     v = len(domain_sizes)
     _require_cap(f"projection table of {{}} star products exceeds cap {cap}",
                  lambda: 1 << 2 * v, 2 * v + 1, cap)
-    points = list(product(*(range(d) for d in domain_sizes)))
-
-    by_mask, first = [], {}  # first: each projection, labeled by its first subset
-    for smask in range(1 << v):
-        svars = list(bits(smask))
-        eq = Equivalence(m, [tuple(t[i] for i in svars) for t in points])
-        by_mask.append(eq)
+    by_mask, first = _projections(domain_sizes), {}  # first: labeled by first subset
+    for smask, eq in enumerate(by_mask):
         first.setdefault(eq, _subset_label(smask))
     for a in range(1 << v):
         for b in range(1 << v):
@@ -162,7 +166,6 @@ def gen_lattice_valued(domain_sizes, lam: FiniteLattice,
         raise PreconditionError(f"value lattice is not distributive, witness {w}")
     domain_sizes = list(domain_sizes)
     nv = lattice_valued_points(domain_sizes, lam.n, cap)
-    points = list(product(*(range(d) for d in domain_sizes)))
     carrier = list(product(range(lam.n), repeat=nv))
     idx = {phi: i for i, phi in enumerate(carrier)}
     join = tuple(tuple(idx[tuple(lam.sl.join[x][y] for x, y in zip(phi, psi))]
@@ -170,18 +173,9 @@ def gen_lattice_valued(domain_sizes, lam: FiniteLattice,
                  for phi in carrier)
     sl = join_semilattice(join, idx[(lam.sl.unit,) * nv], idx[(lam.sl.zero,) * nv])
 
-    v = len(domain_sizes)
     extractors, labels = [], []
-    for smask in range(1 << v):
-        svars = list(bits(smask))
-        # points agreeing on the variables in s, numbered by first occurrence
-        group_of: dict = {}
-        gidx = [group_of.setdefault(tuple(point[i] for i in svars), len(group_of))
-                for point in points]
-        groups: list[list[int]] = [[] for _ in group_of]
-        for t, g in enumerate(gidx):
-            groups[g].append(t)
-
+    for smask, eq in enumerate(_projections(domain_sizes)):
+        groups = [list(bits(block)) for block in eq.blocks]
         arr = []
         for phi in carrier:
             vals = []
@@ -190,7 +184,7 @@ def gen_lattice_valued(domain_sizes, lam: FiniteLattice,
                 for t in members[1:]:
                     acc = lam.meet[acc][phi[t]]
                 vals.append(acc)
-            arr.append(idx[tuple(vals[gidx[t]] for t in range(nv))])
+            arr.append(idx[tuple(vals[b] for b in eq.block_of)])
         arr = tuple(arr)
         if arr not in extractors:
             extractors.append(arr)

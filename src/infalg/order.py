@@ -48,6 +48,11 @@ def mask_of(xs) -> int:
     return m
 
 
+def pullback(alpha, mask: int) -> int:
+    """Preimage under a point map: the mask of every p with alpha[p] in mask."""
+    return mask_of(p for p, v in enumerate(alpha) if (mask >> v) & 1)
+
+
 @dataclass(frozen=True)
 class FinitePoset:
     """Finite partial order; row ``up[a]`` is the bitmask of all b with a <= b."""
@@ -117,11 +122,7 @@ class FinitePoset:
     def restrict(self, elems) -> "FinitePoset":
         """Induced subposet on the given element sequence, in that order."""
         elems = list(elems)
-        pos = {e: i for i, e in enumerate(elems)}
-        up = []
-        for e in elems:
-            up.append(mask_of(pos[f] for f in elems if self.le(e, f)))
-        return FinitePoset(len(elems), tuple(up))
+        return FinitePoset(len(elems), tuple(pullback(elems, self.up[e]) for e in elems))
 
     def is_antichain(self) -> bool:
         return all(self.up[a] == 1 << a for a in range(self.n))

@@ -497,3 +497,43 @@ def test_homomorphism_items_match_literal_loops(generated_suite):
             failing[name] += not ok
             late += name in ("preserves_join", "preserves_meet") and w is not None and w[0] > 0
     assert passing >= 100 and late >= 100 and min(failing.values()) >= 15, (passing, late, failing)
+
+
+def test_isomorphism_check_computes_no_cdf_verdict():
+    # a join-preserving bijection preserves every meet, so neither side's
+    # distributivity verdict is needed; fresh algebras have none cached
+    from infalg.generators import gen_lattice_valued
+    from infalg.order import chain_lattice
+    from infalg.set_algebra import principal_upset_representation
+
+    for a in (gen_string(2, 2), gen_lattice_valued([2], chain_lattice(3))):
+        assert is_isomorphism(identity_morphism(a), a, a)
+        comp, emb = ideal_completion(a)
+        rep = principal_upset_representation(a)
+        for b in (a, comp, rep.algebra):
+            assert "cdf" not in vars(b)
+
+
+def test_isomorphism_check_matches_meet_checking_route():
+    # every pair of bijections between equal-size algebras: bijective f and g
+    # plus the laws without meets decide exactly what the laws with meets do
+    from itertools import permutations
+
+    from infalg.order import diamond_m3, pentagon_n5
+
+    algebras = list(enumerate_algebras(4))
+    algebras += [InfoAlgebra(lat.sl, (tuple(range(5)),), ("e0",))
+                 for lat in (diamond_m3(), pentagon_n5())]
+    pairs = isos = 0
+    for a in algebras:
+        for b in algebras:
+            if (a.n, len(a.extractors)) != (b.n, len(b.extractors)):
+                continue
+            for f in permutations(range(a.n)):
+                for g in permutations(range(len(a.extractors))):
+                    m = AlgebraMorphism(f, g)
+                    expected = is_homomorphism(m, a, b).ok
+                    assert is_isomorphism(m, a, b) == expected, (a, b, m)
+                    pairs += 1
+                    isos += expected
+    assert 0 < isos < pairs

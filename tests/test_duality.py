@@ -2,6 +2,8 @@ import random
 from itertools import product
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from infalg import duality
 from infalg.algebra import (AlgebraMorphism, extraction_image, identity_morphism,
@@ -13,9 +15,10 @@ from infalg.duality import (QMorphism, QSpace, _dual, _member_arrays, boolean_di
                             round_trip_space, sentence_commutation, sentence_saturation_upsets,
                             sentence_separation, sentence_separation_star)
 from infalg.equivalence import (Equivalence, StarFamily, all_equivalences, commutation_witness,
-                                saturate, star_family)
+                                saturate, star_closure, star_family)
 from infalg.errors import PreconditionError, StructureError
-from infalg.generators import all_labeled_posets, enumerate_algebras, enumerate_q_spaces
+from infalg.generators import (all_labeled_posets, enumerate_algebras, enumerate_q_spaces,
+                               separating_equivalences)
 from infalg.order import FinitePoset, antichain_poset, chain_poset, mask_of, up_sets
 from infalg.report import Report
 from infalg.semigroup import table
@@ -609,3 +612,78 @@ def test_round_trip_space_matches_literal_loop(monkeypatch):
         else:
             assert (got.target, got.morphism, got.points) == expected
     assert messages == {"order not preserved", "equivalence correspondence broken"}
+
+
+# Each verdict has one route in the library; the second routes run here.
+
+def count_calls(monkeypatch, name, *modules):
+    """Calls of the function `name`, through whichever of the modules hold it."""
+    calls = []
+    for module in modules:
+        original = getattr(module, name, None)
+        if original is not None:
+            monkeypatch.setattr(module, name,
+                                lambda *args, f=original: calls.append(args) or f(*args))
+    return calls
+
+
+def test_round_trips_decide_each_law_once(monkeypatch, lv_2_chain3):
+    from infalg import set_algebra
+
+    q_checks = count_calls(monkeypatch, "check_q_morphism", duality)
+    builds = count_calls(monkeypatch, "build_set_algebra", duality, set_algebra)
+    for s in enumerate_q_spaces(3):
+        round_trip_space(s)
+    round_trip_algebra(lv_2_chain3)
+    assert q_checks == [] and builds == []
+
+
+def test_second_routes_hold_on_the_enumerated_universe(generated_suite):
+    from infalg.set_algebra import check_set_algebra, principal_upset_representation
+
+    for s in enumerate_q_spaces(4):
+        rt = round_trip_space(s)
+        assert check_q_morphism(rt.morphism, s, rt.target).ok
+        assert check_set_algebra(s.n, up_sets(s.poset), s.eqs).ok
+    algebras = list(generated_suite.values()) + list(enumerate_algebras(5))
+    for a in algebras:
+        if is_distributive_cdf(a).ok:
+            rt = round_trip_algebra(a)
+            assert is_homomorphism(rt.morphism, a, rt.target, check_meets=True).ok
+            assert check_set_algebra(rt.space.n, up_sets(rt.space.poset), rt.space.eqs).ok
+        rep = principal_upset_representation(a)
+        assert is_homomorphism(rep.morphism, a, rep.algebra, check_meets=True).ok
+
+
+@st.composite
+def random_q_spaces(draw):
+    """A random order on 1-6 points with the star closure of a few pairwise
+    commuting separating equivalences."""
+    n = draw(st.integers(1, 6))
+    up = [1 << a for a in range(n)]
+    for a in reversed(range(n)):  # rows above a are already transitive
+        for b in range(a + 1, n):
+            if draw(st.booleans()):
+                up[a] |= up[b]
+    poset = FinitePoset(n, tuple(up))
+    family = []
+    for theta in draw(st.lists(st.sampled_from(separating_equivalences(poset)),
+                               min_size=1, max_size=4, unique=True)):
+        if all(commutation_witness(theta, gamma) is None for gamma in family):
+            family.append(theta)
+    eqs = star_closure(family)
+    assume(all(check_separating(poset, theta)[0] for theta in eqs.members))
+    return QSpace(poset, eqs)
+
+
+@settings(max_examples=100, deadline=None)
+@given(random_q_spaces())
+def test_round_trips_past_the_enumerated_universe(s):
+    from infalg.set_algebra import check_set_algebra
+
+    rt = round_trip_space(s)  # raises unless verified
+    assert check_q_morphism(rt.morphism, s, rt.target).ok
+    assert check_set_algebra(s.n, up_sets(s.poset), s.eqs).ok
+    a = reconstruct(s)
+    art = round_trip_algebra(a)
+    assert is_homomorphism(art.morphism, a, art.target, check_meets=True).ok

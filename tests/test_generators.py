@@ -492,3 +492,58 @@ def test_enumerate_q_spaces_takes_family_tables_from_the_pool(monkeypatch):
                         lambda theta, gamma: calls.append(1) or product_of(theta, gamma))
     assert sum(1 for _ in enumerate_q_spaces(4)) == 768
     assert len(calls) == 1516
+
+
+# Cauchy-Frobenius-Burnside: a finite group acting on a finite set has
+# (1/|G|) * sum over g of |fixed points of g| orbits. Here each closed family
+# of a base's pool is a point, and an automorphism of the base acts on it by
+# conjugating every member; the conjugation is computed here, independently
+# of the enumerators' orbit core.
+
+def burnside_orbit_counts(bases):
+    """Orbit counts per base size, from (size, families, act, automorphisms)
+    per base; the quotient of each base must be an integer."""
+    counts = Counter()
+    for size, families, act, auts in bases:
+        fixed = sum(frozenset(act(x, aut) for x in fam) == fam
+                    for aut in auts for fam in families)
+        assert fixed % len(auts) == 0, (size, fixed, len(auts))
+        counts[size] += fixed // len(auts)
+    return dict(counts)
+
+
+def conjugate_map(arr, aut):
+    """aut . arr . aut^-1: aut[x] goes to aut[arr[x]]."""
+    out = [None] * len(arr)
+    for x, y in enumerate(arr):
+        out[aut[x]] = aut[y]
+    return tuple(out)
+
+
+def conjugate_equivalence(eq, aut):
+    """The blocks of eq carried by aut."""
+    return Equivalence.from_blocks(eq.n, [[aut[x] for x in bits(b)] for b in eq.blocks])
+
+
+def test_algebra_orbits_match_burnside_count():
+    bases = []
+    for lat in enumerate_lattices(5, distributive_only=True):
+        families = [frozenset(fam) for fam in extraction_families(extraction_maps(lat))]
+        bases.append((lat.n, families, conjugate_map, automorphisms(lat.poset)))
+    counts = burnside_orbit_counts(bases)
+    assert counts == {1: 1, 2: 1, 3: 3, 4: 14, 5: 75}
+    assert counts == Counter(a.n for a in enumerate_algebras(5))
+
+
+def test_q_space_orbits_match_burnside_count():
+    from infalg.equivalence import star_table
+
+    bases = []
+    for poset in enumerate_posets(4):
+        seps = separating_equivalences(poset)
+        families = [frozenset(seps[i] for i in members)
+                    for members in generators._closed_subsets(star_table(seps))]
+        bases.append((poset.n, families, conjugate_equivalence, automorphisms(poset)))
+    counts = burnside_orbit_counts(bases)
+    assert counts == {1: 1, 2: 6, 3: 47, 4: 714}
+    assert counts == Counter(s.n for s in enumerate_q_spaces(4))
