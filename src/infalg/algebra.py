@@ -15,8 +15,7 @@ from itertools import product
 from .equivalence import Equivalence, star
 from .errors import NonCommutingError, StructureError
 from .order import (BoundedJoinSemilattice, FinitePoset, FiniteLattice, bits, down_sets,
-                    is_distributive, join_semilattice, lattice_from_semilattice,
-                    semilattice_from_poset, try_lattice)
+                    is_distributive, join_semilattice, semilattice_from_poset, try_lattice)
 from .report import Report
 from .semigroup import compose, first_row_witness, grid, homomorphism_witness, table, unlisted
 
@@ -73,12 +72,10 @@ class InfoAlgebra:
 
     @cached_property
     def cdf(self) -> CdfReport:
-        """Distributive-algebra verdict: all pairwise meets exist, the lattice
-        is distributive, and every extractor preserves binary meets."""
-        try:
-            lat = lattice_from_semilattice(self.sl)
-        except StructureError as exc:
-            return CdfReport(False, "missing_meet", exc.witness, None)
+        """Distributive-algebra verdict: the lattice (every meet exists, as the
+        unit is the least element) is distributive, and every extractor
+        preserves binary meets."""
+        lat = try_lattice(self.sl)
         ok, w = is_distributive(lat)
         if not ok:
             return CdfReport(False, "not_distributive", w, None)
@@ -217,7 +214,9 @@ def is_homomorphism(m: AlgebraMorphism, a: InfoAlgebra, b: InfoAlgebra,
     """Check the homomorphism laws; meets are required for distributive inputs.
 
     check_meets=None decides automatically: binary meets of f-images are
-    compared exactly when both algebras are distributive.
+    compared exactly when both algebras are distributive. Both carriers are
+    lattices, so the meet tables always exist; the flag decides only whether
+    the law is required.
     """
     report = Report()
     ok_shape = (len(m.f) == a.n and all(0 <= v < b.n for v in m.f)
@@ -249,12 +248,8 @@ def is_homomorphism(m: AlgebraMorphism, a: InfoAlgebra, b: InfoAlgebra,
     if check_meets is None:
         check_meets = is_distributive_cdf(a).ok and is_distributive_cdf(b).ok
     if check_meets:
-        lat_a, lat_b = try_lattice(a.sl), try_lattice(b.sl)
-        if lat_a is None or lat_b is None:
-            report.add("preserves_meet", False, "missing meets")
-        else:
-            w = homomorphism_witness(f, lat_a.meet, lat_b.meet)
-            report.add("preserves_meet", w is None, w)
+        w = homomorphism_witness(f, try_lattice(a.sl).meet, try_lattice(b.sl).meet)
+        report.add("preserves_meet", w is None, w)
     return report
 
 

@@ -112,9 +112,6 @@ def check_complete_atomistic_boolean(a: InfoAlgebra) -> Report:
     out = Report()
 
     lat = try_lattice(a.sl)
-    out.add("meets_exist", lat is not None)
-    if lat is None:
-        return out
     ok, w = is_distributive(lat)
     out.add("distributive", ok, w)
     comp, missing = complements(lat)

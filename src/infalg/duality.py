@@ -213,12 +213,12 @@ def reconstruct(s: QSpace, cap: int = RECONSTRUCT_CAP) -> InfoAlgebra:
     construction and by the Q-space report, so only the output's axioms and
     CDF verdict are checked; for a family that is not star-closed they are
     the only check that its saturations commute."""
-    report = q_space_report(s)
-    if not report.ok:
-        raise PreconditionError("invalid Q-space:\n" + report.format())
     fam = up_sets(s.poset)
     if len(fam) > cap:
         raise CapExceeded(f"{len(fam)} up-sets exceed the cap {cap}")
+    report = q_space_report(s)
+    if not report.ok:
+        raise PreconditionError("invalid Q-space:\n" + report.format())
     out = SetAlgebra(s.poset.n, tuple(fam), s.eqs).to_info_algebra()
     axioms = verify_axioms(out)
     if not axioms.ok:
@@ -400,8 +400,6 @@ def boolean_diagnostics(a: InfoAlgebra) -> Report:
     principal prime ideal is maximal (only the contradiction lies strictly
     above its generator)."""
     lat = try_lattice(a.sl)
-    if lat is None:
-        raise PreconditionError("not Boolean: some meet is missing")
     ok, w = is_distributive(lat)
     if not ok:
         raise PreconditionError(f"not Boolean: not distributive, witness {w}")

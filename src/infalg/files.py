@@ -137,13 +137,15 @@ def algebra_from_doc(doc, lenient: bool = False, cap: int | None = None) -> Pars
             return ParsedAlgebra(None, report, element_labels)
         poset = poset_report.poset
         try:
-            sl = semilattice_from_poset(poset, unit=doc["unit"], zero=doc["zero"])
+            sl = semilattice_from_poset(poset)
         except StructureError as exc:
-            report.add("joins_exist", False, exc.witness)
-            return ParsedAlgebra(None, report, element_labels)
+            if exc.witness is not None:  # else no least element: bounds_match fails
+                report.add("joins_exist", False, exc.witness)
+                return ParsedAlgebra(None, report, element_labels)
         report.add("joins_exist", True)
-        bounds_ok = poset.bottom() == doc["unit"] and poset.top() == doc["zero"]
-        report.add("bounds_match", bounds_ok, (poset.bottom(), poset.top()))
+        bounds = (poset.bottom(), poset.top())
+        bounds_ok = bounds == (doc["unit"], doc["zero"])
+        report.add("bounds_match", bounds_ok, bounds)
         if not bounds_ok:
             return ParsedAlgebra(None, report, element_labels)
     else:

@@ -58,7 +58,7 @@ def gen_string(k: int, max_len: int, cap: int = DEFAULT_CAP) -> InfoAlgebra:
     # s lies below each word it is a prefix of, and every word below the zero
     up = [mask_of(idx[t] for t in strs if t.startswith(s)) | (1 << zero) for s in strs]
     up.append(1 << zero)
-    sl = semilattice_from_poset(FinitePoset(n, tuple(up)), idx[""], zero)
+    sl = semilattice_from_poset(FinitePoset(n, tuple(up)))
 
     extractors = []
     for m in range(max_len + 1):
@@ -249,8 +249,6 @@ def enumerate_lattices(max_n: int, distributive_only: bool = True) -> list[Finit
         raise CapExceeded(f"lattice enumeration limited to {LATTICE_ENUM_LIMIT} elements")
     out = []
     for poset in enumerate_posets(max_n):
-        if poset.bottom() is None or poset.top() is None:
-            continue
         try:
             lat = lattice_from_semilattice(semilattice_from_poset(poset))
         except StructureError:

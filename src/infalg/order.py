@@ -17,7 +17,10 @@ Conventions used throughout the package:
   certificate first, and scanned only to name its first witness;
 * so is the order a join table derives: once the table is idempotent and
   commutative and passes the least-upper-bound check, the derived relation
-  is a partial order by proof, and no boolean table is built for it.
+  is a partial order by proof, and no boolean table is built for it;
+* a bounded join-semilattice is a lattice, so its meets are derived, never
+  missing: the lower bounds of a and b include the unit, and their join is
+  the greatest of them.
 """
 
 from __future__ import annotations
@@ -113,7 +116,8 @@ class FinitePoset:
         return lows[0] if len(lows) == 1 else None
 
     def top(self) -> int | None:
-        tops = [a for a in range(self.n) if self.down[a] == self.full_mask()]
+        """The greatest element: in a finite order, the only maximal one."""
+        tops = [a for a in range(self.n) if self.up[a] == 1 << a]
         return tops[0] if len(tops) == 1 else None
 
     def dual(self) -> "FinitePoset":
@@ -185,8 +189,8 @@ def verify_poset(rows) -> PosetReport:
 def glb(poset: FinitePoset, a: int, b: int) -> int | None:
     """Greatest lower bound of {a, b} in the poset, or None.
 
-    Join-semilattices need not have meets; callers decide whether a
-    missing meet is an error.
+    A poset need not have meets (a bounded join-semilattice always has);
+    callers decide whether a missing meet is an error.
     """
     return poset.down_index.get(poset.down[a] & poset.down[b])
 
@@ -235,21 +239,17 @@ class BoundedJoinSemilattice:
         return self.poset.n
 
     @cached_property
-    def lattice(self) -> FiniteLattice | None:
-        """Completion with the meet table, or None if a meet is missing."""
-        meet = []
-        for a in range(self.n):
-            row = glb_row(self.poset, a)
-            if None in row:
-                return None
-            meet.append(row)
-        return FiniteLattice(self, tuple(meet))
+    def lattice(self) -> FiniteLattice:
+        """Completion with the meet table; every meet exists, since the unit
+        is the least element."""
+        return FiniteLattice(self, tuple(glb_row(self.poset, a) for a in range(self.n)))
 
 
-def semilattice_from_poset(poset: FinitePoset,
-                           unit: int | None = None,
-                           zero: int | None = None) -> BoundedJoinSemilattice:
-    """Build the join table from the order; every pair must have a lub."""
+def semilattice_from_poset(poset: FinitePoset) -> BoundedJoinSemilattice:
+    """Build the join table from the order, with its least element as unit and
+    its greatest as zero. Every pair must have a lub (the witness names the
+    first pair without one), and then the join of all points is the top; an
+    order with every join but no least element raises without a witness."""
     join = []
     for a in range(poset.n):
         row = lub_row(poset, a)
@@ -257,15 +257,10 @@ def semilattice_from_poset(poset: FinitePoset,
             b = row.index(None)
             raise StructureError(f"no least upper bound for ({a},{b})", witness=(a, b))
         join.append(row)
+    unit = poset.bottom()
     if unit is None:
-        unit = poset.bottom()
-        if unit is None:
-            raise StructureError("no least element")
-    if zero is None:
-        zero = poset.top()
-        if zero is None:
-            raise StructureError("no greatest element")
-    return BoundedJoinSemilattice(poset, tuple(join), unit, zero)
+        raise StructureError("no least element")
+    return BoundedJoinSemilattice(poset, tuple(join), unit, poset.top())
 
 
 @dataclass
@@ -363,19 +358,15 @@ class FiniteLattice:
         return [m for m, row in enumerate(self.poset.up) if row & ~(1 << m) in index]
 
 
-def try_lattice(sl: BoundedJoinSemilattice) -> FiniteLattice | None:
-    """Complete a semilattice with its meet table, or None if a meet is missing;
-    computed on the first call and cached on the semilattice."""
+def try_lattice(sl: BoundedJoinSemilattice) -> FiniteLattice:
+    """Complete a semilattice with its meet table, which never fails: a
+    bounded join-semilattice is a lattice. Computed on the first call and
+    cached on the semilattice."""
     return sl.lattice
 
 
 def lattice_from_semilattice(sl: BoundedJoinSemilattice) -> FiniteLattice:
-    lat = try_lattice(sl)
-    if lat is None:
-        bad = next((a, row.index(None)) for a in range(sl.n)
-                   if None in (row := glb_row(sl.poset, a)))
-        raise StructureError(f"no greatest lower bound for {bad}", witness=bad)
-    return lat
+    return try_lattice(sl)
 
 
 def lattice_from_poset(poset: FinitePoset) -> FiniteLattice:

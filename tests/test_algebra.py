@@ -209,6 +209,13 @@ def test_meet_preservation_witness_matches_literal(lv_2_chain3, mv22_algebra):
         assert literal_breaks_meets(good, try_lattice(good.sl).meet) is None
 
 
+def test_cdf_verdict_never_names_a_missing_meet(generated_suite):
+    # every carrier is a lattice, so a verdict fails only on its laws
+    reasons = {is_distributive_cdf(a).reason for a in
+               [*generated_suite.values(), *enumerate_algebras(5), meet_breaking_algebra()]}
+    assert reasons == {None, "not_distributive", "extractor_breaks_meets"}
+
+
 def test_combination_witness_matches_literal_on_corrupted_extractors():
     rng = random.Random(2012)
     failing = 0

@@ -420,6 +420,50 @@ def test_cli_negative_corpus(tmp_path):
         assert main(["verify", path]) == expected, name
 
 
+def leq_doc(n, below, unit, zero, extractors=None):
+    """A leq document where a <= b iff a == b or (a, b) is listed."""
+    rows = [[a == b or (a, b) in below for b in range(n)] for a in range(n)]
+    return json.dumps({"n": n, "leq": rows, "unit": unit, "zero": zero,
+                       "extractors": extractors or {}})
+
+
+CHAIN3 = {(0, 1), (0, 2), (1, 2)}
+# 0 < 1, 2 < 3, 4 < 5: the pair (1, 2) has two minimal upper bounds
+BOWTIE = ({(0, x) for x in range(1, 6)} | {(a, b) for a in (1, 2) for b in (3, 4, 5)}
+          | {(3, 5), (4, 5)})
+ORDER_ITEMS = [("reflexive", True, None), ("antisymmetric", True, None), ("transitive", True, None)]
+AXIOM_NAMES = ("well_formed", "zero_fixed", "extraction_dominated", "extraction_combination",
+               "extractors_commute", "extraction_idempotent", "unit_fixed", "composition_closed")
+LEQ_CASES = {
+    # name: (document, exit code, report items as (name, ok, witness))
+    "valid": (leq_doc(3, CHAIN3, 0, 2, {"e": [0, 0, 2], "id": [0, 1, 2]}), 0,
+              ORDER_ITEMS + [("joins_exist", True, None), ("bounds_match", True, [0, 2])]
+              + [(name, True, None) for name in AXIOM_NAMES]),
+    "no-join": (leq_doc(3, {(0, 1), (0, 2)}, 0, 2), 1,
+                ORDER_ITEMS + [("joins_exist", False, [1, 2])]),
+    # every join exists but no least element: the order passes joins_exist
+    "no-least": (leq_doc(3, {(0, 2), (1, 2)}, 0, 2), 1,
+                 ORDER_ITEMS + [("joins_exist", True, None), ("bounds_match", False, [None, 2])]),
+    "wrong-unit": (leq_doc(3, CHAIN3, 1, 2), 1,
+                   ORDER_ITEMS + [("joins_exist", True, None), ("bounds_match", False, [0, 2])]),
+    "bowtie": (leq_doc(6, BOWTIE, 0, 5), 1, ORDER_ITEMS + [("joins_exist", False, [1, 2])]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(LEQ_CASES))
+def test_cli_verify_leq_output_is_pinned(tmp_path, capsys, case):
+    text, code, items = LEQ_CASES[case]
+    path = write(tmp_path, f"{case}.json", text)
+    assert main(["verify", path]) == code
+    shown = "".join(f"ok    {name}\n" if ok else f"FAIL  {name}  witness={tuple(w)}\n"
+                    for name, ok, w in items)
+    assert capsys.readouterr() == (shown, "")
+    assert main(["--format", "json", "verify", path]) == code
+    payload = {"items": [{"name": name, "ok": ok, "witness": w} for name, ok, w in items],
+               "ok": code == 0}
+    assert capsys.readouterr() == (json.dumps(payload, sort_keys=True) + "\n", "")
+
+
 def test_cli_missing_file_is_parse_error():
     assert main(["verify", "/nonexistent/nowhere.json"]) == 2
 

@@ -16,7 +16,7 @@ from infalg.duality import (QMorphism, QSpace, _dual, _member_arrays, boolean_di
                             sentence_separation, sentence_separation_star)
 from infalg.equivalence import (Equivalence, StarFamily, all_equivalences, commutation_witness,
                                 saturate, star_closure, star_family)
-from infalg.errors import PreconditionError, StructureError
+from infalg.errors import CapExceeded, PreconditionError, StructureError
 from infalg.generators import (all_labeled_posets, enumerate_algebras, enumerate_q_spaces,
                                separating_equivalences)
 from infalg.order import FinitePoset, antichain_poset, chain_poset, mask_of, up_sets
@@ -636,6 +636,14 @@ def test_round_trips_decide_each_law_once(monkeypatch, lv_2_chain3):
         round_trip_space(s)
     round_trip_algebra(lv_2_chain3)
     assert q_checks == [] and builds == []
+
+
+def test_reconstruct_checks_its_cap_before_saturating(monkeypatch):
+    space = QSpace(antichain_poset(13), star_family([Equivalence.identity(13)], ["t0"]))
+    saturations = count_calls(monkeypatch, "saturate", duality)
+    with pytest.raises(CapExceeded, match="8192 up-sets exceed the cap 4096"):
+        reconstruct(space)
+    assert saturations == []
 
 
 def test_second_routes_hold_on_the_enumerated_universe(generated_suite):

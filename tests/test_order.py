@@ -260,6 +260,16 @@ def test_semilattice_from_poset_rejects_no_bottom():
         semilattice_from_poset(FinitePoset.from_bool_table(rows))
 
 
+def test_top_reads_up_rows_like_the_down_row_rule():
+    # the down-row rule, kept as the oracle: the one point whose down row is full
+    for n in range(1, 5):
+        for poset in all_labeled_posets(n):
+            tops = [a for a in range(n) if poset.down[a] == poset.full_mask()]
+            assert poset.top() == (tops[0] if len(tops) == 1 else None)
+    # deriving the bounds builds no down rows
+    assert "down" not in vars(semilattice_from_poset(chain_poset(3)).poset)
+
+
 def test_bits_roundtrip():
     assert list(bits(0b10110)) == [1, 2, 4]
 
@@ -539,7 +549,7 @@ def kernel_posets():
 
 
 def test_row_index_kernels_match_bit_scans():
-    missing = {"meets": 0, "joins": 0, "tables": 0, "lattices": 0}
+    missing = {"meets": 0, "joins": 0, "tables": 0, "least": 0}
     unsorted = 0
     for poset in kernel_posets():
         n = poset.n
@@ -558,24 +568,28 @@ def test_row_index_kernels_match_bit_scans():
         missing["meets"] += any(None in row for row in meets)
         missing["joins"] += any(None in row for row in joins)
 
+        # every join and a least element make a lattice: every meet exists
         no_join = next(((a, b) for a in range(n) for b in range(n) if joins[a][b] is None), None)
         if no_join is not None:
             with pytest.raises(StructureError) as exc:
-                semilattice_from_poset(poset, unit=0, zero=0)
+                semilattice_from_poset(poset)
             assert exc.value.witness == no_join
             missing["tables"] += 1
-            continue
-        sl = semilattice_from_poset(poset, unit=0, zero=0)  # bounds unchecked
-        assert sl.join == tuple(joins)
-        no_meet = next(((a, b) for a in range(n) for b in range(n) if meets[a][b] is None), None)
-        if no_meet is None:
-            assert try_lattice(sl).meet == tuple(meets)
+        elif scan_glb_of_set(poset, poset.full_mask()) is None:
+            with pytest.raises(StructureError, match="no least element") as exc:
+                semilattice_from_poset(poset)
+            assert exc.value.witness is None
+            assert any(None in row for row in meets)
+            missing["least"] += 1
         else:
-            assert try_lattice(sl) is None
-            with pytest.raises(StructureError) as exc:
-                lattice_from_semilattice(sl)
-            assert exc.value.witness == no_meet
-            missing["lattices"] += 1
+            sl = semilattice_from_poset(poset)
+            assert sl.join == tuple(joins)
+            # the glb of every point is the least, of no point the greatest
+            assert (sl.unit, sl.zero) == (scan_glb_of_set(poset, poset.full_mask()),
+                                          scan_glb_of_set(poset, 0))
+            assert try_lattice(sl).meet == tuple(meets)
+            assert lattice_from_semilattice(sl).meet == tuple(meets)
+            assert not any(None in row for row in meets)
     assert unsorted > 100
     assert all(count > 10 for count in missing.values()), missing
 
