@@ -14,10 +14,10 @@ from .equivalence import (Equivalence, StarFamily, is_downward_directed, least_u
                           saturate, star, star_closure, star_family)
 from .errors import (CapExceeded, FormatError, InfAlgError, NonCommutingError, NotDirectedError,
                      PreconditionError, StructureError)
-from .generators import (enumerate_algebras, enumerate_q_spaces, enumerate_small,
-                         gen_lattice_valued, gen_multivariate, gen_string)
-from .order import (BoundedJoinSemilattice, FiniteLattice, FinitePoset, complements, glb,
-                    is_distributive, meet_irreducibles, principal_up_set, up_sets, verify_poset)
+from .generators import (enumerate_algebras, enumerate_q_spaces, gen_lattice_valued,
+                         gen_multivariate, gen_string)
+from .order import (BoundedJoinSemilattice, FinitePoset, complements, glb, is_distributive,
+                    meet_irreducibles, up_sets, verify_poset)
 from .set_algebra import (SetAlgebra, build_block_union_algebra, build_set_algebra,
                           principal_upset_representation)
 

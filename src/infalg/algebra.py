@@ -14,7 +14,7 @@ from itertools import product
 
 from .equivalence import Equivalence, star
 from .errors import NonCommutingError, StructureError
-from .order import (BoundedJoinSemilattice, FinitePoset, FiniteLattice, bits, down_sets,
+from .order import (BoundedJoinSemilattice, FinitePoset, bits, down_sets,
                     is_distributive, join_semilattice, semilattice_from_poset, try_lattice)
 from .report import Report
 from .semigroup import compose, first_row_witness, grid, homomorphism_witness, table, unlisted
@@ -78,12 +78,12 @@ class InfoAlgebra:
         lat = try_lattice(self.sl)
         ok, w = is_distributive(lat)
         if not ok:
-            return CdfReport(False, "not_distributive", w, None)
+            return CdfReport(False, "not_distributive", w)
         for k, e in enumerate(self.extractors):
             w = homomorphism_witness(e, lat.meet, lat.meet)
             if w is not None:
-                return CdfReport(False, "extractor_breaks_meets", (k, *w), None)
-        return CdfReport(True, None, None, lat)
+                return CdfReport(False, "extractor_breaks_meets", (k, *w))
+        return CdfReport(True, None, None)
 
 
 @dataclass(frozen=True)
@@ -195,12 +195,11 @@ def check_kernel_theorem(a: InfoAlgebra) -> bool:
 
 @dataclass(frozen=True)
 class CdfReport:
-    """Outcome of the distributive-algebra test; lattice present when ok."""
+    """Outcome of the distributive-algebra test."""
 
     ok: bool
     reason: str | None
     witness: object
-    lattice: FiniteLattice | None
 
 
 def is_distributive_cdf(a: InfoAlgebra) -> CdfReport:

@@ -177,7 +177,7 @@ def _dual(a: InfoAlgebra):
         dup = next(arr for arr in a.extractors if a.extractors.count(arr) > 1)
         raise PreconditionError("extractor labels must denote distinct maps; "
                                 "dedupe_extractors first", witness=dup)
-    points = meet_irreducibles(cdf.lattice)
+    points = meet_irreducibles(a.sl)
     poset = a.poset.restrict(points)
     members = []
     for k in range(len(a.extractors)):

@@ -177,7 +177,9 @@ class ParsedQSpace:
 
 def parse_qspace(text: str, cap: int | None = None) -> ParsedQSpace:
     """Parse and verify a Q-space document; like parse_algebra, a space of
-    more than cap points raises CapExceeded before any table is read."""
+    more than cap points raises CapExceeded before any table is read, and
+    an order with more than cap up-sets raises it before the family is
+    checked."""
     return qspace_from_doc(decode(text), cap)
 
 
@@ -198,6 +200,9 @@ def qspace_from_doc(doc, cap: int | None = None) -> ParsedQSpace:
     if not poset_report.ok:
         return ParsedQSpace(None, report)
     poset = poset_report.poset
+    # reconstruct's cap, checked before the report saturates every up-set
+    if cap is not None and len(poset.up_set_index) > cap:
+        raise CapExceeded(f"{len(poset.up_set_index)} up-sets exceed the cap {cap}")
     labels = sorted(eqmap)
     members = [Equivalence(n, eqmap[lab]) for lab in labels]
     try:

@@ -19,7 +19,7 @@ from .algebra import InfoAlgebra, combination_rows
 from .duality import QSpace, check_separating
 from .equivalence import Equivalence, StarFamily, all_equivalences, star, star_family, star_table
 from .errors import CapExceeded, PreconditionError, StructureError
-from .order import (FiniteLattice, FinitePoset, automorphisms, bits, is_distributive,
+from .order import (BoundedJoinSemilattice, FinitePoset, automorphisms, bits, is_distributive,
                     join_semilattice, lattice_from_semilattice, mask_of, semilattice_from_poset,
                     up_rows)
 from .semigroup import compose, first_row_witness, homomorphism_witness, table
@@ -153,7 +153,7 @@ def gen_multivariate(domain_sizes, cap: int = DEFAULT_CAP) -> SetAlgebra:
     return build_set_algebra(m, tuple(range(1 << m)), eqs)
 
 
-def gen_lattice_valued(domain_sizes, lam: FiniteLattice,
+def gen_lattice_valued(domain_sizes, lam: BoundedJoinSemilattice,
                        cap: int = DEFAULT_CAP) -> InfoAlgebra:
     """Maps from a finite product universe into a distributive value lattice.
 
@@ -168,10 +168,10 @@ def gen_lattice_valued(domain_sizes, lam: FiniteLattice,
     nv = lattice_valued_points(domain_sizes, lam.n, cap)
     carrier = list(product(range(lam.n), repeat=nv))
     idx = {phi: i for i, phi in enumerate(carrier)}
-    join = tuple(tuple(idx[tuple(lam.sl.join[x][y] for x, y in zip(phi, psi))]
+    join = tuple(tuple(idx[tuple(lam.join[x][y] for x, y in zip(phi, psi))]
                        for psi in carrier)
                  for phi in carrier)
-    sl = join_semilattice(join, idx[(lam.sl.unit,) * nv], idx[(lam.sl.zero,) * nv])
+    sl = join_semilattice(join, idx[(lam.unit,) * nv], idx[(lam.zero,) * nv])
 
     extractors, labels = [], []
     for smask, eq in enumerate(_projections(domain_sizes)):
@@ -242,7 +242,8 @@ def enumerate_posets(max_n: int) -> list[FinitePoset]:
     return out
 
 
-def enumerate_lattices(max_n: int, distributive_only: bool = True) -> list[FiniteLattice]:
+def enumerate_lattices(max_n: int,
+                       distributive_only: bool = True) -> list[BoundedJoinSemilattice]:
     """All bounded lattices with up to max_n elements up to isomorphism,
     optionally filtered to the distributive ones."""
     if max_n > LATTICE_ENUM_LIMIT:
@@ -259,15 +260,15 @@ def enumerate_lattices(max_n: int, distributive_only: bool = True) -> list[Finit
     return out
 
 
-def extraction_maps(lat: FiniteLattice, require_meets: bool = True) -> list[tuple[int, ...]]:
+def extraction_maps(lat: BoundedJoinSemilattice,
+                    require_meets: bool = True) -> list[tuple[int, ...]]:
     """Every self-map satisfying the extraction axioms on the lattice,
     optionally restricted to the meet-preserving ones. Exhaustive search
     over maps dominated by the identity."""
-    sl = lat.sl
     down = [list(bits(row)) for row in lat.poset.down]
-    down[sl.zero] = [sl.zero]
+    down[lat.zero] = [lat.zero]
     return sorted(cand for cand in product(*down)
-                  if first_row_witness(combination_rows(sl.join, (cand,))) is None
+                  if first_row_witness(combination_rows(lat.join, (cand,))) is None
                   and (not require_meets
                        or homomorphism_witness(cand, lat.meet, lat.meet) is None))
 
@@ -327,7 +328,7 @@ def enumerate_algebras(max_n: int):
         for arrays, products in _first_of_orbits(ops, extraction_families(ops), table(ops),
                                                  conjugate, automorphisms(lat.poset)):
             labels = tuple(f"e{i}" for i in range(len(arrays)))
-            yield InfoAlgebra(lat.sl, arrays, labels, products)
+            yield InfoAlgebra(lat, arrays, labels, products)
 
 
 def separating_equivalences(poset: FinitePoset) -> list[Equivalence]:
@@ -353,11 +354,3 @@ def enumerate_q_spaces(max_points: int):
                                               automorphisms(poset)):
             labels = tuple(f"t{i}" for i in range(len(fam)))
             yield QSpace(poset, StarFamily(poset.n, fam, labels, True, products))
-
-
-def enumerate_small(max_n: int | None = None, poset_cap: int | None = None):
-    """Combined stream of small algebras and Q-spaces (either part optional)."""
-    if max_n is not None:
-        yield from enumerate_algebras(max_n)
-    if poset_cap is not None:
-        yield from enumerate_q_spaces(poset_cap)

@@ -10,17 +10,18 @@ Conventions used throughout the package:
   other is derived (a <= b iff a \\/ b == b): ``semilattice_from_poset``
   and ``join_semilattice`` are the only constructors;
 * derived order data (the down rows, the row indexes and the up-set index
-  of a poset, the meet table of a semilattice, the meet-irreducibles of a
-  lattice, the CDF verdict of an algebra) is computed on first use and
-  cached on the frozen structure that owns it; callers must not mutate it;
+  of a poset, the meet table and the meet-irreducibles of a semilattice,
+  the CDF verdict of an algebra) is computed on first use and cached on
+  the frozen structure that owns it; callers must not mutate it;
 * a cubic law (associativity, distributivity) is decided by a quadratic
   certificate first, and scanned only to name its first witness;
 * so is the order a join table derives: once the table is idempotent and
   commutative and passes the least-upper-bound check, the derived relation
   is a partial order by proof, and no boolean table is built for it;
-* a bounded join-semilattice is a lattice, so its meets are derived, never
-  missing: the lower bounds of a and b include the unit, and their join is
-  the greatest of them.
+* a finite bounded join-semilattice is a lattice, so one type,
+  ``BoundedJoinSemilattice``, serves for both: its meets are derived on
+  first use, never missing, since the lower bounds of a and b include the
+  unit and their join is the greatest of them.
 """
 
 from __future__ import annotations
@@ -229,6 +230,9 @@ def bound_table_witness(rows, table) -> tuple[int, int] | None:
 
 @dataclass(frozen=True)
 class BoundedJoinSemilattice:
+    """The package's one lattice type: a finite bounded join-semilattice,
+    whose meets are derived on first use."""
+
     poset: FinitePoset
     join: tuple[tuple[int, ...], ...]
     unit: int
@@ -239,10 +243,18 @@ class BoundedJoinSemilattice:
         return self.poset.n
 
     @cached_property
-    def lattice(self) -> FiniteLattice:
-        """Completion with the meet table; every meet exists, since the unit
-        is the least element."""
-        return FiniteLattice(self, tuple(glb_row(self.poset, a) for a in range(self.n)))
+    def meet(self) -> tuple[tuple[int, ...], ...]:
+        """The meet table; every meet exists, since the unit is the least
+        element."""
+        return tuple(glb_row(self.poset, a) for a in range(self.n))
+
+    @cached_property
+    def meet_irreducibles(self) -> list[int]:
+        """Elements that are not proper meets, excluding the top (zero): in a
+        finite lattice, exactly the elements with a single upper neighbor c,
+        that is, whose strict up-set is the principal up-set of c."""
+        index = self.poset.up_index
+        return [m for m, row in enumerate(self.poset.up) if row & ~(1 << m) in index]
 
 
 def semilattice_from_poset(poset: FinitePoset) -> BoundedJoinSemilattice:
@@ -336,44 +348,21 @@ def join_semilattice(join, unit: int, zero: int) -> BoundedJoinSemilattice:
     return BoundedJoinSemilattice(poset, tuple(tuple(row) for row in join), unit, zero)
 
 
-@dataclass(frozen=True)
-class FiniteLattice:
-    sl: BoundedJoinSemilattice
-    meet: tuple[tuple[int, ...], ...]
-
-    @property
-    def n(self) -> int:
-        return self.sl.n
-
-    @property
-    def poset(self) -> FinitePoset:
-        return self.sl.poset
-
-    @cached_property
-    def meet_irreducibles(self) -> list[int]:
-        """Elements that are not proper meets, excluding the top (zero): in a
-        finite lattice, exactly the elements with a single upper neighbor c,
-        that is, whose strict up-set is the principal up-set of c."""
-        index = self.poset.up_index
-        return [m for m, row in enumerate(self.poset.up) if row & ~(1 << m) in index]
+def try_lattice(sl: BoundedJoinSemilattice) -> BoundedJoinSemilattice:
+    """Derive the meet table, which never fails: a bounded join-semilattice
+    is a lattice. The table is cached on the semilattice, which is returned.
+    It stays a function only because perfbench/tracer.py binds it by name."""
+    sl.meet
+    return sl
 
 
-def try_lattice(sl: BoundedJoinSemilattice) -> FiniteLattice:
-    """Complete a semilattice with its meet table, which never fails: a
-    bounded join-semilattice is a lattice. Computed on the first call and
-    cached on the semilattice."""
-    return sl.lattice
-
-
-def lattice_from_semilattice(sl: BoundedJoinSemilattice) -> FiniteLattice:
+def lattice_from_semilattice(sl: BoundedJoinSemilattice) -> BoundedJoinSemilattice:
+    """try_lattice, returning its argument with the meet table cached; it
+    stays only because perfbench/tracer.py binds it by name."""
     return try_lattice(sl)
 
 
-def lattice_from_poset(poset: FinitePoset) -> FiniteLattice:
-    return lattice_from_semilattice(semilattice_from_poset(poset))
-
-
-def is_distributive(lat: FiniteLattice) -> tuple[bool, tuple | None]:
+def is_distributive(lat: BoundedJoinSemilattice) -> tuple[bool, tuple | None]:
     """Whether a /\\ (b \\/ c) == (a /\\ b) \\/ (a /\\ c) holds; witness triple on failure.
     Certificate: a finite lattice is distributive iff every meet-irreducible m
     is meet-prime, i.e. the meet of the elements not below m is not below m
@@ -383,7 +372,7 @@ def is_distributive(lat: FiniteLattice) -> tuple[bool, tuple | None]:
                for m in meet_irreducibles(lat)):
         return True, None
     # distributive iff every meet translation meet[a] is a join endomorphism
-    join = lat.sl.join
+    join = lat.join
     for a, row in enumerate(lat.meet):
         w = homomorphism_witness(row, join, join)
         if w is not None:
@@ -391,20 +380,19 @@ def is_distributive(lat: FiniteLattice) -> tuple[bool, tuple | None]:
     return True, None
 
 
-def complements(lat: FiniteLattice) -> tuple[dict[int, int] | None, int | None]:
+def complements(lat: BoundedJoinSemilattice) -> tuple[dict[int, int] | None, int | None]:
     """Complement map x -> x^c with join zero and meet unit, or (None, witness)."""
-    sl = lat.sl
     out = {}
     for a in range(lat.n):
         c = next((b for b in range(lat.n)
-                  if sl.join[a][b] == sl.zero and lat.meet[a][b] == sl.unit), None)
+                  if lat.join[a][b] == lat.zero and lat.meet[a][b] == lat.unit), None)
         if c is None:
             return None, a
         out[a] = c
     return out, None
 
 
-def meet_irreducibles(lat: FiniteLattice) -> list[int]:
+def meet_irreducibles(lat: BoundedJoinSemilattice) -> list[int]:
     """The lattice's cached list; callers must not mutate it."""
     return lat.meet_irreducibles
 
@@ -416,10 +404,6 @@ def up_sets(poset: FinitePoset) -> list[int]:
 
 def down_sets(poset: FinitePoset) -> list[int]:
     return up_sets(poset.dual())
-
-
-def principal_up_set(poset: FinitePoset, x: int) -> int:
-    return poset.up[x]
 
 
 def up_closure(poset: FinitePoset, mask: int) -> int:
@@ -446,15 +430,15 @@ def chain_poset(m: int) -> FinitePoset:
     return FinitePoset(m, tuple(mask_of(range(a, m)) for a in range(m)))
 
 
-def chain_lattice(m: int) -> FiniteLattice:
-    return lattice_from_poset(chain_poset(m))
+def chain_lattice(m: int) -> BoundedJoinSemilattice:
+    return semilattice_from_poset(chain_poset(m))
 
 
 def antichain_poset(m: int) -> FinitePoset:
     return FinitePoset(m, tuple(1 << a for a in range(m)))
 
 
-def powerset_lattice(k: int) -> FiniteLattice:
+def powerset_lattice(k: int) -> BoundedJoinSemilattice:
     """Subsets of a k-set in information order: more elements = less informative.
 
     Element index equals the subset mask; unit is the full set, zero the
@@ -465,24 +449,24 @@ def powerset_lattice(k: int) -> FiniteLattice:
     for a in range(n):
         # b is above a iff b carries less: b subset of a
         up.append(mask_of(b for b in range(n) if b & ~a == 0))
-    return lattice_from_poset(FinitePoset(n, tuple(up)))
+    return semilattice_from_poset(FinitePoset(n, tuple(up)))
 
 
-def diamond_m3() -> FiniteLattice:
+def diamond_m3() -> BoundedJoinSemilattice:
     """Three incomparable midpoints: the canonical non-distributive lattice."""
     rows = [[True] * 5,
             [False, True, False, False, True],
             [False, False, True, False, True],
             [False, False, False, True, True],
             [False, False, False, False, True]]
-    return lattice_from_poset(FinitePoset.from_bool_table(rows))
+    return semilattice_from_poset(FinitePoset.from_bool_table(rows))
 
 
-def pentagon_n5() -> FiniteLattice:
+def pentagon_n5() -> BoundedJoinSemilattice:
     """The pentagon: 0 < 1 < 2 < 4 and 0 < 3 < 4."""
     rows = [[True] * 5,
             [False, True, True, False, True],
             [False, False, True, False, True],
             [False, False, False, True, True],
             [False, False, False, False, True]]
-    return lattice_from_poset(FinitePoset.from_bool_table(rows))
+    return semilattice_from_poset(FinitePoset.from_bool_table(rows))

@@ -232,7 +232,7 @@ def test_combination_witness_matches_literal_on_corrupted_extractors():
             failing += expected is not None
     assert failing >= 30
     # subsets of {0, 1}, combination is intersection: x -> x | {0} off the empty set
-    a = InfoAlgebra(powerset_lattice(2).sl, ((0, 1, 3, 3),), ("e",))
+    a = InfoAlgebra(powerset_lattice(2), ((0, 1, 3, 3),), ("e",))
     assert verify_axioms(a).witness("extraction_combination") == literal_combination(a) == (0, 1, 2)
 
 
@@ -529,7 +529,7 @@ def test_isomorphism_check_matches_meet_checking_route():
     from infalg.order import diamond_m3, pentagon_n5
 
     algebras = list(enumerate_algebras(4))
-    algebras += [InfoAlgebra(lat.sl, (tuple(range(5)),), ("e0",))
+    algebras += [InfoAlgebra(lat, (tuple(range(5)),), ("e0",))
                  for lat in (diamond_m3(), pentagon_n5())]
     pairs = isos = 0
     for a in algebras:

@@ -3,12 +3,13 @@ import random
 
 import pytest
 
-from infalg import cli, files
+from infalg import cli, duality, files
 from infalg.cli import main
-from infalg.duality import dualize
+from infalg.duality import QSpace, dualize
+from infalg.equivalence import Equivalence, star_family
 from infalg.errors import FormatError
 from infalg.generators import enumerate_lattices, gen_string, string_elements
-from infalg.order import diamond_m3, pentagon_n5, try_lattice, verify_poset
+from infalg.order import antichain_poset, diamond_m3, pentagon_n5, try_lattice, verify_poset
 
 
 def run(tmp_path, *argv):
@@ -79,13 +80,13 @@ def test_meet_witness_matches_literal_on_corrupted_tables():
     for lat in lattices:
         n = lat.n
         assert files.parse_algebra(json.dumps({
-            "n": n, "join": lat.sl.join, "unit": lat.sl.unit, "zero": lat.sl.zero,
+            "n": n, "join": lat.join, "unit": lat.unit, "zero": lat.zero,
             "meet": lat.meet, "extractors": {}})).report.ok
         for _ in range(8):
             meet = [list(row) for row in lat.meet]
             for _ in range(rng.randint(1, 3)):
                 meet[rng.randrange(n)][rng.randrange(n)] = rng.randrange(n)
-            doc = {"n": n, "join": lat.sl.join, "unit": lat.sl.unit, "zero": lat.sl.zero,
+            doc = {"n": n, "join": lat.join, "unit": lat.unit, "zero": lat.zero,
                    "meet": meet, "extractors": {}}
             expected = next(((a, b) for a in range(n) for b in range(n)
                              if literal_glb(lat.poset, a, b) != meet[a][b]), None)
@@ -309,6 +310,21 @@ def test_cli_cap_bounds_parsed_files(tmp_path, capsys, monkeypatch, command, fla
     out, err = capsys.readouterr()
     what = "point set" if command == "reconstruct" else "carrier"
     assert (out, err) == ("", f"failure: {what} of 4 exceeds cap 3\n")
+
+
+@pytest.mark.parametrize("command", ["reconstruct", "roundtrip"])
+def test_cli_checks_the_up_set_cap_before_the_q_space_report(tmp_path, capsys, monkeypatch,
+                                                              command):
+    # 13 points make 8192 up-sets: the parse refuses the file before its
+    # report saturates a single one
+    space = QSpace(antichain_poset(13), star_family([Equivalence.identity(13)], ["t0"]))
+    path = write(tmp_path, "wide.json", files.dumps(files.qspace_doc(space)))
+    calls = []
+    saturate = duality.saturate
+    monkeypatch.setattr(duality, "saturate", lambda *args: calls.append(args) or saturate(*args))
+    assert main([command, path]) == 1
+    assert capsys.readouterr() == ("", "failure: 8192 up-sets exceed the cap 4096\n")
+    assert calls == []
 
 
 @pytest.mark.parametrize("command", ["gen", "verify", "reconstruct"])

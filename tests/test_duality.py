@@ -6,8 +6,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from infalg import duality
-from infalg.algebra import (AlgebraMorphism, extraction_image, identity_morphism,
-                            is_distributive_cdf, is_homomorphism, make_algebra, verify_axioms)
+from infalg.algebra import (AlgebraMorphism, enumerate_homomorphisms, extraction_image,
+                            identity_morphism, is_distributive_cdf, is_homomorphism, make_algebra,
+                            verify_axioms)
 from infalg.duality import (QMorphism, QSpace, _dual, _member_arrays, boolean_diagnostics,
                             check_q_morphism, check_separating, dual_point_map, dualize,
                             dualize_morphism, double_dual_element_map, make_nontrivial_separating,
@@ -21,7 +22,7 @@ from infalg.generators import (all_labeled_posets, enumerate_algebras, enumerate
                                separating_equivalences)
 from infalg.order import FinitePoset, antichain_poset, chain_poset, mask_of, up_sets
 from infalg.report import Report
-from infalg.semigroup import table
+from infalg.semigroup import compose, table
 
 
 def chain_algebra(m, extractors=None):
@@ -255,6 +256,62 @@ def test_double_dual_commuting_square(lv_2_chain3, mv22_algebra):
         lx_f = double_dual_element_map(qm, rt_a.space, rt_b.space)
         for x in range(a.n):
             assert lx_f[rt_a.morphism.f[x]] == rt_b.morphism.f[m.f[x]]
+
+
+def brute_q_morphisms(s, t):
+    """Every (alpha, omega) that check_q_morphism accepts from s to t."""
+    candidates = (QMorphism(alpha, omega) for alpha in product(range(t.n), repeat=s.n)
+                  for omega in product(range(len(s.eqs.members)), repeat=len(t.eqs.members)))
+    return [m for m in candidates if check_q_morphism(m, s, t).ok]
+
+
+def test_morphism_duality_on_the_enumerated_universe():
+    # over every ordered pair of the algebras on up to 4 elements: the dual
+    # is a bijection from the homomorphisms onto the Q-morphisms between the
+    # duals, a contravariant functor that commutes with the round trips, and
+    # it swaps one-to-one with onto
+    algebras = list(enumerate_algebras(4))
+    assert len(algebras) == 19
+    trips = [round_trip_algebra(a) for a in algebras]
+    duals = {}  # (i, j) -> {homomorphism: its dual}
+    injective = surjective = 0
+    for (i, a), (j, b) in product(enumerate(algebras), repeat=2):
+        space_a, space_b = trips[i].space, trips[j].space
+        dual = {m: dualize_morphism(m, a, b)
+                for m in enumerate_homomorphisms(a, b, check_meets=True)}
+        brute = brute_q_morphisms(space_b, space_a)
+        assert len(set(dual.values())) == len(dual) == len(brute), (i, j)
+        assert set(dual.values()) == set(brute), (i, j)
+        duals[i, j] = dual
+        for m, qm in dual.items():
+            lx_f = double_dual_element_map(qm, space_a, space_b)
+            assert all(lx_f[trips[i].morphism.f[x]] == trips[j].morphism.f[m.f[x]]
+                       for x in range(a.n)), (i, j, m)
+            alpha = qm.alpha
+            onto = set(alpha) == set(range(space_a.n))
+            embedding = len(set(alpha)) == len(alpha) and all(
+                space_b.poset.le(p, q) == space_a.poset.le(alpha[p], alpha[q])
+                for p in range(space_b.n) for q in range(space_b.n))
+            assert (len(set(m.f)) == a.n) == onto, (i, j, m)
+            assert (len(set(m.f)) == b.n) == embedding, (i, j, m)
+            injective += onto
+            surjective += embedding
+    assert sum(map(len, duals.values())) == 1423
+    assert (injective, surjective) == (136, 124)
+
+    for i, a in enumerate(algebras):
+        n_points, n_labels = trips[i].space.n, len(a.extractors)
+        assert duals[i, i][identity_morphism(a)] == \
+            QMorphism(tuple(range(n_points)), tuple(range(n_labels)))
+    composable = 0
+    for i, j, k in product(range(len(algebras)), repeat=3):
+        for m, qm in duals[i, j].items():
+            for n, qn in duals[j, k].items():
+                nm = AlgebraMorphism(compose(n.f, m.f), compose(n.g, m.g))
+                assert duals[i, k][nm] == \
+                    QMorphism(compose(qm.alpha, qn.alpha), compose(qn.omega, qm.omega))
+                composable += 1
+    assert composable == 111713
 
 
 def test_compatibility_transfers_both_ways():

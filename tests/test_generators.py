@@ -10,7 +10,7 @@ from infalg.atoms import classify
 from infalg.equivalence import Equivalence, saturate, star
 from infalg.errors import CapExceeded, NonCommutingError, PreconditionError
 from infalg.generators import (all_labeled_posets, enumerate_algebras, enumerate_lattices,
-                               enumerate_posets, enumerate_q_spaces, enumerate_small,
+                               enumerate_posets, enumerate_q_spaces,
                                extraction_families, extraction_maps, gen_lattice_valued,
                                gen_string, separating_equivalences, string_elements)
 from infalg.order import (automorphisms, bits, chain_lattice, diamond_m3, is_distributive,
@@ -145,8 +145,8 @@ def test_lattice_valued_order_is_pointwise(lv_2_chain3, lv_2_chain2):
                            if all(lam.poset.le(x, y) for x, y in zip(phi, psi)))
                    for phi in carrier)
         assert a.sl.poset.up == up, sizes
-        assert carrier[a.unit] == (lam.sl.unit,) * nv
-        assert carrier[a.zero] == (lam.sl.zero,) * nv
+        assert carrier[a.unit] == (lam.unit,) * nv
+        assert carrier[a.zero] == (lam.zero,) * nv
 
 
 def test_lattice_valued_rejects_non_distributive_value_lattice():
@@ -284,16 +284,16 @@ def test_enumerator_streams_are_pinned():
 
 def literal_extraction_maps(lat, require_meets):
     """The exhaustive candidate scan with its laws as literal loops."""
-    n, sl = lat.n, lat.sl
+    n = lat.n
     down = [list(bits(row)) for row in lat.poset.down]
-    down[sl.zero] = [sl.zero]
+    down[lat.zero] = [lat.zero]
     out = []
     for cand in product(*down):
         ok = True
         for x in range(n):
             ex = cand[x]
             for y in range(n):
-                if cand[sl.join[ex][y]] != sl.join[ex][cand[y]]:
+                if cand[lat.join[ex][y]] != lat.join[ex][cand[y]]:
                     ok = False
                     break
             if not ok:
@@ -329,11 +329,6 @@ def test_enumeration_guards():
         list(enumerate_algebras(7))
     with pytest.raises(CapExceeded):
         list(enumerate_q_spaces(5))
-
-
-def test_enumerate_small_combined():
-    items = list(enumerate_small(max_n=2, poset_cap=2))
-    assert len(items) == 2 + 7
 
 
 # Literal subset scans over a whole pool: the references the shared
@@ -442,7 +437,7 @@ def conjugate_key_algebras(max_n):
             seen.add(key)
             arrays = tuple(sorted(fam))
             labels = tuple(f"e{i}" for i in range(len(arrays)))
-            yield InfoAlgebra(lat.sl, arrays, labels, table(arrays))
+            yield InfoAlgebra(lat, arrays, labels, table(arrays))
 
 
 def conjugate_key_q_spaces(max_points):

@@ -7,12 +7,12 @@ from infalg import order
 from infalg.errors import FormatError, StructureError
 from infalg.generators import (all_labeled_posets, enumerate_lattices, enumerate_posets,
                                gen_lattice_valued, gen_string, string_elements)
-from infalg.order import (BoundedJoinSemilattice, FiniteLattice, FinitePoset,
+from infalg.order import (BoundedJoinSemilattice, FinitePoset,
                           antichain_poset, bits, bound_table_witness, chain_lattice, chain_poset,
                           complements, diamond_m3, glb, glb_of_set, glb_row, is_distributive,
-                          join_semilattice, lattice_from_poset, lattice_from_semilattice,
+                          join_semilattice, lattice_from_semilattice,
                           lub_row, mask_of, meet_irreducibles, pentagon_n5,
-                          powerset_lattice, principal_up_set, semilattice_from_poset,
+                          powerset_lattice, semilattice_from_poset,
                           try_lattice, up_rows, up_sets, verify_poset, verify_semilattice)
 from infalg.report import Report
 from infalg.semigroup import first_row_witness, homomorphism_witness
@@ -50,8 +50,7 @@ def test_lub_two_chain():
 
 
 def test_lub_unit_neutral():
-    for lat in (chain_lattice(4), powerset_lattice(2), diamond_m3()):
-        sl = lat.sl
+    for sl in (chain_lattice(4), powerset_lattice(2), diamond_m3()):
         assert lub_row(sl.poset, sl.unit) == sl.join[sl.unit] == tuple(range(sl.n))
 
 
@@ -99,7 +98,7 @@ def test_string_lattice_not_distributive():
     ok, witness = is_distributive(lat)
     assert not ok
     a_, b, c = witness
-    join, meet = lat.sl.join, lat.meet
+    join, meet = lat.join, lat.meet
     assert meet[a_][join[b][c]] != join[meet[a_][b]][meet[a_][c]]
 
 
@@ -169,14 +168,8 @@ def test_up_sets_match_brute_force_on_stock_posets():
         assert up_sets(poset) == brute_up_sets(poset)
 
 
-def test_principal_up_set():
-    poset = chain_poset(3)
-    assert principal_up_set(poset, 1) == 0b110
-
-
 def test_order_join_coherence():
-    for lat in (chain_lattice(4), powerset_lattice(2), diamond_m3(), pentagon_n5()):
-        sl = lat.sl
+    for sl in (chain_lattice(4), powerset_lattice(2), diamond_m3(), pentagon_n5()):
         for a in range(sl.n):
             for b in range(sl.n):
                 assert sl.poset.le(a, b) == (sl.join[a][b] == b)
@@ -197,7 +190,7 @@ def naturally_labeled_lattices(max_n):
             if any(up[b] & ~up[a] for a in range(n) for b in bits(up[a])):
                 continue
             try:
-                yield lattice_from_poset(FinitePoset(n, tuple(up)))
+                yield semilattice_from_poset(FinitePoset(n, tuple(up)))
             except StructureError:
                 continue
 
@@ -207,7 +200,7 @@ def test_meet_irreducibles_match_definition():
     # meet-irreducible when a = b /\ c forces a in {b, c}, and a is not the top
     sizes = set()
     for lat in naturally_labeled_lattices(6):
-        n, top = lat.n, lat.sl.zero
+        n, top = lat.n, lat.zero
         by_def = [a for a in range(n) if a != top
                   and all(a in (b, c) for b in range(n) for c in range(n)
                           if lat.meet[b][c] == a)]
@@ -251,7 +244,7 @@ def test_finite_bounded_semilattices_always_have_meets():
     # with a least element every finite join-semilattice is a lattice,
     # so the meet completion can never fail on valid inputs
     for lat in enumerate_lattices(4, distributive_only=False):
-        assert try_lattice(lat.sl) is not None
+        assert try_lattice(lat) is not None
 
 
 def test_semilattice_from_poset_rejects_no_bottom():
@@ -290,7 +283,7 @@ def literal_associative(join):
 
 
 def literal_distributive(lat):
-    n, join, meet = lat.n, lat.sl.join, lat.meet
+    n, join, meet = lat.n, lat.join, lat.meet
     return next(((a, b, c) for a in range(n) for b in range(n) for c in range(n)
                  if meet[a][join[b][c]] != join[meet[a][b]][meet[a][c]]), None)
 
@@ -317,8 +310,7 @@ def test_distributivity_witness_matches_literal_definition():
 def test_associativity_witness_matches_literal_on_corrupted_tables():
     rng = random.Random(20201230)
     failing = 0
-    for name, lat in witness_lattices().items():
-        sl = lat.sl
+    for name, sl in witness_lattices().items():
         assert verify_semilattice(sl.join, sl.unit, sl.zero).witness("associative") is None
         for _ in range(40):
             join = [list(row) for row in sl.join]
@@ -341,8 +333,7 @@ def test_associativity_certificate_on_symmetric_corruptions():
     rng = random.Random(1998)
     lattices = dict(witness_lattices(), chain6=chain_lattice(6))
     tried = refused = 0
-    for name, lat in lattices.items():
-        sl = lat.sl
+    for name, sl in lattices.items():
         for _ in range(60):
             join = [list(row) for row in sl.join]
             for _ in range(rng.randint(1, 2)):
@@ -389,7 +380,7 @@ def product_lattice(l1, l2):
     n1, n2 = l1.n, l2.n
     up = tuple(mask_of(b1 * n2 + b2 for b1 in bits(l1.poset.up[a1]) for b2 in bits(l2.poset.up[a2]))
                for a1 in range(n1) for a2 in range(n2))
-    return lattice_from_poset(FinitePoset(n1 * n2, up))
+    return semilattice_from_poset(FinitePoset(n1 * n2, up))
 
 
 def test_distributivity_certificate_on_generator_lattices():
@@ -440,7 +431,7 @@ def test_certificates_spare_the_scan_on_valid_structures(monkeypatch):
         assert is_distributive(lat) == (True, None)
         assert scans == []
         # the one row scan left is the least-upper-bound check itself
-        assert verify_semilattice(lat.sl.join, lat.sl.unit, lat.sl.zero).ok
+        assert verify_semilattice(lat.join, lat.unit, lat.zero).ok
         assert scans == [1]
         scans.clear()
     # the boolean order table is built only as verify_poset's argument
@@ -500,18 +491,17 @@ def test_equality_and_hash_ignore_cached_order_data():
     lat = diamond_m3()
     p1 = FinitePoset(lat.n, lat.poset.up)
     p2 = FinitePoset(lat.n, lat.poset.up)
-    s1 = BoundedJoinSemilattice(p1, lat.sl.join, lat.sl.unit, lat.sl.zero)
-    s2 = BoundedJoinSemilattice(p2, lat.sl.join, lat.sl.unit, lat.sl.zero)
-    assert try_lattice(s1) is not None and up_sets(p1)
+    s1 = BoundedJoinSemilattice(p1, lat.join, lat.unit, lat.zero)
+    s2 = BoundedJoinSemilattice(p2, lat.join, lat.unit, lat.zero)
+    assert try_lattice(s1) is s1 and up_sets(p1)
+    assert meet_irreducibles(s1) == [1, 2, 3]
+    assert s1.meet == lat.meet
     assert "down" in vars(p1) and "down" not in vars(p2)
     assert "up_set_index" in vars(p1) and "up_set_index" not in vars(p2)
-    assert "lattice" in vars(s1) and "lattice" not in vars(s2)
+    for name in ("meet", "meet_irreducibles"):
+        assert name in vars(s1) and name not in vars(s2)
     assert p1 == p2 and hash(p1) == hash(p2)
     assert s1 == s2 and hash(s1) == hash(s2)
-    l1, l2 = FiniteLattice(s1, lat.meet), FiniteLattice(s2, lat.meet)
-    assert meet_irreducibles(l1) == [1, 2, 3]
-    assert "meet_irreducibles" in vars(l1) and "meet_irreducibles" not in vars(l2)
-    assert l1 == l2 and hash(l1) == hash(l2)
 
 
 # Bit scans by point index: the references the row-index bound kernels
@@ -600,8 +590,8 @@ def test_least_upper_bound_witness_matches_literal_on_corrupted_tables():
     rng = random.Random(3141)
     lattices = list(witness_lattices().values()) + enumerate_lattices(5, distributive_only=False)
     failing = 0
-    for lat in lattices:
-        sl, n = lat.sl, lat.n
+    for sl in lattices:
+        n = sl.n
         pairs = [(a, b) for a in range(n) for b in range(a + 1, n)
                  if sl.join[a][b] not in (a, b)]
         for _ in range(10 if pairs else 0):
@@ -647,8 +637,8 @@ def literal_semilattice_items(join, unit, zero):
 def test_order_certificate_matches_the_literal_route():
     rng = random.Random(60221)
     tables = []
-    for lat in enumerate_lattices(5, distributive_only=False) + list(witness_lattices().values()):
-        sl, n = lat.sl, lat.n
+    for sl in enumerate_lattices(5, distributive_only=False) + list(witness_lattices().values()):
+        n = sl.n
         tables.append((sl.join, sl.unit, sl.zero))
         for _ in range(6 if n > 1 else 0):
             join = [list(row) for row in sl.join]

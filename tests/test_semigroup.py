@@ -48,7 +48,7 @@ def test_homomorphism_witness_matches_literal_double_loop():
     # meet translations are join endomorphisms exactly in distributive
     # lattices; perturbing one entry makes near misses
     for lat in enumerate_lattices(5, distributive_only=False):
-        join = lat.sl.join
+        join = lat.join
         for row in lat.meet:
             cases.append((row, join, join))
             bent = list(row)
