@@ -152,7 +152,7 @@ def cmd_roundtrip(args) -> int:
         parsed = files.qspace_from_doc(doc, cap=_cap(args))
         if parsed.space is None:
             raise SemanticFailure("invalid Q-space file:\n" + parsed.report.format())
-        rt = round_trip_space(parsed.space)
+        rt = round_trip_space(parsed.space, cap=_cap(args))
         report.add("q_isomorphism", True)
         _emit_report(args, report, header="")
         if args.format != "json":

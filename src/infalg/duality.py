@@ -256,15 +256,16 @@ class SpaceRoundTrip:
     points: tuple[int, ...]          # carrier indices of the target's points
 
 
-def round_trip_space(s: QSpace) -> SpaceRoundTrip:
+def round_trip_space(s: QSpace, cap: int = RECONSTRUCT_CAP) -> SpaceRoundTrip:
     """source -> dualize(reconstruct(source)) via p -> (principal up-set of p
     as a point of the double dual) and the identity on labels; verified
     Q-isomorphism: a bijective order isomorphism carrying each equivalence
     onto its namesake. The Q-morphism laws follow: the two families'
     saturation arrays are then conjugate, so their label tables agree, and
-    reconstruct has found them closed under composition.
+    reconstruct has found them closed under composition. ``cap`` is
+    reconstruct's bound on the up-sets.
     """
-    algebra = reconstruct(s)
+    algebra = reconstruct(s, cap=cap)
     index = s.poset.up_set_index
     target, points, _ = _dual(algebra)
     n = s.poset.n

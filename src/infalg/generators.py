@@ -3,9 +3,11 @@ small algebras and Q-spaces, used as oracles by the test suite.
 
 All streams are deterministic; enumerated objects are duplicate-free up to
 isomorphism. Lattices are kept by canonical order tables. A family is a set
-of indices into its base's pool, which the base's automorphisms permute;
-families are deduped as orbits of index sets, the first of each orbit in
-subset-mask order kept, and read their label tables from the pool's.
+of indices into its base's pool, which the base's automorphisms permute.
+The closed families of a pool are found by Close-by-One, each reached once
+from its closed parent, then sorted into subset-mask order; families are
+deduped as orbits of index sets, the first of each orbit in subset-mask
+order kept, and read their label tables from the pool's.
 """
 
 from __future__ import annotations
@@ -277,17 +279,42 @@ def _closed_subsets(tab):
     """Member index lists, in subset-mask order, of every nonempty subset of
     a pool whose members pairwise commute and whose products are all
     members. ``tab[i][j]`` is the pool index of the product of members i and
-    j, or None when the product is missing from the pool or does not exist."""
+    j, or None when the product is missing from the pool or does not exist.
+
+    Close-by-One (Kuznetsov 1993): a closed set grows by one index above the
+    last one added and is closed under ``tab``; the closure is kept only if
+    it adds no index below the new one, so each closed set is reached once,
+    from its closed parent. A closure that meets a non-commuting pair or a
+    missing product has no valid superset, so its branch is cut. The sets
+    are then sorted into subset-mask order."""
     k = len(tab)
     # bit j of commute[i]: i and j commute and their product is listed
     commute = [mask_of(j for j in range(k) if tab[i][j] is not None and tab[i][j] == tab[j][i])
                for i in range(k)]
-    for mask in range(1, 1 << k):
-        members = list(bits(mask))
-        if any(mask & ~commute[i] for i in members):
-            continue
-        if all((mask >> tab[i][j]) & 1 for i in members for j in members):
-            yield members
+
+    def close(mask, i):
+        mask, todo = mask | 1 << i, [i]
+        while todo:
+            a = todo.pop()
+            if mask & ~commute[a]:
+                return None
+            for p in {tab[a][b] for b in bits(mask)}:
+                if not (mask >> p) & 1:
+                    mask |= 1 << p
+                    todo.append(p)
+        return mask
+
+    found, stack = [], [(0, 0)]  # closed set, first index it may add
+    while stack:
+        closed, start = stack.pop()
+        for i in range(start, k):
+            if not (closed >> i) & 1:
+                mask = close(closed, i)
+                if mask is not None and not (mask ^ closed) & ((1 << i) - 1):
+                    found.append(mask)
+                    stack.append((mask, i + 1))
+    for mask in sorted(found):
+        yield list(bits(mask))
 
 
 def extraction_families(ops: list[tuple[int, ...]]) -> list[tuple[tuple[int, ...], ...]]:

@@ -327,6 +327,21 @@ def test_cli_checks_the_up_set_cap_before_the_q_space_report(tmp_path, capsys, m
     assert calls == []
 
 
+def test_cli_roundtrip_hands_its_cap_to_reconstruct(tmp_path, monkeypatch):
+    space = QSpace(antichain_poset(2), star_family([Equivalence.identity(2)], ["t0"]))
+    path = write(tmp_path, "q.json", files.dumps(files.qspace_doc(space)))
+    caps = []
+    reconstruct = duality.reconstruct
+
+    def recording(s, cap=duality.RECONSTRUCT_CAP):
+        caps.append(cap)
+        return reconstruct(s, cap)
+
+    monkeypatch.setattr(duality, "reconstruct", recording)
+    assert main(["--cap", "100", "roundtrip", path]) == 0
+    assert caps == [100]
+
+
 @pytest.mark.parametrize("command", ["gen", "verify", "reconstruct"])
 @pytest.mark.parametrize("flag, env", [(["--cap", "0"], None), ([], "0")], ids=["flag", "env"])
 def test_cli_cap_zero_admits_no_carrier(tmp_path, capsys, monkeypatch, command, flag, env):

@@ -1,21 +1,23 @@
 import hashlib
 from collections import Counter
-from itertools import product
+from itertools import permutations, product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from infalg import generators
 from infalg.algebra import is_distributive_cdf, verify_axioms
 from infalg.atoms import classify
-from infalg.equivalence import Equivalence, saturate, star
+from infalg.equivalence import Equivalence, all_equivalences, saturate, star, star_table
 from infalg.errors import CapExceeded, NonCommutingError, PreconditionError
 from infalg.generators import (all_labeled_posets, enumerate_algebras, enumerate_lattices,
                                enumerate_posets, enumerate_q_spaces,
                                extraction_families, extraction_maps, gen_lattice_valued,
                                gen_string, separating_equivalences, string_elements)
-from infalg.order import (automorphisms, bits, chain_lattice, diamond_m3, is_distributive,
-                          mask_of, powerset_lattice, semilattice_from_poset, up_rows,
-                          verify_poset)
+from infalg.order import (antichain_poset, automorphisms, bits, chain_lattice, diamond_m3,
+                          is_distributive, mask_of, powerset_lattice, semilattice_from_poset,
+                          up_rows, verify_poset)
 from infalg.semigroup import compose, table
 
 
@@ -332,7 +334,7 @@ def test_enumeration_guards():
 
 
 # Literal subset scans over a whole pool: the references the shared
-# closed-subset scan of the generators must match, order included.
+# Close-by-One core of the generators must match, order included.
 
 def literal_extraction_families(ops):
     k = len(ops)
@@ -404,6 +406,47 @@ def test_q_space_scan_matches_literal_loop():
     assert sum(len(up) <= 3 for up, _ in got) == 54 and len(got) == 768
 
 
+def literal_closed_subsets(tab):
+    """Member lists, in subset-mask order, of every nonempty subset of the
+    pool in which each ordered pair of members has a listed product, the
+    same in both orders, that is a member."""
+    k = len(tab)
+    out = []
+    for mask in range(1, 1 << k):
+        members = list(bits(mask))
+        if all(tab[i][j] is not None and tab[i][j] == tab[j][i] and (mask >> tab[i][j]) & 1
+               for i in members for j in members):
+            out.append(members)
+    return out
+
+
+@st.composite
+def pool_tables(draw):
+    """A k x k product table, k <= 10, with entries in range(k) or None:
+    on and above the diagonal the larger or smaller index, below it the
+    mirrored entry or the larger index, so that most pairs commute and many
+    subsets are closed; then up to k entries are overwritten by None or any
+    index, on the diagonal too."""
+    k = draw(st.integers(1, 10))
+    picks = draw(st.lists(st.booleans(), min_size=k * k, max_size=k * k))
+    tab = [[None] * k for _ in range(k)]
+    for i in range(k):
+        for j in range(k):
+            options = (max(i, j), min(i, j)) if i <= j else (tab[j][i], max(i, j))
+            tab[i][j] = options[picks[i * k + j]]
+    cell = st.tuples(st.integers(0, k - 1), st.integers(0, k - 1))
+    entry = st.one_of(st.none(), st.integers(0, k - 1))
+    for (i, j), x in draw(st.dictionaries(cell, entry, max_size=k)).items():
+        tab[i][j] = x
+    return tab
+
+
+@settings(max_examples=200, deadline=None)
+@given(pool_tables())
+def test_closed_subsets_match_literal_scan_on_random_tables(tab):
+    assert list(generators._closed_subsets(tab)) == literal_closed_subsets(tab)
+
+
 def test_operator_pool_guard():
     with pytest.raises(CapExceeded, match=r"^operator pool of 19 exceeds limit 18$"):
         extraction_families([(i,) for i in range(19)])
@@ -442,7 +485,7 @@ def conjugate_key_algebras(max_n):
 
 def conjugate_key_q_spaces(max_points):
     from infalg.duality import QSpace
-    from infalg.equivalence import star_family, star_table
+    from infalg.equivalence import star_family
 
     for poset in enumerate_posets(max_points):
         seps = separating_equivalences(poset)
@@ -531,8 +574,6 @@ def test_algebra_orbits_match_burnside_count():
 
 
 def test_q_space_orbits_match_burnside_count():
-    from infalg.equivalence import star_table
-
     bases = []
     for poset in enumerate_posets(4):
         seps = separating_equivalences(poset)
@@ -542,3 +583,53 @@ def test_q_space_orbits_match_burnside_count():
     counts = burnside_orbit_counts(bases)
     assert counts == {1: 1, 2: 6, 3: 47, 4: 714}
     assert counts == Counter(s.n for s in enumerate_q_spaces(4))
+
+
+def closure_search(tab):
+    """Sorted masks of every nonempty closed subset of the pool, found
+    breadth-first: from the empty set, close each set found with one more
+    index, deduped by a set, with no canonicity test."""
+    k = len(tab)
+
+    def close(members):
+        while True:
+            products = set()
+            for a in members:
+                for b in members:
+                    if tab[a][b] is None or tab[a][b] != tab[b][a]:
+                        return None
+                    products.add(tab[a][b])
+            if products <= members:
+                return members
+            members |= products
+
+    found, frontier = set(), [frozenset()]
+    while frontier:
+        grown = {close(s | {i}) for s in frontier for i in range(k) if i not in s}
+        frontier = [s for s in grown - found if s is not None]
+        found.update(frontier)
+    return sorted(map(mask_of, found))
+
+
+def test_boolean_pools_by_close_by_one():
+    # the partitions of m atoms are the separating pool of the m-point
+    # antichain, the dual poset of the Boolean lattice 2^m; at m = 5 the pool
+    # has 52 members, past FAMILY_BASE_LIMIT and the reach of a 2^k scan
+    bases = []
+    for m in range(1, 6):
+        pool = all_equivalences(m)
+        tab = star_table(pool)
+        found = list(generators._closed_subsets(tab))
+        assert [mask_of(members) for members in found] == closure_search(tab), m
+        # each permutation of the atoms acts on the pool, conjugating once
+        # per member, and so on every family of pool indices
+        index = {eq: i for i, eq in enumerate(pool)}
+        moves = [tuple(index[conjugate_equivalence(eq, aut)] for eq in pool)
+                 for aut in permutations(range(m))]
+        bases.append((m, list(map(frozenset, found)), lambda i, move: move[i], moves))
+    assert len(pool) == 52 and len(found) == 2793
+    counts = burnside_orbit_counts(bases)
+    assert counts == {1: 1, 2: 3, 3: 7, 4: 31, 5: 131}
+    antichains = Counter(s.n for s in enumerate_q_spaces(4)
+                         if s.poset.up == antichain_poset(s.n).up)
+    assert antichains == {m: counts[m] for m in range(1, 5)}
