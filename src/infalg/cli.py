@@ -17,9 +17,10 @@ from .algebra import AlgebraMorphism, InfoAlgebra, is_homomorphism
 from .atoms import atoms as atom_set
 from .atoms import classify
 from .duality import dualize, reconstruct, round_trip_algebra, round_trip_space
-from .errors import FormatError, InfAlgError
-from .generators import (DEFAULT_CAP, enumerate_algebras, enumerate_q_spaces, gen_lattice_valued,
-                         gen_multivariate, gen_string, lattice_valued_points, string_elements)
+from .errors import DEFAULT_CAP, FormatError, InfAlgError
+from .generators import (check_q_space_limit, enumerate_algebras, enumerate_q_spaces,
+                         gen_lattice_valued, gen_multivariate, gen_string,
+                         lattice_valued_points, string_elements)
 from .order import bits, chain_lattice, up_sets
 from .report import Report
 from .semigroup import close, compose
@@ -236,6 +237,7 @@ def cmd_check_hom(args) -> int:
 
 
 def cmd_enumerate(args) -> int:
+    check_q_space_limit(args.posets)
     count = 0
     for a in enumerate_algebras(args.max_n):
         count += 1

@@ -7,13 +7,14 @@ elements with the inherited order (each stands for the principal prime
 ideal it generates) and, per extractor, the equivalence identifying points
 whose ideals cut the extractor image in the same trace. Reconstruction
 takes all up-sets under reverse inclusion with the restricted saturation
-operators. Both round trips are verified, not assumed, each verdict by one
-route: reconstruct checks the output's axioms and CDF verdict, not the
-set-algebra laws its up-sets meet by construction; round_trip_algebra checks
-a bijection against the laws without meets, which a join-preserving bijection
-keeps; round_trip_space checks a bijective order isomorphism carrying each
-equivalence onto its namesake, which makes it a Q-morphism. The second
-routes run against these verdicts in the test suite.
+operators, composed by the up-set set algebra's ``label_table``, which a
+Q-morphism's omega must also respect. Both round trips are verified, not
+assumed, each verdict by one route: reconstruct checks the output's axioms
+and CDF verdict, not the set-algebra laws its up-sets meet by construction;
+round_trip_algebra checks a bijection against the laws without meets, which
+a join-preserving bijection keeps; round_trip_space checks a bijective order
+isomorphism carrying each equivalence onto its namesake, which makes it a
+Q-morphism. The second routes run against these verdicts in the test suite.
 """
 
 from __future__ import annotations
@@ -24,14 +25,12 @@ from functools import cached_property
 from .algebra import (AlgebraMorphism, InfoAlgebra, is_distributive_cdf, is_homomorphism,
                       is_isomorphism, verify_axioms)
 from .equivalence import Equivalence, StarFamily, saturate, star_family
-from .errors import CapExceeded, PreconditionError, StructureError
+from .errors import DEFAULT_CAP, CapExceeded, PreconditionError, StructureError
 from .order import (FinitePoset, bits, complements, is_distributive, mask_of,
                     meet_irreducibles, pullback, try_lattice, up_closure, up_sets)
 from .report import Report
-from .semigroup import first_row_witness, table
+from .semigroup import first_row_witness
 from .set_algebra import SetAlgebra
-
-RECONSTRUCT_CAP = 4096
 
 
 @dataclass(frozen=True)
@@ -196,7 +195,7 @@ def _dual(a: InfoAlgebra):
     if not report.ok:
         raise StructureError("dual structure is not separating:\n" + report.format(),
                              report=report)
-    return space, tuple(points), cdf
+    return space, tuple(points)
 
 
 def dualize(a: InfoAlgebra) -> QSpace:
@@ -207,19 +206,24 @@ def dualize(a: InfoAlgebra) -> QSpace:
     return _dual(a)[0]
 
 
-def reconstruct(s: QSpace, cap: int = RECONSTRUCT_CAP) -> InfoAlgebra:
+def check_upset_cap(poset: FinitePoset, cap: int | None) -> None:
+    """CapExceeded when the order has more than cap up-sets: reconstruct's
+    bound, which Q-space reads also check before any saturation."""
+    if cap is not None and len(poset.up_set_index) > cap:
+        raise CapExceeded(f"{len(poset.up_set_index)} up-sets exceed the cap {cap}")
+
+
+def reconstruct(s: QSpace, cap: int = DEFAULT_CAP) -> InfoAlgebra:
     """Algebra of all up-sets of a Q-space under reverse inclusion, with the
     restricted saturation operators. The up-sets form a set algebra by
     construction and by the Q-space report, so only the output's axioms and
     CDF verdict are checked; for a family that is not star-closed they are
     the only check that its saturations commute."""
-    fam = up_sets(s.poset)
-    if len(fam) > cap:
-        raise CapExceeded(f"{len(fam)} up-sets exceed the cap {cap}")
+    check_upset_cap(s.poset, cap)
     report = q_space_report(s)
     if not report.ok:
         raise PreconditionError("invalid Q-space:\n" + report.format())
-    out = SetAlgebra(s.poset.n, tuple(fam), s.eqs).to_info_algebra()
+    out = SetAlgebra(s.poset.n, tuple(up_sets(s.poset)), s.eqs).to_info_algebra()
     axioms = verify_axioms(out)
     if not axioms.ok:
         raise StructureError("reconstructed algebra fails axioms:\n" + axioms.format())
@@ -239,7 +243,7 @@ class AlgebraRoundTrip:
 def round_trip_algebra(a: InfoAlgebra) -> AlgebraRoundTrip:
     """source -> reconstruct(dualize(source)) with the canonical element map
     x -> (up-set of dual points at or above x); verified isomorphism."""
-    space, points, _ = _dual(a)
+    space, points = _dual(a)
     target = reconstruct(space)
     index = space.poset.up_set_index
     f = tuple(index[pullback(points, up)] for up in a.poset.up)
@@ -256,7 +260,7 @@ class SpaceRoundTrip:
     points: tuple[int, ...]          # carrier indices of the target's points
 
 
-def round_trip_space(s: QSpace, cap: int = RECONSTRUCT_CAP) -> SpaceRoundTrip:
+def round_trip_space(s: QSpace, cap: int = DEFAULT_CAP) -> SpaceRoundTrip:
     """source -> dualize(reconstruct(source)) via p -> (principal up-set of p
     as a point of the double dual) and the identity on labels; verified
     Q-isomorphism: a bijective order isomorphism carrying each equivalence
@@ -267,7 +271,7 @@ def round_trip_space(s: QSpace, cap: int = RECONSTRUCT_CAP) -> SpaceRoundTrip:
     """
     algebra = reconstruct(s, cap=cap)
     index = s.poset.up_set_index
-    target, points, _ = _dual(algebra)
+    target, points = _dual(algebra)
     n = s.poset.n
     if target.poset.n != n or len(target.eqs.members) != len(s.eqs.members):
         raise StructureError("double dual has different size")
@@ -290,20 +294,6 @@ def round_trip_space(s: QSpace, cap: int = RECONSTRUCT_CAP) -> SpaceRoundTrip:
     return SpaceRoundTrip(target, QMorphism(lam, tuple(range(len(s.eqs.members)))), points)
 
 
-def _member_arrays(space: QSpace) -> list[tuple[int, ...]]:
-    """Saturation of every family member as a self-map of the up-set list.
-
-    Distinct separating members always give distinct arrays; collisions are
-    rejected because they would make label-level composition ambiguous.
-    """
-    pos = space.poset.up_set_index
-    arrays = [tuple(pos[saturate(member, u)] for u in pos)
-              for member in space.eqs.members]
-    if len(set(arrays)) != len(arrays):
-        raise StructureError("ambiguous composition: saturation arrays collide")
-    return arrays
-
-
 def check_q_morphism(m: QMorphism, s: QSpace, t: QSpace) -> Report:
     """Q-morphism laws for (alpha, omega): s -> t.
 
@@ -324,21 +314,11 @@ def check_q_morphism(m: QMorphism, s: QSpace, t: QSpace) -> Report:
               if not t.poset.le(m.alpha[p], m.alpha[q])), None)
     report.add("alpha_order_preserving", w is None, w)
 
-    # label-level composition through up-set saturation arrays: for a
-    # star-closed family it agrees with the star product, for a dual family
-    # it is the image of the extractor composition
-    tab_s = table(_member_arrays(s))
-    tab_t = table(_member_arrays(t))
-
-    def composite(tab, i, j):
-        if tab[i][j] is None:
-            raise StructureError(f"saturations not closed under composition at ({i},{j})")
-        return tab[i][j]
-
+    tab_s, tab_t = (SetAlgebra(x.n, tuple(up_sets(x.poset)), x.eqs).label_table
+                    for x in (s, t))
     ks = range(len(t.eqs.members))
     w = next(((i, j) for i in ks for j in ks
-              if m.omega[composite(tab_t, i, j)]
-              != composite(tab_s, m.omega[i], m.omega[j])), None)
+              if m.omega[tab_t[i][j]] != tab_s[m.omega[i]][m.omega[j]]), None)
     report.add("omega_semigroup_map", w is None, w)
 
     # row i over the codomain's up-sets v, named back by v on failure
@@ -378,8 +358,8 @@ def dualize_morphism(m: AlgebraMorphism, a: InfoAlgebra, b: InfoAlgebra) -> QMor
     hom = is_homomorphism(m, a, b, check_meets=True)
     if not hom.ok:
         raise PreconditionError("not a homomorphism:\n" + hom.format())
-    space_a, points_a, _ = _dual(a)
-    space_b, points_b, _ = _dual(b)
+    space_a, points_a = _dual(a)
+    space_b, points_b = _dual(b)
     alpha = dual_point_map(m.f, a, b, points_a, points_b)
     qm = QMorphism(alpha, tuple(m.g))
     report = check_q_morphism(qm, space_b, space_a)

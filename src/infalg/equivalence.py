@@ -137,23 +137,24 @@ def least_upper_equivalence(theta: Equivalence, gamma: Equivalence) -> Equivalen
 class StarFamily:
     """A labeled set of equivalences on one universe.
 
-    ``closed`` records whether the members commute pairwise and every star
-    product is again a member; families built with the default strict
-    factory always are. Duals of some algebras are not (their semigroup
-    structure lives on the labels instead), so the flag is data, not an
-    assumption. ``products`` is the family's ``star_table``, recorded by
-    ``star_family`` for every family it builds, closed or not.
+    ``products`` is the family's ``star_table``, and the family is
+    ``closed`` when no entry is missing; families built with the default
+    strict factory always are. Duals of some algebras are not: their
+    semigroup lives on the saturations of up-sets (``SetAlgebra.label_table``).
     """
 
     n: int
     members: tuple[Equivalence, ...]
     labels: tuple[str, ...]
-    closed: bool = True
-    products: tuple[tuple, ...] | None = field(default=None, compare=False, repr=False)
+    products: tuple[tuple[int | None, ...], ...] = field(compare=False, repr=False)
 
     def __post_init__(self):
         if len(self.members) != len(self.labels):
             raise StructureError("member/label count mismatch")
+
+    @property
+    def closed(self) -> bool:
+        return unlisted(self.products) is None
 
 
 def star_table(members) -> tuple[tuple[int | None, ...], ...]:
@@ -197,7 +198,7 @@ def star_family(members, labels=None, n: int | None = None,
             raise NonCommutingError(w, f"members {i} and {j} do not commute, witness {w}")
         raise StructureError(f"family not star-closed: missing product of ({i},{j})",
                              witness=gap)
-    return StarFamily(n, members, labels, gap is None, products)
+    return StarFamily(n, members, labels, products)
 
 
 def star_closure(members, labels=None) -> StarFamily:

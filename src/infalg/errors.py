@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the default size cap."""
+
+DEFAULT_CAP = 4096
 
 
 class InfAlgError(Exception):

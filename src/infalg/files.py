@@ -11,7 +11,7 @@ import json
 from dataclasses import dataclass
 
 from .algebra import InfoAlgebra, verify_axioms
-from .duality import QSpace, q_space_report
+from .duality import QSpace, check_upset_cap, q_space_report
 from .equivalence import Equivalence, star_family
 from .errors import CapExceeded, FormatError, NonCommutingError, StructureError
 from .order import bound_table_witness, semilattice_from_poset, verify_poset, verify_semilattice
@@ -200,9 +200,7 @@ def qspace_from_doc(doc, cap: int | None = None) -> ParsedQSpace:
     if not poset_report.ok:
         return ParsedQSpace(None, report)
     poset = poset_report.poset
-    # reconstruct's cap, checked before the report saturates every up-set
-    if cap is not None and len(poset.up_set_index) > cap:
-        raise CapExceeded(f"{len(poset.up_set_index)} up-sets exceed the cap {cap}")
+    check_upset_cap(poset, cap)
     labels = sorted(eqmap)
     members = [Equivalence(n, eqmap[lab]) for lab in labels]
     try:

@@ -20,14 +20,13 @@ from string import ascii_lowercase
 from .algebra import InfoAlgebra, combination_rows
 from .duality import QSpace, check_separating
 from .equivalence import Equivalence, StarFamily, all_equivalences, star, star_family, star_table
-from .errors import CapExceeded, PreconditionError, StructureError
+from .errors import DEFAULT_CAP, CapExceeded, PreconditionError, StructureError
 from .order import (BoundedJoinSemilattice, FinitePoset, automorphisms, bits, is_distributive,
                     join_semilattice, lattice_from_semilattice, mask_of, semilattice_from_poset,
                     up_rows)
 from .semigroup import compose, first_row_witness, homomorphism_witness, table
 from .set_algebra import SetAlgebra, build_set_algebra
 
-DEFAULT_CAP = 4096
 LATTICE_ENUM_LIMIT = 6
 QSPACE_POINT_LIMIT = 4
 FAMILY_BASE_LIMIT = 18
@@ -362,12 +361,17 @@ def separating_equivalences(poset: FinitePoset) -> list[Equivalence]:
     return [eq for eq in all_equivalences(poset.n) if check_separating(poset, eq)[0]]
 
 
+def check_q_space_limit(max_points: int) -> None:
+    """enumerate_q_spaces' bound, which the stream checks only when first read."""
+    if max_points > QSPACE_POINT_LIMIT:
+        raise CapExceeded(f"Q-space enumeration limited to {QSPACE_POINT_LIMIT} points")
+
+
 def enumerate_q_spaces(max_points: int):
     """All Q-spaces with up to max_points points: every poset paired with
     every star-closed commuting family of separating equivalences, up to
     poset automorphism."""
-    if max_points > QSPACE_POINT_LIMIT:
-        raise CapExceeded(f"Q-space enumeration limited to {QSPACE_POINT_LIMIT} points")
+    check_q_space_limit(max_points)
     # eq moved by aut: x and y are related iff aut[x] and aut[y] are in eq
     conjugate = lambda eq, aut: Equivalence(eq.n, compose(eq.block_of, aut))
     for poset in enumerate_posets(max_points):
@@ -380,4 +384,4 @@ def enumerate_q_spaces(max_points: int):
         for fam, products in _first_of_orbits(seps, families, tab, conjugate,
                                               automorphisms(poset)):
             labels = tuple(f"t{i}" for i in range(len(fam)))
-            yield QSpace(poset, StarFamily(poset.n, fam, labels, True, products))
+            yield QSpace(poset, StarFamily(poset.n, fam, labels, products))

@@ -3,11 +3,14 @@ operators of a compatible star-semigroup of equivalences.
 
 Information order on subsets is reverse inclusion; combination is set
 intersection, the unit is the full universe, the zero is the empty set.
+A set algebra owns its members' saturation arrays and their label-level
+composition table, which Q-space reconstruction and Q-morphism checks read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .algebra import AlgebraMorphism, InfoAlgebra, is_isomorphism
 from .equivalence import Equivalence, StarFamily, directedness_witness, saturate, star_family
@@ -23,31 +26,37 @@ class SetAlgebra:
     family: tuple[int, ...]
     eqs: StarFamily
 
-    def to_info_algebra(self) -> InfoAlgebra:
-        """The abstract algebra: carrier indexed by family position.
+    @cached_property
+    def saturations(self) -> tuple[tuple[int, ...], ...]:
+        """Each member's saturation as a self-map of family positions."""
+        pos = {mask: i for i, mask in enumerate(self.family)}
+        return tuple(tuple(pos[saturate(theta, x)] for x in self.family)
+                     for theta in self.eqs.members)
 
-        The label-level composition table comes from star products when the
-        family is closed; otherwise the composed saturation arrays are
-        resolved against the listed ones, which requires them to be
-        pairwise distinct (separating members always are).
-        """
+    @cached_property
+    def label_table(self) -> tuple[tuple[int, ...], ...]:
+        """Label-level composition: the star products of a closed family,
+        else the composed saturations resolved against the listed ones, which
+        must be distinct (separating members' always are) and closed."""
+        if self.eqs.closed:
+            return self.eqs.products
+        arrays = self.saturations
+        if len(set(arrays)) != len(arrays):
+            raise StructureError("cannot resolve composition: saturation arrays collide")
+        tab = table(arrays)
+        w = unlisted(tab)
+        if w is not None:
+            raise StructureError(f"saturations not closed under composition at ({w[0]},{w[1]})")
+        return tab
+
+    def to_info_algebra(self) -> InfoAlgebra:
+        """The abstract algebra: carrier indexed by family position, the
+        saturations as extractors, composed by ``label_table``."""
         fam = self.family
         pos = {mask: i for i, mask in enumerate(fam)}
         join = tuple(tuple(map(pos.__getitem__, map(fi.__and__, fam))) for fi in fam)
         sl = join_semilattice(join, pos[(1 << self.n) - 1], pos[0])
-        extractors = tuple(tuple(pos[saturate(theta, x)] for x in fam)
-                           for theta in self.eqs.members)
-        if self.eqs.closed:
-            composition = self.eqs.products
-        else:
-            if len(set(extractors)) != len(extractors):
-                raise StructureError("cannot resolve composition: saturation arrays collide")
-            composition = table(extractors)
-            w = unlisted(composition)
-            if w is not None:
-                raise StructureError("saturations not closed under composition "
-                                     f"at ({w[0]},{w[1]})")
-        return InfoAlgebra(sl, extractors, self.eqs.labels, composition)
+        return InfoAlgebra(sl, self.saturations, self.eqs.labels, self.label_table)
 
 
 def check_set_algebra(n: int, family, eqs: StarFamily) -> Report:

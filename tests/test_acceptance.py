@@ -264,8 +264,8 @@ def test_criterion_10_morphism_duality():
     for m, a, b in homs:
         assert is_homomorphism(m, a, b, check_meets=True).ok
         qm = dualize_morphism(m, a, b)  # raises unless a verified Q-morphism
-        space_a, points_a, _ = _dual(a)
-        space_b, points_b, _ = _dual(b)
+        space_a, points_a = _dual(a)
+        space_b, points_b = _dual(b)
         f_injective = len(set(m.f)) == a.n
         f_surjective = len(set(m.f)) == b.n
         alpha_onto = set(qm.alpha) == set(range(len(points_a)))
@@ -281,7 +281,7 @@ def test_criterion_10_morphism_duality():
     # lattice and semigroup laws, the extraction law holds exactly when it
     # holds for the dual
     a = make_algebra(chain_poset(3), [(0, 1, 2), (0, 0, 2)])
-    space, points, _ = _dual(a)
+    space, points = _dual(a)
     both = {True: 0, False: 0}
     for f in product(range(3), repeat=3):
         if f[a.unit] != a.unit or f[a.zero] != a.zero:

@@ -7,7 +7,7 @@ from infalg import cli, duality, files
 from infalg.cli import main
 from infalg.duality import QSpace, dualize
 from infalg.equivalence import Equivalence, star_family
-from infalg.errors import FormatError
+from infalg.errors import DEFAULT_CAP, FormatError
 from infalg.generators import enumerate_lattices, gen_string, string_elements
 from infalg.order import antichain_poset, diamond_m3, pentagon_n5, try_lattice, verify_poset
 
@@ -283,6 +283,11 @@ def test_cli_enumerate(tmp_path, capsys):
     assert "total: 2 algebras, 7 q-spaces" in out
 
 
+def test_cli_enumerate_refuses_a_point_count_before_streaming(capsys):
+    assert main(["enumerate", "2", "--posets", "9"]) == 1
+    assert capsys.readouterr() == ("", "failure: Q-space enumeration limited to 4 points\n")
+
+
 def test_cli_cap_env(tmp_path, monkeypatch):
     monkeypatch.setenv("INFALG_CAP", "4")
     assert main(["gen", "string", "2", "3", "-o", str(tmp_path / "x.json")]) == 1
@@ -333,7 +338,7 @@ def test_cli_roundtrip_hands_its_cap_to_reconstruct(tmp_path, monkeypatch):
     caps = []
     reconstruct = duality.reconstruct
 
-    def recording(s, cap=duality.RECONSTRUCT_CAP):
+    def recording(s, cap=DEFAULT_CAP):
         caps.append(cap)
         return reconstruct(s, cap)
 

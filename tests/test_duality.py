@@ -9,20 +9,21 @@ from infalg import duality
 from infalg.algebra import (AlgebraMorphism, enumerate_homomorphisms, extraction_image,
                             identity_morphism, is_distributive_cdf, is_homomorphism, make_algebra,
                             verify_axioms)
-from infalg.duality import (QMorphism, QSpace, _dual, _member_arrays, boolean_diagnostics,
+from infalg.duality import (QMorphism, QSpace, _dual, boolean_diagnostics,
                             check_q_morphism, check_separating, dual_point_map, dualize,
                             dualize_morphism, double_dual_element_map, make_nontrivial_separating,
                             make_q_space, q_space_report, reconstruct, round_trip_algebra,
                             round_trip_space, sentence_commutation, sentence_saturation_upsets,
                             sentence_separation, sentence_separation_star)
 from infalg.equivalence import (Equivalence, StarFamily, all_equivalences, commutation_witness,
-                                saturate, star_closure, star_family)
+                                saturate, star_closure, star_family, star_table)
 from infalg.errors import CapExceeded, PreconditionError, StructureError
 from infalg.generators import (all_labeled_posets, enumerate_algebras, enumerate_q_spaces,
                                separating_equivalences)
 from infalg.order import FinitePoset, antichain_poset, chain_poset, mask_of, up_sets
 from infalg.report import Report
 from infalg.semigroup import compose, table
+from infalg.set_algebra import SetAlgebra
 
 
 def chain_algebra(m, extractors=None):
@@ -226,7 +227,7 @@ def test_dual_of_inclusion_is_onto(generated_suite):
         for m, sub, _ in inclusion_pairs(a):
             assert is_homomorphism(m, sub, a, check_meets=True).ok
             qm = dualize_morphism(m, sub, a)
-            _, points_sub, _ = _dual(sub)
+            _, points_sub = _dual(sub)
             assert set(qm.alpha) == set(range(len(points_sub)))
 
 
@@ -236,8 +237,8 @@ def test_dual_of_surjection_is_order_embedding():
     m = AlgebraMorphism((0, 0, 1), (0, 0))
     assert is_homomorphism(m, a, b, check_meets=True).ok
     qm = dualize_morphism(m, a, b)
-    space_b, _, _ = _dual(b)
-    space_a, _, _ = _dual(a)
+    space_b, _ = _dual(b)
+    space_a, _ = _dual(a)
     for p in range(space_b.poset.n):
         for q in range(space_b.poset.n):
             assert space_b.poset.le(p, q) == space_a.poset.le(qm.alpha[p], qm.alpha[q])
@@ -319,7 +320,7 @@ def test_compatibility_transfers_both_ways():
     # extraction law exactly when their double duals do
     a = chain_algebra(3, [(0, 1, 2), (0, 0, 2)])
     b = a
-    space, points, _ = _dual(a)
+    space, points = _dual(a)
     checked_bad = checked_good = 0
     from itertools import product
 
@@ -420,8 +421,8 @@ def test_saturations_compose_along_extractor_labels(generated_suite):
     for a in generated_suite.values():
         if not is_distributive_cdf(a).ok:
             continue
-        space, _, _ = _dual(a)
-        arrays = _member_arrays(space)
+        space, _ = _dual(a)
+        arrays = member_arrays(space)
         for k in range(len(arrays)):
             for l in range(len(arrays)):
                 composed = tuple(arrays[k][arrays[l][i]] for i in range(len(arrays[k])))
@@ -433,8 +434,8 @@ def test_dual_saturations_distinct(generated_suite):
     for a in generated_suite.values():
         if not is_distributive_cdf(a).ok:
             continue
-        space, _, _ = _dual(a)
-        arrays = _member_arrays(space)
+        space, _ = _dual(a)
+        arrays = member_arrays(space)
         assert len(set(arrays)) == len(arrays)
 
 
@@ -444,7 +445,7 @@ def test_kernel_class_witness_on_duals(generated_suite):
     for a in generated_suite.values():
         if not is_distributive_cdf(a).ok:
             continue
-        space, points, _ = _dual(a)
+        space, points = _dual(a)
         for k in range(len(a.extractors)):
             theta = space.eqs.members[k]
             for x in range(a.n):
@@ -458,7 +459,7 @@ def test_trace_inclusion_matches_membership_transfer(generated_suite):
     for a in generated_suite.values():
         if not is_distributive_cdf(a).ok:
             continue
-        space, points, _ = _dual(a)
+        space, points = _dual(a)
         usets = up_sets(space.poset)
         for k in range(len(a.extractors)):
             theta = space.eqs.members[k]
@@ -544,6 +545,16 @@ def test_check_separating_matches_literal_loop():
     assert kinds == {None, "saturation_image", "unseparated_pair"}
 
 
+def member_arrays(space):
+    """Saturation of every family member as a self-map of the up-set list,
+    collisions rejected: the label tables' second route."""
+    pos = space.poset.up_set_index
+    arrays = [tuple(pos[saturate(member, u)] for u in pos) for member in space.eqs.members]
+    if len(set(arrays)) != len(arrays):
+        raise StructureError("ambiguous composition: saturation arrays collide")
+    return arrays
+
+
 def literal_check_q_morphism(m, s, t):
     """check_q_morphism with its order and saturation laws as literal loops."""
     report = Report()
@@ -556,7 +567,7 @@ def literal_check_q_morphism(m, s, t):
     w = next(((p, q) for p in range(s.poset.n) for q in range(s.poset.n)
               if s.poset.le(p, q) and not t.poset.le(m.alpha[p], m.alpha[q])), None)
     report.add("alpha_order_preserving", w is None, w)
-    tab_s, tab_t = table(_member_arrays(s)), table(_member_arrays(t))
+    tab_s, tab_t = table(member_arrays(s)), table(member_arrays(t))
 
     def composite(tab, i, j):
         if tab[i][j] is None:
@@ -606,7 +617,7 @@ def literal_round_trip_space(s):
     literal loops."""
     algebra = reconstruct(s)
     index = s.poset.up_set_index
-    target, points, _ = duality._dual(algebra)
+    target, points = duality._dual(algebra)
     n = s.poset.n
     if target.poset.n != n or len(target.eqs.members) != len(s.eqs.members):
         raise StructureError("double dual has different size")
@@ -653,14 +664,15 @@ def test_round_trip_space_matches_literal_loop(monkeypatch):
     messages = set()
     for _ in range(300):
         s = rng.choice(spaces)
-        target, points, cdf = real_dual(reconstruct(s))
+        target, points = real_dual(reconstruct(s))
         poset, members = target.poset, list(target.eqs.members)
         if rng.random() < 0.5:
             poset = rng.choice(all_labeled_posets(s.n))
         else:
             members[rng.randrange(len(members))] = rng.choice(all_equivalences(s.n))
-        tampered = QSpace(poset, StarFamily(s.n, tuple(members), target.eqs.labels, False))
-        monkeypatch.setattr(duality, "_dual", lambda a: (tampered, points, cdf))
+        tampered = QSpace(poset, StarFamily(s.n, tuple(members), target.eqs.labels,
+                                            star_table(members)))
+        monkeypatch.setattr(duality, "_dual", lambda a: (tampered, points))
         expected = round_trip_outcome(literal_round_trip_space, s)
         got = round_trip_outcome(round_trip_space, s)
         if isinstance(expected, str):
@@ -693,6 +705,39 @@ def test_round_trips_decide_each_law_once(monkeypatch, lv_2_chain3):
         round_trip_space(s)
     round_trip_algebra(lv_2_chain3)
     assert q_checks == [] and builds == []
+
+
+def test_check_q_morphism_reads_star_closed_tables_without_saturating(monkeypatch):
+    # a star-closed family's omega law reads its star products, so the only
+    # saturations are the saturation law's: two per codomain label and up-set
+    from infalg import set_algebra
+
+    spaces = list(enumerate_q_spaces(3))
+    saturations = count_calls(monkeypatch, "saturate", duality, set_algebra)
+    expected = 0
+    for s in spaces:
+        assert s.eqs.closed
+        m = QMorphism(tuple(range(s.n)), tuple(range(len(s.eqs.members))))
+        assert check_q_morphism(m, s, s).ok
+        expected += 2 * len(s.eqs.members) * len(up_sets(s.poset))
+    assert len(saturations) == expected
+
+
+def test_label_table_matches_the_saturation_arrays_on_every_dual():
+    # the up-set algebra's table against the arrays resolved here, on every
+    # dual of the universe up to 5 elements, star-closed or not
+    not_closed = 0
+    for a in enumerate_algebras(5):
+        space = dualize(a)
+        sa = SetAlgebra(space.n, tuple(up_sets(space.poset)), space.eqs)
+        arrays = member_arrays(space)
+        assert sa.saturations == tuple(arrays)
+        assert sa.label_table == table(arrays)
+        if space.eqs.closed:
+            assert sa.label_table == space.eqs.products
+        else:
+            not_closed += 1
+    assert not_closed == 2
 
 
 def test_reconstruct_checks_its_cap_before_saturating(monkeypatch):
