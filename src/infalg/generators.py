@@ -2,18 +2,20 @@
 small algebras and Q-spaces, used as oracles by the test suite.
 
 All streams are deterministic; enumerated objects are duplicate-free up to
-isomorphism. Lattices are kept by canonical order tables. A family is a set
-of indices into its base's pool, which the base's automorphisms permute.
-The closed families of a pool are found by Close-by-One, each reached once
-from its closed parent, then sorted into subset-mask order; families are
-deduped as orbits of index sets, the first of each orbit in subset-mask
-order kept, and read their label tables from the pool's.
+isomorphism. Bases are kept by canonical order tables, the least over all
+relabelings. Both enumerators run one family core on each base: its pool,
+the pool's label table and the base's automorphisms go in; the pool's size
+is checked and its table built once; Close-by-One finds the closed
+families as sets of pool indices, each reached once from its closed
+parent, sorted into subset-mask order; the automorphisms permute the pool,
+so the first family of each orbit of index sets is kept, with the pool's
+table restricted to it.
 """
 
 from __future__ import annotations
 
 from contextlib import suppress
-from itertools import combinations, permutations, product
+from itertools import combinations, product
 from math import prod
 from string import ascii_lowercase
 
@@ -22,8 +24,8 @@ from .duality import QSpace, check_separating
 from .equivalence import Equivalence, StarFamily, all_equivalences, star, star_family, star_table
 from .errors import DEFAULT_CAP, CapExceeded, PreconditionError, StructureError
 from .order import (BoundedJoinSemilattice, FinitePoset, automorphisms, bits, is_distributive,
-                    join_semilattice, lattice_from_semilattice, mask_of, semilattice_from_poset,
-                    up_rows)
+                    join_semilattice, lattice_from_semilattice, mask_of, relabelings,
+                    semilattice_from_poset, up_rows)
 from .semigroup import compose, first_row_witness, homomorphism_witness, table
 from .set_algebra import SetAlgebra, build_set_algebra
 
@@ -220,13 +222,8 @@ def all_labeled_posets(n: int) -> list[FinitePoset]:
 
 
 def _canonical_poset_key(poset: FinitePoset):
-    n = poset.n
-    best = None
-    for perm in permutations(range(n)):
-        key = tuple(poset.le(perm[a], perm[b]) for a in range(n) for b in range(n))
-        if best is None or key < best:
-            best = key
-    return best
+    """The least order table over all relabelings of the poset."""
+    return min(key for _, key in relabelings(poset))
 
 
 def enumerate_posets(max_n: int) -> list[FinitePoset]:
@@ -274,8 +271,8 @@ def extraction_maps(lat: BoundedJoinSemilattice,
                        or homomorphism_witness(cand, lat.meet, lat.meet) is None))
 
 
-def _closed_subsets(tab):
-    """Member index lists, in subset-mask order, of every nonempty subset of
+def _closed_subsets(tab) -> list[int]:
+    """Index masks, ascending (subset-mask order), of every nonempty subset of
     a pool whose members pairwise commute and whose products are all
     members. ``tab[i][j]`` is the pool index of the product of members i and
     j, or None when the product is missing from the pool or does not exist.
@@ -312,33 +309,36 @@ def _closed_subsets(tab):
                 if mask is not None and not (mask ^ closed) & ((1 << i) - 1):
                     found.append(mask)
                     stack.append((mask, i + 1))
-    for mask in sorted(found):
-        yield list(bits(mask))
+    return sorted(found)
+
+
+def _families(pool, label_table, conjugate, auts, what):
+    """The closed families of a pool, one per orbit, each with its label
+    table. ``label_table(pool)`` builds the pool's table, once, after the
+    pool's size is checked; conjugation by each of the base's automorphisms
+    ``auts`` permutes the pool, so orbits are of index sets. Each closed
+    family, in subset-mask order, is yielded as its members with the pool's
+    table restricted to it, unless its orbit holds one yielded before."""
+    k = len(pool)
+    if k > FAMILY_BASE_LIMIT:
+        raise CapExceeded(f"{what} pool of {k} exceeds limit {FAMILY_BASE_LIMIT}")
+    tab = label_table(pool)
+    index = {x: i for i, x in enumerate(pool)}
+    perms = [[index[conjugate(x, aut)] for x in pool] for aut in auts]
+    seen = set()
+    for mask in _closed_subsets(tab):
+        if mask not in seen:
+            members = list(bits(mask))
+            seen.update(mask_of(perm[i] for i in members) for perm in perms)
+            pos = {i: r for r, i in enumerate(members)}
+            yield (tuple(pool[i] for i in members),
+                   tuple(tuple(pos[tab[i][j]] for j in members) for i in members))
 
 
 def extraction_families(ops: list[tuple[int, ...]]) -> list[tuple[tuple[int, ...], ...]]:
     """All nonempty pairwise-commuting composition-closed subsets of the
     given operator pool, in subset-mask order."""
-    k = len(ops)
-    if k > FAMILY_BASE_LIMIT:
-        raise CapExceeded(f"operator pool of {k} exceeds limit {FAMILY_BASE_LIMIT}")
-    return [tuple(ops[i] for i in members) for members in _closed_subsets(table(ops))]
-
-
-def _first_of_orbits(pool, families, tab, conjugate, auts):
-    """Each of the families, closed subsets of the pool listed in subset-mask
-    order, whose mask is not in the orbit of one yielded before, with the
-    pool's label table ``tab`` restricted to it. Conjugation by each of the
-    base's automorphisms permutes the pool, so orbits are of index masks."""
-    index = {x: i for i, x in enumerate(pool)}
-    perms = [[index[conjugate(x, aut)] for x in pool] for aut in auts]
-    seen = set()
-    for fam in families:
-        members = [index[x] for x in fam]
-        if mask_of(members) not in seen:
-            seen.update(mask_of(perm[i] for i in members) for perm in perms)
-            pos = {i: r for r, i in enumerate(members)}
-            yield fam, tuple(tuple(pos[tab[i][j]] for j in members) for i in members)
+    return [fam for fam, _ in _families(ops, table, None, (), "operator")]
 
 
 def enumerate_algebras(max_n: int):
@@ -350,9 +350,8 @@ def enumerate_algebras(max_n: int):
     # aut . arr . aut^-1 maps aut[x] to aut[arr[x]]: its graph, sorted
     conjugate = lambda arr, aut: tuple(y for _, y in sorted(zip(aut, compose(aut, arr))))
     for lat in enumerate_lattices(max_n, distributive_only=True):
-        ops = extraction_maps(lat, require_meets=True)
-        for arrays, products in _first_of_orbits(ops, extraction_families(ops), table(ops),
-                                                 conjugate, automorphisms(lat.poset)):
+        for arrays, products in _families(extraction_maps(lat, require_meets=True), table,
+                                          conjugate, automorphisms(lat.poset), "operator"):
             labels = tuple(f"e{i}" for i in range(len(arrays)))
             yield InfoAlgebra(lat, arrays, labels, products)
 
@@ -375,13 +374,7 @@ def enumerate_q_spaces(max_points: int):
     # eq moved by aut: x and y are related iff aut[x] and aut[y] are in eq
     conjugate = lambda eq, aut: Equivalence(eq.n, compose(eq.block_of, aut))
     for poset in enumerate_posets(max_points):
-        seps = separating_equivalences(poset)
-        k = len(seps)
-        if k > FAMILY_BASE_LIMIT:
-            raise CapExceeded(f"separating pool of {k} exceeds limit {FAMILY_BASE_LIMIT}")
-        tab = star_table(seps)
-        families = [tuple(seps[i] for i in members) for members in _closed_subsets(tab)]
-        for fam, products in _first_of_orbits(seps, families, tab, conjugate,
-                                              automorphisms(poset)):
+        for fam, products in _families(separating_equivalences(poset), star_table, conjugate,
+                                       automorphisms(poset), "separating"):
             labels = tuple(f"t{i}" for i in range(len(fam)))
             yield QSpace(poset, StarFamily(poset.n, fam, labels, products))

@@ -413,15 +413,21 @@ def up_closure(poset: FinitePoset, mask: int) -> int:
     return out
 
 
-def automorphisms(poset: FinitePoset) -> list[tuple[int, ...]]:
-    """All order-preserving permutations; n is expected to stay tiny."""
+def relabelings(poset: FinitePoset):
+    """Each permutation of the points, the identity first, with the
+    row-major order table it induces: entry (a, b) is whether perm[a] lies
+    below perm[b]. All n! of them; n is expected to stay tiny."""
     n = poset.n
-    out = []
     for perm in permutations(range(n)):
-        if all(poset.le(a, b) == poset.le(perm[a], perm[b])
-               for a in range(n) for b in range(n)):
-            out.append(perm)
-    return out
+        yield perm, tuple(poset.le(perm[a], perm[b]) for a in range(n) for b in range(n))
+
+
+def automorphisms(poset: FinitePoset) -> list[tuple[int, ...]]:
+    """All order-preserving permutations: those inducing the poset's own
+    order table, the identity first."""
+    tables = relabelings(poset)
+    identity, own = next(tables)
+    return [identity] + [perm for perm, key in tables if key == own]
 
 
 # small stock orders used by tests and generators

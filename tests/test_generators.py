@@ -1,6 +1,7 @@
 import hashlib
 from collections import Counter
 from itertools import permutations, product
+from math import factorial
 
 import pytest
 from hypothesis import given, settings
@@ -183,6 +184,41 @@ def test_labeled_posets_match_verify_poset():
 def test_poset_counts_up_to_iso():
     counts = Counter(p.n for p in enumerate_posets(5))
     assert counts == {1: 1, 2: 2, 3: 5, 4: 16, 5: 63}
+
+
+# The n! loops of the canonical poset key and of automorphisms, written out:
+# the references both readers of order.relabelings must match.
+
+def literal_automorphisms(poset):
+    n = poset.n
+    return [perm for perm in permutations(range(n))
+            if all(poset.le(a, b) == poset.le(perm[a], perm[b])
+                   for a in range(n) for b in range(n))]
+
+
+def literal_canonical_key(poset):
+    n = poset.n
+    best = None
+    for perm in permutations(range(n)):
+        key = tuple(poset.le(perm[a], perm[b]) for a in range(n) for b in range(n))
+        if best is None or key < best:
+            best = key
+    return best
+
+
+def test_relabelings_match_literal_loops():
+    for n in range(5):
+        aut_sizes = {}  # canonical key: |Aut| of each labeled poset with it
+        for poset in all_labeled_posets(n):
+            auts = automorphisms(poset)
+            assert auts == literal_automorphisms(poset)
+            key = generators._canonical_poset_key(poset)
+            assert key == literal_canonical_key(poset)
+            aut_sizes.setdefault(key, []).append(len(auts))
+        # orbit-stabilizer: a class of labelings times its stabilizer is S_n
+        assert all(len(sizes) * size == factorial(n)
+                   for sizes in aut_sizes.values() for size in sizes)
+        assert len(aut_sizes) == [1, 1, 2, 5, 16][n]
 
 
 def test_enumerated_algebra_total():
@@ -407,16 +443,16 @@ def test_q_space_scan_matches_literal_loop():
 
 
 def literal_closed_subsets(tab):
-    """Member lists, in subset-mask order, of every nonempty subset of the
-    pool in which each ordered pair of members has a listed product, the
-    same in both orders, that is a member."""
+    """Masks, ascending, of every nonempty subset of the pool in which each
+    ordered pair of members has a listed product, the same in both orders,
+    that is a member."""
     k = len(tab)
     out = []
     for mask in range(1, 1 << k):
         members = list(bits(mask))
         if all(tab[i][j] is not None and tab[i][j] == tab[j][i] and (mask >> tab[i][j]) & 1
                for i in members for j in members):
-            out.append(members)
+            out.append(mask)
     return out
 
 
@@ -444,7 +480,7 @@ def pool_tables(draw):
 @settings(max_examples=200, deadline=None)
 @given(pool_tables())
 def test_closed_subsets_match_literal_scan_on_random_tables(tab):
-    assert list(generators._closed_subsets(tab)) == literal_closed_subsets(tab)
+    assert generators._closed_subsets(tab) == literal_closed_subsets(tab)
 
 
 def test_operator_pool_guard():
@@ -491,8 +527,8 @@ def conjugate_key_q_spaces(max_points):
         seps = separating_equivalences(poset)
         auts = automorphisms(poset)
         seen = set()
-        for members in generators._closed_subsets(star_table(seps)):
-            fam = [seps[i] for i in members]
+        for mask in generators._closed_subsets(star_table(seps)):
+            fam = [seps[i] for i in bits(mask)]
             key = min(tuple(sorted(Equivalence(eq.n, compose(eq.block_of, perm)).block_of
                                    for eq in fam))
                       for perm in auts)
@@ -530,6 +566,14 @@ def test_enumerate_q_spaces_takes_family_tables_from_the_pool(monkeypatch):
                         lambda theta, gamma: calls.append(1) or product_of(theta, gamma))
     assert sum(1 for _ in enumerate_q_spaces(4)) == 768
     assert len(calls) == 1516
+
+
+def test_enumerate_algebras_builds_one_pool_table_per_lattice(monkeypatch):
+    calls = []
+    table_of = generators.table
+    monkeypatch.setattr(generators, "table", lambda arrays: calls.append(1) or table_of(arrays))
+    assert sum(1 for _ in enumerate_algebras(5)) == 94
+    assert len(calls) == len(enumerate_lattices(5))
 
 
 # Cauchy-Frobenius-Burnside: a finite group acting on a finite set has
@@ -577,8 +621,8 @@ def test_q_space_orbits_match_burnside_count():
     bases = []
     for poset in enumerate_posets(4):
         seps = separating_equivalences(poset)
-        families = [frozenset(seps[i] for i in members)
-                    for members in generators._closed_subsets(star_table(seps))]
+        families = [frozenset(seps[i] for i in bits(mask))
+                    for mask in generators._closed_subsets(star_table(seps))]
         bases.append((poset.n, families, conjugate_equivalence, automorphisms(poset)))
     counts = burnside_orbit_counts(bases)
     assert counts == {1: 1, 2: 6, 3: 47, 4: 714}
@@ -619,14 +663,15 @@ def test_boolean_pools_by_close_by_one():
     for m in range(1, 6):
         pool = all_equivalences(m)
         tab = star_table(pool)
-        found = list(generators._closed_subsets(tab))
-        assert [mask_of(members) for members in found] == closure_search(tab), m
+        found = generators._closed_subsets(tab)
+        assert found == closure_search(tab), m
         # each permutation of the atoms acts on the pool, conjugating once
         # per member, and so on every family of pool indices
         index = {eq: i for i, eq in enumerate(pool)}
         moves = [tuple(index[conjugate_equivalence(eq, aut)] for eq in pool)
                  for aut in permutations(range(m))]
-        bases.append((m, list(map(frozenset, found)), lambda i, move: move[i], moves))
+        bases.append((m, [frozenset(bits(mask)) for mask in found], lambda i, move: move[i],
+                      moves))
     assert len(pool) == 52 and len(found) == 2793
     counts = burnside_orbit_counts(bases)
     assert counts == {1: 1, 2: 3, 3: 7, 4: 31, 5: 131}
