@@ -8,7 +8,7 @@ from itertools import combinations
 
 from .algebra import AlgebraMorphism, InfoAlgebra, is_homomorphism
 from .equivalence import Equivalence, saturate
-from .errors import CapExceeded, PreconditionError, StructureError
+from .errors import CapExceeded, PreconditionError
 from .order import (bits, complements, glb_of_set, is_distributive, join_semilattice, mask_of,
                     pullback, try_lattice)
 from .report import Report
@@ -87,10 +87,8 @@ def atom_representation(a: InfoAlgebra) -> AtomRepresentation:
     composition = tuple(tuple(a.compose_label(k, l) for l in ks) for k in ks)
     target = InfoAlgebra(sl, extractors, a.labels, composition)
     morphism = AlgebraMorphism(tuple(report.at), tuple(ks))
-    hom = is_homomorphism(morphism, a, target, check_meets=False)
-    if not hom.ok:
-        raise StructureError("atom representation is not a homomorphism:\n" + hom.format(),
-                             report=hom)
+    is_homomorphism(morphism, a, target, check_meets=False).require(
+        "atom representation is not a homomorphism")
     injective = len(set(morphism.f)) == a.n
     onto = len(set(morphism.f)) == size
     return AtomRepresentation(ats, target, morphism, injective, injective and onto)

@@ -64,15 +64,13 @@ def _write_out(args, text: str) -> None:
         sys.stdout.write(text)
 
 
-def _emit_report(args, report: Report, header: str = "") -> None:
+def _emit_report(args, report: Report) -> None:
     if args.format == "json":
         payload = {"ok": report.ok,
                    "items": [{"name": i.name, "ok": i.ok,
                               "witness": _jsonable(i.witness)} for i in report.items]}
         print(json.dumps(payload, sort_keys=True))
     else:
-        if header:
-            print(header)
         print(report.format())
 
 
@@ -89,8 +87,7 @@ def _load_algebra(args, text: str, lenient: bool = False) -> tuple[InfoAlgebra, 
 
 
 def _valid_algebra(parsed: files.ParsedAlgebra) -> tuple[InfoAlgebra, list | None]:
-    if not parsed.report.ok or parsed.algebra is None:
-        raise SemanticFailure("invalid algebra file:\n" + parsed.report.format())
+    parsed.report.require("invalid algebra file", SemanticFailure)
     return parsed.algebra, parsed.element_labels
 
 
@@ -129,8 +126,7 @@ def _upset_label(mask: int) -> str:
 
 def cmd_reconstruct(args) -> int:
     parsed = files.parse_qspace(_read(args.path), cap=_cap(args))
-    if parsed.space is None:
-        raise SemanticFailure("invalid Q-space file:\n" + parsed.report.format())
+    parsed.report.require("invalid Q-space file", SemanticFailure)
     algebra = reconstruct(parsed.space, cap=_cap(args))
     labels = [_upset_label(m) for m in up_sets(parsed.space.poset)]
     _write_out(args, files.dumps(files.algebra_doc(algebra, labels)))
@@ -144,18 +140,17 @@ def cmd_roundtrip(args) -> int:
         a, _ = _valid_algebra(files.algebra_from_doc(doc, cap=_cap(args)))
         rt = round_trip_algebra(a)
         report.add("isomorphism", True)
-        _emit_report(args, report, header="")
+        _emit_report(args, report)
         if args.format != "json":
             print("element map:", list(rt.morphism.f))
             print("extractor map:", {a.labels[i]: rt.target.labels[g]
                                      for i, g in enumerate(rt.morphism.g)})
     else:
         parsed = files.qspace_from_doc(doc, cap=_cap(args))
-        if parsed.space is None:
-            raise SemanticFailure("invalid Q-space file:\n" + parsed.report.format())
+        parsed.report.require("invalid Q-space file", SemanticFailure)
         rt = round_trip_space(parsed.space, cap=_cap(args))
         report.add("q_isomorphism", True)
-        _emit_report(args, report, header="")
+        _emit_report(args, report)
         if args.format != "json":
             print("point map:", list(rt.morphism.alpha))
     return 0
@@ -179,10 +174,8 @@ def cmd_classify(args) -> int:
         text = "completely atomistic"
     elif rep.atomistic:
         text = "atomistic"
-    elif rep.atomic:
-        text = "atomic"
     else:
-        text = "not atomic"
+        text = "atomic"
     if args.format == "json":
         print(json.dumps({"atomic": rep.atomic, "atomistic": rep.atomistic,
                           "completely_atomistic": rep.completely_atomistic,
@@ -203,14 +196,12 @@ def cmd_gen(args) -> int:
         sa = gen_multivariate(args.params, cap=cap)
         algebra = sa.to_info_algebra()
         labels = None
-    elif args.kind == "lattice":
+    else:
         if args.chain < 1:
             raise FormatError(f"--chain must be a positive integer, got {args.chain}")
         lattice_valued_points(args.params, args.chain, cap)
         algebra = gen_lattice_valued(args.params, chain_lattice(args.chain), cap=cap)
         labels = None
-    else:
-        raise FormatError(f"unknown generator kind {args.kind!r}")
     _write_out(args, files.dumps(files.algebra_doc(algebra, labels)))
     return 0
 

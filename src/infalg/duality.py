@@ -161,9 +161,7 @@ def q_space_report(space: QSpace) -> Report:
 def make_q_space(poset: FinitePoset, eqs: StarFamily) -> QSpace:
     """Validated Q-space; the star family is already commuting and closed."""
     space = QSpace(poset, eqs)
-    report = q_space_report(space)
-    if not report.ok:
-        raise StructureError("not a Q-space:\n" + report.format(), report=report)
+    q_space_report(space).require("not a Q-space")
     return space
 
 
@@ -191,10 +189,7 @@ def _dual(a: InfoAlgebra):
     # on the labels.
     eqs = star_family(members, a.labels, n=len(points), require_closure=False)
     space = QSpace(poset, eqs)
-    report = q_space_report(space)
-    if not report.ok:
-        raise StructureError("dual structure is not separating:\n" + report.format(),
-                             report=report)
+    q_space_report(space).require("dual structure is not separating")
     return space, tuple(points)
 
 
@@ -220,13 +215,9 @@ def reconstruct(s: QSpace, cap: int = DEFAULT_CAP) -> InfoAlgebra:
     CDF verdict are checked; for a family that is not star-closed they are
     the only check that its saturations commute."""
     check_upset_cap(s.poset, cap)
-    report = q_space_report(s)
-    if not report.ok:
-        raise PreconditionError("invalid Q-space:\n" + report.format())
+    q_space_report(s).require("invalid Q-space", PreconditionError)
     out = SetAlgebra(s.poset.n, tuple(up_sets(s.poset)), s.eqs).to_info_algebra()
-    axioms = verify_axioms(out)
-    if not axioms.ok:
-        raise StructureError("reconstructed algebra fails axioms:\n" + axioms.format())
+    verify_axioms(out).require("reconstructed algebra fails axioms")
     if not is_distributive_cdf(out).ok:
         raise StructureError("reconstructed algebra is not distributive")
     return out
@@ -278,19 +269,20 @@ def round_trip_space(s: QSpace, cap: int = DEFAULT_CAP) -> SpaceRoundTrip:
     carrier_of = {c: i for i, c in enumerate(points)}
     lam = tuple(carrier_of.get(index[row]) for row in s.poset.up)
     if None in lam:
-        raise StructureError(f"principal up-set of point {lam.index(None)} is not a dual point")
+        p = lam.index(None)
+        raise StructureError(f"principal up-set of point {p} is not a dual point", witness=p)
     if sorted(lam) != list(range(n)):
         raise StructureError("space round trip point map is not bijective")
     # row p of each relation against the lam-pullback of row lam[p] of its image
     w = next(((p, q) for p in range(n)
               for q in bits(s.poset.up[p] ^ pullback(lam, target.poset.up[lam[p]]))), None)
     if w is not None:
-        raise StructureError(f"order not preserved at {w}")
+        raise StructureError(f"order not preserved at {w}", witness=w)
     w = next(((i, p, q) for i, (theta, ti) in enumerate(zip(s.eqs.members, target.eqs.members))
               for p in range(n)
               for q in bits(theta.block_mask(p) ^ pullback(lam, ti.block_mask(lam[p])))), None)
     if w is not None:
-        raise StructureError(f"equivalence correspondence broken at {w}")
+        raise StructureError(f"equivalence correspondence broken at {w}", witness=w)
     return SpaceRoundTrip(target, QMorphism(lam, tuple(range(len(s.eqs.members)))), points)
 
 
@@ -346,7 +338,8 @@ def dual_point_map(f, a: InfoAlgebra, b: InfoAlgebra,
             if b.le(f[x], nu):
                 gen = a.join(gen, x)
         if gen not in points_a:
-            raise StructureError(f"preimage ideal generator {gen} is not meet-irreducible")
+            raise StructureError(f"preimage ideal generator {gen} is not meet-irreducible",
+                                 witness=gen)
         alpha.append(points_a.index(gen))
     return tuple(alpha)
 
@@ -355,17 +348,12 @@ def dualize_morphism(m: AlgebraMorphism, a: InfoAlgebra, b: InfoAlgebra) -> QMor
     """Dual Q-morphism of an algebra homomorphism between distributive
     algebras; runs from the dual of the codomain to the dual of the domain
     and is checked against the Q-morphism laws."""
-    hom = is_homomorphism(m, a, b, check_meets=True)
-    if not hom.ok:
-        raise PreconditionError("not a homomorphism:\n" + hom.format())
+    is_homomorphism(m, a, b, check_meets=True).require("not a homomorphism", PreconditionError)
     space_a, points_a = _dual(a)
     space_b, points_b = _dual(b)
     alpha = dual_point_map(m.f, a, b, points_a, points_b)
     qm = QMorphism(alpha, tuple(m.g))
-    report = check_q_morphism(qm, space_b, space_a)
-    if not report.ok:
-        raise StructureError("dualized morphism fails the Q-morphism laws:\n"
-                             + report.format())
+    check_q_morphism(qm, space_b, space_a).require("dualized morphism fails the Q-morphism laws")
     return qm
 
 
@@ -383,10 +371,11 @@ def boolean_diagnostics(a: InfoAlgebra) -> Report:
     lat = try_lattice(a.sl)
     ok, w = is_distributive(lat)
     if not ok:
-        raise PreconditionError(f"not Boolean: not distributive, witness {w}")
+        raise PreconditionError(f"not Boolean: not distributive, witness {w}", witness=w)
     comp, missing = complements(lat)
     if comp is None:
-        raise PreconditionError(f"not Boolean: element {missing} has no complement")
+        raise PreconditionError(f"not Boolean: element {missing} has no complement",
+                                witness=missing)
 
     points = meet_irreducibles(lat)
     report = Report()

@@ -1,10 +1,21 @@
-"""Exception types shared across the package, and the default size cap."""
+"""Exception types shared across the package, and the default size cap.
+
+Every library error carries ``report`` (the failing Report, when the error
+comes from a law-by-law check, else None) and ``witness`` (the failing
+element, pair or map that its message names, else None). A failed Report
+becomes an error one way, through ``Report.require``.
+"""
 
 DEFAULT_CAP = 4096
 
 
 class InfAlgError(Exception):
     """Base class for all library errors."""
+
+    def __init__(self, message, report=None, witness=None):
+        super().__init__(message)
+        self.report = report
+        self.witness = witness
 
 
 class FormatError(InfAlgError):
@@ -13,11 +24,6 @@ class FormatError(InfAlgError):
 
 class StructureError(InfAlgError):
     """A table fails the structural laws it claims to satisfy."""
-
-    def __init__(self, message, report=None, witness=None):
-        super().__init__(message)
-        self.report = report
-        self.witness = witness
 
 
 class NonCommutingError(InfAlgError):
@@ -28,16 +34,16 @@ class NonCommutingError(InfAlgError):
     """
 
     def __init__(self, witness, message=None):
-        super().__init__(message or f"equivalences do not commute, witness pair {witness}")
-        self.witness = witness
+        super().__init__(message or f"equivalences do not commute, witness pair {witness}",
+                         witness=witness)
 
 
 class NotDirectedError(InfAlgError):
     """An equivalence family that is not downward directed; witness is an index pair."""
 
     def __init__(self, witness, message=None):
-        super().__init__(message or f"family not downward directed, witness members {witness}")
-        self.witness = witness
+        super().__init__(message or f"family not downward directed, witness members {witness}",
+                         witness=witness)
 
 
 class CapExceeded(InfAlgError):
@@ -46,7 +52,3 @@ class CapExceeded(InfAlgError):
 
 class PreconditionError(InfAlgError):
     """An operation was invoked outside its stated precondition."""
-
-    def __init__(self, message, witness=None):
-        super().__init__(message)
-        self.witness = witness

@@ -65,7 +65,7 @@ def _bool_table(doc, key, n):
 
 def _label_map(doc, key, n, limit):
     mapping = doc[key]
-    _require(isinstance(mapping, dict) and mapping is not None, f"{key} must be an object")
+    _require(isinstance(mapping, dict), f"{key} must be an object")
     out = {}
     for label, arr in mapping.items():
         _require(isinstance(label, str), f"{key} labels must be strings")
@@ -206,7 +206,7 @@ def qspace_from_doc(doc, cap: int | None = None) -> ParsedQSpace:
     try:
         eqs = star_family(members, labels, n=n)
     except (NonCommutingError, StructureError) as exc:
-        report.add("star_family", False, getattr(exc, "witness", str(exc)))
+        report.add("star_family", False, exc.witness)
         return ParsedQSpace(None, report)
     report.add("star_family", True)
     space = QSpace(poset, eqs)

@@ -151,7 +151,8 @@ def gen_multivariate(domain_sizes, cap: int = DEFAULT_CAP) -> SetAlgebra:
     for a in range(1 << v):
         for b in range(1 << v):
             if star(by_mask[a], by_mask[b]) != by_mask[a & b]:
-                raise StructureError(f"projection star identity failed at {(a, b)}")
+                raise StructureError(f"projection star identity failed at {(a, b)}",
+                                     witness=(a, b))
     eqs = star_family(first, first.values())
     return build_set_algebra(m, tuple(range(1 << m)), eqs)
 
@@ -166,7 +167,7 @@ def gen_lattice_valued(domain_sizes, lam: BoundedJoinSemilattice,
     """
     ok, w = is_distributive(lam)
     if not ok:
-        raise PreconditionError(f"value lattice is not distributive, witness {w}")
+        raise PreconditionError(f"value lattice is not distributive, witness {w}", witness=w)
     domain_sizes = list(domain_sizes)
     nv = lattice_valued_points(domain_sizes, lam.n, cap)
     carrier = list(product(range(lam.n), repeat=nv))

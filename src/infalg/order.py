@@ -137,10 +137,7 @@ class FinitePoset:
 
     @classmethod
     def from_bool_table(cls, rows) -> "FinitePoset":
-        report = verify_poset(rows)
-        if not report.ok:
-            raise StructureError("not a partial order:\n" + report.format(), report=report)
-        return report.poset
+        return verify_poset(rows).require("not a partial order").poset
 
 
 def up_rows(rows) -> tuple[int, ...]:
@@ -334,10 +331,7 @@ def verify_semilattice(join, unit: int, zero: int) -> SemilatticeReport:
 
 def semilattice_from_join(join, unit: int, zero: int) -> BoundedJoinSemilattice:
     report = verify_semilattice(join, unit, zero)
-    if not report.ok:
-        raise StructureError("not a bounded join-semilattice:\n" + report.format(),
-                             report=report)
-    return report.semilattice
+    return report.require("not a bounded join-semilattice").semilattice
 
 
 def join_semilattice(join, unit: int, zero: int) -> BoundedJoinSemilattice:

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from .errors import StructureError
+
 
 @dataclass(frozen=True)
 class CheckItem:
@@ -41,3 +43,10 @@ class Report:
 
     def format(self) -> str:
         return "\n".join(item.format() for item in self.items)
+
+    def require(self, what: str, error=StructureError) -> Report:
+        """This report when every item holds; else ``error`` naming ``what``
+        and listing the items, with the report attached."""
+        if not self.ok:
+            raise error(f"{what}:\n{self.format()}", report=self)
+        return self

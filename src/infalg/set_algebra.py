@@ -46,7 +46,8 @@ class SetAlgebra:
         tab = table(arrays)
         w = unlisted(tab)
         if w is not None:
-            raise StructureError(f"saturations not closed under composition at ({w[0]},{w[1]})")
+            raise StructureError(f"saturations not closed under composition at ({w[0]},{w[1]})",
+                                 witness=w)
         return tab
 
     def to_info_algebra(self) -> InfoAlgebra:
@@ -79,9 +80,7 @@ def check_set_algebra(n: int, family, eqs: StarFamily) -> Report:
 
 def build_set_algebra(n: int, family, eqs: StarFamily) -> SetAlgebra:
     """Validated set algebra; rejection carries the witness subset or pair."""
-    report = check_set_algebra(n, family, eqs)
-    if not report.ok:
-        raise StructureError("not a set algebra:\n" + report.format(), report=report)
+    check_set_algebra(n, family, eqs).require("not a set algebra")
     return SetAlgebra(n, tuple(sorted(set(family))), eqs)
 
 

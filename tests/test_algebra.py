@@ -30,6 +30,15 @@ def test_string23_passes_axioms(string23):
     assert report.ok, report.format()
 
 
+@pytest.mark.parametrize("extractor, witness", [((0, 1, 2), (1, "length")),
+                                                ((0, 1, 2, 4), (1, 3))],
+                         ids=["short", "out-of-range"])
+def test_malformed_extractor_fails_well_formed_alone(extractor, witness):
+    a = InfoAlgebra(powerset_lattice(2), ((0, 1, 2, 3), extractor), ("id", "e"))
+    items = verify_axioms(a).items
+    assert [(i.name, i.ok, i.witness) for i in items] == [("well_formed", False, witness)]
+
+
 def test_extraction_dominated_failure_witnessed():
     # unit is sent to the contradiction: extracted part not contained
     a = make_algebra(chain_poset(2), [(1, 1)])

@@ -245,12 +245,61 @@ def test_cli_roundtrip_reads_an_algebra_file_once(tmp_path, capsys, monkeypatch)
     assert reads == [path]
 
 
+
+ORDER_OK = "ok    reflexive\nok    antisymmetric\nok    transitive\n"
+DISCRETE_3 = [[i == j for j in range(3)] for i in range(3)]
+DISCRETE_4 = [[i == j for j in range(4)] for i in range(4)]
+BAD_QSPACES = {
+    # name: (document, the report after "failure: invalid Q-space file:")
+    "not-an-order": ({"n": 2, "leq": [[True, True], [True, True]], "equivalences": {"d": [0, 1]}},
+                     "ok    reflexive\nFAIL  antisymmetric  witness=(0, 1)\nok    transitive\n"),
+    # {0,1}{2} and {0}{1,2}: 0 reaches 2 in one composition order only
+    "non-commuting": ({"n": 3, "leq": DISCRETE_3,
+                       "equivalences": {"a": [0, 0, 1], "b": [0, 1, 1]}},
+                      ORDER_OK + "FAIL  star_family  witness=(0, 2)\n"),
+    # the coordinate partitions of a 2x2 grid commute; their product is missing
+    "not-star-closed": ({"n": 4, "leq": DISCRETE_4,
+                         "equivalences": {"a": [0, 0, 1, 1], "b": [0, 1, 0, 1]}},
+                        ORDER_OK + "FAIL  star_family  witness=(0, 1)\n"),
+}
+
+
+@pytest.mark.parametrize("command", ["reconstruct", "roundtrip"])
+@pytest.mark.parametrize("case", sorted(BAD_QSPACES))
+def test_cli_rejects_invalid_q_space_files(tmp_path, capsys, command, case):
+    doc, shown = BAD_QSPACES[case]
+    path = write(tmp_path, "space.json", json.dumps(doc))
+    assert main([command, path]) == 1
+    assert capsys.readouterr() == ("", "failure: invalid Q-space file:\n" + shown)
+
+
 def test_cli_atoms_and_classify(tmp_path, capsys):
     path = gen_file(tmp_path, "gen", "multivariate", 2, 2)
     assert main(["classify", path]) == 0
     assert capsys.readouterr().out.strip() == "completely atomistic"
     assert main(["atoms", path]) == 0
     assert capsys.readouterr().out.startswith("atoms:")
+
+
+
+def classify_payload(atoms, atomistic, completely):
+    return {"atomic": True, "atomistic": atomistic, "atoms": atoms,
+            "completely_atomistic": completely}
+
+
+@pytest.mark.parametrize("argv, text, payload", [
+    (["string", 2, 3], "atomistic", classify_payload(list(range(7, 15)), True, False)),
+    (["lattice", 1, "--chain", 3], "atomic", classify_payload([1], False, False)),
+    (["multivariate", 2, 2], "completely atomistic", classify_payload([1, 2, 4, 8], True, True)),
+], ids=["atomistic", "atomic", "completely-atomistic"])
+def test_cli_classify_and_atoms_outputs_are_pinned(tmp_path, capsys, argv, text, payload):
+    path = gen_file(tmp_path, "gen", *argv)
+    assert main(["classify", path]) == 0
+    assert capsys.readouterr() == (text + "\n", "")
+    assert main(["--format", "json", "classify", path]) == 0
+    assert capsys.readouterr() == (json.dumps(payload, sort_keys=True) + "\n", "")
+    assert main(["--format", "json", "atoms", path]) == 0
+    assert capsys.readouterr() == (json.dumps({"atoms": payload["atoms"]}) + "\n", "")
 
 
 def test_cli_gen_string_size(tmp_path):
@@ -275,6 +324,31 @@ def test_cli_check_hom_bad_map(tmp_path):
     mapping = {"f": [0] * n, "g": {lab: lab for lab in doc["extractors"]}}
     mp = write(tmp_path, "map.json", json.dumps(mapping))
     assert main(["check-hom", path, path, mp]) == 1
+
+
+
+MAP_KEYS = "map file must carry keys f and g"
+MAP_F = "f must be a list of codomain indices, one per element"
+MAP_G = "g must map every domain extractor label to a codomain label"
+G_IDENTITY = {"e0": "e0", "e1": "e1"}
+
+
+@pytest.mark.parametrize("mapping, message", [
+    ([], MAP_KEYS),
+    ({"f": [0, 1, 2]}, MAP_KEYS),
+    ({"f": [0, 1], "g": G_IDENTITY}, MAP_F),
+    ({"f": [0, 1, 3], "g": G_IDENTITY}, MAP_F),
+    ({"f": [0, True, 2], "g": G_IDENTITY}, MAP_F),
+    ({"f": [0, 1, 2], "g": {"e0": "e0"}}, MAP_G),
+    ({"f": [0, 1, 2], "g": {"e0": "e0", "e1": "x"}}, MAP_G),
+    ({"f": [0, 1, 2], "g": ["e0", "e1"]}, MAP_G),
+])
+def test_cli_check_hom_map_format_errors_exit_2(tmp_path, capsys, mapping, message):
+    # gen string 1 1 has three elements and the extractors e0 and e1
+    path = gen_file(tmp_path, "gen", "string", 1, 1)
+    mp = write(tmp_path, "map.json", json.dumps(mapping))
+    assert main(["check-hom", path, path, mp]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
 def test_cli_enumerate(tmp_path, capsys):
