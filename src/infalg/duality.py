@@ -3,18 +3,20 @@ and Q-spaces.
 
 A Q-space is a finite ordered set together with a star-closed family of
 separating equivalences. Dualizing an algebra takes the meet-irreducible
-elements with the inherited order (each stands for the principal prime
-ideal it generates) and, per extractor, the equivalence identifying points
-whose ideals cut the extractor image in the same trace. Reconstruction
-takes all up-sets under reverse inclusion with the restricted saturation
-operators, composed by the up-set set algebra's ``label_table``, which a
-Q-morphism's omega must also respect. Both round trips are verified, not
-assumed, each verdict by one route: reconstruct checks the output's axioms
-and CDF verdict, not the set-algebra laws its up-sets meet by construction;
-round_trip_algebra checks a bijection against the laws without meets, which
-a join-preserving bijection keeps; round_trip_space checks a bijective order
-isomorphism carrying each equivalence onto its namesake, which makes it a
-Q-morphism. The second routes run against these verdicts in the test suite.
+elements with the inherited order (each stands for the principal prime ideal
+it generates) and, per extractor, the equivalence identifying points whose
+ideals cut the extractor image in the same trace. Reconstruction takes all
+up-sets under reverse inclusion with the restricted saturation operators,
+composed by the up-set set algebra's ``label_table``, which a Q-morphism's
+omega must also respect. Separation and the Q-morphism saturation law are
+decided on the principal up-sets, of which every up-set is a union. Both
+round trips are verified, not assumed, each verdict by one route:
+reconstruct checks the output's axioms and CDF verdict, not the set-algebra
+laws its up-sets meet by construction; round_trip_algebra checks a bijection
+against the laws without meets, which a join-preserving bijection keeps;
+round_trip_space checks a bijective order isomorphism carrying each
+equivalence onto its namesake, which makes it a Q-morphism. The second
+routes run against these verdicts in the test suite.
 """
 
 from __future__ import annotations
@@ -29,7 +31,6 @@ from .errors import DEFAULT_CAP, CapExceeded, PreconditionError, StructureError
 from .order import (FinitePoset, bits, complements, is_distributive, mask_of,
                     meet_irreducibles, pullback, try_lattice, up_closure, up_sets)
 from .report import Report
-from .semigroup import first_row_witness
 from .set_algebra import SetAlgebra
 
 
@@ -67,19 +68,20 @@ def check_separating(poset: FinitePoset, theta: Equivalence) -> tuple[bool, obje
 
     (i) saturation maps every up-set to an up-set; (ii) every inequivalent
     pair is split by some saturated up-set containing exactly one of the
-    two. The witness names the failing up-set or pair.
+    two. Both are decided on the principal up-sets: saturation preserves
+    unions, so the least up-set failing (i) is principal, and given (i)
+    saturating up[p] gives the least saturated up-set holding p, so p and q
+    are unseparated iff theirs coincide. The witness names the failing
+    up-set or pair. Given (i), on a partial order an unseparated pair p, q
+    yields another, p' > p and q' > q with p' theta q and q' theta p; so
+    (ii) follows and only a preorder has an unseparated_pair.
     """
-    usets = poset.up_set_index
-    saturated = []
-    for u in usets:
-        image = saturate(theta, u)
-        if image not in usets:
-            return False, ("saturation_image", u)
-        if image == u:
-            saturated.append(u)
+    least = [saturate(theta, row) for row in poset.up]
+    bad = [row for row, s in zip(poset.up, least) if up_closure(poset, s) != s]
+    if bad:
+        return False, ("saturation_image", min(bad))
     w = next(((p, q) for p in range(poset.n) for q in range(p + 1, poset.n)
-              if not theta.relates(p, q)
-              and not any(((u >> p) & 1) != ((u >> q) & 1) for u in saturated)), None)
+              if least[p] == least[q] and not theta.relates(p, q)), None)
     return (True, None) if w is None else (False, ("unseparated_pair", w))
 
 
@@ -292,7 +294,8 @@ def check_q_morphism(m: QMorphism, s: QSpace, t: QSpace) -> Report:
     alpha maps points forward and must preserve order; omega maps the
     codomain's equivalence labels back and must respect the label-level
     semigroup; the saturation law asks that pulling back a saturated up-set
-    equals saturating the pullback, for every codomain up-set and label.
+    equals saturating the pullback, for every codomain label and up-set;
+    both sides preserve unions, so the principal up-sets decide it.
     """
     report = Report()
     ok = (len(m.alpha) == s.poset.n and all(0 <= v < t.poset.n for v in m.alpha)
@@ -313,15 +316,10 @@ def check_q_morphism(m: QMorphism, s: QSpace, t: QSpace) -> Report:
               if m.omega[tab_t[i][j]] != tab_s[m.omega[i]][m.omega[j]]), None)
     report.add("omega_semigroup_map", w is None, w)
 
-    # row i over the codomain's up-sets v, named back by v on failure
-    ups = tuple(t.poset.up_set_index)
-    pulled = [pullback(m.alpha, v) for v in ups]
-    w = first_row_witness(
-        ((i,), tuple(pullback(m.alpha, saturate(gamma, v)) for v in ups),
-         tuple(saturate(s.eqs.members[m.omega[i]], u) for u in pulled))
-        for i, gamma in enumerate(t.eqs.members))
-    if w is not None:
-        w = (w[0], ups[w[1]])
+    ups = sorted(set(t.poset.up))
+    w = next(((i, v) for i, gamma in enumerate(t.eqs.members) for v in ups
+              if pullback(m.alpha, saturate(gamma, v))
+              != saturate(s.eqs.members[m.omega[i]], pullback(m.alpha, v))), None)
     report.add("saturation_compatible", w is None, w)
     return report
 

@@ -187,7 +187,7 @@ def star_family(members, labels=None, n: int | None = None,
         if m.n != n:
             raise StructureError(f"universe mismatch at member {i}")
         if m in seen:
-            raise StructureError(f"duplicate member at index {i}")
+            raise StructureError(f"duplicate member at index {i}", witness=i)
         seen.add(m)
     products = star_table(members)
     gap = unlisted(products)

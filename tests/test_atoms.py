@@ -7,8 +7,8 @@ from infalg.algebra import extraction_image, make_algebra, verify_axioms
 from infalg.atoms import (AtomRepresentation, atom_representation, atoms,
                           check_complete_atomistic_boolean, classify)
 from infalg.equivalence import Equivalence, commutation_witness, saturate
-from infalg.errors import PreconditionError
-from infalg.generators import string_elements
+from infalg.errors import CapExceeded, PreconditionError
+from infalg.generators import gen_string, string_elements
 from infalg.order import chain_poset
 
 
@@ -69,6 +69,13 @@ def test_atom_representation_string_embeds_not_onto(string22):
     names = string_elements(2, 2)
     pos = {names[x]: i for i, x in enumerate(rep.atoms)}
     assert (1 << pos["aa"]) | (1 << pos["bb"]) in unrealized
+
+
+def test_atom_representation_refuses_a_power_set_past_its_limit():
+    # gen string 11 1: the empty string, 11 one-letter atoms, contradiction
+    with pytest.raises(CapExceeded) as exc:
+        atom_representation(gen_string(11, 1))
+    assert str(exc.value) == "power set of 11 atoms exceeds the limit 10"
 
 
 def test_atom_representation_order_is_submasks(generated_suite):

@@ -1,5 +1,6 @@
 import json
 import random
+from pathlib import Path
 
 import pytest
 
@@ -157,7 +158,7 @@ def test_cli_verify_ok(tmp_path):
 def test_cli_verify_lenient(tmp_path):
     # drop one composite from a closed family: strict fails, lenient passes
     path = gen_file(tmp_path, "gen", "multivariate", 2, 2)
-    doc = json.loads(open(path).read())
+    doc = json.loads(Path(path).read_text())
     del doc["extractors"]["s"]
     partial = write(tmp_path, "partial.json", json.dumps(doc))
     assert main(["verify", partial]) == 1
@@ -169,7 +170,7 @@ def test_cli_verify_lenient(tmp_path):
 
 def test_cli_close_adds_missing_composites(tmp_path):
     path = gen_file(tmp_path, "gen", "multivariate", 2, 2)
-    doc = json.loads(open(path).read())
+    doc = json.loads(Path(path).read_text())
     del doc["extractors"]["s"]
     partial = write(tmp_path, "partial.json", json.dumps(doc))
     out = tmp_path / "closed.json"
@@ -183,14 +184,14 @@ def test_cli_close_idempotent_on_closed_input(tmp_path):
     path = gen_file(tmp_path, "gen", "string", 2, 2)
     out1 = tmp_path / "c1.json"
     assert main(["close", path, "-o", str(out1)]) == 0
-    before = json.loads(open(path).read())["extractors"]
+    before = json.loads(Path(path).read_text())["extractors"]
     after = json.loads(out1.read_text())["extractors"]
     assert before == after
 
 
 def test_cli_close_with_identity(tmp_path):
     path = gen_file(tmp_path, "gen", "multivariate", 2, 2)
-    doc = json.loads(open(path).read())
+    doc = json.loads(Path(path).read_text())
     del doc["extractors"]["s01"]  # the identity projection
     partial = write(tmp_path, "partial.json", json.dumps(doc))
     out = tmp_path / "closed.json"
@@ -261,6 +262,10 @@ BAD_QSPACES = {
     "not-star-closed": ({"n": 4, "leq": DISCRETE_4,
                          "equivalences": {"a": [0, 0, 1, 1], "b": [0, 1, 0, 1]}},
                         ORDER_OK + "FAIL  star_family  witness=(0, 1)\n"),
+    # two labels name one partition: the second member repeats the first
+    "duplicate-member": ({"n": 2, "leq": [[True, False], [False, True]],
+                          "equivalences": {"a": [0, 1], "b": [1, 0]}},
+                         ORDER_OK + "FAIL  star_family  witness=1\n"),
 }
 
 
@@ -304,13 +309,13 @@ def test_cli_classify_and_atoms_outputs_are_pinned(tmp_path, capsys, argv, text,
 
 def test_cli_gen_string_size(tmp_path):
     path = gen_file(tmp_path, "gen", "string", 2, 3)
-    doc = json.loads(open(path).read())
+    doc = json.loads(Path(path).read_text())
     assert doc["n"] == 16
 
 
 def test_cli_check_hom_identity(tmp_path):
     path = gen_file(tmp_path, "gen", "string", 2, 2)
-    doc = json.loads(open(path).read())
+    doc = json.loads(Path(path).read_text())
     mapping = {"f": list(range(doc["n"])),
                "g": {lab: lab for lab in doc["extractors"]}}
     mp = write(tmp_path, "map.json", json.dumps(mapping))
@@ -319,7 +324,7 @@ def test_cli_check_hom_identity(tmp_path):
 
 def test_cli_check_hom_bad_map(tmp_path):
     path = gen_file(tmp_path, "gen", "string", 2, 2)
-    doc = json.loads(open(path).read())
+    doc = json.loads(Path(path).read_text())
     n = doc["n"]
     mapping = {"f": [0] * n, "g": {lab: lab for lab in doc["extractors"]}}
     mp = write(tmp_path, "map.json", json.dumps(mapping))
@@ -474,7 +479,7 @@ def test_cli_format_json(tmp_path, capsys):
 def test_cli_deterministic_output(tmp_path):
     p1 = gen_file(tmp_path, "gen", "multivariate", 2, 2, name="a.json")
     p2 = gen_file(tmp_path, "gen", "multivariate", 2, 2, name="b.json")
-    assert open(p1).read() == open(p2).read()
+    assert Path(p1).read_text() == Path(p2).read_text()
 
 
 BROKEN_FILES = [
@@ -645,8 +650,13 @@ def refuse(*_args, **_kwargs):
      "projection table of 16777216 star products exceeds cap 4096"),
     (["gen", "lattice", "400", "400", "--chain", "1"],
      "grouping of 640000 subset-point pairs exceeds cap 4096"),
+    # sizes no generator admits fail the same way, before anything is built
+    (["gen", "string", "0", "2"], "need k >= 1 and max_len >= 1, got (0, 2)"),
+    (["gen", "string", "27", "1"], "alphabet limited to 26 letters"),
+    (["gen", "multivariate", "0"], "domain sizes must be positive, got [0]"),
 ], ids=["string", "string-unary", "multivariate", "lattice-chain", "lattice",
-        "multivariate-subsets", "lattice-subset-points"])
+        "multivariate-subsets", "lattice-subset-points", "string-empty-alphabet",
+        "string-27-letters", "multivariate-empty-domain"])
 def test_cli_gen_checks_its_cap_before_building(tmp_path, capsys, monkeypatch, argv, message):
     from infalg import generators
 

@@ -18,9 +18,10 @@ from infalg.duality import (QMorphism, QSpace, _dual, boolean_diagnostics,
 from infalg.equivalence import (Equivalence, StarFamily, all_equivalences, commutation_witness,
                                 saturate, star_closure, star_family, star_table)
 from infalg.errors import CapExceeded, PreconditionError, StructureError
-from infalg.generators import (all_labeled_posets, enumerate_algebras, enumerate_q_spaces,
-                               separating_equivalences)
-from infalg.order import FinitePoset, antichain_poset, chain_poset, mask_of, up_sets
+from infalg.generators import (all_labeled_posets, enumerate_algebras, enumerate_posets,
+                               enumerate_q_spaces, separating_equivalences)
+from infalg.order import (FinitePoset, antichain_poset, bits, chain_poset, mask_of, up_closure,
+                          up_sets)
 from infalg.report import Report
 from infalg.semigroup import compose, table
 from infalg.set_algebra import SetAlgebra
@@ -196,6 +197,13 @@ def test_q_morphism_constant_map_fails():
     report = check_q_morphism(m, space, space)
     assert not report.ok
     assert report.witness("saturation_compatible") is not None
+
+
+def test_q_morphism_out_of_range_alpha_is_not_total():
+    # a point sent past the codomain: no later law is checked
+    space = delta_space(chain_poset(2))
+    report = check_q_morphism(QMorphism((0, 2), (0,)), space, space)
+    assert report.format() == "FAIL  maps_total"
 
 
 def test_dualize_identity_morphism(lv_2_chain3):
@@ -528,21 +536,88 @@ def literal_check_separating(poset, theta):
 
 
 def test_check_separating_matches_literal_loop():
-    # every labeled poset of up to four points with every equivalence; on
-    # partial orders this small no pair is ever left unseparated, so every
-    # reflexive relation on up to three points is added, preorders among them
+    # every labeled poset of up to four points with every equivalence; on a
+    # partial order no pair is ever left unseparated, so every preorder on up
+    # to three points is added (the library's route reads transitive rows)
     cases = [(poset, theta) for n in range(1, 5) for poset in all_labeled_posets(n)
              for theta in all_equivalences(n)]
     assert len(cases) == 3387
-    cases += [(FinitePoset(n, tuple(row | 1 << a for a, row in enumerate(rows))), theta)
-              for n in range(1, 4) for rows in product(range(1 << n), repeat=n)
-              for theta in all_equivalences(n)]
+    preorders = [FinitePoset(n, tuple(row | 1 << a for a, row in enumerate(rows)))
+                 for n in range(1, 4) for rows in product(range(1 << n), repeat=n)]
+    cases += [(poset, theta) for poset in preorders
+              if all(poset.up[b] & ~row == 0 for row in poset.up for b in bits(row))
+              for theta in all_equivalences(poset.n)]
+    assert len(cases) == 4581
     kinds = set()
     for poset, theta in cases:
         expected = literal_check_separating(poset, theta)
         assert check_separating(poset, theta) == expected, (poset, theta)
         kinds.add(expected[1] and expected[1][0])
     assert kinds == {None, "saturation_image", "unseparated_pair"}
+
+
+def test_partial_orders_never_leave_a_pair_unseparated():
+    # on a partial order (ii) follows from (i): an unseparated pair would
+    # climb to a strictly higher unseparated pair, and so on forever
+    cases = [(poset, theta) for poset in enumerate_posets(5)
+             for theta in all_equivalences(poset.n)]
+    assert len(cases) == 3546
+    kinds = {w and w[0] for ok, w in (check_separating(p, theta) for p, theta in cases)}
+    assert kinds == {None, "saturation_image"}
+
+
+def test_check_separating_reads_no_up_set_index():
+    # all 2^20 masks of a 20-point antichain are up-sets, so every
+    # equivalence separates, and only the 20 principal up-sets are read
+    rng = random.Random(20)
+    poset = antichain_poset(20)
+    for _ in range(5):
+        theta = Equivalence(20, [rng.randrange(3) for _ in range(20)])
+        assert check_separating(poset, theta) == (True, None)
+    assert "up_set_index" not in vars(poset)
+
+
+@st.composite
+def wide_posets(draw):
+    """An order on 21-26 points, past the up-set enumeration limit: the
+    transitive closure of a random DAG, or a disjoint union of chains."""
+    n = draw(st.integers(21, 26))
+    if draw(st.booleans()):
+        edges = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                              max_size=3 * n))
+        up = [1 << a for a in range(n)]
+        for a in reversed(range(n)):  # rows above a are already transitive
+            for b in (b for x, b in edges if x == a and b > a):
+                up[a] |= up[b]
+    else:
+        cuts = sorted(draw(st.sets(st.integers(1, n - 1), max_size=5)))
+        up = [mask_of(range(a, hi)) for lo, hi in zip([0, *cuts], [*cuts, n])
+              for a in range(lo, hi)]
+    return FinitePoset(n, tuple(up))
+
+
+@settings(max_examples=40, deadline=None)
+@given(wide_posets(), st.data())
+def test_separation_past_the_up_set_enumeration_limit(poset, data):
+    # a random labeling into a few blocks, or one up-set glued into a block
+    # with singletons elsewhere, which always separates
+    n = poset.n
+    if data.draw(st.booleans()):
+        k = data.draw(st.integers(1, 4))
+        theta = Equivalence(n, data.draw(st.lists(st.integers(0, k - 1), min_size=n,
+                                                  max_size=n)))
+    else:
+        block = up_closure(poset, data.draw(st.integers(1, poset.full_mask())))
+        theta = Equivalence(n, [-1 if (block >> x) & 1 else x for x in range(n)])
+    ok, w = check_separating(poset, theta)
+    assert ok == (sentence_saturation_upsets(poset, theta) and sentence_separation(poset, theta))
+    family = star_family([theta], ["t"])
+    if ok:
+        assert make_q_space(poset, family).report.ok
+    else:
+        assert w[0] == "saturation_image"
+        with pytest.raises(StructureError):
+            make_q_space(poset, family)
 
 
 def member_arrays(space):
@@ -709,7 +784,8 @@ def test_round_trips_decide_each_law_once(monkeypatch, lv_2_chain3):
 
 def test_check_q_morphism_reads_star_closed_tables_without_saturating(monkeypatch):
     # a star-closed family's omega law reads its star products, so the only
-    # saturations are the saturation law's: two per codomain label and up-set
+    # saturations are the saturation law's: two per codomain label and
+    # principal up-set (the points of these orders have distinct rows)
     from infalg import set_algebra
 
     spaces = list(enumerate_q_spaces(3))
@@ -719,7 +795,7 @@ def test_check_q_morphism_reads_star_closed_tables_without_saturating(monkeypatc
         assert s.eqs.closed
         m = QMorphism(tuple(range(s.n)), tuple(range(len(s.eqs.members))))
         assert check_q_morphism(m, s, s).ok
-        expected += 2 * len(s.eqs.members) * len(up_sets(s.poset))
+        expected += 2 * len(s.eqs.members) * s.n
     assert len(saturations) == expected
 
 

@@ -5,8 +5,9 @@ import pytest
 from infalg import duality
 from infalg.algebra import AlgebraMorphism, InfoAlgebra, is_homomorphism, make_algebra
 from infalg.cli import SemanticFailure
-from infalg.duality import (QSpace, boolean_diagnostics, dual_point_map, dualize_morphism,
-                            make_q_space, q_space_report, reconstruct, round_trip_space)
+from infalg.duality import (QSpace, boolean_diagnostics, dual_point_map, dualize,
+                            dualize_morphism, make_q_space, q_space_report, reconstruct,
+                            round_trip_space)
 from infalg.equivalence import Equivalence, StarFamily, star_family, star_table
 from infalg.errors import (CapExceeded, FormatError, InfAlgError, NonCommutingError,
                            NotDirectedError, PreconditionError, StructureError)
@@ -70,7 +71,10 @@ def test_dualize_morphism_non_homomorphism_error_carries_its_report():
      "not Boolean: not distributive, witness (1, 2, 3)", (1, 2, 3)),
     (lambda: boolean_diagnostics(make_algebra(chain_poset(3), [(0, 1, 2)])),
      "not Boolean: element 1 has no complement", 1),
-], ids=["lattice-valued", "boolean-distributive", "boolean-complement"])
+    # two labels on one map: the witness is the repeated extractor
+    (lambda: dualize(make_algebra(chain_poset(2), [(0, 1), (0, 1)])),
+     "extractor labels must denote distinct maps; dedupe_extractors first", (0, 1)),
+], ids=["lattice-valued", "boolean-distributive", "boolean-complement", "dualize-duplicate-map"])
 def test_preconditions_carry_the_witness_they_name(run, message, witness):
     with pytest.raises(PreconditionError) as exc:
         run()

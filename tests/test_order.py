@@ -4,7 +4,7 @@ from itertools import combinations
 import pytest
 
 from infalg import order
-from infalg.errors import FormatError, StructureError
+from infalg.errors import CapExceeded, FormatError, StructureError
 from infalg.generators import (all_labeled_posets, enumerate_lattices, enumerate_posets,
                                gen_lattice_valued, gen_string, string_elements)
 from infalg.order import (BoundedJoinSemilattice, FinitePoset,
@@ -166,6 +166,13 @@ def test_up_set_counts(poset, count):
 def test_up_sets_match_brute_force_on_stock_posets():
     for poset in (chain_poset(4), antichain_poset(3), diamond_m3().poset):
         assert up_sets(poset) == brute_up_sets(poset)
+
+
+def test_up_set_index_refuses_more_points_than_its_limit():
+    # 21 points: the scan of all 2^21 masks is refused before it starts
+    with pytest.raises(CapExceeded) as exc:
+        antichain_poset(21).up_set_index
+    assert str(exc.value) == "up-set enumeration limited to 20 points, got 21"
 
 
 def test_order_join_coherence():
