@@ -13,8 +13,8 @@ from functools import cached_property
 from itertools import product
 
 from .equivalence import Equivalence, star
-from .errors import NonCommutingError, StructureError
-from .order import (BoundedJoinSemilattice, FinitePoset, bits, down_sets,
+from .errors import DEFAULT_CAP, NonCommutingError, StructureError
+from .order import (BoundedJoinSemilattice, FinitePoset, bits, check_upset_cap,
                     is_distributive, join_semilattice, semilattice_from_poset, try_lattice)
 from .report import Report
 from .semigroup import compose, first_row_witness, grid, homomorphism_witness, table, unlisted
@@ -306,14 +306,15 @@ def _restriction(a: InfoAlgebra, carrier, ks):
 def ideal_completion(a: InfoAlgebra) -> tuple[InfoAlgebra, AlgebraMorphism]:
     """The algebra of all ideals (join-closed down-sets) with lifted operations.
 
-    Ideals are enumerated honestly; in a finite carrier they are exactly the
-    principal down-sets, so the embedding x -> down(x) is an isomorphism,
-    which is checked.
+    Ideals are enumerated honestly, among the down-sets, which are the
+    up-sets of the dual order and bounded by the default up-set cap; in a
+    finite carrier they are exactly the principal down-sets, so the
+    embedding x -> down(x) is an isomorphism, which is checked.
     """
     poset, n = a.poset, a.n
     down = poset.down
     ideals = []
-    for mask in down_sets(poset):
+    for mask in check_upset_cap(poset.dual(), DEFAULT_CAP):
         if mask == 0:
             continue
         elems = list(bits(mask))

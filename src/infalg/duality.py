@@ -27,11 +27,11 @@ from functools import cached_property
 from .algebra import (AlgebraMorphism, InfoAlgebra, is_distributive_cdf, is_homomorphism,
                       is_isomorphism, verify_axioms)
 from .equivalence import Equivalence, StarFamily, saturate, star_family
-from .errors import DEFAULT_CAP, CapExceeded, PreconditionError, StructureError
-from .order import (FinitePoset, bits, complements, is_distributive, mask_of,
+from .errors import DEFAULT_CAP, PreconditionError, StructureError
+from .order import (FinitePoset, bits, check_upset_cap, complements, is_distributive, mask_of,
                     meet_irreducibles, pullback, try_lattice, up_closure, up_sets)
 from .report import Report
-from .set_algebra import SetAlgebra
+from .set_algebra import SetAlgebra, label_table
 
 
 @dataclass(frozen=True)
@@ -203,13 +203,6 @@ def dualize(a: InfoAlgebra) -> QSpace:
     return _dual(a)[0]
 
 
-def check_upset_cap(poset: FinitePoset, cap: int | None) -> None:
-    """CapExceeded when the order has more than cap up-sets: reconstruct's
-    bound, which Q-space reads also check before any saturation."""
-    if cap is not None and len(poset.up_set_index) > cap:
-        raise CapExceeded(f"{len(poset.up_set_index)} up-sets exceed the cap {cap}")
-
-
 def reconstruct(s: QSpace, cap: int = DEFAULT_CAP) -> InfoAlgebra:
     """Algebra of all up-sets of a Q-space under reverse inclusion, with the
     restricted saturation operators. The up-sets form a set algebra by
@@ -309,8 +302,11 @@ def check_q_morphism(m: QMorphism, s: QSpace, t: QSpace) -> Report:
               if not t.poset.le(m.alpha[p], m.alpha[q])), None)
     report.add("alpha_order_preserving", w is None, w)
 
-    tab_s, tab_t = (SetAlgebra(x.n, tuple(up_sets(x.poset)), x.eqs).label_table
-                    for x in (s, t))
+    def up_set_label_table(x):  # a star-closed family's is read without up-sets
+        return label_table(x.eqs, lambda: SetAlgebra(x.n, tuple(up_sets(x.poset)),
+                                                     x.eqs).saturations)
+
+    tab_s, tab_t = up_set_label_table(s), up_set_label_table(t)
     ks = range(len(t.eqs.members))
     w = next(((i, j) for i in ks for j in ks
               if m.omega[tab_t[i][j]] != tab_s[m.omega[i]][m.omega[j]]), None)
@@ -395,9 +391,12 @@ def make_nontrivial_separating(poset: FinitePoset) -> Equivalence | None:
     if n < 2:
         raise PreconditionError(f"need at least two points, got {n}")
     full = poset.full_mask()
-    principal = [poset.up[x] for x in range(n)]
-    rest = sorted(set(up_sets(poset)).difference(principal))
-    for u in principal + rest:
+
+    def candidates():  # the other up-sets are listed only if no principal one works
+        yield from poset.up
+        yield from (u for u in up_sets(poset) if u not in poset.up_index)
+
+    for u in candidates():
         if u == full or bin(u).count("1") < 2:
             continue
         labels = [0 if (u >> x) & 1 else x + 1 for x in range(n)]

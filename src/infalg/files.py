@@ -11,10 +11,11 @@ import json
 from dataclasses import dataclass
 
 from .algebra import InfoAlgebra, verify_axioms
-from .duality import QSpace, check_upset_cap, q_space_report
+from .duality import QSpace, q_space_report
 from .equivalence import Equivalence, star_family
 from .errors import CapExceeded, FormatError, NonCommutingError, StructureError
-from .order import bound_table_witness, semilattice_from_poset, verify_poset, verify_semilattice
+from .order import (bound_table_witness, check_upset_cap, semilattice_from_poset, verify_poset,
+                    verify_semilattice)
 from .report import Report
 
 

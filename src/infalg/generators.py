@@ -5,11 +5,11 @@ All streams are deterministic; enumerated objects are duplicate-free up to
 isomorphism. Bases are kept by canonical order tables, the least over all
 relabelings. Both enumerators run one family core on each base: its pool,
 the pool's label table and the base's automorphisms go in; the pool's size
-is checked and its table built once; Close-by-One finds the closed
-families as sets of pool indices, each reached once from its closed
-parent, sorted into subset-mask order; the automorphisms permute the pool,
-so the first family of each orbit of index sets is kept, with the pool's
-table restricted to it.
+is checked and its table built once; the package's one Close-by-One
+search, ``order.closed_sets``, finds the closed families as sets of pool
+indices, sorted into subset-mask order; the automorphisms permute the
+pool, so the first family of each orbit of index sets is kept, with the
+pool's table restricted to it.
 """
 
 from __future__ import annotations
@@ -23,9 +23,9 @@ from .algebra import InfoAlgebra, combination_rows
 from .duality import QSpace, check_separating
 from .equivalence import Equivalence, StarFamily, all_equivalences, star, star_family, star_table
 from .errors import DEFAULT_CAP, CapExceeded, PreconditionError, StructureError
-from .order import (BoundedJoinSemilattice, FinitePoset, automorphisms, bits, is_distributive,
-                    join_semilattice, lattice_from_semilattice, mask_of, relabelings,
-                    semilattice_from_poset, up_rows)
+from .order import (BoundedJoinSemilattice, FinitePoset, automorphisms, bits, closed_sets,
+                    is_distributive, join_semilattice, lattice_from_semilattice, mask_of,
+                    relabelings, semilattice_from_poset, up_rows)
 from .semigroup import compose, first_row_witness, homomorphism_witness, table
 from .set_algebra import SetAlgebra, build_set_algebra
 
@@ -278,12 +278,9 @@ def _closed_subsets(tab) -> list[int]:
     members. ``tab[i][j]`` is the pool index of the product of members i and
     j, or None when the product is missing from the pool or does not exist.
 
-    Close-by-One (Kuznetsov 1993): a closed set grows by one index above the
-    last one added and is closed under ``tab``; the closure is kept only if
-    it adds no index below the new one, so each closed set is reached once,
-    from its closed parent. A closure that meets a non-commuting pair or a
-    missing product has no valid superset, so its branch is cut. The sets
-    are then sorted into subset-mask order."""
+    The sets are order.closed_sets' closed sets under ``tab``; a closure that
+    meets a non-commuting pair or a missing product has no valid superset,
+    so its branch is cut."""
     k = len(tab)
     # bit j of commute[i]: i and j commute and their product is listed
     commute = [mask_of(j for j in range(k) if tab[i][j] is not None and tab[i][j] == tab[j][i])
@@ -301,16 +298,7 @@ def _closed_subsets(tab) -> list[int]:
                     todo.append(p)
         return mask
 
-    found, stack = [], [(0, 0)]  # closed set, first index it may add
-    while stack:
-        closed, start = stack.pop()
-        for i in range(start, k):
-            if not (closed >> i) & 1:
-                mask = close(closed, i)
-                if mask is not None and not (mask ^ closed) & ((1 << i) - 1):
-                    found.append(mask)
-                    stack.append((mask, i + 1))
-    return sorted(found)
+    return sorted(closed_sets(k, close))
 
 
 def _families(pool, label_table, conjugate, auts, what):

@@ -13,6 +13,9 @@ Conventions used throughout the package:
   of a poset, the meet table and the meet-irreducibles of a semilattice,
   the CDF verdict of an algebra) is computed on first use and cached on
   the frozen structure that owns it; callers must not mutate it;
+* one Close-by-One search, ``closed_sets``, finds the up-sets of a poset
+  and the closed families of a pool in ``generators``, at a cost that
+  grows with the sets found: an order is bounded by its up-set count alone;
 * a cubic law (associativity, distributivity) is decided by a quadratic
   certificate first, and scanned only to name its first witness;
 * so is the order a join table derives: once the table is idempotent and
@@ -34,8 +37,6 @@ from .errors import CapExceeded, FormatError, StructureError
 from .report import CheckItem, Report
 from .semigroup import compose, first_row_witness, homomorphism_witness
 
-UPSET_ENUM_LIMIT = 20
-
 
 def bits(mask: int):
     """Iterate the set bit positions of a mask, ascending."""
@@ -55,6 +56,24 @@ def mask_of(xs) -> int:
 def pullback(alpha, mask: int) -> int:
     """Preimage under a point map: the mask of every p with alpha[p] in mask."""
     return mask_of(p for p, v in enumerate(alpha) if (mask >> v) & 1)
+
+
+def closed_sets(k: int, close):
+    """Each nonempty closed subset of range(k) once, as a mask, by
+    Close-by-One (Ganter & Reuter, Order 8, 1991; Kuznetsov 1993).
+    ``close(mask, i)`` is the closure of mask | 1 << i, or None to cut the
+    branch. A closed set grows by one index above the last one added, and a
+    closure is kept only if it adds no index below the new one, so each
+    closed set is reached once, from its closed parent."""
+    stack = [(0, 0)]  # closed set, first index it may add
+    while stack:
+        closed, start = stack.pop()
+        for i in range(start, k):
+            if not (closed >> i) & 1:
+                mask = close(closed, i)
+                if mask is not None and not (mask ^ closed) & ((1 << i) - 1):
+                    yield mask
+                    stack.append((mask, i + 1))
 
 
 @dataclass(frozen=True)
@@ -95,21 +114,7 @@ class FinitePoset:
     @cached_property
     def up_set_index(self) -> dict[int, int]:
         """Every up-set mask mapped to its position in ascending mask order."""
-        n = self.n
-        if n > UPSET_ENUM_LIMIT:
-            raise CapExceeded(f"up-set enumeration limited to {UPSET_ENUM_LIMIT} points, got {n}")
-        up = self.up
-        out = {}
-        for mask in range(1 << n):
-            m = mask
-            while m:
-                low = m & -m
-                if up[low.bit_length() - 1] & ~mask:
-                    break
-                m ^= low
-            else:
-                out[mask] = len(out)
-        return out
+        return check_upset_cap(self, None)
 
     def bottom(self) -> int | None:
         full = self.full_mask()
@@ -396,8 +401,24 @@ def up_sets(poset: FinitePoset) -> list[int]:
     return list(poset.up_set_index)
 
 
-def down_sets(poset: FinitePoset) -> list[int]:
-    return up_sets(poset.dual())
+def check_upset_cap(poset: FinitePoset, cap: int | None) -> dict[int, int]:
+    """The order's ``up_set_index``, after CapExceeded when it has more than
+    cap up-sets, the empty one included (None: no bound): reconstruct's
+    bound, which Q-space reads also check before any saturation. The search
+    stops at the first up-set past the cap; the index it completes is
+    cached, so an order within the cap has its up-sets listed once."""
+    index = vars(poset).get("up_set_index")
+    if index is None:
+        up, found = poset.up, [0]
+        for mask in closed_sets(poset.n, lambda mask, i: mask | up[i]):
+            if cap is not None and len(found) >= cap:
+                break
+            found.append(mask)
+        else:
+            index = vars(poset)["up_set_index"] = {m: i for i, m in enumerate(sorted(found))}
+    if index is None or cap is not None and len(index) > cap:
+        raise CapExceeded(f"up-sets exceed the cap {cap}")
+    return index
 
 
 def up_closure(poset: FinitePoset, mask: int) -> int:

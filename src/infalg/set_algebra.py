@@ -35,20 +35,8 @@ class SetAlgebra:
 
     @cached_property
     def label_table(self) -> tuple[tuple[int, ...], ...]:
-        """Label-level composition: the star products of a closed family,
-        else the composed saturations resolved against the listed ones, which
-        must be distinct (separating members' always are) and closed."""
-        if self.eqs.closed:
-            return self.eqs.products
-        arrays = self.saturations
-        if len(set(arrays)) != len(arrays):
-            raise StructureError("cannot resolve composition: saturation arrays collide")
-        tab = table(arrays)
-        w = unlisted(tab)
-        if w is not None:
-            raise StructureError(f"saturations not closed under composition at ({w[0]},{w[1]})",
-                                 witness=w)
-        return tab
+        """``label_table`` of the family's members, over this family."""
+        return label_table(self.eqs, lambda: self.saturations)
 
     def to_info_algebra(self) -> InfoAlgebra:
         """The abstract algebra: carrier indexed by family position, the
@@ -58,6 +46,24 @@ class SetAlgebra:
         join = tuple(tuple(map(pos.__getitem__, map(fi.__and__, fam))) for fi in fam)
         sl = join_semilattice(join, pos[(1 << self.n) - 1], pos[0])
         return InfoAlgebra(sl, self.saturations, self.eqs.labels, self.label_table)
+
+
+def label_table(eqs: StarFamily, saturations) -> tuple[tuple[int, ...], ...]:
+    """Label-level composition: the star products of a closed family, else
+    the composed saturation arrays ``saturations()`` resolved against the
+    listed ones, which must be distinct (separating members' always are) and
+    closed. Only a family that is not closed has its arrays computed."""
+    if eqs.closed:
+        return eqs.products
+    arrays = saturations()
+    if len(set(arrays)) != len(arrays):
+        raise StructureError("cannot resolve composition: saturation arrays collide")
+    tab = table(arrays)
+    w = unlisted(tab)
+    if w is not None:
+        raise StructureError(f"saturations not closed under composition at ({w[0]},{w[1]})",
+                             witness=w)
+    return tab
 
 
 def check_set_algebra(n: int, family, eqs: StarFamily) -> Report:

@@ -10,9 +10,9 @@ from infalg.algebra import (AlgebraMorphism, InfoAlgebra, check_kernel_theorem, 
                             make_algebra, verify_axioms)
 from infalg.duality import QSpace, dualize, q_space_report
 from infalg.equivalence import Equivalence, StarFamily, star, star_family
-from infalg.errors import StructureError
+from infalg.errors import CapExceeded, StructureError
 from infalg.generators import enumerate_algebras, gen_string, string_elements
-from infalg.order import FinitePoset, bits, chain_poset, down_sets, powerset_lattice, try_lattice
+from infalg.order import FinitePoset, bits, chain_poset, powerset_lattice, try_lattice, up_sets
 from infalg.semigroup import compose, first_row_witness
 
 
@@ -319,6 +319,16 @@ def test_algebra_equality_and_hash_ignore_cached_verdict(mv22_algebra):
                                 for p in f1.members)
 
 
+def test_ideal_completion_is_bounded_by_the_up_set_cap_alone():
+    # the 25-element chain has 26 down-sets, more points than the removed
+    # 20-point limit allowed; the 32-element string(2, 4) has 458,331
+    # down-sets, past the default cap, and fails at the first past it
+    a = make_algebra(chain_poset(25), [tuple(range(25))])
+    assert ideal_completion(a)[0].n == 25
+    with pytest.raises(CapExceeded, match="^up-sets exceed the cap 4096$"):
+        ideal_completion(gen_string(2, 4))
+
+
 def test_ideal_completion_two_chain():
     a = two_chain_algebra()
     comp, emb = ideal_completion(a)
@@ -341,7 +351,7 @@ def test_ideal_completion_generated(generated_suite):
 def test_ideal_completion_order_is_ideal_inclusion(generated_suite):
     for name, a in generated_suite.items():
         comp, _ = ideal_completion(a)
-        ideals = sorted(m for m in down_sets(a.poset) if m and all(
+        ideals = sorted(m for m in up_sets(a.poset.dual()) if m and all(
             (m >> a.join(x, y)) & 1 for x in bits(m) for y in bits(m)))
         up = tuple(sum(1 << j for j, jm in enumerate(ideals) if im & ~jm == 0)
                    for im in ideals)
@@ -439,6 +449,14 @@ def test_compose_label_requires_listing():
     b = make_algebra(chain_poset(3), [(0, 0, 2), (0, 1, 1)])
     with pytest.raises(StructureError):
         b.compose_label(0, 1)
+
+
+def test_label_map_past_the_codomain_labels_is_not_total(string22):
+    # g names label len(b.extractors): no later law is checked, so no label
+    # table or extractor list is indexed past its end
+    a = string22
+    m = AlgebraMorphism(tuple(range(a.n)), (0,) * (len(a.extractors) - 1) + (len(a.extractors),))
+    assert is_homomorphism(m, a, a).format() == "FAIL  maps_total"
 
 
 def literal_homomorphism(m, a, b, check_meets=None):

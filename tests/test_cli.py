@@ -407,8 +407,22 @@ def test_cli_checks_the_up_set_cap_before_the_q_space_report(tmp_path, capsys, m
     saturate = duality.saturate
     monkeypatch.setattr(duality, "saturate", lambda *args: calls.append(args) or saturate(*args))
     assert main([command, path]) == 1
-    assert capsys.readouterr() == ("", "failure: 8192 up-sets exceed the cap 4096\n")
+    assert capsys.readouterr() == ("", "failure: up-sets exceed the cap 4096\n")
     assert calls == []
+
+
+@pytest.mark.parametrize("n, cap, ok", [(3, 4, True), (3, 3, False), (0, 1, True), (0, 0, False)])
+def test_cli_up_set_cap_boundary(tmp_path, capsys, n, cap, ok):
+    # an n-point chain has n + 1 up-sets: a cap of exactly that many passes
+    # and one less fails, though the point set fits; the empty point set
+    # has one up-set, the empty one, so a cap of 0 fails it too
+    doc = {"n": n, "leq": [[a <= b for b in range(n)] for a in range(n)],
+           "equivalences": {"id": list(range(n))}}
+    path = write(tmp_path, "chain.json", json.dumps(doc))
+    assert main(["--cap", str(cap), "reconstruct", path]) == (0 if ok else 1)
+    out, err = capsys.readouterr()
+    assert (bool(out), err) == ((True, "") if ok else
+                                (False, f"failure: up-sets exceed the cap {cap}\n"))
 
 
 def test_cli_roundtrip_hands_its_cap_to_reconstruct(tmp_path, monkeypatch):

@@ -10,9 +10,10 @@ from infalg.algebra import (AlgebraMorphism, enumerate_homomorphisms, extraction
                             identity_morphism, is_distributive_cdf, is_homomorphism, make_algebra,
                             verify_axioms)
 from infalg.duality import (QMorphism, QSpace, _dual, boolean_diagnostics,
-                            check_q_morphism, check_separating, dual_point_map, dualize,
-                            dualize_morphism, double_dual_element_map, make_nontrivial_separating,
-                            make_q_space, q_space_report, reconstruct, round_trip_algebra,
+                            check_q_morphism, check_separating, check_upset_cap, dual_point_map,
+                            dualize, dualize_morphism, double_dual_element_map,
+                            make_nontrivial_separating, make_q_space, q_space_report,
+                            reconstruct, round_trip_algebra,
                             round_trip_space, sentence_commutation, sentence_saturation_upsets,
                             sentence_separation, sentence_separation_star)
 from infalg.equivalence import (Equivalence, StarFamily, all_equivalences, commutation_witness,
@@ -204,6 +205,29 @@ def test_q_morphism_out_of_range_alpha_is_not_total():
     space = delta_space(chain_poset(2))
     report = check_q_morphism(QMorphism((0, 2), (0,)), space, space)
     assert report.format() == "FAIL  maps_total"
+
+
+def test_q_morphism_omega_past_the_domain_labels_is_not_total():
+    # omega names label 1 of a one-member domain family: no later law is
+    # checked, so no label table is indexed past its end
+    space = delta_space(chain_poset(2))
+    report = check_q_morphism(QMorphism((0, 1), (len(space.eqs.members),)), space, space)
+    assert report.format() == "FAIL  maps_total"
+
+
+def test_identity_q_morphism_of_a_wide_antichain_lists_no_up_set():
+    # 2^24 up-sets: the omega law reads the star-closed family's products
+    # and the saturation law the 24 principal up-sets
+    poset = antichain_poset(24)
+    space = delta_space(poset)
+    assert check_q_morphism(QMorphism(tuple(range(24)), (0,)), space, space).ok
+    assert "up_set_index" not in vars(poset)
+
+
+def test_identity_q_morphism_of_a_21_point_chain():
+    space = delta_space(chain_poset(21))
+    assert check_q_morphism(QMorphism(tuple(range(21)), (0,)), space, space).ok
+    assert len(up_sets(space.poset)) == 22
 
 
 def test_dualize_identity_morphism(lv_2_chain3):
@@ -417,6 +441,16 @@ def test_q_space_is_validated_once(monkeypatch):
     assert calls == []
     reconstruct(QSpace(space.poset, space.eqs))
     assert len(calls) == len(space.eqs.members)
+
+
+def test_make_nontrivial_separating_tries_principal_up_sets_first():
+    # a 2-chain a < b beside a 28-point antichain has 3 * 2^28 up-sets; the
+    # principal up-set {a, b} separates, so no other up-set is listed
+    n = 30
+    poset = FinitePoset(n, (0b11, 0b10, *(1 << x for x in range(2, n))))
+    theta = make_nontrivial_separating(poset)
+    assert theta == Equivalence.from_blocks(n, [[0, 1], *([x] for x in range(2, n))])
+    assert "up_set_index" not in vars(poset)
 
 
 def test_make_nontrivial_separating_rejects_singleton():
@@ -819,9 +853,40 @@ def test_label_table_matches_the_saturation_arrays_on_every_dual():
 def test_reconstruct_checks_its_cap_before_saturating(monkeypatch):
     space = QSpace(antichain_poset(13), star_family([Equivalence.identity(13)], ["t0"]))
     saturations = count_calls(monkeypatch, "saturate", duality)
-    with pytest.raises(CapExceeded, match="8192 up-sets exceed the cap 4096"):
+    with pytest.raises(CapExceeded, match="^up-sets exceed the cap 4096$"):
         reconstruct(space)
     assert saturations == []
+
+
+@pytest.mark.parametrize("poset, count", [
+    (FinitePoset(0, ()), 1), (chain_poset(3), 4), (antichain_poset(2), 4),
+    (antichain_poset(3), 8), (chain_poset(1), 2)])
+def test_upset_cap_boundary(poset, count):
+    # an order with exactly cap up-sets passes and one more fails; the empty
+    # up-set counts, so a cap of 0 fails every order, the empty one included
+    for _ in range(2):  # the search on a fresh order, then the index it cached
+        with pytest.raises(CapExceeded, match=f"^up-sets exceed the cap {count - 1}$"):
+            check_upset_cap(poset, count - 1)
+        with pytest.raises(CapExceeded, match="^up-sets exceed the cap 0$"):
+            check_upset_cap(poset, 0)
+        check_upset_cap(poset, count)
+        assert "up_set_index" in vars(poset)
+    assert len(poset.up_set_index) == count
+    check_upset_cap(poset, None)
+
+
+def test_upset_cap_caches_the_index_it_found():
+    # an order within the cap has its up-sets listed once, by the cap check;
+    # one past it is refused after cap + 1 of its 2^40 up-sets
+    poset = chain_poset(5)
+    check_upset_cap(poset, 6)
+    index = vars(poset)["up_set_index"]
+    assert index == {mask: i for i, mask in enumerate(up_sets(poset))}
+    assert poset.up_set_index is index
+    wide = antichain_poset(40)
+    with pytest.raises(CapExceeded, match="^up-sets exceed the cap 4096$"):
+        check_upset_cap(wide, 4096)
+    assert "up_set_index" not in vars(wide)
 
 
 def test_second_routes_hold_on_the_enumerated_universe(generated_suite):

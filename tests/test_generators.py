@@ -488,6 +488,14 @@ def test_operator_pool_guard():
         extraction_families([(i,) for i in range(19)])
 
 
+def test_operator_pool_of_exactly_the_limit_is_searched():
+    # FAMILY_BASE_LIMIT constant maps: no two commute, so each alone is a
+    # closed family; one map more fails, as test_operator_pool_guard pins
+    k = generators.FAMILY_BASE_LIMIT
+    ops = [(i,) * k for i in range(k)]
+    assert extraction_families(ops) == [(op,) for op in ops]
+
+
 def test_separating_pool_guard(monkeypatch):
     # the first five-point poset is the antichain, whose 52 equivalences
     # are all separating

@@ -2,9 +2,11 @@ import random
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from infalg import order
-from infalg.errors import CapExceeded, FormatError, StructureError
+from infalg.errors import FormatError, StructureError
 from infalg.generators import (all_labeled_posets, enumerate_lattices, enumerate_posets,
                                gen_lattice_valued, gen_string, string_elements)
 from infalg.order import (BoundedJoinSemilattice, FinitePoset,
@@ -168,11 +170,38 @@ def test_up_sets_match_brute_force_on_stock_posets():
         assert up_sets(poset) == brute_up_sets(poset)
 
 
-def test_up_set_index_refuses_more_points_than_its_limit():
-    # 21 points: the scan of all 2^21 masks is refused before it starts
-    with pytest.raises(CapExceeded) as exc:
-        antichain_poset(21).up_set_index
-    assert str(exc.value) == "up-set enumeration limited to 20 points, got 21"
+def scan_up_sets(poset):
+    """Every mask of the 2^n, ascending, that contains the up row of each of
+    its points: the up-set list before Close-by-One, kept as its oracle."""
+    return [mask for mask in range(1 << poset.n)
+            if all(poset.up[x] & ~mask == 0 for x in bits(mask))]
+
+
+@st.composite
+def random_orders(draw):
+    """An order on up to 14 points: the transitive closure of a random DAG
+    whose edges run from lower to higher indices, then relabeled."""
+    n = draw(st.integers(0, 14))
+    edges = draw(st.lists(st.tuples(st.integers(0, max(n - 1, 0)),
+                                    st.integers(0, max(n - 1, 0))), max_size=2 * n))
+    up = [1 << a for a in range(n)]
+    for a in reversed(range(n)):  # rows above a are already transitive
+        for b in (b for x, b in edges if x == a and b > a):
+            up[a] |= up[b]
+    perm = draw(st.permutations(range(n)))
+    return FinitePoset(n, tuple(up)).restrict(perm)
+
+
+@settings(max_examples=60, deadline=None)
+@given(random_orders())
+def test_up_sets_match_the_mask_scan_on_random_orders(poset):
+    assert up_sets(poset) == scan_up_sets(poset)
+    assert list(poset.up_set_index.values()) == list(range(len(poset.up_set_index)))
+
+
+def test_up_sets_of_a_100_point_chain():
+    # one up-set per cut of the chain, found without a scan of 2^100 masks
+    assert up_sets(chain_poset(100)) == sorted(mask_of(range(a, 100)) for a in range(101))
 
 
 def test_order_join_coherence():
