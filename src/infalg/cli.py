@@ -143,7 +143,7 @@ def cmd_roundtrip(args) -> int:
         _emit_report(args, report)
         if args.format != "json":
             print("element map:", list(rt.morphism.f))
-            print("extractor map:", {a.labels[i]: rt.target.labels[g]
+            print("extractor map:", {a.labels[i]: rt.space.eqs.labels[g]
                                      for i, g in enumerate(rt.morphism.g)})
     else:
         parsed = files.qspace_from_doc(doc, cap=_cap(args))

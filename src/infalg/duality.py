@@ -10,13 +10,16 @@ up-sets under reverse inclusion with the restricted saturation operators,
 composed by the up-set set algebra's ``label_table``, which a Q-morphism's
 omega must also respect. Separation and the Q-morphism saturation law are
 decided on the principal up-sets, of which every up-set is a union. Both
-round trips are verified, not assumed, each verdict by one route:
-reconstruct checks the output's axioms and CDF verdict, not the set-algebra
-laws its up-sets meet by construction; round_trip_algebra checks a bijection
-against the laws without meets, which a join-preserving bijection keeps;
-round_trip_space checks a bijective order isomorphism carrying each
-equivalence onto its namesake, which makes it a Q-morphism. The second
-routes run against these verdicts in the test suite.
+round trips are verified, not assumed, each verdict by one route, on masks:
+reconstruct certifies its output on the principal up-sets, since the
+up-sets form a distributive lattice (Birkhoff) whose saturations meet every
+other axiom by construction, so only their label table is checked;
+round_trip_algebra checks a bijection onto the up-sets against the laws
+without meets, which a join-preserving bijection keeps; round_trip_space
+reads the double dual off the principal up-sets and checks a bijective
+order isomorphism carrying each equivalence onto its namesake, which makes
+it a Q-morphism. Tables are built only for an algebra that is returned or
+written. The table routes run against these verdicts in the test suite.
 """
 
 from __future__ import annotations
@@ -25,12 +28,13 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .algebra import (AlgebraMorphism, InfoAlgebra, is_distributive_cdf, is_homomorphism,
-                      is_isomorphism, verify_axioms)
+                      verify_axioms)
 from .equivalence import Equivalence, StarFamily, saturate, star_family
 from .errors import DEFAULT_CAP, PreconditionError, StructureError
 from .order import (FinitePoset, bits, check_upset_cap, complements, is_distributive, mask_of,
                     meet_irreducibles, pullback, try_lattice, up_closure, up_sets)
 from .report import Report
+from .semigroup import compose
 from .set_algebra import SetAlgebra, label_table
 
 
@@ -53,6 +57,12 @@ class QSpace:
             ok, w = check_separating(self.poset, theta)
             report.add(f"separating[{lab}]", ok, w)
         return report
+
+    @cached_property
+    def up_set_algebra(self) -> SetAlgebra:
+        """The set algebra of all up-sets, unchecked; reconstruct certifies
+        it, and builds its tables."""
+        return SetAlgebra(self.n, tuple(up_sets(self.poset)), self.eqs)
 
 
 @dataclass(frozen=True)
@@ -203,40 +213,72 @@ def dualize(a: InfoAlgebra) -> QSpace:
     return _dual(a)[0]
 
 
-def reconstruct(s: QSpace, cap: int = DEFAULT_CAP) -> InfoAlgebra:
-    """Algebra of all up-sets of a Q-space under reverse inclusion, with the
-    restricted saturation operators. The up-sets form a set algebra by
-    construction and by the Q-space report, so only the output's axioms and
-    CDF verdict are checked; for a family that is not star-closed they are
-    the only check that its saturations commute."""
+def _certify(s: QSpace, cap: int) -> SetAlgebra:
+    """The up-set algebra of a valid Q-space within the cap, certified on
+    masks. Its up-sets, closed under union and intersection, form a
+    distributive lattice (Birkhoff; Davey & Priestley, Introduction to
+    Lattices and Order, 2002, ch. 5); each saturation is an up-set map by
+    the Q-space report, preserves unions, hence meets, and meets every
+    other axiom on any subset. So only the label table can fail, and as the
+    composites of saturations preserve unions too, it is decided on the
+    principal up-sets: sigma_i sigma_j = sigma_tab[i][j] = sigma_j sigma_i
+    there. A failing certificate hands over to the table check, which
+    names the failure."""
     check_upset_cap(s.poset, cap)
     q_space_report(s).require("invalid Q-space", PreconditionError)
-    out = SetAlgebra(s.poset.n, tuple(up_sets(s.poset)), s.eqs).to_info_algebra()
-    verify_axioms(out).require("reconstructed algebra fails axioms")
-    if not is_distributive_cdf(out).ok:
-        raise StructureError("reconstructed algebra is not distributive")
-    return out
+    sa = s.up_set_algebra
+    tab, members = sa.label_table, s.eqs.members
+    rows = [[saturate(theta, up) for up in s.poset.up] for theta in members]
+    if not all([saturate(theta, u) for u in rows[j]] == rows[tab[i][j]]
+               == [saturate(gamma, u) for u in rows[i]]
+               for i, theta in enumerate(members) for j, gamma in enumerate(members)):
+        verify_axioms(sa.to_info_algebra()).require("reconstructed algebra fails axioms")
+    return sa
+
+
+def reconstruct(s: QSpace, cap: int = DEFAULT_CAP) -> InfoAlgebra:
+    """Algebra of all up-sets of a Q-space under reverse inclusion, with the
+    restricted saturation operators, certified on the principal up-sets
+    before its tables are built; for a family that is not star-closed the
+    certificate is the only check that its saturations commute."""
+    return _certify(s, cap).to_info_algebra()
 
 
 @dataclass(frozen=True)
 class AlgebraRoundTrip:
     space: QSpace
     points: tuple[int, ...]          # carrier elements serving as dual points
-    target: InfoAlgebra              # reconstruct(dualize(source))
     morphism: AlgebraMorphism        # verified isomorphism source -> target
+
+    @cached_property
+    def target(self) -> InfoAlgebra:
+        """reconstruct(dualize(source)), built on first read."""
+        return self.space.up_set_algebra.to_info_algebra()
 
 
 def round_trip_algebra(a: InfoAlgebra) -> AlgebraRoundTrip:
     """source -> reconstruct(dualize(source)) with the canonical element map
-    x -> (up-set of dual points at or above x); verified isomorphism."""
+    x -> (up-set of dual points at or above x); verified isomorphism, on the
+    masks: the map is bijective onto the up-sets, sends joins to
+    intersections, the bounds to the full and empty sets and each extractor
+    to its saturation, and the label tables agree; these are
+    is_isomorphism's laws on the up-set algebra."""
     space, points = _dual(a)
-    target = reconstruct(space)
+    sa = _certify(space, DEFAULT_CAP)
     index = space.poset.up_set_index
-    f = tuple(index[pullback(points, up)] for up in a.poset.up)
-    morphism = AlgebraMorphism(f, tuple(range(len(a.extractors))))
-    if not is_isomorphism(morphism, a, target):
+    image = [pullback(points, up) for up in a.poset.up]
+    f = tuple(index[u] for u in image)
+    ks, ta, tb = range(len(a.extractors)), a.label_table, sa.label_table
+    if not (sorted(f) == list(range(len(index)))
+            and image[a.unit] == space.poset.full_mask() and image[a.zero] == 0
+            and all(compose(image, row) == tuple(map(u.__and__, image))
+                    for u, row in zip(image, a.sl.join))
+            and all(ta[k][l] == tb[k][l] for k in ks for l in ks)
+            and all(image[e[x]] == saturate(theta, u)
+                    for e, theta in zip(a.extractors, space.eqs.members)
+                    for x, u in enumerate(image))):
         raise StructureError("algebra round trip failed to be an isomorphism")
-    return AlgebraRoundTrip(space, points, target, morphism)
+    return AlgebraRoundTrip(space, points, AlgebraMorphism(f, tuple(ks)))
 
 
 @dataclass(frozen=True)
@@ -246,18 +288,37 @@ class SpaceRoundTrip:
     points: tuple[int, ...]          # carrier indices of the target's points
 
 
+def _double_dual(s: QSpace) -> tuple[QSpace, tuple[int, ...]]:
+    """dualize(reconstruct(s)) and its carrier points, read off the masks of
+    a certified Q-space: the dual points of its up-set algebra are the
+    principal up-sets, at their up_set_index positions, ordered as their
+    points, and trace k relates two of them iff member k saturates them
+    alike. An order with equal rows, or a family with equal saturations,
+    has its dual taken from the tables, which name what breaks."""
+    poset, index = s.poset, s.poset.up_set_index
+    order = sorted(range(s.n), key=lambda p: index[poset.up[p]])
+    rows = [tuple(saturate(theta, poset.up[p]) for p in order) for theta in s.eqs.members]
+    if len(poset.up_index) < s.n or len(set(rows)) < len(rows):
+        return _dual(s.up_set_algebra.to_info_algebra())
+    # the family need not be closed: see _dual
+    eqs = star_family([Equivalence(s.n, row) for row in rows], s.eqs.labels, n=s.n,
+                      require_closure=False)
+    return QSpace(poset.restrict(order), eqs), tuple(index[poset.up[p]] for p in order)
+
+
 def round_trip_space(s: QSpace, cap: int = DEFAULT_CAP) -> SpaceRoundTrip:
     """source -> dualize(reconstruct(source)) via p -> (principal up-set of p
     as a point of the double dual) and the identity on labels; verified
     Q-isomorphism: a bijective order isomorphism carrying each equivalence
     onto its namesake. The Q-morphism laws follow: the two families'
     saturation arrays are then conjugate, so their label tables agree, and
-    reconstruct has found them closed under composition. ``cap`` is
-    reconstruct's bound on the up-sets.
+    reconstruct's certificate has found them closed under composition.
+    ``cap`` is reconstruct's bound on the up-sets. Tables are built only
+    where ``_double_dual`` falls back to them.
     """
-    algebra = reconstruct(s, cap=cap)
+    _certify(s, cap)
     index = s.poset.up_set_index
-    target, points = _dual(algebra)
+    target, points = _double_dual(s)
     n = s.poset.n
     if target.poset.n != n or len(target.eqs.members) != len(s.eqs.members):
         raise StructureError("double dual has different size")
@@ -303,8 +364,7 @@ def check_q_morphism(m: QMorphism, s: QSpace, t: QSpace) -> Report:
     report.add("alpha_order_preserving", w is None, w)
 
     def up_set_label_table(x):  # a star-closed family's is read without up-sets
-        return label_table(x.eqs, lambda: SetAlgebra(x.n, tuple(up_sets(x.poset)),
-                                                     x.eqs).saturations)
+        return label_table(x.eqs, lambda: x.up_set_algebra.saturations)
 
     tab_s, tab_t = up_set_label_table(s), up_set_label_table(t)
     ks = range(len(t.eqs.members))

@@ -429,13 +429,13 @@ def test_cli_roundtrip_hands_its_cap_to_reconstruct(tmp_path, monkeypatch):
     space = QSpace(antichain_poset(2), star_family([Equivalence.identity(2)], ["t0"]))
     path = write(tmp_path, "q.json", files.dumps(files.qspace_doc(space)))
     caps = []
-    reconstruct = duality.reconstruct
+    certify = duality._certify  # reconstruct's cap and certificate, without its tables
 
     def recording(s, cap=DEFAULT_CAP):
         caps.append(cap)
-        return reconstruct(s, cap)
+        return certify(s, cap)
 
-    monkeypatch.setattr(duality, "reconstruct", recording)
+    monkeypatch.setattr(duality, "_certify", recording)
     assert main(["--cap", "100", "roundtrip", path]) == 0
     assert caps == [100]
 

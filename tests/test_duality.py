@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 from infalg import duality
 from infalg.algebra import (AlgebraMorphism, enumerate_homomorphisms, extraction_image,
-                            identity_morphism, is_distributive_cdf, is_homomorphism, make_algebra,
-                            verify_axioms)
+                            identity_morphism, is_distributive_cdf, is_homomorphism,
+                            is_isomorphism, make_algebra, verify_axioms)
 from infalg.duality import (QMorphism, QSpace, _dual, boolean_diagnostics,
                             check_q_morphism, check_separating, check_upset_cap, dual_point_map,
                             dualize, dualize_morphism, double_dual_element_map,
@@ -18,11 +18,11 @@ from infalg.duality import (QMorphism, QSpace, _dual, boolean_diagnostics,
                             sentence_separation, sentence_separation_star)
 from infalg.equivalence import (Equivalence, StarFamily, all_equivalences, commutation_witness,
                                 saturate, star_closure, star_family, star_table)
-from infalg.errors import CapExceeded, PreconditionError, StructureError
+from infalg.errors import DEFAULT_CAP, CapExceeded, PreconditionError, StructureError
 from infalg.generators import (all_labeled_posets, enumerate_algebras, enumerate_posets,
                                enumerate_q_spaces, separating_equivalences)
-from infalg.order import (FinitePoset, antichain_poset, bits, chain_poset, mask_of, up_closure,
-                          up_sets)
+from infalg.order import (FinitePoset, antichain_poset, bits, chain_poset, mask_of, pullback,
+                          up_closure, up_sets)
 from infalg.report import Report
 from infalg.semigroup import compose, table
 from infalg.set_algebra import SetAlgebra
@@ -721,12 +721,15 @@ def test_check_q_morphism_matches_literal_loop():
     assert 0 < failed < 2000
 
 
-def literal_round_trip_space(s):
+def literal_round_trip_space(s, double_dual=None):
     """round_trip_space with its point map and correspondence checks as
-    literal loops."""
-    algebra = reconstruct(s)
+    literal loops, on the library's double dual after reconstruct, or on
+    ``double_dual(s)``."""
+    if double_dual is None:
+        reconstruct(s)
+        double_dual = duality._double_dual
     index = s.poset.up_set_index
-    target, points = duality._dual(algebra)
+    target, points = double_dual(s)
     n = s.poset.n
     if target.poset.n != n or len(target.eqs.members) != len(s.eqs.members):
         raise StructureError("double dual has different size")
@@ -769,11 +772,11 @@ def test_round_trip_space_matches_literal_loop(monkeypatch):
     # equivalences, so that each check fails somewhere
     rng = random.Random(3)
     spaces = [s for s in enumerate_q_spaces(3) if s.n > 1]
-    real_dual = duality._dual
+    real_dual = duality._double_dual
     messages = set()
     for _ in range(300):
         s = rng.choice(spaces)
-        target, points = real_dual(reconstruct(s))
+        target, points = real_dual(s)
         poset, members = target.poset, list(target.eqs.members)
         if rng.random() < 0.5:
             poset = rng.choice(all_labeled_posets(s.n))
@@ -781,7 +784,7 @@ def test_round_trip_space_matches_literal_loop(monkeypatch):
             members[rng.randrange(len(members))] = rng.choice(all_equivalences(s.n))
         tampered = QSpace(poset, StarFamily(s.n, tuple(members), target.eqs.labels,
                                             star_table(members)))
-        monkeypatch.setattr(duality, "_dual", lambda a: (tampered, points))
+        monkeypatch.setattr(duality, "_double_dual", lambda s: (tampered, points))
         expected = round_trip_outcome(literal_round_trip_space, s)
         got = round_trip_outcome(round_trip_space, s)
         if isinstance(expected, str):
@@ -938,3 +941,184 @@ def test_round_trips_past_the_enumerated_universe(s):
     a = reconstruct(s)
     art = round_trip_algebra(a)
     assert is_homomorphism(art.morphism, a, art.target, check_meets=True).ok
+
+
+# The table route: every round trip as it ran before the mask certificate,
+# from fresh tables, kept as the oracle of the mask route.
+
+def table_reconstruct(s, cap=DEFAULT_CAP):
+    """reconstruct on tables: the up-set algebra's join table and
+    saturation arrays, then the output's axioms and CDF verdict."""
+    check_upset_cap(s.poset, cap)
+    q_space_report(s).require("invalid Q-space", PreconditionError)
+    out = SetAlgebra(s.n, tuple(up_sets(s.poset)), s.eqs).to_info_algebra()
+    verify_axioms(out).require("reconstructed algebra fails axioms")
+    if not is_distributive_cdf(out).ok:
+        raise StructureError("reconstructed algebra is not distributive")
+    return out
+
+
+def table_double_dual(s):
+    return _dual(table_reconstruct(s))
+
+
+def table_round_trip_algebra(a):
+    """round_trip_algebra on tables: is_isomorphism against the
+    reconstructed algebra."""
+    space, points = _dual(a)
+    target = table_reconstruct(space)
+    index = space.poset.up_set_index
+    f = tuple(index[pullback(points, up)] for up in a.poset.up)
+    morphism = AlgebraMorphism(f, tuple(range(len(a.extractors))))
+    if not is_isomorphism(morphism, a, target):
+        raise StructureError("algebra round trip failed to be an isomorphism")
+    return space, points, target, morphism
+
+
+def algebra_fields(a):
+    return a.sl.poset, a.sl.join, a.unit, a.zero, a.extractors, a.labels, a.composition
+
+
+def space_fields(s):
+    return s.poset, s.eqs.n, s.eqs.members, s.eqs.labels, s.eqs.products
+
+
+def assert_space_routes_agree(s):
+    assert algebra_fields(reconstruct(s)) == algebra_fields(table_reconstruct(s))
+    rt = round_trip_space(s)
+    target, morphism, points = literal_round_trip_space(s, table_double_dual)
+    assert (space_fields(rt.target), rt.morphism, rt.points) == (
+        space_fields(target), morphism, points)
+
+
+def assert_algebra_routes_agree(a):
+    rt = round_trip_algebra(a)
+    space, points, target, morphism = table_round_trip_algebra(a)
+    assert (space_fields(rt.space), rt.points, rt.morphism) == (
+        space_fields(space), points, morphism)
+    assert algebra_fields(rt.target) == algebra_fields(target)
+
+
+def test_mask_route_matches_the_table_route_on_the_universe():
+    spaces = list(enumerate_q_spaces(4))
+    assert len(spaces) == 768
+    for s in spaces:
+        assert_space_routes_agree(s)
+    duals = not_closed = 0
+    for a in enumerate_algebras(5):
+        if not is_distributive_cdf(a).ok:
+            continue
+        assert_algebra_routes_agree(a)
+        space = dualize(a)
+        assert_space_routes_agree(space)
+        duals += 1
+        not_closed += not space.eqs.closed
+    assert (duals, not_closed) == (94, 2)
+
+
+@settings(max_examples=100, deadline=None)
+@given(random_q_spaces())
+def test_mask_route_matches_the_table_route_past_the_universe(s):
+    assert_space_routes_agree(s)
+    assert_algebra_routes_agree(reconstruct(s))
+
+
+def family(n, members, products):
+    """A hand-built family: its products are taken as given, unchecked."""
+    return StarFamily(n, tuple(members), tuple(f"t{i}" for i in range(len(members))),
+                      products)
+
+
+def failure(run, s):
+    with pytest.raises((StructureError, PreconditionError)) as exc:
+        run(s)
+    e = exc.value
+    return type(e), str(e), e.witness, e.report and e.report.items
+
+
+IDENTITY2, ALL2 = Equivalence.identity(2), Equivalence.all_relation(2)
+LEFT3, RIGHT3 = Equivalence(3, [0, 0, 1]), Equivalence(3, [0, 1, 1])
+GRID4 = [Equivalence(4, [0, 0, 1, 1]), Equivalence(4, [0, 1, 0, 1])]
+
+
+@pytest.mark.parametrize("s, message", [
+    # not closed, equal members: the saturation arrays are resolved and collide
+    (QSpace(antichain_poset(2), family(2, [IDENTITY2, IDENTITY2], ((None, None),) * 2)),
+     "cannot resolve composition: saturation arrays collide"),
+    # not closed: the product of the grid's two partitions is not listed
+    (QSpace(antichain_poset(4), star_family(GRID4, require_closure=False)),
+     "saturations not closed under composition at (0,1)"),
+    # closed by its products, but they are wrong
+    (QSpace(chain_poset(2), family(2, [IDENTITY2, ALL2], ((0, 1), (1, 0)))),
+     "reconstructed algebra fails axioms:"),
+    # closed by its products, but the members do not commute
+    (QSpace(antichain_poset(3), family(3, [LEFT3, RIGHT3], ((0, 0), (1, 1)))),
+     "reconstructed algebra fails axioms:"),
+], ids=["collide", "unlisted", "wrong-products", "not-commuting"])
+def test_failed_certificates_raise_the_table_route_error(s, message):
+    # each Q-space is valid; its family fails the up-set algebra's label
+    # table or its laws, and every route names that failure alike
+    assert q_space_report(s).ok
+    expected = failure(table_reconstruct, s)
+    assert expected[1].startswith(message)
+    assert failure(reconstruct, s) == failure(round_trip_space, s) == expected
+    assert failure(lambda s: literal_round_trip_space(s, table_double_dual), s) == expected
+
+
+@pytest.mark.parametrize("s, message", [
+    # closed, equal members: the double dual's extractors collide
+    (QSpace(antichain_poset(2), family(2, [IDENTITY2, IDENTITY2], ((1, 1),) * 2)),
+     "extractor labels must denote distinct maps; dedupe_extractors first"),
+    # a preorder: its two points share one principal up-set
+    (QSpace(FinitePoset(2, (3, 3)), star_family([ALL2])), "double dual has different size"),
+], ids=["equal-members", "preorder"])
+def test_double_duals_off_the_masks_raise_the_table_route_error(s, message):
+    # reconstruct passes, and only the double dual breaks
+    assert algebra_fields(reconstruct(s)) == algebra_fields(table_reconstruct(s))
+    expected = failure(lambda s: literal_round_trip_space(s, table_double_dual), s)
+    assert expected[1] == message
+    assert failure(round_trip_space, s) == expected
+
+
+def wide_antichain_space():
+    """A 12-point antichain with the star closure of x // 2, x % 2 and the
+    identity: 4 members and 4,096 up-sets, the default cap."""
+    n = 12
+    eqs = star_closure([Equivalence(n, [x // 2 for x in range(n)]),
+                        Equivalence(n, [x % 2 for x in range(n)]), Equivalence.identity(n)])
+    return QSpace(antichain_poset(n), eqs)
+
+
+def count_table_routes(monkeypatch):
+    from infalg import algebra
+
+    axioms = count_calls(monkeypatch, "verify_axioms", duality, algebra)
+    cdfs = count_calls(monkeypatch, "is_distributive_cdf", duality, algebra)
+    builds = []
+    to_info_algebra = SetAlgebra.to_info_algebra
+    monkeypatch.setattr(SetAlgebra, "to_info_algebra",
+                        lambda sa: builds.append(sa) or to_info_algebra(sa))
+    return axioms, cdfs, builds
+
+
+def test_round_trip_space_builds_no_table(monkeypatch):
+    axioms, cdfs, builds = count_table_routes(monkeypatch)
+    for s in enumerate_q_spaces(4):
+        round_trip_space(s)
+    s = wide_antichain_space()
+    assert len(s.eqs.members) == 4
+    rt = round_trip_space(s)
+    assert len(s.poset.up_set_index) == 4096
+    assert rt.morphism == QMorphism(tuple(range(12)), tuple(range(4)))
+    assert axioms == cdfs == builds == []
+
+
+def test_round_trip_algebra_checks_no_table_of_the_reconstruction(monkeypatch, generated_suite):
+    # the source's CDF verdict is the only table check left
+    sources = [a for a in list(generated_suite.values()) + list(enumerate_algebras(5))
+               if is_distributive_cdf(a).ok]
+    axioms, cdfs, builds = count_table_routes(monkeypatch)
+    for a in sources:
+        round_trip_algebra(a)
+    assert axioms == builds == [] and len(cdfs) == len(sources)
+    assert all(args[0] is a for args, a in zip(cdfs, sources))
