@@ -74,15 +74,26 @@ class InfoAlgebra:
     def cdf(self) -> CdfReport:
         """Distributive-algebra verdict: the lattice (every meet exists, as the
         unit is the least element) is distributive, and every extractor
-        preserves binary meets."""
-        lat = try_lattice(self.sl)
-        ok, w = is_distributive(lat)
+        preserves binary meets. Certificate, on the irreducible rows u of a
+        distributive lattice, where x /\\ m is column m of
+        ``irreducible_meets`` and u sends meets to unions: e preserves every
+        meet iff u[e(x /\\ m)] == u[e(x)] | u[e(m)] for all x and every
+        meet-irreducible m. Each y but the top is the meet of the m above
+        it, so e(x /\\ y) == e(x) /\\ e(y) follows by induction over them,
+        and for the top, column m at x = top gives e(m) <= e(top). Only a
+        failing certificate builds the meet table, whose row scan names the
+        first witness."""
+        sl = self.sl
+        ok, w = is_distributive(sl)
         if not ok:
             return CdfReport(False, "not_distributive", w)
+        columns = tuple(zip(sl.meet_irreducibles, sl.irreducible_meets))
         for k, e in enumerate(self.extractors):
-            w = homomorphism_witness(e, lat.meet, lat.meet)
-            if w is not None:
-                return CdfReport(False, "extractor_breaks_meets", (k, *w))
+            ue = compose(sl.irreducible_rows, e)
+            if not all(compose(ue, col) == tuple(map(ue[m].__or__, ue)) for m, col in columns):
+                lat = try_lattice(sl)
+                return CdfReport(False, "extractor_breaks_meets",
+                                 (k, *homomorphism_witness(e, lat.meet, lat.meet)))
         return CdfReport(True, None, None)
 
 

@@ -10,9 +10,10 @@ Conventions used throughout the package:
   other is derived (a <= b iff a \\/ b == b): ``semilattice_from_poset``
   and ``join_semilattice`` are the only constructors;
 * derived order data (the down rows, the row indexes and the up-set index
-  of a poset, the meet table and the meet-irreducibles of a semilattice,
-  the CDF verdict of an algebra) is computed on first use and cached on
-  the frozen structure that owns it; callers must not mutate it;
+  of a poset, the meet table, the meet-irreducibles, and the irreducible
+  rows, their index and meet columns of a semilattice, the CDF verdict of
+  an algebra) is computed on first use and cached on the frozen structure
+  that owns it; callers must not mutate it;
 * one Close-by-One search, ``closed_sets``, finds the up-sets of a poset
   and the closed families of a pool in ``generators``, at a cost that
   grows with the sets found: an order is bounded by its up-set count alone;
@@ -272,6 +273,36 @@ class BoundedJoinSemilattice:
         index = self.poset.up_index
         return [m for m, row in enumerate(self.poset.up) if row & ~(1 << m) in index]
 
+    @cached_property
+    def irreducible_rows(self) -> tuple[int, ...]:
+        """Row ``u[x]`` is the mask of the meet-irreducibles at or above x.
+        Each x is the meet of its row (the top of the empty one), so
+        x <= y iff u[x] holds u[y], and ``u[x \\/ y] == u[x] & u[y]``
+        (Birkhoff; Davey & Priestley, Introduction to Lattices and Order,
+        2002, ch. 5)."""
+        return tuple(map(mask_of(self.meet_irreducibles).__and__, self.poset.up))
+
+    @cached_property
+    def irreducible_index(self) -> dict[int, int]:
+        """Each irreducible row mapped to its element."""
+        return {row: x for x, row in enumerate(self.irreducible_rows)}
+
+    @cached_property
+    def irreducible_meets(self) -> tuple[tuple[int, ...], ...] | None:
+        """Column j holds the element whose row is ``u[x] | u[m]``, for
+        x = 0..n-1 and m the j-th meet-irreducible: the meet of x and m,
+        since every lower bound's row holds that union. None, from the first
+        union that is no row, when the lattice is not distributive (see
+        ``is_distributive``)."""
+        u, index = self.irreducible_rows, self.irreducible_index
+        columns = []
+        for m in self.meet_irreducibles:
+            column = tuple(map(index.get, map(u[m].__or__, u)))
+            if None in column:
+                return None
+            columns.append(column)
+        return tuple(columns)
+
 
 def semilattice_from_poset(poset: FinitePoset) -> BoundedJoinSemilattice:
     """Build the join table from the order, with its least element as unit and
@@ -377,12 +408,15 @@ def lattice_from_semilattice(sl: BoundedJoinSemilattice) -> BoundedJoinSemilatti
 
 def is_distributive(lat: BoundedJoinSemilattice) -> tuple[bool, tuple | None]:
     """Whether a /\\ (b \\/ c) == (a /\\ b) \\/ (a /\\ c) holds; witness triple on failure.
-    Certificate: a finite lattice is distributive iff every meet-irreducible m
-    is meet-prime, i.e. the meet of the elements not below m is not below m
-    (Birkhoff; Davey & Priestley, Introduction to Lattices and Order, 2002, ch. 5)."""
-    poset = lat.poset
-    if not any(poset.le(glb_of_set(poset, poset.full_mask() & ~poset.down[m]), m)
-               for m in meet_irreducibles(lat)):
+    Certificate, on the irreducible rows u (Birkhoff; Davey & Priestley,
+    Introduction to Lattices and Order, 2002, ch. 5): x -> u[x] is injective
+    and sends joins to intersections, so a finite lattice is distributive
+    iff its rows are closed under union, a lattice of sets. Every row is the
+    union of the rows u[m] of its own meet-irreducibles m, so closure holds
+    iff each u[x] | u[m] is a row: ``irreducible_meets`` is not None. Only
+    a failing certificate builds the meet table, whose row scan names the
+    first witness."""
+    if lat.irreducible_meets is not None:
         return True, None
     # distributive iff every meet translation meet[a] is a join endomorphism
     join = lat.join

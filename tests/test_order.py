@@ -469,6 +469,38 @@ def test_distributivity_certificate_on_generator_lattices():
     assert refused >= 30 and None not in map(literal_distributive, mixed[:2])
 
 
+def union_gaps(lat):
+    """The x with u[x] | u[m] outside the irreducible rows for some
+    meet-irreducible m: where union closure fails."""
+    u, index = lat.irreducible_rows, lat.irreducible_index
+    return {x for x in range(lat.n) for m in lat.meet_irreducibles if u[x] | u[m] not in index}
+
+
+def test_union_closure_fails_on_the_irreducibles_up_to_eight_elements():
+    # so no lattice this small tells the full certificate from one read on
+    # pairs of meet-irreducibles
+    failing = 0
+    for lat in naturally_labeled_lattices(8):
+        gaps = union_gaps(lat)
+        assert bool(gaps) == (literal_distributive(lat) is not None), lat.poset
+        assert not gaps or gaps & set(lat.meet_irreducibles), lat.poset
+        failing += bool(gaps)
+    assert failing > 1000
+
+
+def test_distributivity_is_refused_off_the_irreducibles():
+    # the smallest such lattices have 9 elements: every union of two
+    # irreducible rows u[m] | u[m'] is a row, and only some x outside the
+    # meet-irreducibles has u[x] | u[m] outside them
+    lat = semilattice_from_poset(FinitePoset(9, (511, 450, 420, 376, 368, 288, 320, 384, 256)))
+    irreducibles, u = lat.meet_irreducibles, lat.irreducible_rows
+    assert all(u[m] | u[p] in lat.irreducible_index for m in irreducibles for p in irreducibles)
+    gaps = union_gaps(lat)
+    assert gaps and not gaps & set(irreducibles)
+    expected = literal_distributive(lat)
+    assert expected is not None and is_distributive(lat) == (False, expected)
+
+
 def test_first_row_witness_on_rows_of_unequal_length():
     # a row that is a prefix of the other side fails where it ends
     assert first_row_witness([((0,), (1, 2), (1, 2)), ((1,), (1, 2), (1, 2, 3))]) == (1, 2)
