@@ -4,8 +4,10 @@ and Q-spaces.
 A Q-space is a finite ordered set together with a star-closed family of
 separating equivalences. Dualizing an algebra takes the meet-irreducible
 elements with the inherited order (each stands for the principal prime ideal
-it generates) and, per extractor, the equivalence identifying points whose
-ideals cut the extractor image in the same trace. Reconstruction takes all
+it generates) and, per extractor e, the kernel of e on those points. That is
+Cignoli's relation (Discrete Math. 96, 1991), ideals cutting e's image in the
+same trace: e is monotone, idempotent and below the identity, so the trace
+of the ideal of p is that of e(p), its greatest element. Reconstruction takes all
 up-sets under reverse inclusion with the restricted saturation operators,
 composed by the up-set set algebra's ``label_table``, which a Q-morphism's
 omega must also respect. Separation and the Q-morphism saturation law are
@@ -31,7 +33,7 @@ from .algebra import (AlgebraMorphism, InfoAlgebra, is_distributive_cdf, is_homo
                       verify_axioms)
 from .equivalence import Equivalence, StarFamily, saturate, star_family
 from .errors import DEFAULT_CAP, PreconditionError, StructureError
-from .order import (FinitePoset, bits, check_upset_cap, complements, is_distributive, mask_of,
+from .order import (FinitePoset, bits, check_upset_cap, complements, is_distributive,
                     meet_irreducibles, pullback, try_lattice, up_closure, up_sets)
 from .report import Report
 from .semigroup import compose
@@ -187,22 +189,20 @@ def _dual(a: InfoAlgebra):
         raise PreconditionError("extractor labels must denote distinct maps; "
                                 "dedupe_extractors first", witness=dup)
     points = meet_irreducibles(a.sl)
-    poset = a.poset.restrict(points)
-    members = []
-    for k in range(len(a.extractors)):
-        image = mask_of(a.extractors[k])
-        members.append(Equivalence(len(points), [a.poset.down[p] & image for p in points]))
-    # The trace equivalences of a distributive algebra are each separating,
-    # but they need NOT commute pairwise as relations (the smallest
-    # counterexample is the 2x2 diamond with a pendant top and its two
-    # sublattice retractions); only their saturations restricted to up-sets
-    # always form the commuting semigroup. The family is therefore built
-    # without the closure requirement and the semigroup structure is kept
-    # on the labels.
-    eqs = star_family(members, a.labels, n=len(points), require_closure=False)
-    space = QSpace(poset, eqs)
+    eqs = _kernels([compose(e, points) for e in a.extractors], a.labels, len(points))
+    space = QSpace(a.poset.restrict(points), eqs)
     q_space_report(space).require("dual structure is not separating")
     return space, tuple(points)
+
+
+def _kernels(rows, labels, n: int) -> StarFamily:
+    """The dual family: member k is the kernel of row k, extractor k's values
+    at the n dual points. These are separating but need NOT commute as
+    relations (the smallest counterexample is the 2x2 diamond with a pendant
+    top and its two sublattice retractions); only their saturations of
+    up-sets always do, so the family need not be closed and its semigroup is
+    kept on the labels."""
+    return star_family([Equivalence(n, row) for row in rows], labels, n=n, require_closure=False)
 
 
 def dualize(a: InfoAlgebra) -> QSpace:
@@ -292,18 +292,16 @@ def _double_dual(s: QSpace) -> tuple[QSpace, tuple[int, ...]]:
     """dualize(reconstruct(s)) and its carrier points, read off the masks of
     a certified Q-space: the dual points of its up-set algebra are the
     principal up-sets, at their up_set_index positions, ordered as their
-    points, and trace k relates two of them iff member k saturates them
-    alike. An order with equal rows, or a family with equal saturations,
+    points, and member k is the kernel there of the saturation by member k
+    of s. An order with equal rows, or a family with equal saturations,
     has its dual taken from the tables, which name what breaks."""
     poset, index = s.poset, s.poset.up_set_index
     order = sorted(range(s.n), key=lambda p: index[poset.up[p]])
     rows = [tuple(saturate(theta, poset.up[p]) for p in order) for theta in s.eqs.members]
     if len(poset.up_index) < s.n or len(set(rows)) < len(rows):
         return _dual(s.up_set_algebra.to_info_algebra())
-    # the family need not be closed: see _dual
-    eqs = star_family([Equivalence(s.n, row) for row in rows], s.eqs.labels, n=s.n,
-                      require_closure=False)
-    return QSpace(poset.restrict(order), eqs), tuple(index[poset.up[p]] for p in order)
+    return (QSpace(poset.restrict(order), _kernels(rows, s.eqs.labels, s.n)),
+            tuple(index[poset.up[p]] for p in order))
 
 
 def round_trip_space(s: QSpace, cap: int = DEFAULT_CAP) -> SpaceRoundTrip:
@@ -444,19 +442,19 @@ def boolean_diagnostics(a: InfoAlgebra) -> Report:
 def make_nontrivial_separating(poset: FinitePoset) -> Equivalence | None:
     """Search for a separating equivalence other than identity and the
     all-relation: one up-set with at least two points as a single block,
-    singletons elsewhere. Principal up-sets are scanned first; None is
-    returned when no candidate exists (on two-point orders only the two
-    trivial equivalences exist at all)."""
+    singletons elsewhere: the principal up-sets, then the unions of two
+    ascending, or None (on two-point orders only the two trivial
+    equivalences exist at all). On a partial order any up-set u of two
+    points or more, short of the whole set, separates: saturation adds u or
+    nothing to an up-set, and u's points all saturate to u. A non-principal
+    up-set holds the union of two of its minimal points' principal up-sets,
+    a mask no larger, so no up-set is listed."""
     n = poset.n
     if n < 2:
         raise PreconditionError(f"need at least two points, got {n}")
-    full = poset.full_mask()
-
-    def candidates():  # the other up-sets are listed only if no principal one works
-        yield from poset.up
-        yield from (u for u in up_sets(poset) if u not in poset.up_index)
-
-    for u in candidates():
+    full, up = poset.full_mask(), poset.up
+    unions = sorted(up[p] | up[q] for p in range(n) for q in range(p + 1, n))
+    for u in (*up, *unions):
         if u == full or bin(u).count("1") < 2:
             continue
         labels = [0 if (u >> x) & 1 else x + 1 for x in range(n)]

@@ -14,7 +14,7 @@ from functools import cached_property
 
 from .algebra import AlgebraMorphism, InfoAlgebra, is_isomorphism
 from .equivalence import Equivalence, StarFamily, directedness_witness, saturate, star_family
-from .errors import CapExceeded, NotDirectedError, StructureError
+from .errors import DEFAULT_CAP, CapExceeded, NotDirectedError, StructureError
 from .order import bits, join_semilattice
 from .report import Report
 from .semigroup import table, unlisted
@@ -90,11 +90,12 @@ def build_set_algebra(n: int, family, eqs: StarFamily) -> SetAlgebra:
     return SetAlgebra(n, tuple(sorted(set(family))), eqs)
 
 
-def build_block_union_algebra(eqs: StarFamily, cap: int = 1 << 16) -> SetAlgebra:
+def build_block_union_algebra(eqs: StarFamily) -> SetAlgebra:
     """Family of all unions of blocks of single members.
 
-    This is intersection-closed exactly when the family is downward
-    directed; a non-directed family is rejected with a witness pair.
+    This is intersection-closed exactly when the family is downward directed;
+    a non-directed family is rejected with a witness pair, and a member of b
+    blocks when its 2^b unions would exceed ``DEFAULT_CAP``.
     """
     w = directedness_witness(eqs)
     if w is not None:
@@ -102,8 +103,8 @@ def build_block_union_algebra(eqs: StarFamily, cap: int = 1 << 16) -> SetAlgebra
     family = set()
     for theta in eqs.members:
         nb = theta.num_blocks
-        if 1 << nb > cap:
-            raise CapExceeded(f"member with {nb} blocks exceeds union cap {cap}")
+        if 1 << nb > DEFAULT_CAP:
+            raise CapExceeded(f"member with {nb} blocks exceeds union cap {DEFAULT_CAP}")
         for pick in range(1 << nb):
             family.add(sum(theta.blocks[i] for i in bits(pick)) if pick else 0)
     return build_set_algebra(eqs.n, tuple(sorted(family)), eqs)

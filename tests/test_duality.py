@@ -21,8 +21,8 @@ from infalg.equivalence import (Equivalence, StarFamily, all_equivalences, commu
 from infalg.errors import DEFAULT_CAP, CapExceeded, PreconditionError, StructureError
 from infalg.generators import (all_labeled_posets, enumerate_algebras, enumerate_posets,
                                enumerate_q_spaces, separating_equivalences)
-from infalg.order import (FinitePoset, antichain_poset, bits, chain_poset, mask_of, pullback,
-                          up_closure, up_sets)
+from infalg.order import (FinitePoset, antichain_poset, bits, chain_poset, mask_of,
+                          meet_irreducibles, pullback, up_closure, up_sets)
 from infalg.report import Report
 from infalg.semigroup import compose, table
 from infalg.set_algebra import SetAlgebra
@@ -402,33 +402,45 @@ def test_make_nontrivial_separating_three_chain():
 
 
 def test_make_nontrivial_separating_antichain_falls_back():
-    theta = make_nontrivial_separating(antichain_poset(4))
-    assert theta is not None
-    assert not theta.is_identity() and not theta.is_all()
-    assert check_separating(antichain_poset(4), theta)[0]
+    # no principal up-set of an antichain has two points; the least union of
+    # two is the block, and the 2^40 up-sets of the wide one are not listed
+    for n in (4, 40):
+        poset = antichain_poset(n)
+        theta = make_nontrivial_separating(poset)
+        assert theta == Equivalence.from_blocks(n, [[0, 1], *([x] for x in range(2, n))])
+        assert "up_set_index" not in vars(poset)
+        assert check_separating(poset, theta)[0]
 
 
 def test_make_nontrivial_separating_two_chain_none():
     assert make_nontrivial_separating(chain_poset(2)) is None
 
 
+def literal_nontrivial_separating(poset):
+    """Principal up-sets first, in point order, then the other up-sets
+    ascending; the first one of >= 2 points, short of the whole set, whose
+    single-block equivalence is separating."""
+    n = poset.n
+    principal = [poset.up[x] for x in range(n)]
+    for u in principal + [u for u in up_sets(poset) if u not in principal]:
+        theta = Equivalence(n, [0 if (u >> x) & 1 else x + 1 for x in range(n)])
+        if (u != poset.full_mask() and bin(u).count("1") >= 2
+                and not theta.is_identity() and not theta.is_all()
+                and check_separating(poset, theta)[0]):
+            return theta
+    return None
+
+
+# A preorder, where a block must hold the shared rows' points 2-5: the
+# first pair's union, up[0] | up[1], holds them, but the least such union
+# is up[2] | up[4], so the unions are tried in mask order, not pair order.
+SHARED_ROWS = FinitePoset(7, (0b110001, 0b1110, 0b1100, 0b1100, 0b110000, 0b110000, 0b1000000))
+
+
 def test_make_nontrivial_separating_matches_literal_search():
-    # principal up-sets first, in point order, then the other up-sets
-    # ascending; the first one of >= 2 points, short of the whole set, whose
-    # single-block equivalence is separating
-    for n in range(2, 5):
-        for poset in all_labeled_posets(n):
-            principal = [poset.up[x] for x in range(n)]
-            candidates = principal + [u for u in up_sets(poset) if u not in principal]
-            expected = None
-            for u in candidates:
-                theta = Equivalence(n, [0 if (u >> x) & 1 else x + 1 for x in range(n)])
-                if (u != poset.full_mask() and bin(u).count("1") >= 2
-                        and not theta.is_identity() and not theta.is_all()
-                        and check_separating(poset, theta)[0]):
-                    expected = theta
-                    break
-            assert make_nontrivial_separating(poset) == expected, poset
+    posets = [poset for n in range(2, 5) for poset in all_labeled_posets(n)]
+    for poset in posets + [antichain_poset(n) for n in range(5, 15)] + [SHARED_ROWS]:
+        assert make_nontrivial_separating(poset) == literal_nontrivial_separating(poset), poset
 
 
 def test_q_space_is_validated_once(monkeypatch):
@@ -892,6 +904,14 @@ def test_upset_cap_caches_the_index_it_found():
     assert "up_set_index" not in vars(wide)
 
 
+def trace_members(a):
+    """The dual family as traces, read off the source's down rows: points
+    are related when their ideals cut the extractor image alike."""
+    points = meet_irreducibles(a.sl)
+    return tuple(Equivalence(len(points), [a.poset.down[p] & mask_of(e) for p in points])
+                 for e in a.extractors)
+
+
 def test_second_routes_hold_on_the_enumerated_universe(generated_suite):
     from infalg.set_algebra import check_set_algebra, principal_upset_representation
 
@@ -903,6 +923,7 @@ def test_second_routes_hold_on_the_enumerated_universe(generated_suite):
     for a in algebras:
         if is_distributive_cdf(a).ok:
             rt = round_trip_algebra(a)
+            assert rt.space.eqs.members == trace_members(a)
             assert is_homomorphism(rt.morphism, a, rt.target, check_meets=True).ok
             assert check_set_algebra(rt.space.n, up_sets(rt.space.poset), rt.space.eqs).ok
         rep = principal_upset_representation(a)
@@ -940,6 +961,7 @@ def test_round_trips_past_the_enumerated_universe(s):
     assert check_set_algebra(s.n, up_sets(s.poset), s.eqs).ok
     a = reconstruct(s)
     art = round_trip_algebra(a)
+    assert art.space.eqs.members == trace_members(a)
     assert is_homomorphism(art.morphism, a, art.target, check_meets=True).ok
 
 

@@ -5,7 +5,8 @@ import pytest
 from infalg.algebra import is_isomorphism, verify_axioms
 from infalg.duality import dualize
 from infalg.equivalence import Equivalence, commutation_witness, saturate, star_family
-from infalg.errors import NotDirectedError, PreconditionError, StructureError
+from infalg import set_algebra
+from infalg.errors import CapExceeded, NotDirectedError, PreconditionError, StructureError
 from infalg.generators import gen_multivariate
 from infalg.order import up_sets
 from infalg.set_algebra import (build_block_union_algebra, build_set_algebra, check_set_algebra,
@@ -77,6 +78,17 @@ def test_block_union_rejects_undirected():
     with pytest.raises(NotDirectedError) as err:
         build_block_union_algebra(eqs)
     assert err.value.witness == (0, 1)
+
+
+def test_block_union_caps_a_member_before_building_its_unions(monkeypatch):
+    # 2^13 unions exceed the default cap; no union is built, since every
+    # nonempty pick reads its blocks through bits
+    def no_union(pick):
+        raise AssertionError(f"union {pick} built")
+
+    monkeypatch.setattr(set_algebra, "bits", no_union)
+    with pytest.raises(CapExceeded, match=r"^member with 13 blocks exceeds union cap 4096$"):
+        build_block_union_algebra(star_family([Equivalence.identity(13)]))
 
 
 def test_block_union_with_identity_accepted():
