@@ -27,13 +27,13 @@ written. The table routes run against these verdicts in the test suite.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 
 from .algebra import (AlgebraMorphism, InfoAlgebra, is_distributive_cdf, is_homomorphism,
                       verify_axioms)
 from .equivalence import Equivalence, StarFamily, saturate, star_family
 from .errors import DEFAULT_CAP, PreconditionError, StructureError
-from .order import (FinitePoset, bits, check_upset_cap, complements, is_distributive,
+from .order import (FinitePoset, bits, check_upset_cap, complements, is_distributive, mask_of,
                     meet_irreducibles, pullback, try_lattice, up_closure, up_sets)
 from .report import Report
 from .semigroup import compose
@@ -385,10 +385,7 @@ def dual_point_map(f, a: InfoAlgebra, b: InfoAlgebra,
     at or below it."""
     alpha = []
     for nu in points_b:
-        gen = a.unit
-        for x in range(a.n):
-            if b.le(f[x], nu):
-                gen = a.join(gen, x)
+        gen = reduce(a.join, (x for x in range(a.n) if b.le(f[x], nu)), a.unit)
         if gen not in points_a:
             raise StructureError(f"preimage ideal generator {gen} is not meet-irreducible",
                                  witness=gen)
@@ -441,25 +438,28 @@ def boolean_diagnostics(a: InfoAlgebra) -> Report:
 
 def make_nontrivial_separating(poset: FinitePoset) -> Equivalence | None:
     """Search for a separating equivalence other than identity and the
-    all-relation: one up-set with at least two points as a single block,
-    singletons elsewhere: the principal up-sets, then the unions of two
-    ascending, or None (on two-point orders only the two trivial
-    equivalences exist at all). On a partial order any up-set u of two
-    points or more, short of the whole set, separates: saturation adds u or
-    nothing to an up-set, and u's points all saturate to u. A non-principal
-    up-set holds the union of two of its minimal points' principal up-sets,
-    a mask no larger, so no up-set is listed."""
+    all-relation: one up-set u of two points or more, short of the whole
+    set, as a single block, singletons elsewhere. Saturation adds u or
+    nothing to an up-set, so (i) holds, and u separates iff it holds every
+    point of a shared up row (none on a partial order). The principal
+    up-sets are tried, then the unions of two with the shared rows, in mask
+    order: each separating block holds one, so no up-set is listed. None
+    when no candidate exists (on two-point orders, for one)."""
     n = poset.n
     if n < 2:
         raise PreconditionError(f"need at least two points, got {n}")
     full, up = poset.full_mask(), poset.up
-    unions = sorted(up[p] | up[q] for p in range(n) for q in range(p + 1, n))
-    for u in (*up, *unions):
+
+    def candidates():  # the unions are formed only if no principal up-set separates
+        yield from up
+        last = poset.up_index  # a row's last point: the others share its row
+        shared = up_closure(poset, mask_of(p for p, row in enumerate(up) if last[row] != p))
+        yield from sorted(up[p] | up[q] | shared for p in range(n) for q in range(p + 1, n))
+
+    for u in candidates():
         if u == full or bin(u).count("1") < 2:
             continue
-        labels = [0 if (u >> x) & 1 else x + 1 for x in range(n)]
-        theta = Equivalence(n, labels)
-        ok, _ = check_separating(poset, theta)
-        if ok:
+        theta = Equivalence(n, [0 if (u >> x) & 1 else x + 1 for x in range(n)])
+        if check_separating(poset, theta)[0]:
             return theta
     return None

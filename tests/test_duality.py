@@ -431,16 +431,31 @@ def literal_nontrivial_separating(poset):
     return None
 
 
-# A preorder, where a block must hold the shared rows' points 2-5: the
-# first pair's union, up[0] | up[1], holds them, but the least such union
-# is up[2] | up[4], so the unions are tried in mask order, not pair order.
+# Preorders, where a block must hold the points 2-5 of the shared rows. In
+# the first, the first pair's union, up[0] | up[1], holds them, but the least
+# candidate is their own union, so the unions are tried in mask order, not
+# pair order. In the second, no union of two principal up-sets holds all
+# three two-point classes {0, 1}, {2, 3}, {4, 5}; the block {0, ..., 5} does.
 SHARED_ROWS = FinitePoset(7, (0b110001, 0b1110, 0b1100, 0b1100, 0b110000, 0b110000, 0b1000000))
+THREE_CLASSES = FinitePoset(7, (0b11, 0b11, 0b1100, 0b1100, 0b110000, 0b110000, 0b1000000))
 
 
 def test_make_nontrivial_separating_matches_literal_search():
     posets = [poset for n in range(2, 5) for poset in all_labeled_posets(n)]
-    for poset in posets + [antichain_poset(n) for n in range(5, 15)] + [SHARED_ROWS]:
+    for poset in (posets + [antichain_poset(n) for n in range(5, 15)]
+                  + [SHARED_ROWS, THREE_CLASSES]):
         assert make_nontrivial_separating(poset) == literal_nontrivial_separating(poset), poset
+    assert make_nontrivial_separating(THREE_CLASSES) == Equivalence.from_blocks(
+        7, [[0, 1, 2, 3, 4, 5], [6]])
+
+
+def test_make_nontrivial_separating_forms_no_union_when_principal_separates(monkeypatch):
+    # on a wide chain up[1] separates, so the n(n-1)/2 unions are never sorted
+    monkeypatch.setattr(duality, "sorted", lambda *_: pytest.fail("unions formed"),
+                        raising=False)
+    n = 300
+    theta = make_nontrivial_separating(chain_poset(n))
+    assert theta == Equivalence.from_blocks(n, [list(range(1, n)), [0]])
 
 
 def test_q_space_is_validated_once(monkeypatch):
