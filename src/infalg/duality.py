@@ -16,8 +16,8 @@ round trips are verified, not assumed, each verdict by one route, on masks:
 reconstruct certifies its output on the principal up-sets, since the
 up-sets form a distributive lattice (Birkhoff) whose saturations meet every
 other axiom by construction, so only their label table is checked;
-round_trip_algebra checks a bijection onto the up-sets against the laws
-without meets, which a join-preserving bijection keeps; round_trip_space
+round_trip_algebra checks the canonical map by set_algebra.represent, on the
+laws without meets, which a join-preserving bijection keeps; round_trip_space
 reads the double dual off the principal up-sets and checks a bijective
 order isomorphism carrying each equivalence onto its namesake, which makes
 it a Q-morphism. Tables are built only for an algebra that is returned or
@@ -37,7 +37,7 @@ from .order import (FinitePoset, bits, check_upset_cap, complements, is_distribu
                     meet_irreducibles, pullback, try_lattice, up_closure, up_sets)
 from .report import Report
 from .semigroup import compose
-from .set_algebra import SetAlgebra, label_table
+from .set_algebra import SetAlgebra, represent
 
 
 @dataclass(frozen=True)
@@ -257,28 +257,14 @@ class AlgebraRoundTrip:
 
 
 def round_trip_algebra(a: InfoAlgebra) -> AlgebraRoundTrip:
-    """source -> reconstruct(dualize(source)) with the canonical element map
-    x -> (up-set of dual points at or above x); verified isomorphism, on the
-    masks: the map is bijective onto the up-sets, sends joins to
-    intersections, the bounds to the full and empty sets and each extractor
-    to its saturation, and the label tables agree; these are
-    is_isomorphism's laws on the up-set algebra."""
+    """source -> reconstruct(dualize(source)) by x -> (up-set of dual points at
+    or above x), an isomorphism decided by ``represent`` on the masks."""
     space, points = _dual(a)
-    sa = _certify(space, DEFAULT_CAP)
-    index = space.poset.up_set_index
     image = [pullback(points, up) for up in a.poset.up]
-    f = tuple(index[u] for u in image)
-    ks, ta, tb = range(len(a.extractors)), a.label_table, sa.label_table
-    if not (sorted(f) == list(range(len(index)))
-            and image[a.unit] == space.poset.full_mask() and image[a.zero] == 0
-            and all(compose(image, row) == tuple(map(u.__and__, image))
-                    for u, row in zip(image, a.sl.join))
-            and all(ta[k][l] == tb[k][l] for k in ks for l in ks)
-            and all(image[e[x]] == saturate(theta, u)
-                    for e, theta in zip(a.extractors, space.eqs.members)
-                    for x, u in enumerate(image))):
+    morphism = represent(a, image, _certify(space, DEFAULT_CAP))
+    if morphism is None:
         raise StructureError("algebra round trip failed to be an isomorphism")
-    return AlgebraRoundTrip(space, points, AlgebraMorphism(f, tuple(ks)))
+    return AlgebraRoundTrip(space, points, morphism)
 
 
 @dataclass(frozen=True)
@@ -361,10 +347,8 @@ def check_q_morphism(m: QMorphism, s: QSpace, t: QSpace) -> Report:
               if not t.poset.le(m.alpha[p], m.alpha[q])), None)
     report.add("alpha_order_preserving", w is None, w)
 
-    def up_set_label_table(x):  # a star-closed family's is read without up-sets
-        return label_table(x.eqs, lambda: x.up_set_algebra.saturations)
-
-    tab_s, tab_t = up_set_label_table(s), up_set_label_table(t)
+    tab_s, tab_t = (x.eqs.products if x.eqs.closed  # star-closed: read without up-sets
+                    else x.up_set_algebra.label_table for x in (s, t))
     ks = range(len(t.eqs.members))
     w = next(((i, j) for i in ks for j in ks
               if m.omega[tab_t[i][j]] != tab_s[m.omega[i]][m.omega[j]]), None)

@@ -46,12 +46,18 @@ class Equivalence:
 
     @classmethod
     def from_blocks(cls, n: int, blocks) -> "Equivalence":
+        """The partition of range(n) into ``blocks``; StructureError names the
+        first point outside range(n), in two blocks, or in none."""
         labels = [None] * n
         for i, block in enumerate(blocks):
             for x in block:
+                if not 0 <= x < n:
+                    raise StructureError(f"block point {x} outside range({n})", witness=x)
+                if labels[x] is not None:
+                    raise StructureError(f"point {x} lies in two blocks", witness=x)
                 labels[x] = i
         if None in labels:
-            raise StructureError("blocks do not cover the universe")
+            raise StructureError("blocks do not cover the universe", witness=labels.index(None))
         return cls(n, labels)
 
     @property

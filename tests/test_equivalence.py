@@ -50,6 +50,21 @@ def test_star_non_commuting_witness():
     assert (rows_tg[0] >> 2) & 1 and not (rows_gt[0] >> 2) & 1
 
 
+@pytest.mark.parametrize("blocks, message, point", [
+    ([[0, 1], [1, 2]], "point 1 lies in two blocks", 1),
+    ([[0, 2], [1, 0]], "point 0 lies in two blocks", 0),
+    ([[0, -1], [1]], r"block point -1 outside range\(3\)", -1),
+    ([[0, 3], [1, 2]], r"block point 3 outside range\(3\)", 3),
+    ([[0], [2]], "blocks do not cover the universe", 1),
+])
+def test_from_blocks_rejects_what_is_no_partition(blocks, message, point):
+    # the first offending point is named; the later block does not win an
+    # overlap, and a negative point does not wrap around to n - 1
+    with pytest.raises(StructureError, match=f"^{message}$") as err:
+        Equivalence.from_blocks(3, blocks)
+    assert err.value.witness == point
+
+
 def test_saturate_empty_set():
     for eq in all_equivalences(4):
         assert saturate(eq, 0) == 0

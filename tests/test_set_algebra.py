@@ -1,16 +1,20 @@
+import collections
+import contextlib
+import dataclasses
 import random
 
 import pytest
 
-from infalg.algebra import is_isomorphism, verify_axioms
+from infalg.algebra import AlgebraMorphism, InfoAlgebra, is_isomorphism, make_algebra, verify_axioms
 from infalg.duality import dualize
 from infalg.equivalence import Equivalence, commutation_witness, saturate, star_family
 from infalg import set_algebra
-from infalg.errors import CapExceeded, NotDirectedError, PreconditionError, StructureError
-from infalg.generators import gen_multivariate
-from infalg.order import up_sets
-from infalg.set_algebra import (build_block_union_algebra, build_set_algebra, check_set_algebra,
-                                principal_upset_representation)
+from infalg.errors import (CapExceeded, InfAlgError, NotDirectedError, PreconditionError,
+                           StructureError)
+from infalg.generators import gen_multivariate, gen_string
+from infalg.order import BoundedJoinSemilattice, FinitePoset, chain_poset, up_sets
+from infalg.set_algebra import (SetAlgebra, build_block_union_algebra, build_set_algebra,
+                                check_set_algebra, principal_upset_representation, represent)
 
 GRID_ROWS = Equivalence.from_blocks(4, [[0, 1], [2, 3]])
 GRID_COLS = Equivalence.from_blocks(4, [[0, 2], [1, 3]])
@@ -222,3 +226,228 @@ def test_representation_matches_literal_derivation(generated_suite):
         assert rep.morphism.f == tuple(fam.index(0) if x == a.zero else fam.index(upset_mask(x))
                                        for x in range(a.n))
     assert {a.zero for a in algebras} != {a.n - 1 for a in algebras}
+
+
+# The representation is decided by represent alone; the table route it had,
+# build_set_algebra and then is_isomorphism on the set algebra's tables, is
+# the oracle here.
+
+def representation_input(a):
+    """represent's input as principal_upset_representation forms it, read
+    literally, so that it can be formed for an algebra the library rejects."""
+    ground = [x for x in range(a.n) if x != a.zero]
+    image = [sum(1 << i for i, y in enumerate(ground) if a.le(x, y)) for x in range(a.n)]
+    eqs = star_family([Equivalence(len(ground), [e[x] for x in ground]) for e in a.extractors],
+                      a.labels, n=len(ground))
+    return image, SetAlgebra(len(ground), tuple(sorted(set(image))), eqs)
+
+
+def table_representation(a):
+    """The table route: the set algebra built and checked by
+    build_set_algebra, the map checked by is_isomorphism on its tables."""
+    image, sa = representation_input(a)
+    sa = build_set_algebra(sa.n, sa.family, sa.eqs)
+    m = AlgebraMorphism(tuple(sa.family.index(u) for u in image), tuple(range(len(a.extractors))))
+    if not is_isomorphism(m, a, sa.to_info_algebra()):
+        raise StructureError("principal up-set representation failed to be an isomorphism")
+    return sa, m
+
+
+def library_representation(a):
+    rep = principal_upset_representation(a)
+    return rep.set_algebra, rep.morphism
+
+
+def outcome(route, a):
+    """The route's result, or its error's type, message, witness and report."""
+    try:
+        return route(a)
+    except InfAlgError as err:
+        return (type(err), str(err), err.witness,
+                None if err.report is None else err.report.format())
+
+
+def broken_laws(a, image, sa):
+    """The laws of represent that fail, each a literal loop over the masks."""
+    fam, ks, xs = list(sa.family), range(len(a.extractors)), range(a.n)
+    laws = {
+        "bijective": sorted(image) == sorted(fam) == sorted(set(fam)),
+        "unit": image[a.unit] == (1 << sa.n) - 1,
+        "zero": image[a.zero] == 0,
+        "join": all(image[a.join(x, y)] == image[x] & image[y] for x in xs for y in xs),
+        "saturation": all(image[a.apply(k, x)] == saturate(sa.eqs.members[k], image[x])
+                          for k in ks for x in xs),
+        "labels": len(sa.eqs.members) == len(ks) and all(
+            a.label_table[k][l] == sa.label_table[k][l] for k in ks for l in ks),
+    }
+    return {law for law, ok in laws.items() if not ok}
+
+
+def table_verdict(a, image, sa):
+    """The table route's verdict on represent's input."""
+    if not (check_set_algebra(sa.n, sa.family, sa.eqs).ok and set(image) <= set(sa.family)):
+        return False
+    f = tuple(sa.family.index(u) for u in image)
+    return is_isomorphism(AlgebraMorphism(f, tuple(range(len(a.extractors)))), a,
+                          sa.to_info_algebra())
+
+
+def with_sl(a, **fields):
+    return dataclasses.replace(a, sl=dataclasses.replace(a.sl, **fields))
+
+
+def with_join(a, x, y, v):
+    join = [list(row) for row in a.sl.join]
+    join[x][y] = v
+    return with_sl(a, join=tuple(map(tuple, join)))
+
+
+def with_composition(a, k, l, v):
+    tab = [list(row) for row in a.label_table]
+    tab[k][l] = v
+    return dataclasses.replace(a, composition=tuple(map(tuple, tab)))
+
+
+# string(2,2) indexes '', a, b, aa, ab, ba, bb and the contradiction 7
+STRING22 = gen_string(2, 2)
+
+
+def two_labels(a):
+    """The first two extractors, whose composites are again among them."""
+    two = range(2)
+    return InfoAlgebra(a.sl, a.extractors[:2], a.labels[:2],
+                       tuple(tuple(a.label_table[k][l] for l in two) for k in two))
+
+
+@pytest.mark.parametrize("tamper, law", [
+    (lambda a, image, sa: (a, image, dataclasses.replace(
+        sa, family=tuple(sorted(sa.family + (0b1,))))), "bijective"),
+    (lambda a, image, sa: (with_sl(a, zero=6), image, sa), "zero"),
+    (lambda a, image, sa: (two_labels(a), image, sa), "labels"),
+])
+def test_represent_rejects_each_broken_law_alone(tamper, law):
+    # string(2,2)'s representation with an unreached member, a zero that is
+    # not the contradiction, or a label fewer than the family has members
+    rep = principal_upset_representation(STRING22)
+    image = [rep.set_algebra.family[i] for i in rep.morphism.f]
+    a, image, sa = tamper(STRING22, image, rep.set_algebra)
+    assert broken_laws(a, image, sa) == {law}
+    assert represent(a, image, sa) is None
+    assert table_verdict(a, image, sa) is False
+
+
+def test_represent_accepts_the_representation(generated_suite):
+    for a in generated_suite.values():
+        rep = principal_upset_representation(a)
+        image = [rep.set_algebra.family[i] for i in rep.morphism.f]
+        assert broken_laws(a, image, rep.set_algebra) == set()
+        assert represent(a, image, rep.set_algebra) == rep.morphism
+        assert table_verdict(a, image, rep.set_algebra) is True
+
+
+def no_lattice():
+    """1 and 2 have the two upper bounds 3 and 4, so their truncated up-sets
+    meet in {3, 4}, which is no member."""
+    up = (0b111111, 0b111010, 0b111100, 0b101000, 0b110000, 0b100000)
+    join = tuple(tuple(x if up[x] >> y & 1 else y if up[y] >> x & 1 else 5 for y in range(6))
+                 for x in range(6))
+    sl = BoundedJoinSemilattice(FinitePoset(6, up), join, 0, 5)
+    return InfoAlgebra(sl, (tuple(range(6)),), ("id",))
+
+
+@pytest.mark.parametrize("make, law, message", [
+    (lambda: with_join(STRING22, 1, 3, 4), "join", "failed to be an isomorphism"),
+    (lambda: with_sl(STRING22, unit=1), "unit", "failed to be an isomorphism"),
+    # e(0) = 1 lies above 0: the kernel saturation misses the image of e
+    (lambda: make_algebra(chain_poset(3), [(1, 1, 2)]), "saturation",
+     "failed to be an isomorphism"),
+    (lambda: with_composition(STRING22, 2, 2, 1), "labels", "failed to be an isomorphism"),
+    (no_lattice, "join", "not a set algebra"),
+])
+def test_representation_fails_as_the_table_route(make, law, message):
+    # hand-built unchecked algebras breaking one law on the masks: the error,
+    # witness and report are the table route's, and a family that is no set
+    # algebra is named by its report
+    a = make()
+    assert broken_laws(a, *representation_input(a)) == {law}
+    expected = outcome(table_representation, a)
+    assert message in expected[1]
+    assert outcome(library_representation, a) == expected
+
+
+def test_representation_matches_the_table_route_on_corrupted_algebras(generated_suite):
+    # an extractor corrupted so that its kernels do not commute fails in
+    # star_family, before either route
+    rng = random.Random(2514)
+    seen = collections.Counter()
+    for a in list(generated_suite.values()) * 12:
+        x, y, v = rng.randrange(a.n), rng.randrange(a.n), rng.randrange(a.n)
+        k = rng.randrange(len(a.extractors))
+        b = rng.choice([
+            with_join(a, x, y, v),
+            with_sl(a, unit=v),
+            with_composition(a, k, rng.randrange(len(a.extractors)), k),
+            dataclasses.replace(a, extractors=tuple(
+                e[:x] + (v,) + e[x + 1:] if i == k else e for i, e in enumerate(a.extractors))),
+            with_sl(a, poset=FinitePoset(a.n, tuple(
+                r ^ (1 << y) if i == x else r for i, r in enumerate(a.poset.up)))),
+        ])
+        expected = outcome(table_representation, b)
+        assert outcome(library_representation, b) == expected
+        seen["ok" if isinstance(expected[0], SetAlgebra) else expected[1].split(":")[0]] += 1
+    kinds = ["ok", "principal up-set representation failed to be an isomorphism",
+             "not a set algebra"]
+    assert min(seen[kind] for kind in kinds) >= 5, seen
+
+
+def test_representation_decides_by_represent_alone(monkeypatch):
+    from test_duality import count_calls
+
+    from infalg import algebra, duality
+    from infalg.generators import gen_lattice_valued
+    from infalg.order import chain_lattice
+
+    a = gen_lattice_valued([2, 2], chain_lattice(3))
+    checks = count_calls(monkeypatch, "check_set_algebra", set_algebra)
+    isos = count_calls(monkeypatch, "is_isomorphism", algebra, set_algebra)
+    tables = count_calls(monkeypatch, "to_info_algebra", SetAlgebra)
+    decided = count_calls(monkeypatch, "represent", set_algebra, duality)
+    rep = principal_upset_representation(a)
+    assert (checks, isos, tables, len(decided)) == ([], [], [], 1)
+    assert "algebra" not in vars(rep)
+    assert rep.algebra.n == a.n and len(tables) == 1  # built on first read
+    duality.round_trip_algebra(a)
+    assert (checks, len(decided)) == ([], 2)
+
+
+def test_multivariate_builds_its_power_set_unchecked(monkeypatch):
+    from test_duality import count_calls
+
+    from infalg import generators
+
+    checks = count_calls(monkeypatch, "check_set_algebra", set_algebra, generators)
+    sa = gen_multivariate([2, 2, 3])
+    assert checks == [] and sa.family == tuple(range(1 << 12))
+    assert check_set_algebra(sa.n, sa.family, sa.eqs).ok
+
+
+def test_block_unions_of_directed_families_are_set_algebras_unchecked(monkeypatch):
+    from test_duality import count_calls
+
+    from infalg.generators import enumerate_q_spaces
+
+    checks = count_calls(monkeypatch, "check_set_algebra", set_algebra)
+    built = []
+    for s in enumerate_q_spaces(4):
+        with contextlib.suppress(NotDirectedError):
+            built.append(build_block_union_algebra(s.eqs))
+    assert checks == [] and len(built) == 739
+    assert all(check_set_algebra(sa.n, sa.family, sa.eqs).ok for sa in built)
+
+
+@pytest.mark.parametrize("n", [0, 3])
+def test_block_union_of_no_member_is_rejected(n):
+    # no member gives no block, so neither bound is a union
+    with pytest.raises(StructureError, match="^not a set algebra:\n") as err:
+        build_block_union_algebra(star_family([], n=n))
+    assert [i.name for i in err.value.report.items if not i.ok] == ["contains_bounds"]
