@@ -15,8 +15,10 @@ pool's table restricted to it.
 from __future__ import annotations
 
 from contextlib import suppress
-from itertools import combinations, product
+from functools import reduce
+from itertools import chain, combinations, product
 from math import prod
+from operator import or_
 from string import ascii_lowercase
 
 from .algebra import InfoAlgebra, combination_rows
@@ -44,7 +46,9 @@ def gen_string(k: int, max_len: int, cap: int = DEFAULT_CAP) -> InfoAlgebra:
     Combination keeps the longer word when one is a prefix of the other and
     collapses to the contradiction otherwise. Extractor m truncates to the
     first m letters; the last extractor is the identity on the truncated
-    carrier.
+    carrier. The prefix order's up rows are built over the prefix tree,
+    longest words first: a word's row is its own bit or-ed with the rows of
+    its one-letter extensions.
     """
     if k < 1 or max_len < 1:
         raise PreconditionError(f"need k >= 1 and max_len >= 1, got {(k, max_len)}")
@@ -58,9 +62,13 @@ def gen_string(k: int, max_len: int, cap: int = DEFAULT_CAP) -> InfoAlgebra:
     n = len(strs) + 1
     zero = n - 1
     idx = {s: i for i, s in enumerate(strs)}
-    # s lies below each word it is a prefix of, and every word below the zero
-    up = [mask_of(idx[t] for t in strs if t.startswith(s)) | (1 << zero) for s in strs]
-    up.append(1 << zero)
+    # s lies below each word it is a prefix of, and every word below the
+    # zero. Words are listed by length, then letters, so the one-letter
+    # extensions of word i are words k*i+1 .. k*i+k; for a longest word that
+    # slice holds at most the zero's row, which every row contains anyway
+    up = [1 << zero] * n
+    for i in reversed(range(zero)):
+        up[i] = reduce(or_, up[k * i + 1:k * i + k + 1], up[i] | 1 << i)
     sl = semilattice_from_poset(FinitePoset(n, tuple(up)))
 
     extractors = []
@@ -162,7 +170,9 @@ def gen_lattice_valued(domain_sizes, lam: BoundedJoinSemilattice,
 
     Combination is the pointwise join; extractor s sends a map to the one
     that is constant on each block of points agreeing on the variables in
-    s, at the meet of the map over the block.
+    s, at the meet of the map over the block. The join table is built from
+    the product structure, one coordinate at a time, each row a
+    concatenation of shifted rows of the smaller table.
     """
     ok, w = is_distributive(lam)
     if not ok:
@@ -171,9 +181,14 @@ def gen_lattice_valued(domain_sizes, lam: BoundedJoinSemilattice,
     nv = lattice_valued_points(domain_sizes, lam.n, cap)
     carrier = list(product(range(lam.n), repeat=nv))
     idx = {phi: i for i, phi in enumerate(carrier)}
-    join = tuple(tuple(idx[tuple(lam.join[x][y] for x, y in zip(phi, psi))]
-                       for psi in carrier)
-                 for phi in carrier)
+    # a map's index is its base-L numeral, so the join table is grown one
+    # coordinate at a time: the row of (a, p) on w = L^k maps holds, for
+    # each b, the row of p on k coordinates shifted by join(a, b) * w
+    join, w = [(0,)], 1
+    for _ in range(nv):
+        join = [tuple(chain.from_iterable(map((ja * w).__add__, row) for ja in jrow))
+                for jrow in lam.join for row in join]
+        w *= lam.n
     sl = join_semilattice(join, idx[(lam.unit,) * nv], idx[(lam.zero,) * nv])
 
     extractors, labels = [], []

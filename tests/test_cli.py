@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 from pathlib import Path
@@ -722,3 +723,35 @@ def test_cli_one_element_algebra_dualizes_to_a_readable_empty_space(tmp_path, ca
     bad = {"n": -1, "leq": [], "equivalences": {}}
     assert main(["reconstruct", write(tmp_path, "neg.json", json.dumps(bad))]) == 2
     assert capsys.readouterr().err == "error: n must be a non-negative integer\n"
+
+
+def test_cli_written_files_are_pinned(tmp_path):
+    # the sha256 of each written file, as the pointwise generators and the
+    # standard library's indented encoder wrote it; close gets a pruned
+    # family, so it adds both a product and the identity
+    lattice = gen_file(tmp_path, "gen", "lattice", 2, 2, "--chain", 3, name="lattice.json")
+    doc = json.loads(Path(lattice).read_text())
+    doc["extractors"] = {k: doc["extractors"][k] for k in ("s0", "s1")}
+    pruned = write(tmp_path, "pruned.json", json.dumps(doc))
+    dual = gen_file(tmp_path, "dualize", lattice, name="dual.json")
+    written = {
+        "gen string 2 6": gen_file(tmp_path, "gen", "string", 2, 6, name="string.json"),
+        "gen lattice 2 2 --chain 3": lattice,
+        "gen multivariate 2 3": gen_file(tmp_path, "gen", "multivariate", 2, 3, name="mv.json"),
+        "close --with-identity": gen_file(tmp_path, "close", "--with-identity", pruned,
+                                          name="closed.json"),
+        "dualize": dual,
+        "reconstruct": gen_file(tmp_path, "reconstruct", dual, name="back.json"),
+    }
+    digests = {name: hashlib.sha256(Path(path).read_bytes()).hexdigest()
+               for name, path in written.items()}
+    assert digests == {
+        "gen string 2 6": "103f645d1570a8e7167abf1e89f9eaf3c83d3f2b424243345ddbdd46afe547bb",
+        "gen lattice 2 2 --chain 3":
+            "53960c5bdd25ecbb1853c39449fdea7c8a69bba7b3a3aad9aa783e1c1342d695",
+        "gen multivariate 2 3": "41b8c0bf49f4a042aef2a49e3c399070e6103f68fcd2d11e19a4976c7e6be919",
+        "close --with-identity":
+            "6a535abce6b23f74125ea31857cef506cf17b1cb6decd513a00d46dbfad1a48c",
+        "dualize": "33fed21d8f2a8d5aae08730e4b01eaee7b4bdd9b18ac488d0bae17e8202bf8e7",
+        "reconstruct": "56eab06fcba53c050d717472f9fab07545bf81b4f79bbc047d07e7c8533bf111",
+    }

@@ -152,6 +152,42 @@ def test_lattice_valued_order_is_pointwise(lv_2_chain3, lv_2_chain2):
         assert carrier[a.zero] == (lam.zero,) * nv
 
 
+def literal_pointwise_join(domain_sizes, lam):
+    """The join table written out: look up the pointwise join of every pair
+    of maps by its tuple of values."""
+    nv = len(list(product(*map(range, domain_sizes))))
+    carrier = list(product(range(lam.n), repeat=nv))
+    idx = {phi: i for i, phi in enumerate(carrier)}
+    return tuple(tuple(idx[tuple(lam.join[x][y] for x, y in zip(phi, psi))]
+                       for psi in carrier)
+                 for phi in carrier)
+
+
+def test_lattice_valued_join_matches_literal_pointwise_join():
+    cases = [(sizes, chain_lattice(m)) for sizes in ([1], [3], [2, 2], [2, 1, 2])
+             for m in range(1, 5)]
+    cases += [([1], powerset_lattice(2)), ([2], powerset_lattice(2))]
+    for sizes, lam in cases:
+        a = gen_lattice_valued(sizes, lam)
+        assert a.sl.join == literal_pointwise_join(sizes, lam), (sizes, lam.n)
+
+
+def literal_prefix_up_rows(k, max_len):
+    """Up rows of the prefix order by scanning every pair of words."""
+    strs = string_elements(k, max_len)[:-1]
+    zero = len(strs)
+    up = [mask_of(j for j, t in enumerate(strs) if t.startswith(s)) | (1 << zero)
+          for s in strs]
+    return (*up, 1 << zero)
+
+
+def test_string_up_rows_match_literal_prefix_scan():
+    for k in range(1, 4):
+        for max_len in range(1, 5):
+            assert gen_string(k, max_len).poset.up == literal_prefix_up_rows(k, max_len), \
+                (k, max_len)
+
+
 def test_lattice_valued_rejects_non_distributive_value_lattice():
     with pytest.raises(PreconditionError):
         gen_lattice_valued([2], diamond_m3())
