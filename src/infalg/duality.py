@@ -13,9 +13,9 @@ composed by the up-set set algebra's ``label_table``, which a Q-morphism's
 omega must also respect. Separation and the Q-morphism saturation law are
 decided on the principal up-sets, of which every up-set is a union. Both
 round trips are verified, not assumed, each verdict by one route, on masks:
-reconstruct certifies its output on the principal up-sets, since the
+reconstruct certifies its output by its label table's symmetry, since the
 up-sets form a distributive lattice (Birkhoff) whose saturations meet every
-other axiom by construction, so only their label table is checked;
+other axiom by construction, so only their commutation is checked;
 round_trip_algebra checks the canonical map by set_algebra.represent, on the
 laws without meets, which a join-preserving bijection keeps; round_trip_space
 reads the double dual off the principal up-sets and checks a bijective
@@ -214,24 +214,22 @@ def dualize(a: InfoAlgebra) -> QSpace:
 
 
 def _certify(s: QSpace, cap: int) -> SetAlgebra:
-    """The up-set algebra of a valid Q-space within the cap, certified on
-    masks. Its up-sets, closed under union and intersection, form a
-    distributive lattice (Birkhoff; Davey & Priestley, Introduction to
-    Lattices and Order, 2002, ch. 5); each saturation is an up-set map by
-    the Q-space report, preserves unions, hence meets, and meets every
-    other axiom on any subset. So only the label table can fail, and as the
-    composites of saturations preserve unions too, it is decided on the
-    principal up-sets: sigma_i sigma_j = sigma_tab[i][j] = sigma_j sigma_i
-    there. A failing certificate hands over to the table check, which
-    names the failure."""
+    """The up-set algebra of a valid Q-space within the cap, certified by
+    its label table's symmetry. Its up-sets, closed under union and
+    intersection, form a distributive lattice (Birkhoff; Davey & Priestley,
+    Introduction to Lattices and Order, 2002, ch. 5); each saturation is an
+    up-set map by the Q-space report, preserves unions, hence meets, and
+    meets every other axiom on any subset. So only the label table can
+    fail. Its entries compose the saturations, as star products of commuting
+    members or resolved from distinct arrays, so what is left is that the
+    saturations commute, which for distinct arrays is the table's symmetry.
+    A failing certificate hands over to the table check, which names the
+    failure."""
     check_upset_cap(s.poset, cap)
     q_space_report(s).require("invalid Q-space", PreconditionError)
     sa = s.up_set_algebra
-    tab, members = sa.label_table, s.eqs.members
-    rows = [[saturate(theta, up) for up in s.poset.up] for theta in members]
-    if not all([saturate(theta, u) for u in rows[j]] == rows[tab[i][j]]
-               == [saturate(gamma, u) for u in rows[i]]
-               for i, theta in enumerate(members) for j, gamma in enumerate(members)):
+    tab = sa.label_table
+    if any(row[j] != tab[j][i] for i, row in enumerate(tab) for j in range(i)):
         verify_axioms(sa.to_info_algebra()).require("reconstructed algebra fails axioms")
     return sa
 
@@ -279,13 +277,15 @@ def _double_dual(s: QSpace) -> tuple[QSpace, tuple[int, ...]]:
     a certified Q-space: the dual points of its up-set algebra are the
     principal up-sets, at their up_set_index positions, ordered as their
     points, and member k is the kernel there of the saturation by member k
-    of s. An order with equal rows, or a family with equal saturations,
-    has its dual taken from the tables, which name what breaks."""
+    of s. A separating theta relates p and q iff it saturates up[p] and
+    up[q] alike (condition (ii) one way, (i) the other), so distinct
+    members give distinct kernels. A preorder, whose points share a
+    principal up-set, has a smaller double dual."""
     poset, index = s.poset, s.poset.up_set_index
+    if len(poset.up_index) < s.n:
+        raise StructureError("double dual has different size")
     order = sorted(range(s.n), key=lambda p: index[poset.up[p]])
     rows = [tuple(saturate(theta, poset.up[p]) for p in order) for theta in s.eqs.members]
-    if len(poset.up_index) < s.n or len(set(rows)) < len(rows):
-        return _dual(s.up_set_algebra.to_info_algebra())
     return (QSpace(poset.restrict(order), _kernels(rows, s.eqs.labels, s.n)),
             tuple(index[poset.up[p]] for p in order))
 
@@ -297,15 +297,12 @@ def round_trip_space(s: QSpace, cap: int = DEFAULT_CAP) -> SpaceRoundTrip:
     onto its namesake. The Q-morphism laws follow: the two families'
     saturation arrays are then conjugate, so their label tables agree, and
     reconstruct's certificate has found them closed under composition.
-    ``cap`` is reconstruct's bound on the up-sets. Tables are built only
-    where ``_double_dual`` falls back to them.
+    ``cap`` is reconstruct's bound on the up-sets. No table is built.
     """
     _certify(s, cap)
     index = s.poset.up_set_index
     target, points = _double_dual(s)
     n = s.poset.n
-    if target.poset.n != n or len(target.eqs.members) != len(s.eqs.members):
-        raise StructureError("double dual has different size")
     carrier_of = {c: i for i, c in enumerate(points)}
     lam = tuple(carrier_of.get(index[row]) for row in s.poset.up)
     if None in lam:
@@ -347,8 +344,11 @@ def check_q_morphism(m: QMorphism, s: QSpace, t: QSpace) -> Report:
               if not t.poset.le(m.alpha[p], m.alpha[q])), None)
     report.add("alpha_order_preserving", w is None, w)
 
-    tab_s, tab_t = (x.eqs.products if x.eqs.closed  # star-closed: read without up-sets
-                    else x.up_set_algebra.label_table for x in (s, t))
+    for x in (s, t):  # star-closed: read without up-sets
+        if not x.eqs.closed:
+            check_upset_cap(x.poset, DEFAULT_CAP)
+    tab_s, tab_t = (x.eqs.products if x.eqs.closed else x.up_set_algebra.label_table
+                    for x in (s, t))
     ks = range(len(t.eqs.members))
     w = next(((i, j) for i in ks for j in ks
               if m.omega[tab_t[i][j]] != tab_s[m.omega[i]][m.omega[j]]), None)
@@ -392,9 +392,14 @@ def dualize_morphism(m: AlgebraMorphism, a: InfoAlgebra, b: InfoAlgebra) -> QMor
 
 def double_dual_element_map(qm: QMorphism, space_a: QSpace, space_b: QSpace) -> tuple[int, ...]:
     """Carrier map between the reconstructed algebras induced by a dual
-    point map: an up-set of the domain's dual goes to its alpha-preimage."""
-    index_b = space_b.poset.up_set_index
-    return tuple(index_b[pullback(qm.alpha, u)] for u in space_a.poset.up_set_index)
+    point map: an up-set of the domain's dual goes to its alpha-preimage,
+    which StructureError names when it is not an up-set."""
+    index_a, index_b = (check_upset_cap(x.poset, DEFAULT_CAP) for x in (space_a, space_b))
+    f = tuple(map(index_b.get, (pullback(qm.alpha, u) for u in index_a)))
+    if None in f:
+        u = list(index_a)[f.index(None)]
+        raise StructureError(f"preimage of up-set {u} is not an up-set", witness=u)
+    return f
 
 
 def boolean_diagnostics(a: InfoAlgebra) -> Report:

@@ -6,7 +6,8 @@ occurrence, so equality is array equality. Subsets are bitmasks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import NonCommutingError, StructureError
 from .order import bits
@@ -141,22 +142,32 @@ def least_upper_equivalence(theta: Equivalence, gamma: Equivalence) -> Equivalen
 
 @dataclass(frozen=True)
 class StarFamily:
-    """A labeled set of equivalences on one universe.
-
-    ``products`` is the family's ``star_table``, and the family is
-    ``closed`` when no entry is missing; families built with the default
-    strict factory always are. Duals of some algebras are not: their
-    semigroup lives on the saturations of up-sets (``SetAlgebra.label_table``).
-    """
+    """A labeled set of distinct equivalences on one universe, checked on
+    construction. ``products``, their ``star_table``, is derived on first
+    read; the family is ``closed`` when no entry is missing, as strict
+    ``star_family`` ensures. Duals of some algebras are not closed: their
+    semigroup lives on the saturations of up-sets (``SetAlgebra.label_table``)."""
 
     n: int
     members: tuple[Equivalence, ...]
     labels: tuple[str, ...]
-    products: tuple[tuple[int | None, ...], ...] = field(compare=False, repr=False)
 
     def __post_init__(self):
+        if len(set(self.labels)) != len(self.labels):
+            raise StructureError(f"duplicate labels in {self.labels}")
+        seen = set()
+        for i, m in enumerate(self.members):
+            if m.n != self.n:
+                raise StructureError(f"universe mismatch at member {i}")
+            if m in seen:
+                raise StructureError(f"duplicate member at index {i}", witness=i)
+            seen.add(m)
         if len(self.members) != len(self.labels):
             raise StructureError("member/label count mismatch")
+
+    @cached_property
+    def products(self) -> tuple[tuple[int | None, ...], ...]:
+        return star_table(self.members)
 
     @property
     def closed(self) -> bool:
@@ -174,37 +185,26 @@ def star_table(members) -> tuple[tuple[int | None, ...], ...]:
 
 def star_family(members, labels=None, n: int | None = None,
                 require_closure: bool = True) -> StarFamily:
-    """Validate and build a StarFamily: same universe, no duplicate members
-    or labels; strict mode additionally demands pairwise commutation and
-    closure under star, and names the first gap, row by row."""
+    """A StarFamily of the members, labeled t0, t1, ... by default, on their
+    universe, or on ``n`` when there are none; strict mode additionally
+    demands pairwise commutation and closure under star, and names the first
+    gap, row by row. Only strict mode computes the star products."""
     members = tuple(members)
     if not members and n is None:
         raise StructureError("empty family needs an explicit universe size")
     if members:
         n = members[0].n
-    if labels is None:
-        labels = tuple(f"t{i}" for i in range(len(members)))
-    else:
-        labels = tuple(labels)
-    if len(set(labels)) != len(labels):
-        raise StructureError(f"duplicate labels in {labels}")
-    seen = set()
-    for i, m in enumerate(members):
-        if m.n != n:
-            raise StructureError(f"universe mismatch at member {i}")
-        if m in seen:
-            raise StructureError(f"duplicate member at index {i}", witness=i)
-        seen.add(m)
-    products = star_table(members)
-    gap = unlisted(products)
-    if gap is not None and require_closure:
+    labels = tuple(f"t{i}" for i in range(len(members))) if labels is None else tuple(labels)
+    family = StarFamily(n, members, labels)
+    gap = unlisted(family.products) if require_closure else None
+    if gap is not None:
         i, j = gap
         w = commutation_witness(members[i], members[j])
         if w is not None:
             raise NonCommutingError(w, f"members {i} and {j} do not commute, witness {w}")
         raise StructureError(f"family not star-closed: missing product of ({i},{j})",
                              witness=gap)
-    return StarFamily(n, members, labels, products)
+    return family
 
 
 def star_closure(members, labels=None) -> StarFamily:

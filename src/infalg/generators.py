@@ -377,7 +377,6 @@ def enumerate_q_spaces(max_points: int):
     # eq moved by aut: x and y are related iff aut[x] and aut[y] are in eq
     conjugate = lambda eq, aut: Equivalence(eq.n, compose(eq.block_of, aut))
     for poset in enumerate_posets(max_points):
-        for fam, products in _families(separating_equivalences(poset), star_table, conjugate,
-                                       automorphisms(poset), "separating"):
-            labels = tuple(f"t{i}" for i in range(len(fam)))
-            yield QSpace(poset, StarFamily(poset.n, fam, labels, products))
+        for fam, _ in _families(separating_equivalences(poset), star_table, conjugate,
+                                automorphisms(poset), "separating"):
+            yield QSpace(poset, StarFamily(poset.n, fam, tuple(f"t{i}" for i in range(len(fam)))))

@@ -30,10 +30,17 @@ class SetAlgebra:
 
     @cached_property
     def saturations(self) -> tuple[tuple[int, ...], ...]:
-        """Each member's saturation as a self-map of family positions."""
+        """Each member's saturation as a self-map of family positions;
+        StructureError names the first (label, mask) saturated outside the
+        family, as check_set_algebra's saturation_compatible does."""
         pos = {mask: i for i, mask in enumerate(self.family)}
-        return tuple(tuple(pos[saturate(theta, x)] for x in self.family)
-                     for theta in self.eqs.members)
+        arrays = tuple(tuple(pos.get(saturate(theta, x)) for x in self.family)
+                       for theta in self.eqs.members)
+        w = next(((lab, self.family[arr.index(None)])
+                  for lab, arr in zip(self.eqs.labels, arrays) if None in arr), None)
+        if w is not None:
+            raise StructureError(f"saturation of {w[1]} by {w[0]} is not a member", witness=w)
+        return arrays
 
     @cached_property
     def label_table(self) -> tuple[tuple[int, ...], ...]:

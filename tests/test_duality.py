@@ -17,7 +17,7 @@ from infalg.duality import (QMorphism, QSpace, _dual, boolean_diagnostics,
                             round_trip_space, sentence_commutation, sentence_saturation_upsets,
                             sentence_separation, sentence_separation_star)
 from infalg.equivalence import (Equivalence, StarFamily, all_equivalences, commutation_witness,
-                                saturate, star_closure, star_family, star_table)
+                                saturate, star_closure, star_family)
 from infalg.errors import DEFAULT_CAP, CapExceeded, PreconditionError, StructureError
 from infalg.generators import (all_labeled_posets, enumerate_algebras, enumerate_posets,
                                enumerate_q_spaces, separating_equivalences)
@@ -228,6 +228,51 @@ def test_identity_q_morphism_of_a_21_point_chain():
     space = delta_space(chain_poset(21))
     assert check_q_morphism(QMorphism(tuple(range(21)), (0,)), space, space).ok
     assert len(up_sets(space.poset)) == 22
+
+
+def test_q_morphism_of_an_invalid_space_names_a_saturation_off_its_up_sets():
+    # the family is not closed, so the omega law reads the up-set algebra's
+    # table; t0 saturates the up-set {2} to {0, 2}, which is no up-set, and
+    # check_set_algebra names the same (label, mask)
+    from infalg.set_algebra import check_set_algebra
+
+    eqs = star_family([Equivalence(3, [0, 1, 0]), Equivalence(3, [0, 0, 1])],
+                      require_closure=False)
+    space = QSpace(chain_poset(3), eqs)
+    assert not q_space_report(space).ok and not eqs.closed
+    with pytest.raises(StructureError) as exc:
+        check_q_morphism(QMorphism((0, 1, 2), (0, 1)), space, space)
+    assert (str(exc.value), exc.value.witness) == ("saturation of 4 by t0 is not a member",
+                                                   ("t0", 4))
+    report = check_set_algebra(3, up_sets(space.poset), eqs)
+    assert report.witness("saturation_compatible") == ("t0", 4)
+
+
+def test_q_morphism_of_a_family_that_is_not_closed_is_bounded_by_the_up_set_cap(monkeypatch):
+    # two non-commuting equivalences on a 20-point antichain: the omega law
+    # would read a table on 2^20 up-sets, so the cap stops it unsaturated
+    from infalg import set_algebra
+
+    n = 20
+    eqs = star_family([Equivalence(n, [x // 2 for x in range(n)]),
+                       Equivalence(n, [(x + 1) // 2 for x in range(n)])], require_closure=False)
+    space = QSpace(antichain_poset(n), eqs)
+    assert not eqs.closed
+    saturations = count_calls(monkeypatch, "saturate", set_algebra)
+    with pytest.raises(CapExceeded, match="^up-sets exceed the cap 4096$"):
+        check_q_morphism(QMorphism(tuple(range(n)), (0, 1)), space, space)
+    assert saturations == [] and "up_set_algebra" not in vars(space)
+
+
+def test_double_dual_element_map_names_an_up_set_whose_preimage_is_not_one():
+    # alpha swaps the two points of a 2-chain: the up-set {1} pulls back to {0}
+    space = delta_space(chain_poset(2))
+    with pytest.raises(StructureError) as exc:
+        double_dual_element_map(QMorphism((1, 0), (0,)), space, space)
+    assert (str(exc.value), exc.value.witness) == ("preimage of up-set 2 is not an up-set", 2)
+    wide = delta_space(antichain_poset(13))
+    with pytest.raises(CapExceeded, match="^up-sets exceed the cap 4096$"):
+        double_dual_element_map(QMorphism(tuple(range(13)), (0,)), wide, wide)
 
 
 def test_dualize_identity_morphism(lv_2_chain3):
@@ -805,12 +850,12 @@ def test_round_trip_space_matches_literal_loop(monkeypatch):
         s = rng.choice(spaces)
         target, points = real_dual(s)
         poset, members = target.poset, list(target.eqs.members)
-        if rng.random() < 0.5:
+        fresh = [eq for eq in all_equivalences(s.n) if eq not in members]
+        if rng.random() < 0.5 or not fresh:
             poset = rng.choice(all_labeled_posets(s.n))
         else:
-            members[rng.randrange(len(members))] = rng.choice(all_equivalences(s.n))
-        tampered = QSpace(poset, StarFamily(s.n, tuple(members), target.eqs.labels,
-                                            star_table(members)))
+            members[rng.randrange(len(members))] = rng.choice(fresh)
+        tampered = QSpace(poset, StarFamily(s.n, tuple(members), target.eqs.labels))
         monkeypatch.setattr(duality, "_double_dual", lambda s: (tampered, points))
         expected = round_trip_outcome(literal_round_trip_space, s)
         got = round_trip_outcome(round_trip_space, s)
@@ -1060,12 +1105,6 @@ def test_mask_route_matches_the_table_route_past_the_universe(s):
     assert_algebra_routes_agree(reconstruct(s))
 
 
-def family(n, members, products):
-    """A hand-built family: its products are taken as given, unchecked."""
-    return StarFamily(n, tuple(members), tuple(f"t{i}" for i in range(len(members))),
-                      products)
-
-
 def failure(run, s):
     with pytest.raises((StructureError, PreconditionError)) as exc:
         run(s)
@@ -1079,22 +1118,17 @@ GRID4 = [Equivalence(4, [0, 0, 1, 1]), Equivalence(4, [0, 1, 0, 1])]
 
 
 @pytest.mark.parametrize("s, message", [
-    # not closed, equal members: the saturation arrays are resolved and collide
-    (QSpace(antichain_poset(2), family(2, [IDENTITY2, IDENTITY2], ((None, None),) * 2)),
-     "cannot resolve composition: saturation arrays collide"),
     # not closed: the product of the grid's two partitions is not listed
     (QSpace(antichain_poset(4), star_family(GRID4, require_closure=False)),
      "saturations not closed under composition at (0,1)"),
-    # closed by its products, but they are wrong
-    (QSpace(chain_poset(2), family(2, [IDENTITY2, ALL2], ((0, 1), (1, 0)))),
-     "reconstructed algebra fails axioms:"),
-    # closed by its products, but the members do not commute
-    (QSpace(antichain_poset(3), family(3, [LEFT3, RIGHT3], ((0, 0), (1, 1)))),
-     "reconstructed algebra fails axioms:"),
-], ids=["collide", "unlisted", "wrong-products", "not-commuting"])
+    # not closed, as the members do not commute: neither composite of their
+    # saturations is listed
+    (QSpace(antichain_poset(3), star_family([LEFT3, RIGHT3], require_closure=False)),
+     "saturations not closed under composition at (0,1)"),
+], ids=["unlisted", "not-commuting"])
 def test_failed_certificates_raise_the_table_route_error(s, message):
     # each Q-space is valid; its family fails the up-set algebra's label
-    # table or its laws, and every route names that failure alike
+    # table, and every route names that failure alike
     assert q_space_report(s).ok
     expected = failure(table_reconstruct, s)
     assert expected[1].startswith(message)
@@ -1102,13 +1136,32 @@ def test_failed_certificates_raise_the_table_route_error(s, message):
     assert failure(lambda s: literal_round_trip_space(s, table_double_dual), s) == expected
 
 
+def test_colliding_saturations_leave_the_label_table_unresolved():
+    # two distinct members saturate the empty and the full set alike; the
+    # members of a Q-space never collide, as a separating member is fixed
+    # by its saturations of the principal up-sets
+    sa = SetAlgebra(3, (0, 7), star_family([LEFT3, RIGHT3], require_closure=False))
+    assert sa.saturations == ((0, 1), (0, 1))
+    with pytest.raises(StructureError, match="^cannot resolve composition: saturation "
+                                             "arrays collide$"):
+        sa.to_info_algebra()
+
+
+def test_an_asymmetric_label_table_falls_back_to_the_table_route(monkeypatch):
+    # a table whose composites of identity and all-relation disagree: the
+    # certificate hands over to verify_axioms, which every route reaches
+    s = QSpace(chain_poset(2), star_family([IDENTITY2, ALL2]))
+    assert s.eqs.products == ((0, 1), (1, 1))
+    monkeypatch.setattr(SetAlgebra, "label_table", property(lambda sa: ((0, 0), (1, 1))))
+    expected = failure(table_reconstruct, s)
+    assert expected[1].startswith("reconstructed algebra fails axioms:")
+    assert failure(reconstruct, s) == failure(round_trip_space, s) == expected
+
+
 @pytest.mark.parametrize("s, message", [
-    # closed, equal members: the double dual's extractors collide
-    (QSpace(antichain_poset(2), family(2, [IDENTITY2, IDENTITY2], ((1, 1),) * 2)),
-     "extractor labels must denote distinct maps; dedupe_extractors first"),
     # a preorder: its two points share one principal up-set
     (QSpace(FinitePoset(2, (3, 3)), star_family([ALL2])), "double dual has different size"),
-], ids=["equal-members", "preorder"])
+], ids=["preorder"])
 def test_double_duals_off_the_masks_raise_the_table_route_error(s, message):
     # reconstruct passes, and only the double dual breaks
     assert algebra_fields(reconstruct(s)) == algebra_fields(table_reconstruct(s))
@@ -1139,15 +1192,47 @@ def count_table_routes(monkeypatch):
 
 
 def test_round_trip_space_builds_no_table(monkeypatch):
+    # over the Q-space universe, the 94 duals (two of them not star-closed)
+    # and a preorder, whose double dual is too small
+    duals = [dualize(a) for a in enumerate_algebras(5)]
+    assert len(duals) == 94
     axioms, cdfs, builds = count_table_routes(monkeypatch)
-    for s in enumerate_q_spaces(4):
+    table_duals = count_calls(monkeypatch, "_dual", duality)
+    for s in list(enumerate_q_spaces(4)) + duals:
         round_trip_space(s)
+    with pytest.raises(StructureError, match="^double dual has different size$"):
+        round_trip_space(QSpace(FinitePoset(2, (3, 3)), star_family([ALL2])))
     s = wide_antichain_space()
     assert len(s.eqs.members) == 4
     rt = round_trip_space(s)
     assert len(s.poset.up_set_index) == 4096
     assert rt.morphism == QMorphism(tuple(range(12)), tuple(range(4)))
-    assert axioms == cdfs == builds == []
+    assert axioms == cdfs == builds == table_duals == []
+
+
+def test_certificate_of_a_star_closed_family_saturates_only_in_the_report(monkeypatch):
+    # the label table is the family's star products, read once they are
+    # derived, and the certificate is their symmetry
+    from infalg import equivalence, set_algebra
+
+    spaces = list(enumerate_q_spaces(4))
+    for s in spaces:
+        assert s.eqs.closed and q_space_report(s).ok
+    saturations = count_calls(monkeypatch, "saturate", duality, set_algebra, equivalence)
+    for s in spaces:
+        duality._certify(s, DEFAULT_CAP)
+    assert saturations == []
+
+
+def test_dualize_computes_no_star_product(monkeypatch, lv_2_chain3):
+    # the dual family's products are derived only when read
+    from infalg import equivalence
+
+    algebras = list(enumerate_algebras(5))
+    products = count_calls(monkeypatch, "_product", equivalence)
+    spaces = [dualize(a) for a in algebras + [lv_2_chain3]]
+    assert products == []
+    assert spaces[-1].eqs.closed and len(products) == len(lv_2_chain3.extractors) ** 2
 
 
 def test_round_trip_algebra_checks_no_table_of_the_reconstruction(monkeypatch, generated_suite):

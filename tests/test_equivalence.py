@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from infalg.equivalence import (Equivalence, all_equivalences, commutation_witness,
+from infalg.equivalence import (Equivalence, StarFamily, all_equivalences, commutation_witness,
                                 compose_rows, is_downward_directed, least_upper_equivalence,
                                 saturate, star, star_closure, star_family,
                                 star_table)
@@ -268,6 +268,24 @@ def test_star_family_rejects_duplicates_and_gaps():
     relaxed = star_family([GRID_ROWS, GRID_COLS], require_closure=False)
     assert not relaxed.closed
     assert relaxed.products == ((0, None), (None, 1))
+
+
+@pytest.mark.parametrize("members, labels, message, witness", [
+    ((GRID_ROWS, GRID_COLS), ("a", "a"), "duplicate labels in ('a', 'a')", None),
+    ((GRID_ROWS, GRID_ROWS), ("a", "b"), "duplicate member at index 1", 1),
+    ((GRID_ROWS, Equivalence.identity(3)), ("a", "b"), "universe mismatch at member 1", None),
+    ((GRID_ROWS,), ("a", "b"), "member/label count mismatch", None),
+], ids=["labels", "members", "universe", "count"])
+def test_star_family_type_rejects_what_the_factory_rejects(members, labels, message, witness):
+    # the checks run on construction, so no family carries them unchecked
+    def outcome(build):
+        with pytest.raises(StructureError) as exc:
+            build()
+        return type(exc.value), str(exc.value), exc.value.witness
+
+    expected = (StructureError, message, witness)
+    assert outcome(lambda: StarFamily(4, members, labels)) == expected
+    assert outcome(lambda: star_family(members, labels, require_closure=False)) == expected
 
 
 def test_star_family_empty_needs_universe():

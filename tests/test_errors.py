@@ -8,7 +8,7 @@ from infalg.cli import SemanticFailure
 from infalg.duality import (QSpace, boolean_diagnostics, dual_point_map, dualize,
                             dualize_morphism, make_q_space, q_space_report, reconstruct,
                             round_trip_space)
-from infalg.equivalence import Equivalence, StarFamily, star_family, star_table
+from infalg.equivalence import Equivalence, StarFamily, star_family
 from infalg.errors import (CapExceeded, FormatError, InfAlgError, NonCommutingError,
                            NotDirectedError, PreconditionError, StructureError)
 from infalg.generators import gen_lattice_valued
@@ -116,8 +116,7 @@ def test_round_trip_space_errors_carry_their_witness(monkeypatch, tamper, messag
         target = QSpace(target.poset.dual(), target.eqs)
     else:
         members = (Equivalence(3, [0, 0, 1]),)
-        target = QSpace(target.poset, StarFamily(3, members, target.eqs.labels,
-                                                 star_table(members)))
+        target = QSpace(target.poset, StarFamily(3, members, target.eqs.labels))
     monkeypatch.setattr(duality, "_double_dual", lambda s: (target, points))
     with pytest.raises(StructureError) as exc:
         round_trip_space(s)

@@ -612,6 +612,18 @@ def test_enumerate_q_spaces_takes_family_tables_from_the_pool(monkeypatch):
     assert len(calls) == 1516
 
 
+def test_family_core_restricts_the_pool_star_table_to_each_family():
+    # enumerate_q_spaces drops the restricted table, as each family derives
+    # the same one from its members
+    families = 0
+    for poset in enumerate_posets(4):
+        for fam, products in generators._families(separating_equivalences(poset), star_table,
+                                                  None, (), "separating"):
+            assert products == star_table(fam)
+            families += 1
+    assert families > 768
+
+
 def test_enumerate_algebras_builds_one_pool_table_per_lattice(monkeypatch):
     calls = []
     table_of = generators.table
