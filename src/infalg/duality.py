@@ -12,16 +12,15 @@ up-sets under reverse inclusion with the restricted saturation operators,
 composed by the up-set set algebra's ``label_table``, which a Q-morphism's
 omega must also respect. Separation and the Q-morphism saturation law are
 decided on the principal up-sets, of which every up-set is a union. Both
-round trips are verified, not assumed, each verdict by one route, on masks:
-reconstruct certifies its output by its label table's symmetry, since the
-up-sets form a distributive lattice (Birkhoff) whose saturations meet every
-other axiom by construction, so only their commutation is checked;
-round_trip_algebra checks the canonical map by set_algebra.represent, on the
-laws without meets, which a join-preserving bijection keeps; round_trip_space
-reads the double dual off the principal up-sets and checks a bijective
-order isomorphism carrying each equivalence onto its namesake, which makes
-it a Q-morphism. Tables are built only for an algebra that is returned or
-written. The table routes run against these verdicts in the test suite.
+round trips are built from the proofs, each verdict by one route, on masks:
+reconstruct needs only a label table that resolves, as the up-sets form a
+distributive lattice (Birkhoff) whose saturations meet every other axiom by
+construction and commute once their composites are listed;
+round_trip_algebra checks the canonical map by set_algebra.represent, on
+the laws without meets, which a join-preserving bijection keeps;
+round_trip_space returns the relabeling that reads the double dual off the
+principal up-sets. Tables are built only for an algebra that is returned or
+written; the table routes run against these verdicts in the test suite.
 """
 
 from __future__ import annotations
@@ -29,9 +28,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property, reduce
 
-from .algebra import (AlgebraMorphism, InfoAlgebra, is_distributive_cdf, is_homomorphism,
-                      verify_axioms)
-from .equivalence import Equivalence, StarFamily, saturate, star_family
+from .algebra import AlgebraMorphism, InfoAlgebra, is_distributive_cdf, is_homomorphism
+from .equivalence import Equivalence, StarFamily, saturate
 from .errors import DEFAULT_CAP, PreconditionError, StructureError
 from .order import (FinitePoset, bits, check_upset_cap, complements, is_distributive, mask_of,
                     meet_irreducibles, pullback, try_lattice, up_closure, up_sets)
@@ -202,7 +200,7 @@ def _kernels(rows, labels, n: int) -> StarFamily:
     top and its two sublattice retractions); only their saturations of
     up-sets always do, so the family need not be closed and its semigroup is
     kept on the labels."""
-    return star_family([Equivalence(n, row) for row in rows], labels, n=n, require_closure=False)
+    return StarFamily(n, [Equivalence(n, row) for row in rows], labels)
 
 
 def dualize(a: InfoAlgebra) -> QSpace:
@@ -214,31 +212,29 @@ def dualize(a: InfoAlgebra) -> QSpace:
 
 
 def _certify(s: QSpace, cap: int) -> SetAlgebra:
-    """The up-set algebra of a valid Q-space within the cap, certified by
-    its label table's symmetry. Its up-sets, closed under union and
-    intersection, form a distributive lattice (Birkhoff; Davey & Priestley,
-    Introduction to Lattices and Order, 2002, ch. 5); each saturation is an
-    up-set map by the Q-space report, preserves unions, hence meets, and
-    meets every other axiom on any subset. So only the label table can
-    fail. Its entries compose the saturations, as star products of commuting
-    members or resolved from distinct arrays, so what is left is that the
-    saturations commute, which for distinct arrays is the table's symmetry.
-    A failing certificate hands over to the table check, which names the
-    failure."""
+    """The up-set algebra of a valid Q-space within the cap, certified by a
+    label table that resolves. Its up-sets form a distributive lattice
+    (Birkhoff; Davey & Priestley, Introduction to Lattices and Order, 2002,
+    ch. 5); each saturation is an up-set map by the Q-space report,
+    preserves unions, hence meets, and meets every other axiom on any
+    subset, so the saturations need only commute. A star-closed family's
+    table holds star products of commuting relations. Otherwise each
+    saturation is a closure operator on the up-sets, and if c, d and c.d
+    are, y = c(d(x)) gives y <= d(y) <= c(d(y)) = y, and c(x) <= y gives
+    d(c(x)) <= d(y) = y: d.c <= c.d. A table that resolves lists both
+    composites, so they are equal; it raises StructureError when the
+    saturations collide or are not closed under composition."""
     check_upset_cap(s.poset, cap)
     q_space_report(s).require("invalid Q-space", PreconditionError)
-    sa = s.up_set_algebra
-    tab = sa.label_table
-    if any(row[j] != tab[j][i] for i, row in enumerate(tab) for j in range(i)):
-        verify_axioms(sa.to_info_algebra()).require("reconstructed algebra fails axioms")
-    return sa
+    s.up_set_algebra.label_table  # raises unless the table resolves
+    return s.up_set_algebra
 
 
 def reconstruct(s: QSpace, cap: int = DEFAULT_CAP) -> InfoAlgebra:
     """Algebra of all up-sets of a Q-space under reverse inclusion, with the
     restricted saturation operators, certified on the principal up-sets
     before its tables are built; for a family that is not star-closed the
-    certificate is the only check that its saturations commute."""
+    certificate is that its label table resolves."""
     return _certify(s, cap).to_info_algebra()
 
 
@@ -268,59 +264,30 @@ def round_trip_algebra(a: InfoAlgebra) -> AlgebraRoundTrip:
 @dataclass(frozen=True)
 class SpaceRoundTrip:
     target: QSpace                   # dualize(reconstruct(source))
-    morphism: QMorphism              # verified Q-isomorphism source -> target
+    morphism: QMorphism              # Q-isomorphism source -> target, by construction
     points: tuple[int, ...]          # carrier indices of the target's points
 
 
-def _double_dual(s: QSpace) -> tuple[QSpace, tuple[int, ...]]:
-    """dualize(reconstruct(s)) and its carrier points, read off the masks of
-    a certified Q-space: the dual points of its up-set algebra are the
-    principal up-sets, at their up_set_index positions, ordered as their
-    points, and member k is the kernel there of the saturation by member k
-    of s. A separating theta relates p and q iff it saturates up[p] and
-    up[q] alike (condition (ii) one way, (i) the other), so distinct
-    members give distinct kernels. A preorder, whose points share a
-    principal up-set, has a smaller double dual."""
+def round_trip_space(s: QSpace, cap: int = DEFAULT_CAP) -> SpaceRoundTrip:
+    """source -> dualize(reconstruct(source)), read off the masks once
+    reconstruct's certificate holds: the dual points are the principal
+    up-sets, at their up_set_index positions, ordered as their points, and
+    member k is the kernel there of the saturation by member k of s. The
+    morphism is the relabeling this builds, p -> (position of up[p]) with
+    the identity on labels, an order isomorphism; a separating theta
+    relates p and q iff it saturates up[p] and up[q] alike ((ii) one way,
+    (i) the other), so each member goes onto its namesake. A preorder has
+    a smaller double dual. ``cap`` bounds the up-sets. No table is built."""
+    _certify(s, cap)
     poset, index = s.poset, s.poset.up_set_index
     if len(poset.up_index) < s.n:
         raise StructureError("double dual has different size")
     order = sorted(range(s.n), key=lambda p: index[poset.up[p]])
     rows = [tuple(saturate(theta, poset.up[p]) for p in order) for theta in s.eqs.members]
-    return (QSpace(poset.restrict(order), _kernels(rows, s.eqs.labels, s.n)),
-            tuple(index[poset.up[p]] for p in order))
-
-
-def round_trip_space(s: QSpace, cap: int = DEFAULT_CAP) -> SpaceRoundTrip:
-    """source -> dualize(reconstruct(source)) via p -> (principal up-set of p
-    as a point of the double dual) and the identity on labels; verified
-    Q-isomorphism: a bijective order isomorphism carrying each equivalence
-    onto its namesake. The Q-morphism laws follow: the two families'
-    saturation arrays are then conjugate, so their label tables agree, and
-    reconstruct's certificate has found them closed under composition.
-    ``cap`` is reconstruct's bound on the up-sets. No table is built.
-    """
-    _certify(s, cap)
-    index = s.poset.up_set_index
-    target, points = _double_dual(s)
-    n = s.poset.n
-    carrier_of = {c: i for i, c in enumerate(points)}
-    lam = tuple(carrier_of.get(index[row]) for row in s.poset.up)
-    if None in lam:
-        p = lam.index(None)
-        raise StructureError(f"principal up-set of point {p} is not a dual point", witness=p)
-    if sorted(lam) != list(range(n)):
-        raise StructureError("space round trip point map is not bijective")
-    # row p of each relation against the lam-pullback of row lam[p] of its image
-    w = next(((p, q) for p in range(n)
-              for q in bits(s.poset.up[p] ^ pullback(lam, target.poset.up[lam[p]]))), None)
-    if w is not None:
-        raise StructureError(f"order not preserved at {w}", witness=w)
-    w = next(((i, p, q) for i, (theta, ti) in enumerate(zip(s.eqs.members, target.eqs.members))
-              for p in range(n)
-              for q in bits(theta.block_mask(p) ^ pullback(lam, ti.block_mask(lam[p])))), None)
-    if w is not None:
-        raise StructureError(f"equivalence correspondence broken at {w}", witness=w)
-    return SpaceRoundTrip(target, QMorphism(lam, tuple(range(len(s.eqs.members)))), points)
+    lam = tuple(sorted(range(s.n), key=order.__getitem__))  # the inverse of order
+    return SpaceRoundTrip(QSpace(poset.restrict(order), _kernels(rows, s.eqs.labels, s.n)),
+                          QMorphism(lam, tuple(range(len(s.eqs.members)))),
+                          tuple(index[poset.up[p]] for p in order))
 
 
 def check_q_morphism(m: QMorphism, s: QSpace, t: QSpace) -> Report:
@@ -393,9 +360,17 @@ def dualize_morphism(m: AlgebraMorphism, a: InfoAlgebra, b: InfoAlgebra) -> QMor
 def double_dual_element_map(qm: QMorphism, space_a: QSpace, space_b: QSpace) -> tuple[int, ...]:
     """Carrier map between the reconstructed algebras induced by a dual
     point map: an up-set of the domain's dual goes to its alpha-preimage,
-    which StructureError names when it is not an up-set."""
+    which StructureError names when it is not an up-set, as it names the
+    first index where alpha is not a map into range(space_a.n)."""
+    alpha, n = qm.alpha, space_b.n
+    if len(alpha) != n:
+        raise StructureError(f"alpha has length {len(alpha)}, expected {n}",
+                             witness=min(len(alpha), n))
+    i = next((i for i, v in enumerate(alpha) if not 0 <= v < space_a.n), None)
+    if i is not None:
+        raise StructureError(f"alpha[{i}] = {alpha[i]} is outside range({space_a.n})", witness=i)
     index_a, index_b = (check_upset_cap(x.poset, DEFAULT_CAP) for x in (space_a, space_b))
-    f = tuple(map(index_b.get, (pullback(qm.alpha, u) for u in index_a)))
+    f = tuple(map(index_b.get, (pullback(alpha, u) for u in index_a)))
     if None in f:
         u = list(index_a)[f.index(None)]
         raise StructureError(f"preimage of up-set {u} is not an up-set", witness=u)

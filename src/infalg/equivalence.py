@@ -142,17 +142,19 @@ def least_upper_equivalence(theta: Equivalence, gamma: Equivalence) -> Equivalen
 
 @dataclass(frozen=True)
 class StarFamily:
-    """A labeled set of distinct equivalences on one universe, checked on
-    construction. ``products``, their ``star_table``, is derived on first
-    read; the family is ``closed`` when no entry is missing, as strict
-    ``star_family`` ensures. Duals of some algebras are not closed: their
-    semigroup lives on the saturations of up-sets (``SetAlgebra.label_table``)."""
+    """A labeled set of distinct equivalences on one universe, checked and
+    stored as tuples on construction. ``products``, their ``star_table``, is
+    derived on first read; the family is ``closed`` when no entry is missing,
+    as the factory ``star_family`` ensures. Duals of some algebras are not
+    closed: their semigroup lives on the up-sets' ``SetAlgebra.label_table``."""
 
     n: int
     members: tuple[Equivalence, ...]
     labels: tuple[str, ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "members", tuple(self.members))
+        object.__setattr__(self, "labels", tuple(self.labels))
         if len(set(self.labels)) != len(self.labels):
             raise StructureError(f"duplicate labels in {self.labels}")
         seen = set()
@@ -183,20 +185,19 @@ def star_table(members) -> tuple[tuple[int | None, ...], ...]:
     return tuple(tuple(index.get(_product(a, b)) for b in members) for a in members)
 
 
-def star_family(members, labels=None, n: int | None = None,
-                require_closure: bool = True) -> StarFamily:
+def star_family(members, labels=None, n: int | None = None) -> StarFamily:
     """A StarFamily of the members, labeled t0, t1, ... by default, on their
-    universe, or on ``n`` when there are none; strict mode additionally
-    demands pairwise commutation and closure under star, and names the first
-    gap, row by row. Only strict mode computes the star products."""
+    universe, or on ``n`` when there are none, that commutes pairwise and is
+    closed under star; the first gap is named, row by row. A family that
+    need not be closed is built by ``StarFamily`` itself."""
     members = tuple(members)
     if not members and n is None:
         raise StructureError("empty family needs an explicit universe size")
     if members:
         n = members[0].n
-    labels = tuple(f"t{i}" for i in range(len(members))) if labels is None else tuple(labels)
+    labels = tuple(f"t{i}" for i in range(len(members))) if labels is None else labels
     family = StarFamily(n, members, labels)
-    gap = unlisted(family.products) if require_closure else None
+    gap = unlisted(family.products)
     if gap is not None:
         i, j = gap
         w = commutation_witness(members[i], members[j])

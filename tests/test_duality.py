@@ -1,5 +1,5 @@
 import random
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 from hypothesis import assume, given, settings
@@ -236,8 +236,7 @@ def test_q_morphism_of_an_invalid_space_names_a_saturation_off_its_up_sets():
     # check_set_algebra names the same (label, mask)
     from infalg.set_algebra import check_set_algebra
 
-    eqs = star_family([Equivalence(3, [0, 1, 0]), Equivalence(3, [0, 0, 1])],
-                      require_closure=False)
+    eqs = StarFamily(3, [Equivalence(3, [0, 1, 0]), Equivalence(3, [0, 0, 1])], ["t0", "t1"])
     space = QSpace(chain_poset(3), eqs)
     assert not q_space_report(space).ok and not eqs.closed
     with pytest.raises(StructureError) as exc:
@@ -254,8 +253,8 @@ def test_q_morphism_of_a_family_that_is_not_closed_is_bounded_by_the_up_set_cap(
     from infalg import set_algebra
 
     n = 20
-    eqs = star_family([Equivalence(n, [x // 2 for x in range(n)]),
-                       Equivalence(n, [(x + 1) // 2 for x in range(n)])], require_closure=False)
+    eqs = StarFamily(n, [Equivalence(n, [x // 2 for x in range(n)]),
+                         Equivalence(n, [(x + 1) // 2 for x in range(n)])], ["t0", "t1"])
     space = QSpace(antichain_poset(n), eqs)
     assert not eqs.closed
     saturations = count_calls(monkeypatch, "saturate", set_algebra)
@@ -273,6 +272,23 @@ def test_double_dual_element_map_names_an_up_set_whose_preimage_is_not_one():
     wide = delta_space(antichain_poset(13))
     with pytest.raises(CapExceeded, match="^up-sets exceed the cap 4096$"):
         double_dual_element_map(QMorphism(tuple(range(13)), (0,)), wide, wide)
+
+
+@pytest.mark.parametrize("alpha, message, witness", [
+    ((0, 5), "alpha[1] = 5 is outside range(2)", 1),
+    ((-1, 0), "alpha[0] = -1 is outside range(2)", 0),
+    ((0,), "alpha has length 1, expected 2", 1),
+    ((0, 1, 0), "alpha has length 3, expected 2", 2),
+], ids=["past-range", "negative", "short", "long"])
+def test_double_dual_element_map_requires_a_total_point_map(alpha, message, witness):
+    # each alpha fails check_q_morphism's maps_total; the element map names
+    # the first index it cannot read instead of reading a partial map
+    space = delta_space(antichain_poset(2))
+    qm = QMorphism(alpha, (0,))
+    assert [item.name for item in check_q_morphism(qm, space, space).failures()] == ["maps_total"]
+    with pytest.raises(StructureError) as exc:
+        double_dual_element_map(qm, space, space)
+    assert (str(exc.value), exc.value.witness) == (message, witness)
 
 
 def test_dualize_identity_morphism(lv_2_chain3):
@@ -793,13 +809,9 @@ def test_check_q_morphism_matches_literal_loop():
     assert 0 < failed < 2000
 
 
-def literal_round_trip_space(s, double_dual=None):
+def literal_round_trip_space(s, double_dual):
     """round_trip_space with its point map and correspondence checks as
-    literal loops, on the library's double dual after reconstruct, or on
-    ``double_dual(s)``."""
-    if double_dual is None:
-        reconstruct(s)
-        double_dual = duality._double_dual
+    literal loops, on ``double_dual(s)``."""
     index = s.poset.up_set_index
     target, points = double_dual(s)
     n = s.poset.n
@@ -830,41 +842,6 @@ def literal_round_trip_space(s, double_dual=None):
     if not qm.ok:
         raise StructureError("space round trip is not a Q-morphism:\n" + qm.format())
     return target, QMorphism(lam, omega), points
-
-
-def round_trip_outcome(run, s):
-    try:
-        return run(s)
-    except StructureError as exc:
-        return str(exc)
-
-
-def test_round_trip_space_matches_literal_loop(monkeypatch):
-    # the double dual is replaced by one with a relabeled order or altered
-    # equivalences, so that each check fails somewhere
-    rng = random.Random(3)
-    spaces = [s for s in enumerate_q_spaces(3) if s.n > 1]
-    real_dual = duality._double_dual
-    messages = set()
-    for _ in range(300):
-        s = rng.choice(spaces)
-        target, points = real_dual(s)
-        poset, members = target.poset, list(target.eqs.members)
-        fresh = [eq for eq in all_equivalences(s.n) if eq not in members]
-        if rng.random() < 0.5 or not fresh:
-            poset = rng.choice(all_labeled_posets(s.n))
-        else:
-            members[rng.randrange(len(members))] = rng.choice(fresh)
-        tampered = QSpace(poset, StarFamily(s.n, tuple(members), target.eqs.labels))
-        monkeypatch.setattr(duality, "_double_dual", lambda s: (tampered, points))
-        expected = round_trip_outcome(literal_round_trip_space, s)
-        got = round_trip_outcome(round_trip_space, s)
-        if isinstance(expected, str):
-            assert got == expected
-            messages.add(expected.split(" at ")[0].split(":")[0])
-        else:
-            assert (got.target, got.morphism, got.points) == expected
-    assert messages == {"order not preserved", "equivalence correspondence broken"}
 
 
 # Each verdict has one route in the library; the second routes run here.
@@ -1112,18 +1089,18 @@ def failure(run, s):
     return type(e), str(e), e.witness, e.report and e.report.items
 
 
-IDENTITY2, ALL2 = Equivalence.identity(2), Equivalence.all_relation(2)
+ALL2 = Equivalence.all_relation(2)
 LEFT3, RIGHT3 = Equivalence(3, [0, 0, 1]), Equivalence(3, [0, 1, 1])
 GRID4 = [Equivalence(4, [0, 0, 1, 1]), Equivalence(4, [0, 1, 0, 1])]
 
 
 @pytest.mark.parametrize("s, message", [
     # not closed: the product of the grid's two partitions is not listed
-    (QSpace(antichain_poset(4), star_family(GRID4, require_closure=False)),
+    (QSpace(antichain_poset(4), StarFamily(4, GRID4, ["t0", "t1"])),
      "saturations not closed under composition at (0,1)"),
     # not closed, as the members do not commute: neither composite of their
     # saturations is listed
-    (QSpace(antichain_poset(3), star_family([LEFT3, RIGHT3], require_closure=False)),
+    (QSpace(antichain_poset(3), StarFamily(3, [LEFT3, RIGHT3], ["t0", "t1"])),
      "saturations not closed under composition at (0,1)"),
 ], ids=["unlisted", "not-commuting"])
 def test_failed_certificates_raise_the_table_route_error(s, message):
@@ -1140,22 +1117,11 @@ def test_colliding_saturations_leave_the_label_table_unresolved():
     # two distinct members saturate the empty and the full set alike; the
     # members of a Q-space never collide, as a separating member is fixed
     # by its saturations of the principal up-sets
-    sa = SetAlgebra(3, (0, 7), star_family([LEFT3, RIGHT3], require_closure=False))
+    sa = SetAlgebra(3, (0, 7), StarFamily(3, [LEFT3, RIGHT3], ["t0", "t1"]))
     assert sa.saturations == ((0, 1), (0, 1))
     with pytest.raises(StructureError, match="^cannot resolve composition: saturation "
                                              "arrays collide$"):
         sa.to_info_algebra()
-
-
-def test_an_asymmetric_label_table_falls_back_to_the_table_route(monkeypatch):
-    # a table whose composites of identity and all-relation disagree: the
-    # certificate hands over to verify_axioms, which every route reaches
-    s = QSpace(chain_poset(2), star_family([IDENTITY2, ALL2]))
-    assert s.eqs.products == ((0, 1), (1, 1))
-    monkeypatch.setattr(SetAlgebra, "label_table", property(lambda sa: ((0, 0), (1, 1))))
-    expected = failure(table_reconstruct, s)
-    assert expected[1].startswith("reconstructed algebra fails axioms:")
-    assert failure(reconstruct, s) == failure(round_trip_space, s) == expected
 
 
 @pytest.mark.parametrize("s, message", [
@@ -1168,6 +1134,34 @@ def test_double_duals_off_the_masks_raise_the_table_route_error(s, message):
     expected = failure(lambda s: literal_round_trip_space(s, table_double_dual), s)
     assert expected[1] == message
     assert failure(round_trip_space, s) == expected
+
+
+def test_resolving_label_tables_are_symmetric_and_every_route_agrees():
+    # _certify's closure-operator argument, over every family of one to four
+    # separating equivalences on the posets of up to 4 points, closed or
+    # not: a label table that resolves is symmetric and both round trips
+    # match the table routes, and a table that does not resolve fails every
+    # route alike
+    families = resolving = not_closed = 0
+    for poset in enumerate_posets(4):
+        pool = separating_equivalences(poset)
+        for k in range(1, 5):
+            for members in combinations(pool, k):
+                s = QSpace(poset, StarFamily(poset.n, members, [f"t{i}" for i in range(k)]))
+                families += 1
+                try:
+                    tab = s.up_set_algebra.label_table
+                except StructureError:
+                    expected = failure(table_reconstruct, s)
+                    assert failure(reconstruct, s) == failure(round_trip_space, s) == expected
+                    assert failure(lambda s: literal_round_trip_space(s, table_double_dual),
+                                   s) == expected
+                    continue
+                assert all(tab[i][j] == tab[j][i] for i in range(k) for j in range(i))
+                assert_space_routes_agree(s)
+                resolving += 1
+                not_closed += not s.eqs.closed
+    assert (families, resolving, not_closed) == (6996, 1185, 82)
 
 
 def wide_antichain_space():
@@ -1212,7 +1206,7 @@ def test_round_trip_space_builds_no_table(monkeypatch):
 
 def test_certificate_of_a_star_closed_family_saturates_only_in_the_report(monkeypatch):
     # the label table is the family's star products, read once they are
-    # derived, and the certificate is their symmetry
+    # derived, and the certificate is that they resolve
     from infalg import equivalence, set_algebra
 
     spaces = list(enumerate_q_spaces(4))

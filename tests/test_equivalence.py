@@ -265,7 +265,7 @@ def test_star_family_rejects_duplicates_and_gaps():
         star_family([GRID_ROWS, GRID_ROWS])
     with pytest.raises(StructureError):
         star_family([GRID_ROWS, GRID_COLS])  # product missing
-    relaxed = star_family([GRID_ROWS, GRID_COLS], require_closure=False)
+    relaxed = StarFamily(4, [GRID_ROWS, GRID_COLS], ["t0", "t1"])
     assert not relaxed.closed
     assert relaxed.products == ((0, None), (None, 1))
 
@@ -285,7 +285,21 @@ def test_star_family_type_rejects_what_the_factory_rejects(members, labels, mess
 
     expected = (StructureError, message, witness)
     assert outcome(lambda: StarFamily(4, members, labels)) == expected
-    assert outcome(lambda: star_family(members, labels, require_closure=False)) == expected
+    assert outcome(lambda: star_family(members, labels)) == expected
+
+
+def test_star_family_built_from_lists_hashes_and_equals_the_factorys():
+    # the type stores its members and labels as tuples, so a family built
+    # from lists is hashable, equal to the factory's and usable in a Q-space
+    from infalg.duality import QSpace
+    from infalg.order import antichain_poset
+
+    listed = StarFamily(2, [Equivalence.identity(2)], ["a"])
+    factory = star_family([Equivalence.identity(2)], ["a"])
+    assert (listed.members, listed.labels) == ((Equivalence.identity(2),), ("a",))
+    assert listed == factory and hash(listed) == hash(factory)
+    spaces = {QSpace(antichain_poset(2), listed), QSpace(antichain_poset(2), factory)}
+    assert len(spaces) == 1
 
 
 def test_star_family_empty_needs_universe():
@@ -352,7 +366,7 @@ def test_star_table_matches_literal_loop():
                 prod = star(a, b) if commutation_witness(a, b) is None else None
                 assert table[i][j] == (members.index(prod) if prod in members else None)
         assert star_family_outcome(members) == literal_star_family_outcome(members)
-        lenient = star_family(members, require_closure=False)
+        lenient = StarFamily(members[0].n, members, [f"t{i}" for i in range(len(members))])
         products, defect = literal_star_table(members)
         assert lenient.closed == (defect is None) and lenient.products == table
         failures += defect is not None
