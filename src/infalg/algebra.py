@@ -13,9 +13,9 @@ from functools import cached_property
 from itertools import product
 
 from .equivalence import Equivalence, star
-from .errors import DEFAULT_CAP, NonCommutingError, StructureError
-from .order import (BoundedJoinSemilattice, FinitePoset, bits, check_upset_cap,
-                    is_distributive, join_semilattice, semilattice_from_poset, try_lattice)
+from .errors import NonCommutingError, StructureError
+from .order import (BoundedJoinSemilattice, FinitePoset, is_distributive, join_semilattice,
+                    semilattice_from_poset, try_lattice)
 from .report import Report
 from .semigroup import compose, first_row_witness, grid, homomorphism_witness, table, unlisted
 
@@ -29,6 +29,12 @@ class InfoAlgebra:
     # labels denote extensionally equal maps (restricted saturations can
     # collide), where a table resolved from the arrays would pick one label
     composition: tuple[tuple[int, ...], ...] | None = None
+
+    def __post_init__(self):
+        if len(set(self.labels)) != len(self.labels):
+            raise StructureError(f"duplicate labels in {self.labels}")
+        if len(self.labels) != len(self.extractors):
+            raise StructureError("extractor/label count mismatch")
 
     @property
     def n(self) -> int:
@@ -290,9 +296,10 @@ def extraction_image(a: InfoAlgebra, k: int) -> tuple[InfoAlgebra, AlgebraMorphi
 
 
 def _restriction(a: InfoAlgebra, carrier, ks):
-    """The semilattice and the extractors ks of a, restricted to an ascending
-    carrier; StructureError names the first pair, extractor value or bound
-    that falls outside it."""
+    """The semilattice and the extractors ks of a, restricted to a carrier
+    sequence in any order, element i of the result being carrier[i];
+    StructureError names the first pair, extractor value or bound that falls
+    outside it."""
     pos = {x: i for i, x in enumerate(carrier)}
     join = []
     for x in carrier:
@@ -317,47 +324,22 @@ def _restriction(a: InfoAlgebra, carrier, ks):
 def ideal_completion(a: InfoAlgebra) -> tuple[InfoAlgebra, AlgebraMorphism]:
     """The algebra of all ideals (join-closed down-sets) with lifted operations.
 
-    Ideals are enumerated honestly, among the down-sets, which are the
-    up-sets of the dual order and bounded by the default up-set cap; in a
-    finite carrier they are exactly the principal down-sets, so the
-    embedding x -> down(x) is an isomorphism, which is checked.
+    On a finite carrier every ideal is the down-set of the join of its
+    members (Davey & Priestley, Introduction to Lattices and Order, 2002,
+    ch. 2), so the ideals are the down rows, in ascending mask order, and
+    the completion is the algebra relabeled by them: ideals combine to the
+    down row of the join of their generators, and e sends down(x) to
+    down(e(x)), as extractors are monotone. The embedding x -> down(x)
+    inverts that listing. No down-set is listed, so no up-set cap applies.
     """
-    poset, n = a.poset, a.n
-    down = poset.down
-    ideals = []
-    for mask in check_upset_cap(poset.dual(), DEFAULT_CAP):
-        if mask == 0:
-            continue
-        elems = list(bits(mask))
-        if all((mask >> a.join(x, y)) & 1 for x in elems for y in elems):
-            ideals.append(mask)
-    ideals.sort()
-    pos = {m: i for i, m in enumerate(ideals)}
-
-    def combine(im, jm):
-        out = 0
-        for x in bits(im):
-            for y in bits(jm):
-                out |= down[a.join(x, y)]
-        return out
-
-    join = tuple(tuple(pos[combine(im, jm)] for jm in ideals) for im in ideals)
-    sl = join_semilattice(join, pos[down[a.unit]], pos[poset.full_mask()])
-
-    def extract(k, im):
-        out = 0
-        for y in bits(im):
-            out |= down[a.apply(k, y)]
-        return out
-
+    order = sorted(range(a.n), key=a.poset.down.__getitem__)
     ks = range(len(a.extractors))
-    extractors = tuple(tuple(pos[extract(k, im)] for im in ideals) for k in ks)
+    sl, extractors = _restriction(a, order, ks)
     composition = tuple(tuple(a.compose_label(i, j) for j in ks) for i in ks)
     completion = InfoAlgebra(sl, extractors, a.labels, composition)
-    embed = AlgebraMorphism(tuple(pos[down[x]] for x in range(n)), tuple(ks))
-    if not is_isomorphism(embed, a, completion):
-        raise StructureError("ideal completion of a finite algebra must be isomorphic")
-    return completion, embed
+    # the inverse permutation of order: x -> the position of down(x)
+    embed = tuple(sorted(range(a.n), key=order.__getitem__))
+    return completion, AlgebraMorphism(embed, tuple(ks))
 
 
 def dedupe_extractors(a: InfoAlgebra) -> tuple[InfoAlgebra, AlgebraMorphism]:
@@ -388,8 +370,12 @@ def dedupe_extractors(a: InfoAlgebra) -> tuple[InfoAlgebra, AlgebraMorphism]:
 
 def image_algebra(m: AlgebraMorphism, a: InfoAlgebra, b: InfoAlgebra) -> InfoAlgebra:
     """The image of a homomorphism as a subalgebra of the codomain;
-    StructureError names the first entry of m.f or m.g that is not an
-    element or an extractor index of b."""
+    StructureError names a map m.f or m.g whose length is not a's element or
+    extractor count, else its first entry that is not one of b's."""
+    for name, arr, size in (("f", m.f, a.n), ("g", m.g, len(a.extractors))):
+        if len(arr) != size:
+            raise StructureError(f"{name} has length {len(arr)}, expected {size}",
+                                 witness=(name, min(len(arr), size)))
     for name, arr, limit in (("f", m.f, b.n), ("g", m.g, len(b.extractors))):
         i = next((i for i, v in enumerate(arr) if not 0 <= v < limit), None)
         if i is not None:

@@ -9,8 +9,8 @@ from itertools import combinations
 from .algebra import AlgebraMorphism, InfoAlgebra, is_homomorphism
 from .equivalence import Equivalence, saturate
 from .errors import CapExceeded, PreconditionError
-from .order import (bits, complements, glb_of_set, is_distributive, join_semilattice, mask_of,
-                    pullback, try_lattice)
+from .order import (complements, glb_of_set, is_distributive, join_semilattice, mask_of, pullback,
+                    try_lattice)
 from .report import Report
 
 ATOM_POWERSET_LIMIT = 10
@@ -42,12 +42,10 @@ def classify(a: InfoAlgebra) -> AtomReport:
     at = tuple(pullback(ats, up) for up in a.poset.up)
     nonzero = [x for x in range(a.n) if x != a.zero]
     atomic = all(at[x] != 0 for x in nonzero)
-    atomistic = all(glb_of_set(a.poset, mask_of(ats[i] for i in bits(at[x]))) == x
-                    for x in nonzero)
-    completely = False
-    if atomistic:
-        realized = {at[x] for x in nonzero}
-        completely = all(m in realized for m in range(1, 1 << len(ats)))
+    atom_mask = mask_of(ats)
+    atomistic = all(glb_of_set(a.poset, a.poset.up[x] & atom_mask) == x for x in nonzero)
+    # atomistic, each At(x) is a nonempty atom set: all are realized iff as many
+    completely = atomistic and len({at[x] for x in nonzero}) == (1 << len(ats)) - 1
     return AtomReport(ats, at, atomic, atomistic, completely)
 
 

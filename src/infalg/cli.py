@@ -322,4 +322,4 @@ def main(argv=None) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main())  # unreachable: the tests call main, never run this module as a script

@@ -159,8 +159,8 @@ def gen_multivariate(domain_sizes, cap: int = DEFAULT_CAP) -> SetAlgebra:
     for a in range(1 << v):
         for b in range(1 << v):
             if star(by_mask[a], by_mask[b]) != by_mask[a & b]:
-                raise StructureError(f"projection star identity failed at {(a, b)}",
-                                     witness=(a, b))
+                raise StructureError(  # unreachable: two projections star to the one onto a & b
+                    f"projection star identity failed at {(a, b)}", witness=(a, b))
     return SetAlgebra(m, tuple(range(1 << m)), star_family(first, first.values()))
 
 

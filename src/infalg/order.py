@@ -424,7 +424,7 @@ def is_distributive(lat: BoundedJoinSemilattice) -> tuple[bool, tuple | None]:
         w = homomorphism_witness(row, join, join)
         if w is not None:
             return False, (a, *w)
-    return True, None
+    return True, None  # unreachable: a failed certificate has a meet row breaking a join
 
 
 def complements(lat: BoundedJoinSemilattice) -> tuple[dict[int, int] | None, int | None]:

@@ -100,6 +100,34 @@ def test_kernel_theorem_generated(generated_suite):
         assert check_kernel_theorem(a), name
 
 
+def test_kernel_theorem_fails_on_unchecked_extractors():
+    from infalg.errors import NonCommutingError
+    from infalg.order import chain_lattice
+
+    lat = chain_lattice(3)
+    # idempotent maps, so each kernel's star with itself passes, and their
+    # kernels {0,1}{2} and {0,2}{1} do not commute
+    a = InfoAlgebra(lat, ((0, 0, 2), (0, 1, 0)), ("e0", "e1"))
+    with pytest.raises(NonCommutingError):
+        star(kernel(a, 0), kernel(a, 1))
+    assert not check_kernel_theorem(a)
+    # kernels {0,1,2} and {0,1}{2} commute, but e1 after e1 is constant, so
+    # the star of e1's kernel with itself is not the composite's kernel
+    b = InfoAlgebra(lat, ((0, 0, 0), (0, 0, 1)), ("e0", "e1"))
+    assert star(kernel(b, 1), kernel(b, 1)) != kernel_of_array(compose(b.extractors[1],
+                                                                       b.extractors[1]))
+    assert not check_kernel_theorem(b)
+
+
+def test_info_algebra_rejects_labels_that_do_not_match_its_extractors(string22):
+    g = string22
+    assert len(g.extractors) == 3
+    with pytest.raises(StructureError, match="^extractor/label count mismatch$"):
+        InfoAlgebra(g.sl, g.extractors, g.labels[:2])
+    with pytest.raises(StructureError, match="^duplicate labels in \\('e0', 'e0', 'e1'\\)$"):
+        InfoAlgebra(g.sl, g.extractors, ("e0", "e0", "e1"))
+
+
 def test_kernel_star_matches_composite_kernel(string23):
     a = string23
     for k in range(len(a.extractors)):
@@ -318,14 +346,31 @@ def test_algebra_equality_and_hash_ignore_cached_verdict(mv22_algebra):
                                 for p in f1.members)
 
 
-def test_ideal_completion_is_bounded_by_the_up_set_cap_alone():
+def test_ideal_completion_lists_no_down_sets(monkeypatch):
     # the 25-element chain has 26 down-sets, more points than the removed
     # 20-point limit allowed; the 32-element string(2, 4) has 458,331
-    # down-sets, past the default cap, and fails at the first past it
+    # down-sets, past the default up-set cap, and the seven benchmark
+    # families as many or more: the completion relabels the down rows
+    # and calls no up-set search
+    from infalg import order
+    from infalg.generators import gen_lattice_valued, gen_multivariate
+    from infalg.order import chain_lattice
+
     a = make_algebra(chain_poset(25), [tuple(range(25))])
+    algebras = [gen_string(2, 4), gen_string(2, 5), gen_string(2, 6), gen_string(3, 3),
+                gen_multivariate([2, 2]).to_info_algebra(),
+                gen_multivariate([2, 3]).to_info_algebra(),
+                gen_lattice_valued([3], chain_lattice(3)),
+                gen_lattice_valued([2, 2], chain_lattice(3))]
+
+    def fail(*args):
+        raise AssertionError("closed_sets called")
+
+    monkeypatch.setattr(order, "closed_sets", fail)
     assert ideal_completion(a)[0].n == 25
-    with pytest.raises(CapExceeded, match="^up-sets exceed the cap 4096$"):
-        ideal_completion(gen_string(2, 4))
+    for b in algebras:
+        comp, emb = ideal_completion(b)
+        assert comp.n == b.n and sorted(emb.f) == list(range(b.n))
 
 
 def test_ideal_completion_two_chain():
@@ -347,14 +392,41 @@ def test_ideal_completion_generated(generated_suite):
         assert is_isomorphism(emb, a, comp), name
 
 
+def ideal_completion_by_listing(a):
+    """The listing route: every join-closed down-set among the up-sets of
+    the dual order, in ascending mask order, with the join and the
+    extractors lifted pairwise over the members of the ideals."""
+    down = a.poset.down
+    ideals = sorted(m for m in up_sets(a.poset.dual()) if m and all(
+        (m >> a.join(x, y)) & 1 for x in bits(m) for y in bits(m)))
+    pos = {m: i for i, m in enumerate(ideals)}
+
+    def lift(values):
+        out = 0
+        for v in values:
+            out |= down[v]
+        return pos[out]
+
+    join = tuple(tuple(lift(a.join(x, y) for x in bits(im) for y in bits(jm)) for jm in ideals)
+                 for im in ideals)
+    extractors = tuple(tuple(lift(e[y] for y in bits(im)) for im in ideals)
+                       for e in a.extractors)
+    up = tuple(sum(1 << j for j, jm in enumerate(ideals) if im & ~jm == 0) for im in ideals)
+    ks = range(len(a.extractors))
+    composition = tuple(tuple(a.compose_label(i, j) for j in ks) for i in ks)
+    embed = tuple(pos[down[x]] for x in range(a.n))
+    return (up, join, pos[down[a.unit]], pos[a.poset.full_mask()], extractors, a.labels,
+            composition, embed, tuple(ks))
+
+
 def test_ideal_completion_order_is_ideal_inclusion(generated_suite):
-    for name, a in generated_suite.items():
-        comp, _ = ideal_completion(a)
-        ideals = sorted(m for m in up_sets(a.poset.dual()) if m and all(
-            (m >> a.join(x, y)) & 1 for x in bits(m) for y in bits(m)))
-        up = tuple(sum(1 << j for j, jm in enumerate(ideals) if im & ~jm == 0)
-                   for im in ideals)
-        assert comp.sl.poset.up == up, name
+    # every field of the completion and its embedding against the listing
+    # route, on the generated algebras and the universe up to 5 elements
+    for name, a in [*generated_suite.items(), *enumerate(enumerate_algebras(5))]:
+        comp, emb = ideal_completion(a)
+        got = (comp.sl.poset.up, comp.sl.join, comp.unit, comp.zero, comp.extractors,
+               comp.labels, comp.composition, emb.f, emb.g)
+        assert got == ideal_completion_by_listing(a), name
 
 
 def test_image_algebra_rejects_an_image_that_is_not_a_subalgebra():
@@ -381,6 +453,21 @@ def test_image_algebra_rejects_an_image_that_is_not_a_subalgebra():
     with pytest.raises(StructureError, match="not closed under join at \\(1,2\\)") as err:
         extraction_image(broken, 0)
     assert err.value.witness == (1, 2)
+
+
+def test_image_algebra_rejects_a_map_that_is_not_total(string22):
+    a = string22   # 8 elements and 3 extractors
+    m = AlgebraMorphism((0, 7), (0,))
+    assert not is_homomorphism(m, a, a).ok
+    every = tuple(range(8))
+    cases = [(m, "f has length 2, expected 8", ("f", 2)),
+             (AlgebraMorphism(every + (0,), (0, 1, 2)), "f has length 9, expected 8", ("f", 8)),
+             (AlgebraMorphism(every, (0,)), "g has length 1, expected 3", ("g", 1)),
+             (AlgebraMorphism(every, (0, 1, 2, 0)), "g has length 4, expected 3", ("g", 3))]
+    for m, message, witness in cases:
+        with pytest.raises(StructureError, match=f"^{message}$") as err:
+            image_algebra(m, a, a)
+        assert err.value.witness == witness
 
 
 def test_image_algebra_order_is_induced(generated_suite):

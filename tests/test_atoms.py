@@ -9,7 +9,7 @@ from infalg.atoms import (AtomRepresentation, atom_representation, atoms,
 from infalg.equivalence import Equivalence, commutation_witness, saturate
 from infalg.errors import CapExceeded, PreconditionError
 from infalg.generators import gen_string, string_elements
-from infalg.order import chain_poset
+from infalg.order import bits, chain_poset, glb_of_set, mask_of
 
 
 def test_atoms_two_chain():
@@ -115,6 +115,20 @@ def test_finite_algebras_are_atomic(generated_suite):
         assert classify(a).atomic
 
 
+def atomistic_by_loops(a, report):
+    """Atomistic and completely atomistic, by rebuilding each atom set's
+    mask from its atom positions and by testing every nonempty atom set."""
+    ats, at = report.atoms, report.at
+    nonzero = [x for x in range(a.n) if x != a.zero]
+    atomistic = all(glb_of_set(a.poset, mask_of(ats[i] for i in bits(at[x]))) == x
+                    for x in nonzero)
+    completely = False
+    if atomistic:
+        realized = {at[x] for x in nonzero}
+        completely = all(m in realized for m in range(1, 1 << len(ats)))
+    return atomistic, completely
+
+
 def test_every_carrier_up_to_six_elements_is_atomic():
     # classify reads only the carrier order. The carriers of
     # enumerate_algebras(6) are the distributive lattices of 1 to 6 elements,
@@ -135,7 +149,9 @@ def test_every_carrier_up_to_six_elements_is_atomic():
     lattices = [InfoAlgebra(lat, (tuple(range(lat.n)),), ("id",))
                 for lat in enumerate_lattices(5, distributive_only=False)]
     for a in [*ups, *lattices, *enumerate_algebras(5)]:
-        assert classify(a).atomic
+        report = classify(a)
+        assert report.atomic
+        assert (report.atomistic, report.completely_atomistic) == atomistic_by_loops(a, report)
 
 
 def test_at_of_combination_is_intersection(generated_suite):
@@ -274,3 +290,19 @@ def test_at_join_check_matches_literal_subset_loop(mv22_algebra):
         assert check_complete_atomistic_boolean(b).witness("at_preserves_joins") == expected
         failing += expected is not None
     assert 0 < failing < len(cases)
+
+
+def test_atom_representation_rejects_an_algebra_that_is_not_atomic():
+    # the 2-chain with its zero moved to its bottom: element 1 is nonzero
+    # and lies below no atom
+    from dataclasses import replace
+
+    from infalg.algebra import InfoAlgebra
+
+    a = make_algebra(chain_poset(2), [(0, 1)])
+    a = InfoAlgebra(replace(a.sl, zero=0), a.extractors, a.labels)
+    assert not classify(a).atomic
+    message = "^not atomic: element 1 lies below no atom$"
+    with pytest.raises(PreconditionError, match=message) as err:
+        atom_representation(a)
+    assert err.value.witness == 1

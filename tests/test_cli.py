@@ -491,6 +491,14 @@ def test_cli_format_json(tmp_path, capsys):
     assert payload["ok"] is True
 
 
+def test_cli_json_witness_renders_other_values_by_repr():
+    # tuples and lists become lists; a value JSON has no type for, such as
+    # an equivalence, becomes its repr
+    witness = ((0, Equivalence(3, "aab")), [None, True, "x"])
+    assert cli._jsonable(witness) == [[0, "Equivalence({0,1}|{2})"], [None, True, "x"]]
+    assert json.loads(json.dumps(cli._jsonable(witness))) == cli._jsonable(witness)
+
+
 def test_cli_deterministic_output(tmp_path):
     p1 = gen_file(tmp_path, "gen", "multivariate", 2, 2, name="a.json")
     p2 = gen_file(tmp_path, "gen", "multivariate", 2, 2, name="b.json")

@@ -87,6 +87,20 @@ def test_round_trip_two_chain():
     assert rt.target.n == 2
 
 
+def test_round_trip_algebra_rejects_an_image_that_is_no_isomorphism():
+    # the 2-element algebra with both order rows full: its two elements go
+    # to one up-set of the dual, so the image map is no bijection
+    from dataclasses import replace
+
+    from infalg.algebra import InfoAlgebra
+
+    a = next(a for a in enumerate_algebras(2) if a.n == 2)
+    b = InfoAlgebra(replace(a.sl, poset=FinitePoset(2, (0b11, 0b11))), a.extractors, a.labels,
+                    a.composition)
+    with pytest.raises(StructureError, match="^algebra round trip failed to be an isomorphism$"):
+        round_trip_algebra(b)
+
+
 def test_round_trip_multivariate(mv22_algebra):
     rt = round_trip_algebra(mv22_algebra)
     assert rt.space.poset.n == 4

@@ -20,6 +20,13 @@ def test_canonical_block_ids():
     assert Equivalence(3, [7, 9, 7]).block_of == (0, 1, 0)
 
 
+def test_equivalence_needs_one_label_per_point_and_shows_its_blocks():
+    with pytest.raises(StructureError, match="^expected 3 labels, got 2$"):
+        Equivalence(3, "ab")
+    assert repr(Equivalence(4, "abab")) == "Equivalence({0,2}|{1,3})"
+    assert repr(Equivalence(0, "")) == "Equivalence()"
+
+
 def test_equal_equivalences_hash_equal():
     same = [Equivalence(4, "bbaa"), Equivalence(4, [7, 7, 1, 1]),
             Equivalence.from_blocks(4, [[0, 1], [2, 3]])]

@@ -30,6 +30,13 @@ def test_require_returns_a_holding_report_and_raises_with_a_failing_one():
     assert type(exc.value) is StructureError
 
 
+def test_report_witness_of_an_unlisted_name_is_none():
+    report = Report()
+    report.add("checked", False, (0, 1))
+    assert report.witness("checked") == (0, 1)
+    assert report.witness("unchecked") is None
+
+
 def test_every_library_error_carries_report_and_witness():
     for error in (InfAlgError("m"), FormatError("m"), StructureError("m"), CapExceeded("m"),
                   PreconditionError("m"), SemanticFailure("m")):

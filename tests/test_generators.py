@@ -271,6 +271,12 @@ def test_all_lattice_counts():
     assert counts == {1: 1, 2: 1, 3: 1, 4: 2, 5: 5}
 
 
+def test_lattice_enumeration_limit():
+    limit = generators.LATTICE_ENUM_LIMIT
+    with pytest.raises(CapExceeded, match=f"^lattice enumeration limited to {limit} elements$"):
+        enumerate_lattices(limit + 1)
+
+
 def test_enumerate_algebras_two_elements():
     algs = list(enumerate_algebras(2))
     assert len(algs) == 2  # the single point and the two-chain with identity

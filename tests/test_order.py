@@ -63,6 +63,14 @@ def test_lub_detects_inconsistent_table():
     assert not report.ok and report.witness("idempotent") == 2
 
 
+def test_semilattice_from_join_checks_the_table():
+    sl = chain_lattice(3)
+    assert order.semilattice_from_join(sl.join, sl.unit, sl.zero) == sl
+    with pytest.raises(StructureError, match="^not a bounded join-semilattice:\n") as err:
+        order.semilattice_from_join(((0, 1, 2), (1, 1, 2), (2, 2, 1)), sl.unit, sl.zero)
+    assert err.value.report.witness("idempotent") == 2
+
+
 def test_glb_string_longest_common_prefix():
     a = gen_string(2, 2)
     names = string_elements(2, 2)
