@@ -284,10 +284,12 @@ def extraction_image(a: InfoAlgebra, k: int) -> tuple[InfoAlgebra, AlgebraMorphi
 
     The image is closed under combination and under every listed extractor;
     the whole label family acts on it (possibly with collisions), so the
-    composition table is inherited.
+    composition table is inherited. StructureError names a k out of range.
     """
-    image = sorted(set(a.extractors[k]))
     ks = range(len(a.extractors))
+    if k not in ks:
+        raise StructureError(f"k = {k} is outside range({len(ks)})", witness=k)
+    image = sorted(set(a.extractors[k]))
     sl, extractors = _restriction(a, image, ks)
     composition = tuple(tuple(a.compose_label(i, j) for j in ks) for i in ks)
     sub = InfoAlgebra(sl, extractors, a.labels, composition)

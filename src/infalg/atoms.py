@@ -6,7 +6,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .algebra import AlgebraMorphism, InfoAlgebra, is_homomorphism
+from .algebra import AlgebraMorphism, InfoAlgebra
 from .equivalence import Equivalence, saturate
 from .errors import CapExceeded, PreconditionError
 from .order import (complements, glb_of_set, is_distributive, join_semilattice, mask_of, pullback,
@@ -63,8 +63,13 @@ def atom_representation(a: InfoAlgebra) -> AtomRepresentation:
 
     The target carrier index coincides with the atom-set mask, ordered by
     reverse inclusion; the extractors are the saturations of the kernels
-    restricted to the atoms. Always a homomorphism; an embedding exactly
-    when the source is atomistic; onto exactly when completely atomistic.
+    restricted to the atoms. A homomorphism: x -> At(x) preserves joins and
+    bounds; atoms alpha >= e(beta) have e(alpha) = e(beta), as e(alpha) >=
+    e(beta) and the combination law makes e(beta v e(alpha)) = e(alpha) not
+    the zero; so an atom beta >= e(x) lies in the saturation of At(x), via
+    an atom above e(beta) v x, and At(e(x)) is that saturation. An
+    embedding exactly when the source is atomistic; onto exactly when
+    completely atomistic.
     """
     report = classify(a)
     if not report.atomic:
@@ -85,8 +90,6 @@ def atom_representation(a: InfoAlgebra) -> AtomRepresentation:
     composition = tuple(tuple(a.compose_label(k, l) for l in ks) for k in ks)
     target = InfoAlgebra(sl, extractors, a.labels, composition)
     morphism = AlgebraMorphism(tuple(report.at), tuple(ks))
-    is_homomorphism(morphism, a, target, check_meets=False).require(
-        "atom representation is not a homomorphism")
     injective = len(set(morphism.f)) == a.n
     onto = len(set(morphism.f)) == size
     return AtomRepresentation(ats, target, morphism, injective, injective and onto)

@@ -192,7 +192,7 @@ def qspace_from_doc(doc, cap: int | None = None) -> ParsedQSpace:
     _require(isinstance(doc, dict), "document must be an object")
     known = {"n", "leq", "equivalences"}
     _require(set(doc) <= known, f"unknown keys {sorted(set(doc) - known)}")
-    for key in known:
+    for key in ("n", "leq", "equivalences"):
         _require(key in doc, f"missing key {key!r}")
     n = _size(doc, cap, "point set", 0)
     rows = _bool_table(doc, "leq", n)

@@ -420,11 +420,8 @@ def is_distributive(lat: BoundedJoinSemilattice) -> tuple[bool, tuple | None]:
         return True, None
     # distributive iff every meet translation meet[a] is a join endomorphism
     join = lat.join
-    for a, row in enumerate(lat.meet):
-        w = homomorphism_witness(row, join, join)
-        if w is not None:
-            return False, (a, *w)
-    return True, None  # unreachable: a failed certificate has a meet row breaking a join
+    return False, next((a, *w) for a, row in enumerate(lat.meet)
+                       if (w := homomorphism_witness(row, join, join)) is not None)
 
 
 def complements(lat: BoundedJoinSemilattice) -> tuple[dict[int, int] | None, int | None]:

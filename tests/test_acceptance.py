@@ -123,7 +123,8 @@ def test_criterion_05_atom_theorem(generated_suite):
     for name, a in generated_suite.items():
         rep = classify(a)
         assert rep.atomic, name
-        ar = atom_representation(a)  # raises unless a homomorphism
+        ar = atom_representation(a)
+        assert is_homomorphism(ar.morphism, a, ar.target, check_meets=False).ok, name
         assert ar.is_embedding == rep.atomistic, name
         assert ar.is_isomorphism == rep.completely_atomistic, name
         embeds[name], isos[name] = ar.is_embedding, ar.is_isomorphism
@@ -263,9 +264,10 @@ def test_criterion_10_morphism_duality():
     assert len(homs) >= 20
     for m, a, b in homs:
         assert is_homomorphism(m, a, b, check_meets=True).ok
-        qm = dualize_morphism(m, a, b)  # raises unless a verified Q-morphism
+        qm = dualize_morphism(m, a, b)
         space_a, points_a = _dual(a)
         space_b, points_b = _dual(b)
+        assert check_q_morphism(qm, space_b, space_a).ok
         f_injective = len(set(m.f)) == a.n
         f_surjective = len(set(m.f)) == b.n
         alpha_onto = set(qm.alpha) == set(range(len(points_a)))

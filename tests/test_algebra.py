@@ -178,6 +178,15 @@ def test_extraction_image_string_e1(string22):
     assert [names[x] for x in incl.f] == ["", "a", "b", "0"]
 
 
+@pytest.mark.parametrize("k", [4, -1], ids=["past-the-end", "negative"])
+def test_extraction_image_rejects_an_extractor_index_out_of_range(mv22_algebra, k):
+    # a negative index would silently take an extractor from the end
+    assert len(mv22_algebra.extractors) == 4
+    with pytest.raises(StructureError, match=f"^k = {k} is outside range\\(4\\)$") as err:
+        extraction_image(mv22_algebra, k)
+    assert err.value.witness == k
+
+
 def test_extraction_image_global_projection(mv22_algebra):
     sub, incl = extraction_image(mv22_algebra, mv22_algebra.labels.index("s"))
     assert sub.n == 2

@@ -3,12 +3,12 @@ from itertools import combinations
 
 import pytest
 
-from infalg.algebra import extraction_image, make_algebra, verify_axioms
+from infalg.algebra import extraction_image, is_homomorphism, make_algebra, verify_axioms
 from infalg.atoms import (AtomRepresentation, atom_representation, atoms,
                           check_complete_atomistic_boolean, classify)
 from infalg.equivalence import Equivalence, commutation_witness, saturate
 from infalg.errors import CapExceeded, PreconditionError
-from infalg.generators import gen_string, string_elements
+from infalg.generators import enumerate_algebras, gen_string, string_elements
 from infalg.order import bits, chain_poset, glb_of_set, mask_of
 
 
@@ -216,6 +216,14 @@ def test_atom_representation_is_homomorphism_on_suite(generated_suite):
             ar = atom_representation(a)
             assert isinstance(ar, AtomRepresentation)
             assert verify_axioms(ar.target).ok
+    # the homomorphism atom_representation's docstring proves, on every
+    # atomic algebra of the suite and of the enumerated universe
+    atomic = [a for a in [*generated_suite.values(), *enumerate_algebras(5)]
+              if classify(a).atomic]
+    assert len(atomic) > len(generated_suite)
+    for a in atomic:
+        ar = atom_representation(a)
+        assert is_homomorphism(ar.morphism, a, ar.target, check_meets=False).ok
 
 
 def test_boolean_consequences_multivariate(mv22_algebra):

@@ -1,6 +1,9 @@
 import hashlib
 import json
+import os
 import random
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -503,6 +506,18 @@ def test_cli_deterministic_output(tmp_path):
     p1 = gen_file(tmp_path, "gen", "multivariate", 2, 2, name="a.json")
     p2 = gen_file(tmp_path, "gen", "multivariate", 2, 2, name="b.json")
     assert Path(p1).read_text() == Path(p2).read_text()
+
+
+def test_cli_qspace_missing_key_is_independent_of_the_hash_seed(tmp_path):
+    # the required keys are checked in file order, never in set order
+    path = write(tmp_path, "empty.json", "{}")
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    for seed in range(8):
+        env = {**os.environ, "PYTHONHASHSEED": str(seed), "PYTHONPATH": src}
+        proc = subprocess.run([sys.executable, "-m", "infalg.cli", "reconstruct", path],
+                              capture_output=True, text=True, env=env, check=False)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (
+            2, "", "error: missing key 'n'\n"), seed
 
 
 BROKEN_FILES = [

@@ -545,6 +545,18 @@ def test_q_space_is_validated_once(monkeypatch):
     assert len(calls) == len(space.eqs.members)
 
 
+@pytest.mark.parametrize("k", [3, 1], ids=["larger-family", "smaller-family"])
+def test_q_space_report_stops_at_a_universe_mismatch(k):
+    # no separating test runs across two universes: on a larger family it
+    # would index past the order, on a smaller one it would pass vacuously
+    eqs = StarFamily(k, [Equivalence.all_relation(k)], ["a"])
+    report = q_space_report(QSpace(antichain_poset(2), eqs))
+    assert report.format() == "FAIL  universe_match"
+    with pytest.raises(StructureError) as exc:
+        make_q_space(antichain_poset(2), eqs)
+    assert exc.value.report.format() == "FAIL  universe_match"
+
+
 def test_make_nontrivial_separating_tries_principal_up_sets_first():
     # a 2-chain a < b beside a 28-point antichain has 3 * 2^28 up-sets; the
     # principal up-set {a, b} separates, so no other up-set is listed
@@ -973,6 +985,8 @@ def test_second_routes_hold_on_the_enumerated_universe(generated_suite):
     algebras = list(generated_suite.values()) + list(enumerate_algebras(5))
     for a in algebras:
         if is_distributive_cdf(a).ok:
+            # dualize builds Cignoli's relation and does not check it separates
+            assert q_space_report(dualize(a)).ok
             rt = round_trip_algebra(a)
             assert rt.space.eqs.members == trace_members(a)
             assert is_homomorphism(rt.morphism, a, rt.target, check_meets=True).ok

@@ -93,6 +93,13 @@ def test_multivariate_star_identity(multivariate22):
     assert star(by_label["s0"], by_label["s1"]) == by_label["s"]
     assert by_label["s"] == Equivalence.all_relation(4)
     assert by_label["s01"] == Equivalence.identity(4)
+    # the identity gen_multivariate proves and does not check: two projections
+    # star to the projection onto the intersection of their variable subsets
+    for sizes in ([1], [2], [3], [2, 2], [2, 3], [2, 2, 2]):
+        by_mask = generators._projections(sizes)
+        assert set(generators.gen_multivariate(sizes).eqs.members) == set(by_mask)
+        for a, b in product(range(1 << len(sizes)), repeat=2):
+            assert star(by_mask[a], by_mask[b]) == by_mask[a & b], (sizes, a, b)
 
 
 def test_multivariate_completely_atomistic(mv22_algebra):
