@@ -53,7 +53,7 @@ class QSpace:
         once and returned by q_space_report, so callers must not mutate it."""
         report = Report()
         match = self.eqs.n == self.poset.n
-        report.add("universe_match", match)
+        report.add("universe_match", match, (self.eqs.n, self.poset.n))
         if not match:
             return report
         for lab, theta in zip(self.eqs.labels, self.eqs.members):

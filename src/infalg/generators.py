@@ -26,8 +26,8 @@ from .duality import QSpace, check_separating
 from .equivalence import Equivalence, StarFamily, all_equivalences, star_family, star_table
 from .errors import DEFAULT_CAP, CapExceeded, PreconditionError, StructureError
 from .order import (BoundedJoinSemilattice, FinitePoset, automorphisms, bits, closed_sets,
-                    is_distributive, join_semilattice, lattice_from_semilattice, mask_of,
-                    relabelings, semilattice_from_poset, up_rows)
+                    is_distributive, lattice_from_semilattice, mask_of, relabelings,
+                    semilattice_from_poset, up_rows)
 from .semigroup import compose, first_row_witness, homomorphism_witness, table
 from .set_algebra import SetAlgebra
 
@@ -46,9 +46,16 @@ def gen_string(k: int, max_len: int, cap: int = DEFAULT_CAP) -> InfoAlgebra:
     Combination keeps the longer word when one is a prefix of the other and
     collapses to the contradiction otherwise. Extractor m truncates to the
     first m letters; the last extractor is the identity on the truncated
-    carrier. The prefix order's up rows are built over the prefix tree,
-    longest words first: a word's row is its own bit or-ed with the rows of
-    its one-letter extensions.
+    carrier.
+
+    Both tables are built over the prefix tree; neither is derived from the
+    other. The words form a tree under the prefix order, with the
+    contradiction above them all, so two words have a common upper bound
+    other than the contradiction iff they are comparable, and then the
+    longer one is their join. So the join row of word i holds j at each
+    extension j of i (each j in up[i]), i at each proper prefix of i (its
+    ancestors in the tree) and the contradiction elsewhere. The empty word
+    is the unit.
     """
     if k < 1 or max_len < 1:
         raise PreconditionError(f"need k >= 1 and max_len >= 1, got {(k, max_len)}")
@@ -69,7 +76,19 @@ def gen_string(k: int, max_len: int, cap: int = DEFAULT_CAP) -> InfoAlgebra:
     up = [1 << zero] * n
     for i in reversed(range(zero)):
         up[i] = reduce(or_, up[k * i + 1:k * i + k + 1], up[i] | 1 << i)
-    sl = semilattice_from_poset(FinitePoset(n, tuple(up)))
+    # by the same listing, the parent of word p > 0 is word (p - 1) // k
+    join = []
+    for i in range(zero):
+        row = [zero] * n
+        for j in bits(up[i]):
+            row[j] = j
+        p = i
+        while p:
+            p = (p - 1) // k
+            row[p] = i
+        join.append(tuple(row))
+    join.append((zero,) * n)
+    sl = BoundedJoinSemilattice(FinitePoset(n, tuple(up)), tuple(join), 0, zero)
 
     extractors = []
     for m in range(max_len + 1):
@@ -166,9 +185,17 @@ def gen_lattice_valued(domain_sizes, lam: BoundedJoinSemilattice,
 
     Combination is the pointwise join; extractor s sends a map to the one
     that is constant on each block of points agreeing on the variables in
-    s, at the meet of the map over the block. The join table is built from
-    the product structure, one coordinate at a time, each row a
-    concatenation of shifted rows of the smaller table.
+    s, at the meet of the map over the block.
+
+    Both tables are built from the product structure, one coordinate at a
+    time; neither is derived from the other. A map's index is its base-L
+    numeral, first point most significant, so on w = L^k maps the map
+    (a, p), value a at the new point and p on the k others, has index
+    a * w + p. Its join row holds, for each b, the row of p shifted by
+    join(a, b) * w. The order is pointwise, (a, p) <= (b, q) iff a <= b and
+    p <= q, so its up row is the or, over each b >= a, of the up row of p
+    shifted by b * w. The pointwise join is the least upper bound in that
+    order, with the constant maps at L's unit and zero as its bounds.
     """
     ok, w = is_distributive(lam)
     if not ok:
@@ -177,15 +204,21 @@ def gen_lattice_valued(domain_sizes, lam: BoundedJoinSemilattice,
     nv = lattice_valued_points(domain_sizes, lam.n, cap)
     carrier = list(product(range(lam.n), repeat=nv))
     idx = {phi: i for i, phi in enumerate(carrier)}
-    # a map's index is its base-L numeral, so the join table is grown one
-    # coordinate at a time: the row of (a, p) on w = L^k maps holds, for
-    # each b, the row of p on k coordinates shifted by join(a, b) * w
+    # the up rows first, in their own loop: grown between the join tables,
+    # they raised the peak RSS of `gen lattice 10` from 87 to 92 MB (2 vCPUs,
+    # Python 3.11.7), with the same traced peak
+    up, w = [1], 1
+    for _ in range(nv):
+        up = [reduce(or_, (row << b * w for b in bits(lrow))) for lrow in lam.poset.up
+              for row in up]
+        w *= lam.n
     join, w = [(0,)], 1
     for _ in range(nv):
         join = [tuple(chain.from_iterable(map((ja * w).__add__, row) for ja in jrow))
                 for jrow in lam.join for row in join]
         w *= lam.n
-    sl = join_semilattice(join, idx[(lam.unit,) * nv], idx[(lam.zero,) * nv])
+    sl = BoundedJoinSemilattice(FinitePoset(w, tuple(up)), tuple(join),
+                                idx[(lam.unit,) * nv], idx[(lam.zero,) * nv])
 
     extractors, labels = [], []
     for smask, eq in enumerate(_projections(domain_sizes)):

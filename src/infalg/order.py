@@ -6,9 +6,11 @@ Conventions used throughout the package:
 * the information order puts the vacuous element (``unit``) at the bottom
   and the contradiction (``zero``) at the top; combination is join;
 * subsets of a carrier are bitmasks, bit x set meaning x is a member;
-* a semilattice is built from one table, its order or its join, and the
-  other is derived (a <= b iff a \\/ b == b): ``semilattice_from_poset``
-  and ``join_semilattice`` are the only constructors;
+* a semilattice read from one table, its order or its join, derives the
+  other (a <= b iff a \\/ b == b) by ``semilattice_from_poset`` or
+  ``join_semilattice``; a generator whose own structure gives both tables
+  builds ``BoundedJoinSemilattice`` directly, with the proof in its
+  docstring;
 * derived order data (the down rows, the row indexes and the up-set index
   of a poset, the meet table, the meet-irreducibles, and the irreducible
   rows, their index and meet columns of a semilattice, the CDF verdict of
@@ -414,14 +416,15 @@ def is_distributive(lat: BoundedJoinSemilattice) -> tuple[bool, tuple | None]:
     iff its rows are closed under union, a lattice of sets. Every row is the
     union of the rows u[m] of its own meet-irreducibles m, so closure holds
     iff each u[x] | u[m] is a row: ``irreducible_meets`` is not None. Only
-    a failing certificate builds the meet table, whose row scan names the
-    first witness."""
+    a failing certificate scans meet rows, built one at a time and not
+    cached, up to the first row that names a witness."""
     if lat.irreducible_meets is not None:
         return True, None
     # distributive iff every meet translation meet[a] is a join endomorphism
     join = lat.join
-    return False, next((a, *w) for a, row in enumerate(lat.meet)
-                       if (w := homomorphism_witness(row, join, join)) is not None)
+    return False, next((a, *w) for a in range(lat.n)
+                       if (w := homomorphism_witness(glb_row(lat.poset, a), join, join))
+                       is not None)
 
 
 def complements(lat: BoundedJoinSemilattice) -> tuple[dict[int, int] | None, int | None]:

@@ -551,10 +551,10 @@ def test_q_space_report_stops_at_a_universe_mismatch(k):
     # would index past the order, on a smaller one it would pass vacuously
     eqs = StarFamily(k, [Equivalence.all_relation(k)], ["a"])
     report = q_space_report(QSpace(antichain_poset(2), eqs))
-    assert report.format() == "FAIL  universe_match"
+    assert report.format() == f"FAIL  universe_match  witness={(k, 2)}"
     with pytest.raises(StructureError) as exc:
         make_q_space(antichain_poset(2), eqs)
-    assert exc.value.report.format() == "FAIL  universe_match"
+    assert exc.value.report.format() == f"FAIL  universe_match  witness={(k, 2)}"
 
 
 def test_make_nontrivial_separating_tries_principal_up_sets_first():

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from infalg import generators
+from infalg import generators, order
 from infalg.algebra import is_distributive_cdf, verify_axioms
 from infalg.atoms import classify
 from infalg.equivalence import Equivalence, all_equivalences, saturate, star, star_table
@@ -16,10 +16,10 @@ from infalg.generators import (all_labeled_posets, enumerate_algebras, enumerate
                                enumerate_posets, enumerate_q_spaces,
                                extraction_families, extraction_maps, gen_lattice_valued,
                                gen_string, separating_equivalences, string_elements)
-from infalg.order import (antichain_poset, automorphisms, bits, chain_lattice, diamond_m3,
-                          is_distributive, mask_of, powerset_lattice, semilattice_from_poset,
-                          up_rows, verify_poset)
-from infalg.semigroup import compose, table
+from infalg.order import (BoundedJoinSemilattice, antichain_poset, automorphisms, bits,
+                          chain_lattice, diamond_m3, is_distributive, mask_of, pentagon_n5,
+                          powerset_lattice, semilattice_from_poset, up_rows, verify_poset)
+from infalg.semigroup import compose, homomorphism_witness, table
 
 
 def test_string_one_letter_is_three_chain():
@@ -69,8 +69,17 @@ def literal_string_join(k, max_len):
     return tuple(join)
 
 
-def test_string_join_matches_literal_prefix_join():
-    for k, max_len in ((1, 1), (1, 3), (2, 2), (2, 3), (3, 2)):
+def _fail(*args):
+    raise AssertionError("the generator derived a table it builds")
+
+
+def test_string_join_matches_literal_prefix_join(monkeypatch):
+    # both tables come from the prefix tree: no lub row is derived. k = 1 is
+    # the chain, where the parent of word i is word i - 1
+    monkeypatch.setattr(generators, "semilattice_from_poset", _fail)
+    monkeypatch.setattr(order, "semilattice_from_poset", _fail)
+    monkeypatch.setattr(order, "lub_row", _fail)
+    for k, max_len in ((1, 1), (1, 3), (1, 6), (2, 2), (2, 3), (2, 5), (3, 2), (3, 3)):
         a = gen_string(k, max_len)
         assert a.sl.join == literal_string_join(k, max_len), (k, max_len)
         assert (a.unit, a.zero) == (0, a.n - 1)
@@ -170,13 +179,28 @@ def literal_pointwise_join(domain_sizes, lam):
                  for phi in carrier)
 
 
-def test_lattice_valued_join_matches_literal_pointwise_join():
+def lattice_valued_cases():
+    """Domain sizes and value lattices of the literal-table tests."""
     cases = [(sizes, chain_lattice(m)) for sizes in ([1], [3], [2, 2], [2, 1, 2])
              for m in range(1, 5)]
-    cases += [([1], powerset_lattice(2)), ([2], powerset_lattice(2))]
-    for sizes, lam in cases:
+    return cases + [([1], powerset_lattice(2)), ([2], powerset_lattice(2))]
+
+
+def test_lattice_valued_join_matches_literal_pointwise_join():
+    for sizes, lam in lattice_valued_cases():
         a = gen_lattice_valued(sizes, lam)
         assert a.sl.join == literal_pointwise_join(sizes, lam), (sizes, lam.n)
+
+
+def test_lattice_valued_up_rows_match_the_order_derived_from_the_join(monkeypatch):
+    # the product builds the up rows too; the oracle derives them from the
+    # join table, a <= b iff join[a][b] == b
+    derive = order.join_semilattice
+    monkeypatch.setattr(order, "join_semilattice", _fail)
+    monkeypatch.setattr(generators, "join_semilattice", _fail, raising=False)
+    for sizes, lam in lattice_valued_cases():
+        a = gen_lattice_valued(sizes, lam)
+        assert a.sl.poset.up == derive(a.sl.join, a.unit, a.zero).poset.up, (sizes, lam.n)
 
 
 def literal_prefix_up_rows(k, max_len):
@@ -198,6 +222,30 @@ def test_string_up_rows_match_literal_prefix_scan():
 def test_lattice_valued_rejects_non_distributive_value_lattice():
     with pytest.raises(PreconditionError):
         gen_lattice_valued([2], diamond_m3())
+
+
+def full_meet_scan_witness(lat):
+    """First (a, x, y) where the meet translation meet[a] fails to preserve
+    the join of x and y, scanning the whole meet table; None if none does."""
+    join = lat.join
+    return next(((a, *w) for a, row in enumerate(lat.meet)
+                 if (w := homomorphism_witness(row, join, join)) is not None), None)
+
+
+def test_distributivity_witness_matches_the_full_meet_table_scan():
+    # is_distributive builds meet rows one at a time up to the first witness,
+    # and caches no table; every lattice is copied without its cached meets
+    lattices = [lat for lat in enumerate_lattices(5, distributive_only=False)
+                if full_meet_scan_witness(lat) is not None]
+    assert len(lattices) == 2
+    lattices += [diamond_m3(), pentagon_n5()]
+    lattices += [gen_string(2, m).sl for m in range(2, 7)] + [gen_string(3, 3).sl]
+    for lat in lattices:
+        fresh = BoundedJoinSemilattice(lat.poset, lat.join, lat.unit, lat.zero)
+        ok, witness = is_distributive(fresh)
+        assert "meet" not in vars(fresh)
+        assert not ok
+        assert witness == full_meet_scan_witness(fresh) is not None
 
 
 def test_generated_algebras_pass_axioms(generated_suite):
