@@ -10,8 +10,7 @@ from .duality import (QMorphism, QSpace, boolean_diagnostics, check_q_morphism, 
                       reconstruct, round_trip_algebra, round_trip_space,
                       sentence_commutation, sentence_saturation_upsets, sentence_separation,
                       sentence_separation_star)
-from .equivalence import (Equivalence, StarFamily, is_downward_directed, least_upper_equivalence,
-                          saturate, star, star_closure, star_family)
+from .equivalence import Equivalence, StarFamily, saturate, star, star_closure, star_family
 from .errors import (CapExceeded, FormatError, InfAlgError, NonCommutingError, NotDirectedError,
                      PreconditionError, StructureError)
 from .generators import (enumerate_algebras, enumerate_q_spaces, gen_lattice_valued,

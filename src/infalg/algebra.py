@@ -25,9 +25,11 @@ class InfoAlgebra:
     sl: BoundedJoinSemilattice
     extractors: tuple[tuple[int, ...], ...]
     labels: tuple[str, ...]
-    # optional supplied label-level composition table; needed when distinct
-    # labels denote extensionally equal maps (restricted saturations can
-    # collide), where a table resolved from the arrays would pick one label
+    # optional supplied label-level composition table, for a family where
+    # distinct labels can denote one map and a table resolved from the
+    # arrays would pick one label: extraction_image and atom_representation
+    # restrict the family, SetAlgebra.to_info_algebra supplies its own
+    # label_table, and ideal_completion, a relabeling, passes its source's on
     composition: tuple[tuple[int, ...], ...] | None = None
 
     def __post_init__(self):
@@ -333,12 +335,12 @@ def ideal_completion(a: InfoAlgebra) -> tuple[InfoAlgebra, AlgebraMorphism]:
     down row of the join of their generators, and e sends down(x) to
     down(e(x)), as extractors are monotone. The embedding x -> down(x)
     inverts that listing. No down-set is listed, so no up-set cap applies.
+    A relabeling preserves composition, so the source's table is kept.
     """
     order = sorted(range(a.n), key=a.poset.down.__getitem__)
     ks = range(len(a.extractors))
     sl, extractors = _restriction(a, order, ks)
-    composition = tuple(tuple(a.compose_label(i, j) for j in ks) for i in ks)
-    completion = InfoAlgebra(sl, extractors, a.labels, composition)
+    completion = InfoAlgebra(sl, extractors, a.labels, a.composition)
     # the inverse permutation of order: x -> the position of down(x)
     embed = tuple(sorted(range(a.n), key=order.__getitem__))
     return completion, AlgebraMorphism(embed, tuple(ks))
@@ -351,7 +353,7 @@ def dedupe_extractors(a: InfoAlgebra) -> tuple[InfoAlgebra, AlgebraMorphism]:
     duals and representations need one label per map. The returned morphism
     (identity on elements, merge on labels) is a homomorphism onto the
     deduped algebra. A family whose deduped maps are not closed under
-    composition is rejected with the first unlisted pair.
+    composition is rejected with the first pair unlisted in its derived table.
     """
     arrays: list[tuple[int, ...]] = []
     labels: list[str] = []
@@ -361,12 +363,11 @@ def dedupe_extractors(a: InfoAlgebra) -> tuple[InfoAlgebra, AlgebraMorphism]:
             arrays.append(arr)
             labels.append(lab)
         merge.append(arrays.index(arr))
-    composition = table(arrays)
-    w = unlisted(composition)
+    deduped = InfoAlgebra(a.sl, tuple(arrays), tuple(labels))
+    w = unlisted(deduped.label_table)
     if w is not None:
         raise StructureError(f"composite of extractors ({w[0]},{w[1]}) is not listed",
                              witness=w)
-    deduped = InfoAlgebra(a.sl, tuple(arrays), tuple(labels), composition)
     return deduped, AlgebraMorphism(tuple(range(a.n)), tuple(merge))
 
 

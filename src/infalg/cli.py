@@ -28,10 +28,6 @@ from .semigroup import close, compose
 CAP_ENV = "INFALG_CAP"
 
 
-class SemanticFailure(InfAlgError):
-    """Raised by commands to signal exit status 1 with a message."""
-
-
 def _cap(args) -> int:
     cap = args.cap
     if cap is None:
@@ -87,7 +83,7 @@ def _load_algebra(args, text: str, lenient: bool = False) -> tuple[InfoAlgebra, 
 
 
 def _valid_algebra(parsed: files.ParsedAlgebra) -> tuple[InfoAlgebra, list | None]:
-    parsed.report.require("invalid algebra file", SemanticFailure)
+    parsed.report.require("invalid algebra file")
     return parsed.algebra, parsed.element_labels
 
 
@@ -126,7 +122,7 @@ def _upset_label(mask: int) -> str:
 
 def cmd_reconstruct(args) -> int:
     parsed = files.parse_qspace(_read(args.path), cap=_cap(args))
-    parsed.report.require("invalid Q-space file", SemanticFailure)
+    parsed.report.require("invalid Q-space file")
     algebra = reconstruct(parsed.space, cap=_cap(args))
     labels = [_upset_label(m) for m in up_sets(parsed.space.poset)]
     _write_out(args, files.dumps(files.algebra_doc(algebra, labels)))
@@ -147,7 +143,7 @@ def cmd_roundtrip(args) -> int:
                                      for i, g in enumerate(rt.morphism.g)})
     else:
         parsed = files.qspace_from_doc(doc, cap=_cap(args))
-        parsed.report.require("invalid Q-space file", SemanticFailure)
+        parsed.report.require("invalid Q-space file")
         rt = round_trip_space(parsed.space, cap=_cap(args))
         report.add("q_isomorphism", True)
         _emit_report(args, report)

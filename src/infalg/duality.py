@@ -212,19 +212,19 @@ def dualize(a: InfoAlgebra) -> QSpace:
     return _dual(a)[0]
 
 
-def _certify(s: QSpace, cap: int) -> SetAlgebra:
-    """The up-set algebra of a valid Q-space within the cap, certified by a
-    label table that resolves. Its up-sets form a distributive lattice
-    (Birkhoff; Davey & Priestley, Introduction to Lattices and Order, 2002,
-    ch. 5); each saturation is an up-set map by the Q-space report,
-    preserves unions, hence meets, and meets every other axiom on any
-    subset, so the saturations need only commute. A star-closed family's
-    table holds star products of commuting relations. Otherwise each
-    saturation is a closure operator on the up-sets, and if c, d and c.d
-    are, y = c(d(x)) gives y <= d(y) <= c(d(y)) = y, and c(x) <= y gives
-    d(c(x)) <= d(y) = y: d.c <= c.d. A table that resolves lists both
-    composites, so they are equal; it raises StructureError when the
-    saturations collide or are not closed under composition."""
+def _certify(s: QSpace, cap: int | None) -> SetAlgebra:
+    """The up-set algebra of a valid Q-space within the cap (None: none),
+    certified by a label table that resolves. Its up-sets form a
+    distributive lattice (Birkhoff; Davey & Priestley, Introduction to
+    Lattices and Order, 2002, ch. 5); each saturation is an up-set map by
+    the Q-space report, preserves unions, hence meets, and meets every
+    other axiom on any subset, so the saturations need only commute. A
+    star-closed family's table holds star products of commuting relations.
+    Otherwise each saturation is a closure operator on the up-sets, and if
+    c, d and c.d are, y = c(d(x)) gives y <= d(y) <= c(d(y)) = y, and
+    c(x) <= y gives d(c(x)) <= d(y) = y: d.c <= c.d. A table that resolves
+    lists both composites, so they are equal; it raises StructureError when
+    the saturations collide or are not closed under composition."""
     check_upset_cap(s.poset, cap)
     q_space_report(s).require("invalid Q-space", PreconditionError)
     s.up_set_algebra.label_table  # raises unless the table resolves
@@ -253,10 +253,12 @@ class AlgebraRoundTrip:
 
 def round_trip_algebra(a: InfoAlgebra) -> AlgebraRoundTrip:
     """source -> reconstruct(dualize(source)) by x -> (up-set of dual points at
-    or above x), an isomorphism decided by ``represent`` on the masks."""
+    or above x), an isomorphism decided by ``represent`` on the masks. No
+    cap applies: the dual's up-sets are as many as the source's elements
+    (Birkhoff), which it already holds."""
     space, points = _dual(a)
     image = [pullback(points, up) for up in a.poset.up]
-    morphism = represent(a, image, _certify(space, DEFAULT_CAP))
+    morphism = represent(a, image, _certify(space, None))
     if morphism is None:
         raise StructureError("algebra round trip failed to be an isomorphism")
     return AlgebraRoundTrip(space, points, morphism)

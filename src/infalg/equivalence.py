@@ -11,7 +11,7 @@ from functools import cached_property
 
 from .errors import NonCommutingError, StructureError
 from .order import bits
-from .semigroup import close, unlisted
+from .semigroup import close, table, unlisted
 
 
 class Equivalence:
@@ -127,17 +127,12 @@ def _product(theta: Equivalence, gamma: Equivalence) -> Equivalence | None:
 
 
 def star(theta: Equivalence, gamma: Equivalence) -> Equivalence:
-    """Relational product as an equivalence; raises NonCommutingError otherwise."""
+    """Relational product of commuting equivalences, which is transitive, so
+    their least upper bound; raises NonCommutingError otherwise."""
     prod = _product(theta, gamma)
     if prod is None:
         raise NonCommutingError(commutation_witness(theta, gamma))
     return prod
-
-
-def least_upper_equivalence(theta: Equivalence, gamma: Equivalence) -> Equivalence:
-    """Least equivalence containing both. Requires the arguments to commute,
-    in which case it is their star product."""
-    return star(theta, gamma)
 
 
 @dataclass(frozen=True)
@@ -177,12 +172,11 @@ class StarFamily:
 
 
 def star_table(members) -> tuple[tuple[int | None, ...], ...]:
-    """Label table of a list of distinct equivalences, as ``semigroup.table``
-    gives for arrays: entry [i][j] is the index of the star product of
+    """Label table of a list of distinct equivalences, by ``semigroup.table``
+    on their star products: entry [i][j] is the index of the star product of
     members i and j, or None when they do not commute or the product is not
     listed."""
-    index = {m: i for i, m in enumerate(members)}
-    return tuple(tuple(index.get(_product(a, b)) for b in members) for a in members)
+    return table(members, [[_product(a, b) for b in members] for a in members])
 
 
 def star_family(members, labels=None, n: int | None = None) -> StarFamily:
@@ -223,13 +217,9 @@ def star_closure(members, labels=None) -> StarFamily:
     return star_family(*close(members, labels, star, "*", None))
 
 
-def is_downward_directed(family: StarFamily) -> bool:
-    """For every two members some member refines both (inclusion as relations)."""
-    return directedness_witness(family) is None
-
-
 def directedness_witness(family: StarFamily) -> tuple[int, int] | None:
-    """First index pair (i, j) such that no member refines both, or None."""
+    """First index pair (i, j) such that no member refines both (inclusion
+    as relations), or None when the family is downward directed."""
     ms = family.members
     return next(((i, j) for i, a in enumerate(ms) for j, b in enumerate(ms)
                  if not any(c.refines(a) and c.refines(b) for c in ms)), None)

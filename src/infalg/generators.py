@@ -8,8 +8,10 @@ the pool's label table and the base's automorphisms go in; the pool's size
 is checked and its table built once; the package's one Close-by-One
 search, ``order.closed_sets``, finds the closed families as sets of pool
 indices, sorted into subset-mask order; the automorphisms permute the
-pool, so the first family of each orbit of index sets is kept, with the
-pool's table restricted to it.
+pool, so the first family of each orbit of index sets is kept. The core
+yields members only: each family's label table is derived by the structure
+that owns it, ``InfoAlgebra.label_table`` or ``StarFamily.products``, and
+the pool is distinct, so it is the pool's table restricted to the family.
 """
 
 from __future__ import annotations
@@ -55,7 +57,8 @@ def gen_string(k: int, max_len: int, cap: int = DEFAULT_CAP) -> InfoAlgebra:
     longer one is their join. So the join row of word i holds j at each
     extension j of i (each j in up[i]), i at each proper prefix of i (its
     ancestors in the tree) and the contradiction elsewhere. The empty word
-    is the unit.
+    is the unit. The extractors, e_m sending a longest word to its m-letter
+    prefix, are distinct, so the algebra derives their table: e_min(a, b).
     """
     if k < 1 or max_len < 1:
         raise PreconditionError(f"need k >= 1 and max_len >= 1, got {(k, max_len)}")
@@ -94,10 +97,8 @@ def gen_string(k: int, max_len: int, cap: int = DEFAULT_CAP) -> InfoAlgebra:
     for m in range(max_len + 1):
         arr = [idx[s[:m]] for s in strs] + [zero]
         extractors.append(tuple(arr))
-    composition = tuple(tuple(min(a, b) for b in range(max_len + 1))
-                        for a in range(max_len + 1))
     labels = tuple(f"e{m}" for m in range(max_len + 1))
-    return InfoAlgebra(sl, tuple(extractors), labels, composition)
+    return InfoAlgebra(sl, tuple(extractors), labels)
 
 
 def string_elements(k: int, max_len: int) -> list[str]:
@@ -196,6 +197,8 @@ def gen_lattice_valued(domain_sizes, lam: BoundedJoinSemilattice,
     p <= q, so its up row is the or, over each b >= a, of the up row of p
     shifted by b * w. The pointwise join is the least upper bound in that
     order, with the constant maps at L's unit and zero as its bounds.
+    Extractors that act alike are listed once, under the first subset's
+    label, so the algebra derives their table.
     """
     ok, w = is_distributive(lam)
     if not ok:
@@ -237,7 +240,7 @@ def gen_lattice_valued(domain_sizes, lam: BoundedJoinSemilattice,
             extractors.append(arr)
             labels.append(_subset_label(smask))
 
-    return InfoAlgebra(sl, tuple(extractors), tuple(labels), table(extractors))
+    return InfoAlgebra(sl, tuple(extractors), tuple(labels))
 
 
 # ---------------------------------------------------------------------------
@@ -345,12 +348,12 @@ def _closed_subsets(tab) -> list[int]:
 
 
 def _families(pool, label_table, conjugate, auts, what):
-    """The closed families of a pool, one per orbit, each with its label
-    table. ``label_table(pool)`` builds the pool's table, once, after the
-    pool's size is checked; conjugation by each of the base's automorphisms
-    ``auts`` permutes the pool, so orbits are of index sets. Each closed
-    family, in subset-mask order, is yielded as its members with the pool's
-    table restricted to it, unless its orbit holds one yielded before."""
+    """The closed families of a pool, one per orbit. ``label_table(pool)``
+    builds the pool's table, once, after the pool's size is checked;
+    conjugation by each of the base's automorphisms ``auts`` permutes the
+    pool, so orbits are of index sets. Each closed family, in subset-mask
+    order, is yielded as its members, unless its orbit holds one yielded
+    before."""
     k = len(pool)
     if k > FAMILY_BASE_LIMIT:
         raise CapExceeded(f"{what} pool of {k} exceeds limit {FAMILY_BASE_LIMIT}")
@@ -362,15 +365,13 @@ def _families(pool, label_table, conjugate, auts, what):
         if mask not in seen:
             members = list(bits(mask))
             seen.update(mask_of(perm[i] for i in members) for perm in perms)
-            pos = {i: r for r, i in enumerate(members)}
-            yield (tuple(pool[i] for i in members),
-                   tuple(tuple(pos[tab[i][j]] for j in members) for i in members))
+            yield tuple(pool[i] for i in members)
 
 
 def extraction_families(ops: list[tuple[int, ...]]) -> list[tuple[tuple[int, ...], ...]]:
     """All nonempty pairwise-commuting composition-closed subsets of the
     given operator pool, in subset-mask order."""
-    return [fam for fam, _ in _families(ops, table, None, (), "operator")]
+    return list(_families(ops, table, None, (), "operator"))
 
 
 def enumerate_algebras(max_n: int):
@@ -382,10 +383,9 @@ def enumerate_algebras(max_n: int):
     # aut . arr . aut^-1 maps aut[x] to aut[arr[x]]: its graph, sorted
     conjugate = lambda arr, aut: tuple(y for _, y in sorted(zip(aut, compose(aut, arr))))
     for lat in enumerate_lattices(max_n, distributive_only=True):
-        for arrays, products in _families(extraction_maps(lat, require_meets=True), table,
-                                          conjugate, automorphisms(lat.poset), "operator"):
-            labels = tuple(f"e{i}" for i in range(len(arrays)))
-            yield InfoAlgebra(lat, arrays, labels, products)
+        for arrays in _families(extraction_maps(lat, require_meets=True), table, conjugate,
+                                automorphisms(lat.poset), "operator"):
+            yield InfoAlgebra(lat, arrays, tuple(f"e{i}" for i in range(len(arrays))))
 
 
 def separating_equivalences(poset: FinitePoset) -> list[Equivalence]:
@@ -406,6 +406,6 @@ def enumerate_q_spaces(max_points: int):
     # eq moved by aut: x and y are related iff aut[x] and aut[y] are in eq
     conjugate = lambda eq, aut: Equivalence(eq.n, compose(eq.block_of, aut))
     for poset in enumerate_posets(max_points):
-        for fam, _ in _families(separating_equivalences(poset), star_table, conjugate,
-                                automorphisms(poset), "separating"):
+        for fam in _families(separating_equivalences(poset), star_table, conjugate,
+                             automorphisms(poset), "separating"):
             yield QSpace(poset, StarFamily(poset.n, fam, tuple(f"t{i}" for i in range(len(fam)))))

@@ -50,7 +50,8 @@ def grid(arrays) -> list[list[tuple[int, ...]]]:
 def table(arrays, composites=None) -> tuple[tuple[int | None, ...], ...]:
     """Label table of a listed family: entry [k][l] is the first index of
     compose(arrays[k], arrays[l]) in the list, or None when it is not listed;
-    ``composites`` is the family's ``grid`` when the caller already built it."""
+    ``composites`` is the family's ``grid`` when the caller already built it,
+    or, as for ``equivalence.star_table``, a grid of another product."""
     first: dict = {}
     for i, arr in enumerate(arrays):
         first.setdefault(arr, i)

@@ -1,12 +1,14 @@
 """Statement coverage of the package under the test suite.
 
-Runs the tests with a ``sys.monitoring`` LINE callback on the modules of
-``src/infalg`` and lists every statement that never ran, docstrings
-excluded. A compound statement runs when one of its own lines does, its
-header and not its body. A statement whose first line carries
-``# unreachable: <reason>`` is exempt. Exits 1 on a statement that never
-ran or on a failing test. Python 3.12 or later, standard library and
-pytest only, and not collected by pytest:
+Runs the tests recording the lines run in the modules of ``src/infalg``
+and lists every statement that never ran, docstrings excluded. A compound
+statement runs when one of its own lines does, its header and not its
+body. A statement whose first line carries ``# unreachable: <reason>`` is
+exempt. Exits 1 on a statement that never ran or on a failing test. Lines
+are recorded by a ``sys.monitoring`` LINE callback on Python 3.12 or
+later, and below 3.12 by a ``sys.settrace`` line tracer, installed in new
+threads too by ``threading.settrace``, which makes the run several times
+slower. Standard library and pytest only, and not collected by pytest:
 
     HYPOTHESIS_PROFILE=ci PYTHONPATH=src python tests/statement_coverage.py
 """
@@ -16,12 +18,12 @@ import functools
 import os
 import pathlib
 import sys
+import threading
 
 import pytest
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SRC = str(ROOT / "src" / "infalg")
-mon = sys.monitoring
 hit = set()
 
 
@@ -35,7 +37,40 @@ def on_line(code, line):
     path = package_file(code.co_filename)
     if path is not None:
         hit.add((path, line))
-    return mon.DISABLE   # each line is recorded once
+    return sys.monitoring.DISABLE   # each line is recorded once
+
+
+@functools.cache
+def line_tracer(path):
+    def trace(frame, event, arg):
+        if event == "line":
+            hit.add((path, frame.f_lineno))
+        return trace
+    return trace
+
+
+def on_call(frame, event, arg):
+    """sys.settrace's global function: trace the lines of package frames only."""
+    path = package_file(frame.f_code.co_filename)
+    return None if path is None else line_tracer(path)
+
+
+def run_tests(args) -> int:
+    """pytest.main(args) with every line run in the package recorded in ``hit``."""
+    if sys.version_info >= (3, 12):
+        mon = sys.monitoring
+        mon.use_tool_id(mon.COVERAGE_ID, "statement_coverage")
+        mon.register_callback(mon.COVERAGE_ID, mon.events.LINE, on_line)
+        mon.set_events(mon.COVERAGE_ID, mon.events.LINE)
+        status = pytest.main(args)
+        mon.set_events(mon.COVERAGE_ID, 0)
+        return status
+    threading.settrace(on_call)
+    sys.settrace(on_call)
+    status = pytest.main(args)
+    sys.settrace(None)
+    threading.settrace(None)
+    return status
 
 
 def unexecuted(path):
@@ -57,11 +92,7 @@ def unexecuted(path):
 
 
 def main() -> int:
-    mon.use_tool_id(mon.COVERAGE_ID, "statement_coverage")
-    mon.register_callback(mon.COVERAGE_ID, mon.events.LINE, on_line)
-    mon.set_events(mon.COVERAGE_ID, mon.events.LINE)
-    status = pytest.main(["-q", "-W", "error", "-p", "no:cacheprovider", str(ROOT / "tests")])
-    mon.set_events(mon.COVERAGE_ID, 0)
+    status = run_tests(["-q", "-W", "error", "-p", "no:cacheprovider", str(ROOT / "tests")])
     missed = [m for path in sorted(pathlib.Path(SRC).glob("*.py")) for m in unexecuted(path)]
     print("\n".join(missed) or "every statement ran")
     return 1 if status or missed else 0

@@ -434,7 +434,7 @@ def test_ideal_completion_order_is_ideal_inclusion(generated_suite):
     for name, a in [*generated_suite.items(), *enumerate(enumerate_algebras(5))]:
         comp, emb = ideal_completion(a)
         got = (comp.sl.poset.up, comp.sl.join, comp.unit, comp.zero, comp.extractors,
-               comp.labels, comp.composition, emb.f, emb.g)
+               comp.labels, comp.label_table, emb.f, emb.g)
         assert got == ideal_completion_by_listing(a), name
 
 

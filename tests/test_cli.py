@@ -444,6 +444,17 @@ def test_cli_roundtrip_hands_its_cap_to_reconstruct(tmp_path, monkeypatch):
     assert caps == [100]
 
 
+def test_cli_algebra_roundtrip_is_bounded_by_its_carrier(tmp_path, capsys, monkeypatch):
+    # the dual of a distributive algebra has as many up-sets as the algebra
+    # has elements, which the read already admitted under --cap: a default
+    # cap below that count does not stop the round trip
+    path = gen_file(tmp_path, "gen", "lattice", 2, "--chain", 3)
+    monkeypatch.setattr(duality, "DEFAULT_CAP", 8)
+    assert main(["--cap", "10", "roundtrip", path]) == 0
+    out, err = capsys.readouterr()
+    assert out.splitlines()[0] == "ok    isomorphism" and err == ""
+
+
 @pytest.mark.parametrize("command", ["gen", "verify", "reconstruct"])
 @pytest.mark.parametrize("flag, env", [(["--cap", "0"], None), ([], "0")], ids=["flag", "env"])
 def test_cli_cap_zero_admits_no_carrier(tmp_path, capsys, monkeypatch, command, flag, env):

@@ -5,9 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from infalg.equivalence import (Equivalence, StarFamily, all_equivalences, commutation_witness,
-                                compose_rows, is_downward_directed, least_upper_equivalence,
-                                saturate, star, star_closure, star_family,
-                                star_table)
+                                compose_rows, directedness_witness, saturate, star,
+                                star_closure, star_family, star_table)
 from infalg.errors import NonCommutingError, StructureError
 from infalg.order import bits
 
@@ -129,24 +128,25 @@ def test_star_closure_rejects_non_commuting():
 def test_downward_directed_with_identity():
     fam = star_family([Equivalence.identity(4), GRID_ROWS, GRID_COLS,
                        Equivalence.all_relation(4)])
-    assert is_downward_directed(fam)
+    assert directedness_witness(fam) is None
 
 
 def test_not_directed_rows_cols():
     fam = star_family([GRID_ROWS, GRID_COLS, Equivalence.all_relation(4)])
-    assert not is_downward_directed(fam)
+    assert directedness_witness(fam) is not None
 
 
 def test_singleton_directed():
     for eq in all_equivalences(3):
-        assert is_downward_directed(star_family([eq]))
+        assert directedness_witness(star_family([eq])) is None
 
 
 def test_least_upper_equivalence():
-    assert least_upper_equivalence(GRID_ROWS, GRID_ROWS) == GRID_ROWS
-    assert least_upper_equivalence(GRID_ROWS, GRID_COLS) == Equivalence.all_relation(4)
+    # the star product of commuting equivalences is their least upper bound
+    assert star(GRID_ROWS, GRID_ROWS) == GRID_ROWS
+    assert star(GRID_ROWS, GRID_COLS) == Equivalence.all_relation(4)
     delta = Equivalence.identity(4)
-    assert least_upper_equivalence(GRID_ROWS, delta) == GRID_ROWS
+    assert star(GRID_ROWS, delta) == GRID_ROWS
 
 
 def union_closure(theta, gamma):
@@ -169,22 +169,22 @@ def union_closure(theta, gamma):
 
 
 def test_star_and_least_upper_match_oracles():
-    # differential oracles for the single routes the library keeps: the star
-    # product's blocks are the relational product rows, and the least upper
-    # equivalence is the transitive closure of the union
+    # differential oracles for the single route the library keeps: the star
+    # product's blocks are the relational product rows, and it is the least
+    # upper equivalence, the transitive closure of the union
     eqs = all_equivalences(4)
     pairs = 0
     for theta in eqs:
         for gamma in eqs:
             if commutation_witness(theta, gamma) is not None:
                 with pytest.raises(NonCommutingError):
-                    least_upper_equivalence(theta, gamma)
+                    star(theta, gamma)
                 continue
             pairs += 1
             product = star(theta, gamma)
             rows = compose_rows(theta, gamma)
             assert all(product.block_mask(u) == rows[u] for u in range(4)), (theta, gamma)
-            assert least_upper_equivalence(theta, gamma) == union_closure(theta, gamma) == product
+            assert union_closure(theta, gamma) == product
     assert 0 < pairs < len(eqs) ** 2
 
 

@@ -3,7 +3,6 @@
 import pytest
 
 from infalg.algebra import AlgebraMorphism, InfoAlgebra, is_homomorphism, make_algebra
-from infalg.cli import SemanticFailure
 from infalg.duality import (QSpace, boolean_diagnostics, dual_point_map, dualize,
                             dualize_morphism, q_space_report, reconstruct)
 from infalg.equivalence import Equivalence, StarFamily, star_family
@@ -20,7 +19,7 @@ def test_require_returns_a_holding_report_and_raises_with_a_failing_one():
     report.add("first", True)
     assert report.require("unused") is report
     report.add("second", False, (0, 1))
-    for error in (StructureError, PreconditionError, SemanticFailure):
+    for error in (StructureError, PreconditionError):
         with pytest.raises(error) as exc:
             report.require("broken", error)
         assert str(exc.value) == "broken:\nok    first\nFAIL  second  witness=(0, 1)"
@@ -39,7 +38,7 @@ def test_report_witness_of_an_unlisted_name_is_none():
 
 def test_every_library_error_carries_report_and_witness():
     for error in (InfAlgError("m"), FormatError("m"), StructureError("m"), CapExceeded("m"),
-                  PreconditionError("m"), SemanticFailure("m")):
+                  PreconditionError("m")):
         assert (str(error), error.report, error.witness) == ("m", None, None)
     for error, message in (
             (NonCommutingError((0, 1)), "equivalences do not commute, witness pair (0, 1)"),
