@@ -198,18 +198,30 @@ def kernel_of_array(arr) -> Equivalence:
 
 
 def check_kernel_theorem(a: InfoAlgebra) -> bool:
-    """Star of two kernels equals the kernel of the composite, for every pair."""
-    ks = range(len(a.extractors))
-    kernels = [kernel(a, k) for k in ks]
-    for k in ks:
-        for l in ks:
-            try:
-                prod = star(kernels[k], kernels[l])
-            except NonCommutingError:
-                return False
-            if prod != kernel_of_array(compose(a.extractors[k], a.extractors[l])):
+    """Star of two kernels equals the kernel of the composite, for every
+    pair (k, l), scanned in order. A pair's verdict reads only the two
+    arrays f and g: their kernels, star product and composite are
+    relations on the carrier, whatever its order. So it is memoized on the
+    lattice ``a.sl``, which every enumerated family on one base shares, in
+    its ``kernel_pair_verdicts`` cache keyed by (f, g)."""
+    verdicts = vars(a.sl).setdefault("kernel_pair_verdicts", {})
+    for f in a.extractors:
+        for g in a.extractors:
+            ok = verdicts.get((f, g))
+            if ok is None:
+                ok = verdicts[f, g] = _kernel_pair(a.n, f, g)
+            if not ok:
                 return False
     return True
+
+
+def _kernel_pair(n: int, f, g) -> bool:
+    """check_kernel_theorem's verdict on one pair, uncached."""
+    try:
+        prod = star(Equivalence(n, f), Equivalence(n, g))
+    except NonCommutingError:
+        return False
+    return prod == kernel_of_array(compose(f, g))
 
 
 @dataclass(frozen=True)

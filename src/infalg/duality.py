@@ -88,7 +88,25 @@ def check_separating(poset: FinitePoset, theta: Equivalence) -> tuple[bool, obje
     up-set or pair. Given (i), on a partial order an unseparated pair p, q
     yields another, p' > p and q' > q with p' theta q and q' theta p; so
     (ii) follows and only a preorder has an unseparated_pair.
+
+    Both conditions read only the order's up rows and theta, so the verdict
+    is memoized per order, in the poset's ``separating_verdicts`` cache keyed
+    by theta: separating_equivalences fills it while it builds a pool, and
+    every later Q-space report on that order reads it. An equivalence on
+    another universe raises StructureError before the cache is touched.
     """
+    if theta.n != poset.n:
+        raise StructureError(f"universe mismatch: {theta.n} vs {poset.n}",
+                             witness=(theta.n, poset.n))
+    verdicts = vars(poset).setdefault("separating_verdicts", {})
+    verdict = verdicts.get(theta)
+    if verdict is None:
+        verdict = verdicts[theta] = _check_separating(poset, theta)
+    return verdict
+
+
+def _check_separating(poset: FinitePoset, theta: Equivalence) -> tuple[bool, object]:
+    """check_separating's verdict, uncached."""
     least = [saturate(theta, row) for row in poset.up]
     bad = [row for row, s in zip(poset.up, least) if up_closure(poset, s) != s]
     if bad:

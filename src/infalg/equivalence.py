@@ -104,10 +104,15 @@ def saturate(theta: Equivalence, mask: int) -> int:
 
 def compose_rows(theta: Equivalence, gamma: Equivalence) -> list[int]:
     """Relational product rows: row u = {v : u theta w gamma v for some w},
-    the same for every u of one theta-block, so saturated once per block."""
+    the same for every u of one theta-block b: the union of the gamma-blocks
+    of the points of b. So one pass over the points builds every block's
+    row, O(n), where saturating each theta-block against each gamma-block
+    takes |theta|·|gamma| steps. Every star product runs through here."""
     if theta.n != gamma.n:
         raise StructureError(f"universe mismatch: {theta.n} vs {gamma.n}")
-    rows = [saturate(gamma, block) for block in theta.blocks]
+    rows, blocks = [0] * len(theta.blocks), gamma.blocks
+    for b, g in zip(theta.block_of, gamma.block_of):
+        rows[b] |= blocks[g]
     return [rows[b] for b in theta.block_of]
 
 

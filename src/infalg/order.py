@@ -11,11 +11,15 @@ Conventions used throughout the package:
   ``join_semilattice``; a generator whose own structure gives both tables
   builds ``BoundedJoinSemilattice`` directly, with the proof in its
   docstring;
-* derived order data (the down rows, the row indexes and the up-set index
-  of a poset, the meet table, the meet-irreducibles, and the irreducible
-  rows, their index and meet columns of a semilattice, the CDF verdict of
-  an algebra) is computed on first use and cached on the frozen structure
-  that owns it; callers must not mutate it;
+* derived order data (the down rows, the row indexes, the up-set index
+  and the separation verdicts of a poset, the meet table, the
+  meet-irreducibles, the irreducible rows, their index and meet columns
+  and the kernel-pair verdicts of a semilattice, the CDF verdict of an
+  algebra) is computed on first use and cached on the frozen structure
+  that owns it; callers must not mutate it. The separation verdicts,
+  ``duality.check_separating``'s, are keyed by equivalence, and the
+  kernel-pair verdicts, ``algebra.check_kernel_theorem``'s, by a pair of
+  extractor arrays: every family on one enumerated base reads them;
 * one Close-by-One search, ``closed_sets``, finds the up-sets of a poset
   and the closed families of a pool in ``generators``, at a cost that
   grows with the sets found: an order is bounded by its up-set count alone;

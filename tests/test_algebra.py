@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from infalg import algebra
 from infalg.algebra import (AlgebraMorphism, InfoAlgebra, check_kernel_theorem, combination_rows,
                             dedupe_extractors, enumerate_homomorphisms, extraction_image,
                             ideal_completion,
@@ -12,7 +13,8 @@ from infalg.duality import QSpace, dualize, q_space_report
 from infalg.equivalence import Equivalence, StarFamily, star, star_family
 from infalg.errors import CapExceeded, StructureError
 from infalg.generators import enumerate_algebras, gen_string, string_elements
-from infalg.order import FinitePoset, bits, chain_poset, powerset_lattice, try_lattice, up_sets
+from infalg.order import (FinitePoset, bits, chain_lattice, chain_poset, powerset_lattice,
+                          try_lattice, up_sets)
 from infalg.semigroup import compose, first_row_witness
 
 
@@ -117,6 +119,59 @@ def test_kernel_theorem_fails_on_unchecked_extractors():
     assert star(kernel(b, 1), kernel(b, 1)) != kernel_of_array(compose(b.extractors[1],
                                                                        b.extractors[1]))
     assert not check_kernel_theorem(b)
+
+
+def literal_kernel_theorem(a):
+    """check_kernel_theorem as a literal loop over the label pairs, on pair
+    sets, with no cache: the kernels commute, and their relational product
+    is the kernel of x -> f(g(x))."""
+    points = range(a.n)
+
+    def product_pairs(f, g):
+        return {(u, v) for u in points for v in points
+                if any(f[u] == f[w] and g[w] == g[v] for w in points)}
+
+    for f in a.extractors:
+        for g in a.extractors:
+            fg = product_pairs(f, g)
+            if fg != product_pairs(g, f):
+                return False
+            if fg != {(u, v) for u in points for v in points if f[g[u]] == f[g[v]]}:
+                return False
+    return True
+
+
+def test_kernel_theorem_matches_a_literal_per_pair_loop(generated_suite):
+    cases = list(enumerate_algebras(5)) + list(generated_suite.values())
+    assert len(cases) == 99
+    assert all(check_kernel_theorem(a) == literal_kernel_theorem(a) for a in cases)
+
+
+def test_kernel_theorem_computes_each_pair_once_per_lattice(monkeypatch):
+    # 555 ordered pairs over the 94 algebras up to 5 elements, of which 102
+    # distinct (lattice, pair) combinations
+    calls = []
+    monkeypatch.setattr(algebra, "star", lambda t, g: calls.append((t, g)) or star(t, g))
+    cases = list(enumerate_algebras(5))
+    assert sum(len(a.extractors) ** 2 for a in cases) == 555
+    assert all(check_kernel_theorem(a) for a in cases)
+    assert len(cases) == 94 and len(calls) == 102
+
+
+def test_kernel_theorem_verdicts_are_kept_per_pair_on_a_shared_lattice():
+    # the constant map and the identity pass; the maps of the failing test
+    # above do not, and share arrays with the passing one or with each other,
+    # so a cache keyed by fewer than both arrays of a pair hands one pair's
+    # verdict to another
+    maps = [((0, 0, 0), (0, 1, 2)), ((0, 0, 2), (0, 1, 0)), ((0, 0, 0), (0, 0, 1))]
+    for order in (maps, maps[::-1]):
+        lat = chain_lattice(3)
+        algebras = [InfoAlgebra(lat, arrays, ("e0", "e1")) for arrays in order]
+        assert [check_kernel_theorem(a) for a in algebras] == [
+            arrays == maps[0] for arrays in order]
+        assert [literal_kernel_theorem(a) for a in algebras] == [
+            arrays == maps[0] for arrays in order]
+        assert "kernel_pair_verdicts" in vars(lat)
 
 
 def test_info_algebra_rejects_labels_that_do_not_match_its_extractors(string22):

@@ -366,6 +366,16 @@ def test_cli_enumerate(tmp_path, capsys):
     assert "total: 2 algebras, 7 q-spaces" in out
 
 
+def test_cli_enumerate_output_is_pinned(capsys):
+    # the benchmark's largest enumerate op: every algebra up to 5 elements
+    # and every Q-space up to 4 points, one line each, then the total
+    assert main(["enumerate", "5", "--posets", "4"]) == 0
+    out, err = capsys.readouterr()
+    assert (err, out.splitlines()[-1]) == ("", "total: 94 algebras, 768 q-spaces")
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        "462a4067705dddedfb057d2077737568e76a016173a478737910ca8a4e7a07e7"
+
+
 def test_cli_enumerate_refuses_a_point_count_before_streaming(capsys):
     assert main(["enumerate", "2", "--posets", "9"]) == 1
     assert capsys.readouterr() == ("", "failure: Q-space enumeration limited to 4 points\n")

@@ -725,6 +725,59 @@ def test_check_separating_reads_no_up_set_index():
     assert "up_set_index" not in vars(poset)
 
 
+def test_check_separating_rejects_an_equivalence_on_another_universe():
+    # an input error, not a verdict: judged on the order's rows, the last
+    # case would name saturation_image 6, a mask outside the order
+    for poset, theta in ((chain_poset(2), Equivalence(3, [0, 0, 1])),
+                         (antichain_poset(3), Equivalence(2, [0, 0])),
+                         (chain_poset(3), Equivalence(2, [0, 1]))):
+        with pytest.raises(StructureError,
+                           match=rf"^universe mismatch: {theta.n} vs {poset.n}$") as err:
+            check_separating(poset, theta)
+        assert err.value.witness == (theta.n, poset.n)
+        assert "separating_verdicts" not in vars(poset)
+
+
+def test_separation_verdicts_are_derived_once_per_order(monkeypatch):
+    # the pools decide each (order, equivalence) pair once: every equivalence
+    # on each of the 1 + 2 + 5 + 16 orders of up to 4 points, whose
+    # universes have 1, 2, 5 and 15 equivalences; the reports read them
+    calls = []
+    uncached = duality._check_separating
+    monkeypatch.setattr(duality, "_check_separating",
+                        lambda poset, theta: calls.append(theta) or uncached(poset, theta))
+    spaces = list(enumerate_q_spaces(4))
+    assert len(calls) == 1 * 1 + 2 * 2 + 5 * 5 + 16 * 15 == 270
+    for s in spaces:
+        make_q_space(s.poset, s.eqs)
+    assert (len(spaces), len(calls)) == (768, 270)
+
+
+def test_q_space_reports_match_uncached_orders():
+    # the report read from each order's cache equals the one built on a
+    # fresh copy of the order, which has none, and the literal loop per member
+    spaces = list(enumerate_q_spaces(4))
+    assert len(spaces) == 768
+    for s in spaces:
+        assert "separating_verdicts" in vars(s.poset)
+        fresh = FinitePoset(s.poset.n, s.poset.up)
+        assert "separating_verdicts" not in vars(fresh)
+        report = q_space_report(s)
+        assert report == q_space_report(QSpace(fresh, s.eqs))
+        assert [(item.ok, item.witness) for item in report.items[1:]] == [
+            literal_check_separating(fresh, theta) for theta in s.eqs.members]
+    # the pools cached every equivalence, failing ones with their witnesses
+    posets = {id(s.poset): s.poset for s in spaces}.values()
+    assert len(posets) == 24
+    for poset in posets:
+        cached = vars(poset)["separating_verdicts"]
+        assert len(cached) == len(all_equivalences(poset.n))
+        fresh = FinitePoset(poset.n, poset.up)
+        for theta, verdict in cached.items():
+            assert check_separating(poset, theta) == verdict
+            assert verdict == literal_check_separating(fresh, theta)
+
+
 @st.composite
 def wide_posets(draw):
     """An order on 21-26 points, past the up-set enumeration limit: the
