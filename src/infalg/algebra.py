@@ -20,6 +20,22 @@ from .report import Report
 from .semigroup import compose, first_row_witness, grid, homomorphism_witness, table, unlisted
 
 
+def _check_composition(composition, k: int) -> None:
+    """A supplied label table has k rows of k entries, each in range(k);
+    StructureError names the first row that is missing or of another
+    length, else the first (k, l) entry outside range(k)."""
+    i = next((i for i, row in enumerate(composition) if i == k or len(row) != k),
+             len(composition))
+    if (i, len(composition)) != (k, k):
+        raise StructureError(f"composition row {i} is not one of {k} rows of {k} entries",
+                             witness=i)
+    w = next(((i, j) for i, row in enumerate(composition) for j, v in enumerate(row)
+              if v not in range(k)), None)
+    if w is not None:
+        raise StructureError(f"composition entry ({w[0]},{w[1]}) is outside range({k})",
+                             witness=w)
+
+
 @dataclass(frozen=True)
 class InfoAlgebra:
     sl: BoundedJoinSemilattice
@@ -37,6 +53,8 @@ class InfoAlgebra:
             raise StructureError(f"duplicate labels in {self.labels}")
         if len(self.labels) != len(self.extractors):
             raise StructureError("extractor/label count mismatch")
+        if self.composition is not None:
+            _check_composition(self.composition, len(self.extractors))
 
     @property
     def n(self) -> int:

@@ -224,6 +224,9 @@ def cmd_check_hom(args) -> int:
 
 
 def cmd_enumerate(args) -> int:
+    for name, size in (("max_n", args.max_n), ("--posets", args.posets)):
+        if size < 0:
+            raise FormatError(f"{name} must be a non-negative integer, got {size}")
     check_q_space_limit(args.posets)
     count = 0
     for a in enumerate_algebras(args.max_n):

@@ -4,20 +4,18 @@ equivalences on every poset of up to 5 points, closed or not.
 ``reconstruct`` certifies its output by a label table that resolves: the
 saturations are closure operators on the up-sets, and two whose composites
 are both listed saturations commute. This script checks that argument and
-the round trips built on it against the table routes:
+the round trips built on it against ``reference``, the tests' kernel:
 
 - every label table that resolves is symmetric;
-- ``reconstruct`` equals the up-set algebra built afresh, which passes
-  ``verify_axioms`` and the CDF verdict;
-- ``round_trip_space`` equals the table route's double dual, the dual of
-  that algebra, and its morphism passes ``check_q_morphism``;
-- a table that does not resolve fails ``reconstruct`` and
-  ``round_trip_space`` with its own error.
+- ``reconstruct`` equals the kernel's up-set algebra, which passes the
+  kernel's axioms and CDF verdict;
+- ``round_trip_space`` equals the kernel's double dual, read off the prime
+  filters, and its morphism passes the kernel's Q-morphism laws;
+- a table that does not resolve fails both with the error it names.
 
-It prints the first counterexample and exits 1, or prints the family counts
-and exits 0; a count that differs from the one pinned below also exits 1.
-Standard library only, and not collected by pytest (about 4 minutes on two
-cores at 5 points):
+It prints the first counterexample or a count that differs from the one
+pinned below and exits 1, or prints the counts and exits 0. Tier-1 runs
+``sweep(4)``. Standard library only, and not collected by pytest:
 
     PYTHONPATH=src python tests/closure_sweep.py [max_points]
 """
@@ -25,13 +23,11 @@ cores at 5 points):
 import sys
 from itertools import combinations
 
-from infalg.algebra import is_distributive_cdf, verify_axioms
-from infalg.duality import QSpace, _dual, check_q_morphism, reconstruct, round_trip_space
+import reference as ref
+from infalg.duality import QSpace, reconstruct, round_trip_space
 from infalg.equivalence import StarFamily
 from infalg.errors import InfAlgError
 from infalg.generators import enumerate_posets, separating_equivalences
-from infalg.order import up_sets
-from infalg.set_algebra import SetAlgebra
 
 # (families, resolving tables, resolving tables of families not star-closed)
 COUNTS = {4: (6996, 1185, 82), 5: (1040293, 29951, 2904)}
@@ -46,39 +42,54 @@ def failure(run, s):
     return None
 
 
-def fields(a):
-    return a.sl.poset, a.sl.join, a.unit, a.zero, a.extractors, a.labels, a.composition
+def expected_failure(space):
+    """The error of a label table that does not resolve, as ``failure``
+    gives it, or None: colliding saturations, else the first unlisted
+    composite."""
+    arrays = ref.saturations(*space)
+    if len(set(arrays)) < len(arrays):
+        return "StructureError", "cannot resolve composition: saturation arrays collide", None
+    w = next(((k, l) for k, row in enumerate(ref.label_table(arrays))
+              for l, c in enumerate(row) if c is None), None)
+    if w is None:
+        return None
+    return "StructureError", f"saturations not closed under composition at ({w[0]},{w[1]})", w
 
 
 def counterexample(s):
     """What breaks on the Q-space s, or None; and whether its table resolves."""
-    try:
-        tab = s.up_set_algebra.label_table
-    except InfAlgError as exc:
-        expected = type(exc).__name__, str(exc), exc.witness
+    space = ref.space_of(s)
+    expected = expected_failure(space)
+    if expected is not None:
         for run in (reconstruct, round_trip_space):
             if failure(run, s) != expected:
                 return f"{run.__name__} does not raise {expected}", False
         return None, False
+    a = ref.reconstruct(space)
+    tab = a[4]
     k = len(tab)
     w = next(((i, j) for i in range(k) for j in range(i) if tab[i][j] != tab[j][i]), None)
     if w is not None:
         return f"asymmetric label table at {w}", True
-    table = SetAlgebra(s.n, tuple(up_sets(s.poset)), s.eqs).to_info_algebra()
-    if not verify_axioms(table).ok or not is_distributive_cdf(table).ok:
-        return "the table route rejects the reconstruction", True
-    if fields(reconstruct(s)) != fields(table):
-        return "reconstruct differs from the table route", True
+    if any(ref.axioms(a).values()) or not ref.cdf(a)[0]:
+        return "the kernel rejects the reconstruction", True
+    b = reconstruct(s)
+    if (ref.algebra_of(b), b.poset.up, b.labels) != (a, ref.order_of(a[0]), s.eqs.labels):
+        return "reconstruct differs from the kernel's up-set algebra", True
     rt = round_trip_space(s)
-    space, points = _dual(table)
-    if (rt.target.poset, rt.target.eqs, rt.points) != (space.poset, space.eqs, points):
-        return "round_trip_space differs from the table route's double dual", True
-    if not check_q_morphism(rt.morphism, s, rt.target).ok:
+    target, points, lam = ref.round_trip_space(space)
+    omega = tuple(range(len(space[1])))
+    if (ref.space_of(rt.target), rt.target.eqs.n, rt.target.eqs.labels, rt.points,
+            rt.morphism.alpha, rt.morphism.omega) != (
+            target, len(target[0]), s.eqs.labels, points, lam, omega):
+        return "round_trip_space differs from the kernel's double dual", True
+    if not ref.holds(ref.q_morphism_items(lam, omega, space, target)):
         return "round_trip_space's morphism fails the Q-morphism laws", True
     return None, True
 
 
-def main(max_points: int) -> int:
+def sweep(max_points: int):
+    """(the first counterexample or None, (families, resolving, not star-closed))."""
     families = resolving = not_closed = 0
     for poset in enumerate_posets(max_points):
         pool = separating_equivalences(poset)
@@ -87,14 +98,20 @@ def main(max_points: int) -> int:
                 s = QSpace(poset, StarFamily(poset.n, members, [f"t{i}" for i in range(k)]))
                 problem, resolves = counterexample(s)
                 if problem is not None:
-                    print(f"counterexample: {problem}\n  order rows {poset.up}\n"
-                          f"  members {s.eqs.members}")
-                    return 1
+                    return (f"counterexample: {problem}\n  order rows {poset.up}\n"
+                            f"  members {s.eqs.members}"), None
                 families += 1
                 resolving += resolves
                 not_closed += resolves and not s.eqs.closed
-    counts = (families, resolving, not_closed)
-    print(f"families: {families}, resolving: {resolving}, not star-closed: {not_closed}")
+    return None, (families, resolving, not_closed)
+
+
+def main(max_points: int) -> int:
+    problem, counts = sweep(max_points)
+    if problem is not None:
+        print(problem)
+        return 1
+    print("families: {}, resolving: {}, not star-closed: {}".format(*counts))
     if counts != COUNTS.get(max_points, counts):
         print(f"expected {COUNTS[max_points]}")
         return 1

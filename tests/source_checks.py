@@ -11,9 +11,12 @@
   ``.format()`` to build that message by hand (``report.py`` is skipped).
 
 Prints one ``path:line: rule: text`` line per hit and exits 1 on any.
-Standard library only, and not collected by pytest:
+The tests' reference kernel, which must not import the package it checks,
+is held to the same rules by naming it. Standard library only, and not
+collected by pytest:
 
-    python tests/source_checks.py [directory]   # default src/infalg
+    python tests/source_checks.py [directory or module]   # default src/infalg
+    python tests/source_checks.py tests/reference.py
 """
 
 import ast
@@ -74,11 +77,11 @@ RULES = {"stdlib-only": stdlib_only, "broad-except": broad_except,
          "unused-import": unused_import, "report-format": report_format}
 
 
-def hits(directory) -> list[str]:
-    """Every hit of every rule on the directory's modules, in path order,
-    then rule order, then line order."""
-    out = []
-    for path in sorted(pathlib.Path(directory).glob("*.py")):
+def hits(target) -> list[str]:
+    """Every hit of every rule on a module, or on a directory's modules in
+    path order, then rule order, then line order."""
+    target, out = pathlib.Path(target), []
+    for path in sorted(target.glob("*.py")) if target.is_dir() else [target]:
         text = path.read_text()
         tree, lines = ast.parse(text, str(path)), text.splitlines()
         shown = path.relative_to(ROOT) if path.is_relative_to(ROOT) else path

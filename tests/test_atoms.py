@@ -3,13 +3,14 @@ from itertools import combinations
 
 import pytest
 
+import reference as ref
 from infalg.algebra import extraction_image, is_homomorphism, make_algebra, verify_axioms
 from infalg.atoms import (AtomRepresentation, atom_representation, atoms,
                           check_complete_atomistic_boolean, classify)
 from infalg.equivalence import Equivalence, commutation_witness, saturate
 from infalg.errors import CapExceeded, PreconditionError
 from infalg.generators import enumerate_algebras, gen_string, string_elements
-from infalg.order import bits, chain_poset, glb_of_set, mask_of
+from infalg.order import chain_poset
 
 
 def test_atoms_two_chain():
@@ -115,12 +116,20 @@ def test_finite_algebras_are_atomic(generated_suite):
         assert classify(a).atomic
 
 
-def atomistic_by_loops(a, report):
+def atom_rows(a):
+    """The atoms, the nonzero elements whose only strict upper bound is the
+    zero, and per element the mask of the positions of the atoms above it."""
+    up = a.poset.up
+    ats = [x for x in range(a.n) if x != a.zero and up[x] == (1 << x) | (1 << a.zero)]
+    return ats, [ref.mask(i for i, t in enumerate(ats) if ref.le(up, x, t)) for x in range(a.n)]
+
+
+def atomistic_by_loops(a):
     """Atomistic and completely atomistic, by rebuilding each atom set's
     mask from its atom positions and by testing every nonempty atom set."""
-    ats, at = report.atoms, report.at
+    ats, at = atom_rows(a)
     nonzero = [x for x in range(a.n) if x != a.zero]
-    atomistic = all(glb_of_set(a.poset, mask_of(ats[i] for i in bits(at[x]))) == x
+    atomistic = all(ref.glb(a.poset.up, [ats[i] for i in ref.members(at[x])]) == x
                     for x in nonzero)
     completely = False
     if atomistic:
@@ -151,7 +160,7 @@ def test_every_carrier_up_to_six_elements_is_atomic():
     for a in [*ups, *lattices, *enumerate_algebras(5)]:
         report = classify(a)
         assert report.atomic
-        assert (report.atomistic, report.completely_atomistic) == atomistic_by_loops(a, report)
+        assert (report.atomistic, report.completely_atomistic) == atomistic_by_loops(a)
 
 
 def test_at_of_combination_is_intersection(generated_suite):
@@ -258,8 +267,8 @@ def test_at_join_check_covers_triples(mv22_algebra):
 def literal_at_join_witness(a, max_subset=3):
     """The join item as it was once checked: every carrier subset of up to
     max_subset elements, folded from the unit, in combinations order."""
-    rep = classify(a)
-    full = (1 << len(rep.atoms)) - 1
+    ats, at = atom_rows(a)
+    full = (1 << len(ats)) - 1
     w = None
     for size in range(max_subset + 1):
         for xs in combinations(range(a.n), size):
@@ -267,8 +276,8 @@ def literal_at_join_witness(a, max_subset=3):
             expected = full
             for x in xs:
                 j = a.join(j, x)
-                expected &= rep.at[x]
-            if rep.at[j] != expected:
+                expected &= at[x]
+            if at[j] != expected:
                 w = xs
                 break
         if w:

@@ -1,10 +1,10 @@
-"""The CDF verdict against its table route.
+"""The CDF verdict against the kernel's.
 
 ``is_distributive`` and ``InfoAlgebra.cdf`` decide on the irreducible rows:
-the N x |M| columns of ``irreducible_meets``. The N x N meet table, with the
-translation scan of ``is_distributive`` and the meet-preservation scan of
-each extractor, is the oracle here: the verdict, the reason and the first
-witness must be the same.
+the N x |M| columns of ``irreducible_meets``. The kernel's meet table by
+scan, its distributive law as a triple loop and the meet-preservation loop
+of each extractor are the oracle here: the verdict, the reason and the
+first witness must be the same.
 """
 
 from itertools import product
@@ -12,36 +12,18 @@ from itertools import product
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import reference as ref
 from infalg.algebra import CdfReport, InfoAlgebra, is_distributive_cdf
 from infalg.duality import dualize, make_q_space, reconstruct, round_trip_algebra
 from infalg.equivalence import Equivalence, star_family
 from infalg.generators import (enumerate_lattices, enumerate_posets, gen_lattice_valued,
                                gen_multivariate)
 from infalg.order import (BoundedJoinSemilattice, FinitePoset, bits, chain_lattice, diamond_m3,
-                          is_distributive, pentagon_n5, powerset_lattice, try_lattice)
-from infalg.semigroup import homomorphism_witness
-
-
-def table_is_distributive(lat):
-    """Distributive iff every meet translation is a join endomorphism, scanned
-    on the meet table."""
-    for a, row in enumerate(try_lattice(lat).meet):
-        w = homomorphism_witness(row, lat.join, lat.join)
-        if w is not None:
-            return False, (a, *w)
-    return True, None
+                          is_distributive, pentagon_n5, powerset_lattice)
 
 
 def table_cdf(a):
-    lat = try_lattice(a.sl)
-    ok, w = table_is_distributive(lat)
-    if not ok:
-        return CdfReport(False, "not_distributive", w)
-    for k, e in enumerate(a.extractors):
-        w = homomorphism_witness(e, lat.meet, lat.meet)
-        if w is not None:
-            return CdfReport(False, "extractor_breaks_meets", (k, *w))
-    return CdfReport(True, None, None)
+    return CdfReport(*ref.cdf(ref.algebra_of(a)))
 
 
 def fresh(a):
@@ -61,7 +43,8 @@ def assert_matches_tables(algebras):
     for a in algebras:
         a = fresh(a)
         lat_verdict, verdict = is_distributive(a.sl), is_distributive_cdf(a)
-        assert lat_verdict == table_is_distributive(a.sl), a.poset
+        w = ref.distributive_witness(a.sl.join)
+        assert lat_verdict == (w is None, w), a.poset
         assert verdict == table_cdf(a), (a.poset, a.extractors)
         failing += not verdict.ok
     return failing
@@ -121,10 +104,10 @@ def test_cdf_matches_the_tables_on_corrupted_extractors(a):
 
 
 def breaking_columns(lat, e):
-    """Positions j in meet_irreducibles of the m with e(x /\\ m) != e(x) /\\ e(m)
-    for some x, on the meet table."""
-    meet = try_lattice(lat).meet
-    return [j for j, m in enumerate(lat.meet_irreducibles)
+    """Positions j in the meet-irreducibles of the m with e(x /\\ m) !=
+    e(x) /\\ e(m) for some x, by the kernel."""
+    meet = ref.meet_table(lat.join)
+    return [j for j, m in enumerate(ref.meet_irreducibles(lat.join))
             if any(e[meet[x][m]] != meet[e[x]][e[m]] for x in range(lat.n))]
 
 

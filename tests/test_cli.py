@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+import reference as ref
 from infalg import cli, duality, files
 from infalg.cli import main
 from infalg.duality import QSpace, dualize
@@ -72,11 +73,6 @@ def test_leq_and_join_inputs_agree(string22):
     assert via_join == via_leq
 
 
-def literal_glb(poset, a, b):
-    lowers = [c for c in range(poset.n) if poset.le(c, a) and poset.le(c, b)]
-    return next((c for c in lowers if all(poset.le(d, c) for d in lowers)), None)
-
-
 def test_meet_witness_matches_literal_on_corrupted_tables():
     rng = random.Random(2718)
     lattices = [diamond_m3(), pentagon_n5(), try_lattice(gen_string(2, 3).sl)]
@@ -94,7 +90,7 @@ def test_meet_witness_matches_literal_on_corrupted_tables():
             doc = {"n": n, "join": lat.join, "unit": lat.unit, "zero": lat.zero,
                    "meet": meet, "extractors": {}}
             expected = next(((a, b) for a in range(n) for b in range(n)
-                             if literal_glb(lat.poset, a, b) != meet[a][b]), None)
+                             if ref.glb(lat.poset.up, (a, b)) != meet[a][b]), None)
             report = files.parse_algebra(json.dumps(doc)).report
             assert report.witness("meet_is_greatest_lower_bound") == expected, meet
             assert report.ok == (expected is None)
@@ -374,6 +370,17 @@ def test_cli_enumerate_output_is_pinned(capsys):
     assert (err, out.splitlines()[-1]) == ("", "total: 94 algebras, 768 q-spaces")
     assert hashlib.sha256(out.encode()).hexdigest() == \
         "462a4067705dddedfb057d2077737568e76a016173a478737910ca8a4e7a07e7"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["-1", "--posets", "-1"], "max_n must be a non-negative integer, got -1"),
+    (["2", "--posets", "-3"], "--posets must be a non-negative integer, got -3"),
+], ids=["both-negative", "negative-posets"])
+def test_cli_enumerate_rejects_negative_sizes(capsys, argv, message):
+    assert main(["enumerate", *argv]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert main(["enumerate", "0"]) == 0
+    assert capsys.readouterr() == ("total: 0 algebras, 0 q-spaces\n", "")
 
 
 def test_cli_enumerate_refuses_a_point_count_before_streaming(capsys):

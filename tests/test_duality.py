@@ -1,14 +1,17 @@
 import random
-from itertools import combinations, product
+from itertools import product
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import closure_sweep
+import reference as ref
+from closure_sweep import failure
 from infalg import duality
 from infalg.algebra import (AlgebraMorphism, enumerate_homomorphisms, extraction_image,
                             identity_morphism, is_distributive_cdf, is_homomorphism,
-                            is_isomorphism, make_algebra, verify_axioms)
+                            make_algebra, verify_axioms)
 from infalg.duality import (QMorphism, QSpace, _dual, boolean_diagnostics,
                             check_q_morphism, check_separating, check_upset_cap, dual_point_map,
                             dualize, dualize_morphism, double_dual_element_map,
@@ -17,14 +20,13 @@ from infalg.duality import (QMorphism, QSpace, _dual, boolean_diagnostics,
                             round_trip_space, sentence_commutation, sentence_saturation_upsets,
                             sentence_separation, sentence_separation_star)
 from infalg.equivalence import (Equivalence, StarFamily, all_equivalences, commutation_witness,
-                                saturate, star_closure, star_family)
+                                star_closure, star_family)
 from infalg.errors import DEFAULT_CAP, CapExceeded, PreconditionError, StructureError
 from infalg.generators import (all_labeled_posets, enumerate_algebras, enumerate_posets,
                                enumerate_q_spaces, separating_equivalences)
-from infalg.order import (FinitePoset, antichain_poset, bits, chain_poset, mask_of,
-                          meet_irreducibles, pullback, up_closure, up_sets)
-from infalg.report import Report
-from infalg.semigroup import compose, table
+from infalg.order import (FinitePoset, antichain_poset, bits, chain_poset, mask_of, up_closure,
+                          up_sets)
+from infalg.semigroup import compose
 from infalg.set_algebra import SetAlgebra
 
 
@@ -367,10 +369,18 @@ def test_double_dual_commuting_square(lv_2_chain3, mv22_algebra):
 
 
 def brute_q_morphisms(s, t):
-    """Every (alpha, omega) that check_q_morphism accepts from s to t."""
+    """Every (alpha, omega) from s to t that passes the kernel's laws."""
     candidates = (QMorphism(alpha, omega) for alpha in product(range(t.n), repeat=s.n)
                   for omega in product(range(len(s.eqs.members)), repeat=len(t.eqs.members)))
-    return [m for m in candidates if check_q_morphism(m, s, t).ok]
+    return [m for m in candidates if kernel_q_morphism(m, s, t)]
+
+
+def kernel_q_morphism(m, s, t):
+    return ref.holds(ref.q_morphism_items(m.alpha, m.omega, ref.space_of(s), ref.space_of(t)))
+
+
+def kernel_homomorphism(m, a, b):
+    return ref.holds(ref.homomorphism_items(m.f, m.g, ref.algebra_of(a), ref.algebra_of(b), True))
 
 
 def test_morphism_duality_on_the_enumerated_universe():
@@ -422,36 +432,30 @@ def test_morphism_duality_on_the_enumerated_universe():
     assert composable == 111713
 
 
+def compatibility_counts():
+    """Over the pairs (f, g) on a 3-chain algebra that obey the lattice and
+    semigroup laws (the kernel's items but the extraction law), the count
+    of each verdict of the extraction law, which must be its dual's."""
+    a = chain_algebra(3, [(0, 1, 2), (0, 0, 2)])
+    space, points = _dual(a)
+    both = {True: 0, False: 0}
+    for f, g in product(product(range(3), repeat=3), product(range(2), repeat=2)):
+        laws = {name: ok for name, ok, _ in ref.homomorphism_items(f, g, ref.algebra_of(a),
+                                                                   ref.algebra_of(a), True)}
+        compat = laws.pop("extraction_compatible")
+        if all(laws.values()):
+            qm = QMorphism(dual_point_map(f, a, a, points, points), g)
+            dual_compat = check_q_morphism(qm, space, space).witness("saturation_compatible")
+            assert compat == (dual_compat is None)
+            both[compat] += 1
+    return both
+
+
 def test_compatibility_transfers_both_ways():
     # pairs (f, g) obeying the lattice and semigroup laws satisfy the
     # extraction law exactly when their double duals do
-    a = chain_algebra(3, [(0, 1, 2), (0, 0, 2)])
-    b = a
-    space, points = _dual(a)
-    checked_bad = checked_good = 0
-    from itertools import product
-
-    for f in product(range(3), repeat=3):
-        if f[a.unit] != b.unit or f[a.zero] != b.zero:
-            continue
-        if any(f[a.join(x, y)] != b.join(f[x], f[y]) for x in range(3) for y in range(3)):
-            continue
-        lat_ok = all(f[min(x, y)] == min(f[x], f[y]) for x in range(3) for y in range(3))
-        if not lat_ok:
-            continue
-        for g in product(range(2), repeat=2):
-            if any(g[a.compose_label(k, l)] != b.compose_label(g[k], g[l])
-                   for k in range(2) for l in range(2)):
-                continue
-            compat = all(f[a.apply(k, x)] == b.apply(g[k], f[x])
-                         for k in range(2) for x in range(3))
-            alpha = dual_point_map(f, a, b, points, points)
-            qm = QMorphism(alpha, tuple(g))
-            dual_compat = check_q_morphism(qm, space, space).witness("saturation_compatible") is None
-            assert compat == dual_compat
-            checked_bad += not compat
-            checked_good += compat
-    assert checked_good and checked_bad
+    both = compatibility_counts()
+    assert both[True] and both[False]
 
 
 def test_boolean_diagnostics(lv_2_chain2):
@@ -494,14 +498,11 @@ def test_make_nontrivial_separating_two_chain_none():
 def literal_nontrivial_separating(poset):
     """Principal up-sets first, in point order, then the other up-sets
     ascending; the first one of >= 2 points, short of the whole set, whose
-    single-block equivalence is separating."""
-    n = poset.n
-    principal = [poset.up[x] for x in range(n)]
-    for u in principal + [u for u in up_sets(poset) if u not in principal]:
-        theta = Equivalence(n, [0 if (u >> x) & 1 else x + 1 for x in range(n)])
-        if (u != poset.full_mask() and bin(u).count("1") >= 2
-                and not theta.is_identity() and not theta.is_all()
-                and check_separating(poset, theta)[0]):
+    single-block equivalence separates, as block labels."""
+    n, up = poset.n, poset.up
+    for u in [*up, *(u for u in ref.up_sets(up) if u not in up)]:
+        theta = ref.canonical(0 if u >> x & 1 else x + 1 for x in range(n))
+        if u != (1 << n) - 1 and bin(u).count("1") >= 2 and ref.separating(up, theta)[0]:
             return theta
     return None
 
@@ -519,7 +520,8 @@ def test_make_nontrivial_separating_matches_literal_search():
     posets = [poset for n in range(2, 5) for poset in all_labeled_posets(n)]
     for poset in (posets + [antichain_poset(n) for n in range(5, 15)]
                   + [SHARED_ROWS, THREE_CLASSES]):
-        assert make_nontrivial_separating(poset) == literal_nontrivial_separating(poset), poset
+        theta = make_nontrivial_separating(poset)
+        assert (theta and theta.block_of) == literal_nontrivial_separating(poset), poset
     assert make_nontrivial_separating(THREE_CLASSES) == Equivalence.from_blocks(
         7, [[0, 1, 2, 3, 4, 5], [6]])
 
@@ -578,7 +580,7 @@ def test_saturations_compose_along_extractor_labels(generated_suite):
         if not is_distributive_cdf(a).ok:
             continue
         space, _ = _dual(a)
-        arrays = member_arrays(space)
+        arrays = ref.saturations(*ref.space_of(space))
         for k in range(len(arrays)):
             for l in range(len(arrays)):
                 composed = tuple(arrays[k][arrays[l][i]] for i in range(len(arrays[k])))
@@ -591,7 +593,7 @@ def test_dual_saturations_distinct(generated_suite):
         if not is_distributive_cdf(a).ok:
             continue
         space, _ = _dual(a)
-        arrays = member_arrays(space)
+        arrays = ref.saturations(*ref.space_of(space))
         assert len(set(arrays)) == len(arrays)
 
 
@@ -616,12 +618,10 @@ def test_trace_inclusion_matches_membership_transfer(generated_suite):
         if not is_distributive_cdf(a).ok:
             continue
         space, points = _dual(a)
-        usets = up_sets(space.poset)
+        usets = ref.up_sets(space.poset.up)
         for k in range(len(a.extractors)):
-            theta = space.eqs.members[k]
-            from infalg.equivalence import saturate
-
-            saturated = [u for u in usets if saturate(theta, u) == u]
+            theta = space.eqs.members[k].block_of
+            saturated = [u for u in usets if ref.saturate(theta, u) == u]
             image = set(a.extractors[k])
             traces = [frozenset(e for e in image if a.le(e, p)) for p in points]
             for p in range(len(points)):
@@ -667,22 +667,6 @@ def test_dual_family_can_fail_to_commute():
     assert rt.target.n == a.n
 
 
-def literal_check_separating(poset, theta):
-    """check_separating as literal loops: every up-set saturated twice."""
-    usets = poset.up_set_index
-    for u in usets:
-        if saturate(theta, u) not in usets:
-            return False, ("saturation_image", u)
-    saturated = [u for u in usets if saturate(theta, u) == u]
-    for p in range(poset.n):
-        for q in range(p + 1, poset.n):
-            if theta.relates(p, q):
-                continue
-            if not any(((u >> p) & 1) != ((u >> q) & 1) for u in saturated):
-                return False, ("unseparated_pair", (p, q))
-    return True, None
-
-
 def test_check_separating_matches_literal_loop():
     # every labeled poset of up to four points with every equivalence; on a
     # partial order no pair is ever left unseparated, so every preorder on up
@@ -698,7 +682,7 @@ def test_check_separating_matches_literal_loop():
     assert len(cases) == 4581
     kinds = set()
     for poset, theta in cases:
-        expected = literal_check_separating(poset, theta)
+        expected = ref.separating(poset.up, theta.block_of)
         assert check_separating(poset, theta) == expected, (poset, theta)
         kinds.add(expected[1] and expected[1][0])
     assert kinds == {None, "saturation_image", "unseparated_pair"}
@@ -765,17 +749,16 @@ def test_q_space_reports_match_uncached_orders():
         report = q_space_report(s)
         assert report == q_space_report(QSpace(fresh, s.eqs))
         assert [(item.ok, item.witness) for item in report.items[1:]] == [
-            literal_check_separating(fresh, theta) for theta in s.eqs.members]
+            ref.separating(fresh.up, theta.block_of) for theta in s.eqs.members]
     # the pools cached every equivalence, failing ones with their witnesses
     posets = {id(s.poset): s.poset for s in spaces}.values()
     assert len(posets) == 24
     for poset in posets:
         cached = vars(poset)["separating_verdicts"]
         assert len(cached) == len(all_equivalences(poset.n))
-        fresh = FinitePoset(poset.n, poset.up)
         for theta, verdict in cached.items():
             assert check_separating(poset, theta) == verdict
-            assert verdict == literal_check_separating(fresh, theta)
+            assert verdict == ref.separating(poset.up, theta.block_of)
 
 
 @st.composite
@@ -821,58 +804,6 @@ def test_separation_past_the_up_set_enumeration_limit(poset, data):
             make_q_space(poset, family)
 
 
-def member_arrays(space):
-    """Saturation of every family member as a self-map of the up-set list,
-    collisions rejected: the label tables' second route."""
-    pos = space.poset.up_set_index
-    arrays = [tuple(pos[saturate(member, u)] for u in pos) for member in space.eqs.members]
-    if len(set(arrays)) != len(arrays):
-        raise StructureError("ambiguous composition: saturation arrays collide")
-    return arrays
-
-
-def literal_check_q_morphism(m, s, t):
-    """check_q_morphism with its order and saturation laws as literal loops."""
-    report = Report()
-    ok = (len(m.alpha) == s.poset.n and all(0 <= v < t.poset.n for v in m.alpha)
-          and len(m.omega) == len(t.eqs.members)
-          and all(0 <= v < len(s.eqs.members) for v in m.omega))
-    report.add("maps_total", ok)
-    if not ok:
-        return report
-    w = next(((p, q) for p in range(s.poset.n) for q in range(s.poset.n)
-              if s.poset.le(p, q) and not t.poset.le(m.alpha[p], m.alpha[q])), None)
-    report.add("alpha_order_preserving", w is None, w)
-    tab_s, tab_t = table(member_arrays(s)), table(member_arrays(t))
-
-    def composite(tab, i, j):
-        if tab[i][j] is None:
-            raise StructureError(f"saturations not closed under composition at ({i},{j})")
-        return tab[i][j]
-
-    ks = range(len(t.eqs.members))
-    w = next(((i, j) for i in ks for j in ks
-              if m.omega[composite(tab_t, i, j)]
-              != composite(tab_s, m.omega[i], m.omega[j])), None)
-    report.add("omega_semigroup_map", w is None, w)
-
-    def preimage(u):
-        return mask_of(p for p in range(s.poset.n) if (u >> m.alpha[p]) & 1)
-
-    w = None
-    for i in ks:
-        gamma = t.eqs.members[i]
-        th = s.eqs.members[m.omega[i]]
-        for v in t.poset.up_set_index:
-            if preimage(saturate(gamma, v)) != saturate(th, preimage(v)):
-                w = (i, v)
-                break
-        if w:
-            break
-    report.add("saturation_compatible", w is None, w)
-    return report
-
-
 def test_check_q_morphism_matches_literal_loop():
     # seeded random (alpha, omega) pairs between Q-spaces of up to three points
     rng = random.Random(5)
@@ -882,45 +813,10 @@ def test_check_q_morphism_matches_literal_loop():
         s, t = rng.choice(spaces), rng.choice(spaces)
         m = QMorphism(tuple(rng.randrange(t.n) for _ in range(s.n)),
                       tuple(rng.randrange(len(s.eqs.members)) for _ in t.eqs.members))
-        expected = literal_check_q_morphism(m, s, t)
-        assert check_q_morphism(m, s, t).items == expected.items, (m, s, t)
-        failed += not expected.ok
+        expected = ref.q_morphism_items(m.alpha, m.omega, ref.space_of(s), ref.space_of(t))
+        assert [(i.name, i.ok, i.witness) for i in check_q_morphism(m, s, t).items] == expected
+        failed += not ref.holds(expected)
     assert 0 < failed < 2000
-
-
-def literal_round_trip_space(s, double_dual):
-    """round_trip_space with its point map and correspondence checks as
-    literal loops, on ``double_dual(s)``."""
-    index = s.poset.up_set_index
-    target, points = double_dual(s)
-    n = s.poset.n
-    if target.poset.n != n or len(target.eqs.members) != len(s.eqs.members):
-        raise StructureError("double dual has different size")
-    carrier_of = {c: i for i, c in enumerate(points)}
-    lam = []
-    for p in range(n):
-        c = index[s.poset.up[p]]
-        if c not in carrier_of:
-            raise StructureError(f"principal up-set of point {p} is not a dual point")
-        lam.append(carrier_of[c])
-    lam = tuple(lam)
-    omega = tuple(range(len(s.eqs.members)))
-    if sorted(lam) != list(range(n)):
-        raise StructureError("space round trip point map is not bijective")
-    for p in range(n):
-        for q in range(n):
-            if s.poset.le(p, q) != target.poset.le(lam[p], lam[q]):
-                raise StructureError(f"order not preserved at {(p, q)}")
-    for i, theta in enumerate(s.eqs.members):
-        ti = target.eqs.members[i]
-        for p in range(n):
-            for q in range(n):
-                if theta.relates(p, q) != ti.relates(lam[p], lam[q]):
-                    raise StructureError(f"equivalence correspondence broken at {(i, p, q)}")
-    qm = literal_check_q_morphism(QMorphism(lam, omega), s, target)
-    if not qm.ok:
-        raise StructureError("space round trip is not a Q-morphism:\n" + qm.format())
-    return target, QMorphism(lam, omega), points
 
 
 # Each verdict has one route in the library; the second routes run here.
@@ -971,9 +867,9 @@ def test_label_table_matches_the_saturation_arrays_on_every_dual():
     for a in enumerate_algebras(5):
         space = dualize(a)
         sa = SetAlgebra(space.n, tuple(up_sets(space.poset)), space.eqs)
-        arrays = member_arrays(space)
-        assert sa.saturations == tuple(arrays)
-        assert sa.label_table == table(arrays)
+        arrays = ref.saturations(*ref.space_of(space))
+        assert sa.saturations == arrays
+        assert sa.label_table == ref.label_table(arrays)
         if space.eqs.closed:
             assert sa.label_table == space.eqs.products
         else:
@@ -1020,32 +916,30 @@ def test_upset_cap_caches_the_index_it_found():
     assert "up_set_index" not in vars(wide)
 
 
-def trace_members(a):
-    """The dual family as traces, read off the source's down rows: points
-    are related when their ideals cut the extractor image alike."""
-    points = meet_irreducibles(a.sl)
-    return tuple(Equivalence(len(points), [a.poset.down[p] & mask_of(e) for p in points])
-                 for e in a.extractors)
+def set_algebra_items(s):
+    """The kernel's set-algebra items of the up-sets of a Q-space."""
+    up, eqs = ref.space_of(s)
+    return ref.set_algebra_items(s.n, ref.up_sets(up), s.eqs.n, s.eqs.labels, eqs)
 
 
 def test_second_routes_hold_on_the_enumerated_universe(generated_suite):
-    from infalg.set_algebra import check_set_algebra, principal_upset_representation
+    from infalg.set_algebra import principal_upset_representation
 
     for s in enumerate_q_spaces(4):
         rt = round_trip_space(s)
-        assert check_q_morphism(rt.morphism, s, rt.target).ok
-        assert check_set_algebra(s.n, up_sets(s.poset), s.eqs).ok
+        assert kernel_q_morphism(rt.morphism, s, rt.target)
+        assert ref.holds(set_algebra_items(s))
     algebras = list(generated_suite.values()) + list(enumerate_algebras(5))
     for a in algebras:
         if is_distributive_cdf(a).ok:
             # dualize builds Cignoli's relation and does not check it separates
             assert q_space_report(dualize(a)).ok
             rt = round_trip_algebra(a)
-            assert rt.space.eqs.members == trace_members(a)
-            assert is_homomorphism(rt.morphism, a, rt.target, check_meets=True).ok
-            assert check_set_algebra(rt.space.n, up_sets(rt.space.poset), rt.space.eqs).ok
+            assert ref.space_of(rt.space) == ref.dual(ref.algebra_of(a))[0]
+            assert kernel_homomorphism(rt.morphism, a, rt.target)
+            assert ref.holds(set_algebra_items(rt.space))
         rep = principal_upset_representation(a)
-        assert is_homomorphism(rep.morphism, a, rep.algebra, check_meets=True).ok
+        assert kernel_homomorphism(rep.morphism, a, rep.algebra)
 
 
 @st.composite
@@ -1072,71 +966,34 @@ def random_q_spaces(draw):
 @settings(max_examples=100, deadline=None)
 @given(random_q_spaces())
 def test_round_trips_past_the_enumerated_universe(s):
-    from infalg.set_algebra import check_set_algebra
-
     rt = round_trip_space(s)  # raises unless verified
-    assert check_q_morphism(rt.morphism, s, rt.target).ok
-    assert check_set_algebra(s.n, up_sets(s.poset), s.eqs).ok
+    assert kernel_q_morphism(rt.morphism, s, rt.target)
+    assert ref.holds(set_algebra_items(s))
     a = reconstruct(s)
     art = round_trip_algebra(a)
-    assert art.space.eqs.members == trace_members(a)
-    assert is_homomorphism(art.morphism, a, art.target, check_meets=True).ok
+    assert ref.space_of(art.space) == ref.dual(ref.algebra_of(a))[0]
+    assert kernel_homomorphism(art.morphism, a, art.target)
 
 
-# The table route: every round trip as it ran before the mask certificate,
-# from fresh tables, kept as the oracle of the mask route.
-
-def table_reconstruct(s, cap=DEFAULT_CAP):
-    """reconstruct on tables: the up-set algebra's join table and
-    saturation arrays, then the output's axioms and CDF verdict."""
-    check_upset_cap(s.poset, cap)
-    q_space_report(s).require("invalid Q-space", PreconditionError)
-    out = SetAlgebra(s.n, tuple(up_sets(s.poset)), s.eqs).to_info_algebra()
-    verify_axioms(out).require("reconstructed algebra fails axioms")
-    if not is_distributive_cdf(out).ok:
-        raise StructureError("reconstructed algebra is not distributive")
-    return out
-
-
-def table_double_dual(s):
-    return _dual(table_reconstruct(s))
-
-
-def table_round_trip_algebra(a):
-    """round_trip_algebra on tables: is_isomorphism against the
-    reconstructed algebra."""
-    space, points = _dual(a)
-    target = table_reconstruct(space)
-    index = space.poset.up_set_index
-    f = tuple(index[pullback(points, up)] for up in a.poset.up)
-    morphism = AlgebraMorphism(f, tuple(range(len(a.extractors))))
-    if not is_isomorphism(morphism, a, target):
-        raise StructureError("algebra round trip failed to be an isomorphism")
-    return space, points, target, morphism
-
-
-def algebra_fields(a):
-    return a.sl.poset, a.sl.join, a.unit, a.zero, a.extractors, a.labels, a.composition
-
-
-def space_fields(s):
-    return s.poset, s.eqs.n, s.eqs.members, s.eqs.labels, s.eqs.products
-
+# The kernel's route: every round trip from fresh tables and prime filters,
+# the oracle of the mask route.
 
 def assert_space_routes_agree(s):
-    assert algebra_fields(reconstruct(s)) == algebra_fields(table_reconstruct(s))
-    rt = round_trip_space(s)
-    target, morphism, points = literal_round_trip_space(s, table_double_dual)
-    assert (space_fields(rt.target), rt.morphism, rt.points) == (
-        space_fields(target), morphism, points)
+    assert closure_sweep.counterexample(s) == (None, True)
+    target = round_trip_space(s).target
+    assert target.eqs.products == ref.star_table(ref.space_of(target)[1])
 
 
 def assert_algebra_routes_agree(a):
     rt = round_trip_algebra(a)
-    space, points, target, morphism = table_round_trip_algebra(a)
-    assert (space_fields(rt.space), rt.points, rt.morphism) == (
-        space_fields(space), points, morphism)
-    assert algebra_fields(rt.target) == algebra_fields(target)
+    plain = ref.algebra_of(a)
+    space, points, target, f = ref.round_trip_algebra(plain)
+    assert ref.is_isomorphism(f, rt.morphism.g, plain, target)
+    assert not any(ref.axioms(target).values()) and ref.cdf(target)[0]
+    assert (ref.space_of(rt.space), rt.space.eqs.labels, rt.points, rt.morphism.f) == (
+        space, a.labels, points, f)
+    assert rt.space.eqs.products == ref.star_table(space[1])
+    assert (ref.algebra_of(rt.target), rt.target.labels) == (target, a.labels)
 
 
 def test_mask_route_matches_the_table_route_on_the_universe():
@@ -1163,13 +1020,6 @@ def test_mask_route_matches_the_table_route_past_the_universe(s):
     assert_algebra_routes_agree(reconstruct(s))
 
 
-def failure(run, s):
-    with pytest.raises((StructureError, PreconditionError)) as exc:
-        run(s)
-    e = exc.value
-    return type(e), str(e), e.witness, e.report and e.report.items
-
-
 ALL2 = Equivalence.all_relation(2)
 LEFT3, RIGHT3 = Equivalence(3, [0, 0, 1]), Equivalence(3, [0, 1, 1])
 GRID4 = [Equivalence(4, [0, 0, 1, 1]), Equivalence(4, [0, 1, 0, 1])]
@@ -1188,10 +1038,9 @@ def test_failed_certificates_raise_the_table_route_error(s, message):
     # each Q-space is valid; its family fails the up-set algebra's label
     # table, and every route names that failure alike
     assert q_space_report(s).ok
-    expected = failure(table_reconstruct, s)
+    expected = closure_sweep.expected_failure(ref.space_of(s))
     assert expected[1].startswith(message)
     assert failure(reconstruct, s) == failure(round_trip_space, s) == expected
-    assert failure(lambda s: literal_round_trip_space(s, table_double_dual), s) == expected
 
 
 def test_colliding_saturations_leave_the_label_table_unresolved():
@@ -1210,39 +1059,21 @@ def test_colliding_saturations_leave_the_label_table_unresolved():
     (QSpace(FinitePoset(2, (3, 3)), star_family([ALL2])), "double dual has different size"),
 ], ids=["preorder"])
 def test_double_duals_off_the_masks_raise_the_table_route_error(s, message):
-    # reconstruct passes, and only the double dual breaks
-    assert algebra_fields(reconstruct(s)) == algebra_fields(table_reconstruct(s))
-    expected = failure(lambda s: literal_round_trip_space(s, table_double_dual), s)
-    assert expected[1] == message
-    assert failure(round_trip_space, s) == expected
+    # reconstruct passes, and only the double dual breaks: it has fewer points
+    space = ref.space_of(s)
+    assert ref.algebra_of(reconstruct(s)) == ref.reconstruct(space)
+    target, _, lam = ref.round_trip_space(space)
+    assert len(target[0]) < s.n and lam is None
+    assert failure(round_trip_space, s) == ("StructureError", message, None)
 
 
 def test_resolving_label_tables_are_symmetric_and_every_route_agrees():
     # _certify's closure-operator argument, over every family of one to four
     # separating equivalences on the posets of up to 4 points, closed or
     # not: a label table that resolves is symmetric and both round trips
-    # match the table routes, and a table that does not resolve fails every
+    # match the kernel's, and a table that does not resolve fails every
     # route alike
-    families = resolving = not_closed = 0
-    for poset in enumerate_posets(4):
-        pool = separating_equivalences(poset)
-        for k in range(1, 5):
-            for members in combinations(pool, k):
-                s = QSpace(poset, StarFamily(poset.n, members, [f"t{i}" for i in range(k)]))
-                families += 1
-                try:
-                    tab = s.up_set_algebra.label_table
-                except StructureError:
-                    expected = failure(table_reconstruct, s)
-                    assert failure(reconstruct, s) == failure(round_trip_space, s) == expected
-                    assert failure(lambda s: literal_round_trip_space(s, table_double_dual),
-                                   s) == expected
-                    continue
-                assert all(tab[i][j] == tab[j][i] for i in range(k) for j in range(i))
-                assert_space_routes_agree(s)
-                resolving += 1
-                not_closed += not s.eqs.closed
-    assert (families, resolving, not_closed) == (6996, 1185, 82)
+    assert closure_sweep.sweep(4) == (None, (6996, 1185, 82))
 
 
 def wide_antichain_space():

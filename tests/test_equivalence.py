@@ -4,11 +4,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import reference as ref
 from infalg.equivalence import (Equivalence, StarFamily, all_equivalences, commutation_witness,
                                 compose_rows, directedness_witness, saturate, star,
                                 star_closure, star_family, star_table)
 from infalg.errors import NonCommutingError, StructureError
-from infalg.order import bits
 
 GRID_ROWS = Equivalence.from_blocks(4, [[0, 1], [2, 3]])
 GRID_COLS = Equivalence.from_blocks(4, [[0, 2], [1, 3]])
@@ -151,7 +151,8 @@ def test_least_upper_equivalence():
 
 def union_closure(theta, gamma):
     """Least equivalence containing both, as the transitive closure of the
-    union (union-find over the blocks); needs no commutation."""
+    union (union-find over the blocks), in block labels; needs no
+    commutation."""
     parent = list(range(theta.n))
 
     def find(x):
@@ -162,10 +163,10 @@ def union_closure(theta, gamma):
 
     for eq in (theta, gamma):
         for block in eq.blocks:
-            xs = list(bits(block))
+            xs = ref.members(block)
             for y in xs[1:]:
                 parent[find(y)] = find(xs[0])
-    return Equivalence(theta.n, [find(x) for x in range(theta.n)])
+    return ref.canonical(find(x) for x in range(theta.n))
 
 
 def test_star_and_least_upper_match_oracles():
@@ -182,9 +183,9 @@ def test_star_and_least_upper_match_oracles():
                 continue
             pairs += 1
             product = star(theta, gamma)
-            rows = compose_rows(theta, gamma)
+            rows = ref.product_rows(theta.block_of, gamma.block_of)
             assert all(product.block_mask(u) == rows[u] for u in range(4)), (theta, gamma)
-            assert union_closure(theta, gamma) == product
+            assert union_closure(theta, gamma) == product.block_of
     assert 0 < pairs < len(eqs) ** 2
 
 
@@ -316,37 +317,21 @@ def test_star_family_empty_needs_universe():
     assert fam.members == () and fam.n == 3
 
 
-def literal_star_table(members):
-    """The star table as a literal loop that stops at the first gap:
-    (products, None), else (None, ('commute', i, j, pair) or ('closure', i, j))."""
-    index = {m: i for i, m in enumerate(members)}
-    products = []
-    for i, a in enumerate(members):
-        row = []
-        for j, b in enumerate(members):
-            try:
-                prod = star(a, b)
-            except NonCommutingError as exc:
-                return None, ("commute", i, j, exc.witness)
-            k = index.get(prod)
-            if k is None:
-                return None, ("closure", i, j)
-            row.append(k)
-        products.append(tuple(row))
-    return tuple(products), None
-
-
 def literal_star_family_outcome(members):
-    """What star_family did with the literal table: the strict error as
-    (type, message, witness), or the strict family's products."""
-    products, defect = literal_star_table(members)
-    if defect is None:
+    """What star_family must do with the kernel's star table: the strict
+    family's products, or, at the first gap, the error as (type, message,
+    witness), a pair that does not commute or a product not listed."""
+    eqs = [m.block_of for m in members]
+    products = ref.star_table(eqs)
+    gap = next(((i, j) for i, row in enumerate(products) for j, c in enumerate(row)
+                if c is None), None)
+    if gap is None:
         return products
-    if defect[0] == "commute":
-        return (NonCommutingError, f"members {defect[1]} and {defect[2]} do not commute, "
-                                   f"witness {defect[3]}", defect[3])
-    return (StructureError, f"family not star-closed: missing product of "
-                             f"({defect[1]},{defect[2]})", defect[1:3])
+    w = ref.commutation_witness(eqs[gap[0]], eqs[gap[1]])
+    if w is not None:
+        return (NonCommutingError, f"members {gap[0]} and {gap[1]} do not commute, witness {w}",
+                w)
+    return StructureError, f"family not star-closed: missing product of ({gap[0]},{gap[1]})", gap
 
 
 def star_family_outcome(members):
@@ -368,31 +353,22 @@ def test_star_table_matches_literal_loop():
     failures = 0
     for members in cases:
         table = star_table(members)
-        for i, a in enumerate(members):
-            for j, b in enumerate(members):
-                prod = star(a, b) if commutation_witness(a, b) is None else None
-                assert table[i][j] == (members.index(prod) if prod in members else None)
+        expected = ref.star_table([m.block_of for m in members])
+        assert table == expected
         assert star_family_outcome(members) == literal_star_family_outcome(members)
         lenient = StarFamily(members[0].n, members, [f"t{i}" for i in range(len(members))])
-        products, defect = literal_star_table(members)
-        assert lenient.closed == (defect is None) and lenient.products == table
-        failures += defect is not None
+        closed = all(None not in row for row in expected)
+        assert lenient.closed == closed and lenient.products == table
+        failures += not closed
     assert 0 < failures < len(cases)
 
 
-def per_point_compose_rows(theta, gamma):
-    """The relational product saturated once per point: the reference the
-    once-per-block rows must match."""
-    if theta.n != gamma.n:
-        raise StructureError(f"universe mismatch: {theta.n} vs {gamma.n}")
-    return [saturate(gamma, theta.block_mask(u)) for u in range(theta.n)]
-
-
 def test_compose_rows_matches_per_point_saturation():
+    # the once-per-block rows against the kernel's relational product
     eqs = all_equivalences(4)
     for theta in eqs:
         for gamma in eqs:
-            assert compose_rows(theta, gamma) == per_point_compose_rows(theta, gamma)
-    for rows in (compose_rows, per_point_compose_rows):
-        with pytest.raises(StructureError, match=r"^universe mismatch: 3 vs 4$"):
-            rows(Equivalence.identity(3), Equivalence.identity(4))
+            assert tuple(compose_rows(theta, gamma)) == ref.product_rows(theta.block_of,
+                                                                         gamma.block_of)
+    with pytest.raises(StructureError, match=r"^universe mismatch: 3 vs 4$"):
+        compose_rows(Equivalence.identity(3), Equivalence.identity(4))

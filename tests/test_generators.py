@@ -7,19 +7,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import reference as ref
 from infalg import generators, order
 from infalg.algebra import is_distributive_cdf, verify_axioms
 from infalg.atoms import classify
 from infalg.equivalence import Equivalence, all_equivalences, saturate, star, star_table
-from infalg.errors import CapExceeded, NonCommutingError, PreconditionError
+from infalg.errors import CapExceeded, PreconditionError
 from infalg.generators import (all_labeled_posets, enumerate_algebras, enumerate_lattices,
                                enumerate_posets, enumerate_q_spaces,
                                extraction_families, extraction_maps, gen_lattice_valued,
                                gen_string, separating_equivalences, string_elements)
 from infalg.order import (BoundedJoinSemilattice, antichain_poset, automorphisms, bits,
                           chain_lattice, diamond_m3, is_distributive, mask_of, pentagon_n5,
-                          powerset_lattice, semilattice_from_poset, up_rows, verify_poset)
-from infalg.semigroup import compose, homomorphism_witness, table
+                          powerset_lattice, semilattice_from_poset)
+from infalg.semigroup import compose
 
 
 def test_string_one_letter_is_three_chain():
@@ -42,10 +43,10 @@ def test_string_prefix_extraction(string23):
 
 
 def test_string_join_table_is_lub_of_prefix_order(string23):
-    # oracle: rebuild the join table from the order alone
-    derived = semilattice_from_poset(string23.poset)
-    assert derived.join == string23.sl.join
-    assert (derived.unit, derived.zero) == (string23.unit, string23.zero)
+    # oracle: rebuild the join table and the bounds from the order alone
+    up, xs = string23.poset.up, range(string23.n)
+    assert string23.sl.join == tuple(tuple(ref.lub(up, (a, b)) for b in xs) for a in xs)
+    assert (ref.glb(up, xs), ref.glb(up, ())) == (string23.unit, string23.zero)
 
 
 def literal_string_join(k, max_len):
@@ -193,30 +194,20 @@ def test_lattice_valued_join_matches_literal_pointwise_join():
 
 
 def test_lattice_valued_up_rows_match_the_order_derived_from_the_join(monkeypatch):
-    # the product builds the up rows too; the oracle derives them from the
+    # the product builds the up rows too; the kernel derives them from the
     # join table, a <= b iff join[a][b] == b
-    derive = order.join_semilattice
     monkeypatch.setattr(order, "join_semilattice", _fail)
     monkeypatch.setattr(generators, "join_semilattice", _fail, raising=False)
     for sizes, lam in lattice_valued_cases():
         a = gen_lattice_valued(sizes, lam)
-        assert a.sl.poset.up == derive(a.sl.join, a.unit, a.zero).poset.up, (sizes, lam.n)
-
-
-def literal_prefix_up_rows(k, max_len):
-    """Up rows of the prefix order by scanning every pair of words."""
-    strs = string_elements(k, max_len)[:-1]
-    zero = len(strs)
-    up = [mask_of(j for j, t in enumerate(strs) if t.startswith(s)) | (1 << zero)
-          for s in strs]
-    return (*up, 1 << zero)
+        assert a.sl.poset.up == ref.order_of(a.sl.join), (sizes, lam.n)
 
 
 def test_string_up_rows_match_literal_prefix_scan():
     for k in range(1, 4):
         for max_len in range(1, 5):
-            assert gen_string(k, max_len).poset.up == literal_prefix_up_rows(k, max_len), \
-                (k, max_len)
+            up = ref.order_of(literal_string_join(k, max_len))
+            assert gen_string(k, max_len).poset.up == up, (k, max_len)
 
 
 def test_lattice_valued_rejects_non_distributive_value_lattice():
@@ -224,19 +215,11 @@ def test_lattice_valued_rejects_non_distributive_value_lattice():
         gen_lattice_valued([2], diamond_m3())
 
 
-def full_meet_scan_witness(lat):
-    """First (a, x, y) where the meet translation meet[a] fails to preserve
-    the join of x and y, scanning the whole meet table; None if none does."""
-    join = lat.join
-    return next(((a, *w) for a, row in enumerate(lat.meet)
-                 if (w := homomorphism_witness(row, join, join)) is not None), None)
-
-
 def test_distributivity_witness_matches_the_full_meet_table_scan():
     # is_distributive builds meet rows one at a time up to the first witness,
     # and caches no table; every lattice is copied without its cached meets
     lattices = [lat for lat in enumerate_lattices(5, distributive_only=False)
-                if full_meet_scan_witness(lat) is not None]
+                if ref.distributive_witness(lat.join) is not None]
     assert len(lattices) == 2
     lattices += [diamond_m3(), pentagon_n5()]
     lattices += [gen_string(2, m).sl for m in range(2, 7)] + [gen_string(3, 3).sl]
@@ -245,7 +228,7 @@ def test_distributivity_witness_matches_the_full_meet_table_scan():
         ok, witness = is_distributive(fresh)
         assert "meet" not in vars(fresh)
         assert not ok
-        assert witness == full_meet_scan_witness(fresh) is not None
+        assert witness == ref.distributive_witness(fresh.join) is not None
 
 
 def test_generated_algebras_pass_axioms(generated_suite):
@@ -259,7 +242,7 @@ def test_labeled_poset_counts():
 
 def test_labeled_posets_match_verify_poset():
     # every table over the off-diagonal pairs, in subset-mask order, kept
-    # iff verify_poset accepts it
+    # iff it is a partial order
     for n in range(5):
         pairs = [(a, b) for a in range(n) for b in range(n) if a != b]
         expected = []
@@ -267,8 +250,8 @@ def test_labeled_posets_match_verify_poset():
             rows = [[a == b for b in range(n)] for a in range(n)]
             for i, (a, b) in enumerate(pairs):
                 rows[a][b] = bool((choice >> i) & 1)
-            if verify_poset(rows).ok:
-                expected.append(up_rows(rows))
+            if ref.order_witnesses(rows) == (None, None, None):
+                expected.append(ref.up_rows(rows))
         assert [p.up for p in all_labeled_posets(n)] == expected
 
 
@@ -279,13 +262,6 @@ def test_poset_counts_up_to_iso():
 
 # The n! loops of the canonical poset key and of automorphisms, written out:
 # the references both readers of order.relabelings must match.
-
-def literal_automorphisms(poset):
-    n = poset.n
-    return [perm for perm in permutations(range(n))
-            if all(poset.le(a, b) == poset.le(perm[a], perm[b])
-                   for a in range(n) for b in range(n))]
-
 
 def literal_canonical_key(poset):
     n = poset.n
@@ -302,7 +278,7 @@ def test_relabelings_match_literal_loops():
         aut_sizes = {}  # canonical key: |Aut| of each labeled poset with it
         for poset in all_labeled_posets(n):
             auts = automorphisms(poset)
-            assert auts == literal_automorphisms(poset)
+            assert auts == ref.automorphisms(poset.up)
             key = generators._canonical_poset_key(poset)
             assert key == literal_canonical_key(poset)
             aut_sizes.setdefault(key, []).append(len(auts))
@@ -418,33 +394,16 @@ def test_enumerator_streams_are_pinned():
 
 
 def literal_extraction_maps(lat, require_meets):
-    """The exhaustive candidate scan with its laws as literal loops."""
-    n = lat.n
-    down = [list(bits(row)) for row in lat.poset.down]
+    """The exhaustive candidate scan by the kernel: each map sending every x
+    at or below itself and the zero to itself that passes the combination
+    law, and preserves meets when they are required."""
+    join = lat.join
+    down = [ref.members(row) for row in ref.transpose(ref.order_of(join))]
     down[lat.zero] = [lat.zero]
-    out = []
-    for cand in product(*down):
-        ok = True
-        for x in range(n):
-            ex = cand[x]
-            for y in range(n):
-                if cand[lat.join[ex][y]] != lat.join[ex][cand[y]]:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok and require_meets:
-            for x in range(n):
-                for y in range(n):
-                    if cand[lat.meet[x][y]] != lat.meet[cand[x]][cand[y]]:
-                        ok = False
-                        break
-                if not ok:
-                    break
-        if ok:
-            out.append(tuple(cand))
-    out.sort()
-    return out
+    meet = ref.meet_table(join)
+    return sorted(e for e in product(*down)
+                  if ref.axioms((join, lat.unit, lat.zero, (e,), None))["extraction_combination"]
+                  is None and not (require_meets and ref.homomorphism_witness(e, meet, meet)))
 
 
 def test_extraction_maps_match_literal_loops():
@@ -466,55 +425,30 @@ def test_enumeration_guards():
         list(enumerate_q_spaces(5))
 
 
-# Literal subset scans over a whole pool: the references the shared
-# Close-by-One core of the generators must match, order included.
+# Closed subsets of a whole pool by the breadth-first closure search below:
+# the references the shared Close-by-One core of the generators must match,
+# order included.
 
 def literal_extraction_families(ops):
-    k = len(ops)
-    tab = table(ops)
-    commute = [sum(1 << j for j in range(k) if tab[i][j] is not None and tab[i][j] == tab[j][i])
-               for i in range(k)]
-    families = []
-    for mask in range(1, 1 << k):
-        members = list(bits(mask))
-        if any(mask & ~commute[i] for i in members):
-            continue
-        if all((mask >> tab[i][j]) & 1 for i in members for j in members):
-            families.append(tuple(ops[i] for i in members))
-    return families
+    """Each closed family of the pool, by the breadth-first closure search."""
+    tab = ref.label_table(tuple(ops))
+    return [tuple(ops[i] for i in ref.members(m)) for m in ref.closed_subsets(tab)]
 
 
 def literal_q_space_families(poset):
-    seps = separating_equivalences(poset)
-    k = len(seps)
-    commute = [0] * k
-    star_idx = [[-1] * k for _ in range(k)]
-    by_eq = {eq: i for i, eq in enumerate(seps)}
-    for i in range(k):
-        for j in range(k):
-            try:
-                prod = star(seps[i], seps[j])
-            except NonCommutingError:
-                continue
-            commute[i] |= 1 << j
-            star_idx[i][j] = by_eq.get(prod, -1)
-    auts = automorphisms(poset)
-    seen = set()
-    out = []
-    for mask in range(1, 1 << k):
-        members = list(bits(mask))
-        if any(mask & ~commute[i] for i in members):
-            continue
-        if not all(star_idx[i][j] >= 0 and (mask >> star_idx[i][j]) & 1
-                   for i in members for j in members):
-            continue
-        fam = [seps[i] for i in members]
-        key = min(tuple(sorted(Equivalence(eq.n, [eq.block_of[x] for x in perm]).block_of
-                               for eq in fam))
+    """Each closed family of the separating pool, by the closure search on
+    the kernel's star table, kept when its least conjugate under the
+    order's automorphisms is new."""
+    seps = [eq.block_of for eq in separating_equivalences(poset)]
+    auts = ref.automorphisms(poset.up)
+    seen, out = set(), []
+    for mask in ref.closed_subsets(ref.star_table(seps)):
+        fam = tuple(seps[i] for i in ref.members(mask))
+        key = min(tuple(sorted(ref.canonical(ref.compose(eq, perm)) for eq in fam))
                   for perm in auts)
         if key not in seen:
             seen.add(key)
-            out.append((poset.up, tuple(eq.block_of for eq in fam)))
+            out.append((poset.up, fam))
     return out
 
 
@@ -537,20 +471,6 @@ def test_q_space_scan_matches_literal_loop():
            for s in enumerate_q_spaces(4)]
     assert got == expected
     assert sum(len(up) <= 3 for up, _ in got) == 54 and len(got) == 768
-
-
-def literal_closed_subsets(tab):
-    """Masks, ascending, of every nonempty subset of the pool in which each
-    ordered pair of members has a listed product, the same in both orders,
-    that is a member."""
-    k = len(tab)
-    out = []
-    for mask in range(1, 1 << k):
-        members = list(bits(mask))
-        if all(tab[i][j] is not None and tab[i][j] == tab[j][i] and (mask >> tab[i][j]) & 1
-               for i in members for j in members):
-            out.append(mask)
-    return out
 
 
 @st.composite
@@ -577,7 +497,7 @@ def pool_tables(draw):
 @settings(max_examples=200, deadline=None)
 @given(pool_tables())
 def test_closed_subsets_match_literal_scan_on_random_tables(tab):
-    assert generators._closed_subsets(tab) == literal_closed_subsets(tab)
+    assert generators._closed_subsets(tab) == ref.closed_subsets(tab)
 
 
 def test_operator_pool_guard():
@@ -603,62 +523,39 @@ def test_separating_pool_guard(monkeypatch):
 
 # The dedupe loops the enumerators used before orbits of pool indices: every
 # closed family is conjugated by every automorphism of its base and kept
-# when the least sorted conjugate is new. Every field must match.
+# when the least sorted conjugate is new, here by the kernel's maps, closure
+# search and automorphisms. Every field must match.
 
 def conjugate_key_algebras(max_n):
-    from infalg.algebra import InfoAlgebra
-
+    """(join, unit, zero, extractors, labels, label table) of each algebra."""
     for lat in enumerate_lattices(max_n, distributive_only=True):
-        ops = extraction_maps(lat, require_meets=True)
-        auts = automorphisms(lat.poset)
-        invs = [tuple(map(perm.index, range(len(perm)))) for perm in auts]
+        auts = ref.automorphisms(ref.order_of(lat.join))
         seen = set()
-        for fam in extraction_families(ops):
-            key = min(tuple(sorted(compose(perm, compose(arr, inv)) for arr in fam))
-                      for perm, inv in zip(auts, invs))
-            if key in seen:
-                continue
-            seen.add(key)
-            arrays = tuple(sorted(fam))
-            labels = tuple(f"e{i}" for i in range(len(arrays)))
-            yield InfoAlgebra(lat, arrays, labels, table(arrays))
-
-
-def conjugate_key_q_spaces(max_points):
-    from infalg.duality import QSpace
-    from infalg.equivalence import star_family
-
-    for poset in enumerate_posets(max_points):
-        seps = separating_equivalences(poset)
-        auts = automorphisms(poset)
-        seen = set()
-        for mask in generators._closed_subsets(star_table(seps)):
-            fam = [seps[i] for i in bits(mask)]
-            key = min(tuple(sorted(Equivalence(eq.n, compose(eq.block_of, perm)).block_of
-                                   for eq in fam))
-                      for perm in auts)
-            if key in seen:
-                continue
-            seen.add(key)
-            labels = tuple(f"t{i}" for i in range(len(fam)))
-            yield QSpace(poset, star_family(fam, labels))
+        for fam in literal_extraction_families(literal_extraction_maps(lat, True)):
+            key = min(tuple(sorted(ref.compose(perm, ref.compose(arr, ref.inverse(perm)))
+                                   for arr in fam)) for perm in auts)
+            if key not in seen:
+                seen.add(key)
+                arrays = tuple(sorted(fam))
+                yield (lat.join, lat.unit, lat.zero, arrays,
+                       tuple(f"e{i}" for i in range(len(arrays))), ref.label_table(arrays))
 
 
 def test_enumerate_algebras_matches_conjugate_key_loop():
     got, want = list(enumerate_algebras(5)), list(conjugate_key_algebras(5))
     assert len(got) == len(want) == 94
     for a, b in zip(got, want):
-        assert (a.sl.join, a.sl.unit, a.sl.zero, a.extractors, a.labels, a.label_table) == \
-            (b.sl.join, b.sl.unit, b.sl.zero, b.extractors, b.labels, b.label_table)
+        assert (a.sl.join, a.sl.unit, a.sl.zero, a.extractors, a.labels, a.label_table) == b
 
 
 def test_enumerate_q_spaces_matches_conjugate_key_loop():
-    got, want = list(enumerate_q_spaces(4)), list(conjugate_key_q_spaces(4))
+    got = list(enumerate_q_spaces(4))
+    want = [fam for poset in enumerate_posets(4) for fam in literal_q_space_families(poset)]
     assert len(got) == len(want) == 768
-    for s, t in zip(got, want):
-        assert s.poset.up == t.poset.up
-        assert (s.eqs.n, s.eqs.members, s.eqs.labels, s.eqs.closed, s.eqs.products) == \
-            (t.eqs.n, t.eqs.members, t.eqs.labels, t.eqs.closed, t.eqs.products)
+    for s, (up, fam) in zip(got, want):
+        assert (ref.space_of(s), s.eqs.n, s.eqs.labels, s.eqs.closed, s.eqs.products) == \
+            ((up, fam), len(up), tuple(f"t{i}" for i in range(len(fam))), True,
+             ref.star_table(fam))
 
 
 def test_enumerate_q_spaces_takes_family_tables_from_the_pool(monkeypatch):
@@ -734,32 +631,6 @@ def test_q_space_orbits_match_burnside_count():
     assert counts == Counter(s.n for s in enumerate_q_spaces(4))
 
 
-def closure_search(tab):
-    """Sorted masks of every nonempty closed subset of the pool, found
-    breadth-first: from the empty set, close each set found with one more
-    index, deduped by a set, with no canonicity test."""
-    k = len(tab)
-
-    def close(members):
-        while True:
-            products = set()
-            for a in members:
-                for b in members:
-                    if tab[a][b] is None or tab[a][b] != tab[b][a]:
-                        return None
-                    products.add(tab[a][b])
-            if products <= members:
-                return members
-            members |= products
-
-    found, frontier = set(), [frozenset()]
-    while frontier:
-        grown = {close(s | {i}) for s in frontier for i in range(k) if i not in s}
-        frontier = [s for s in grown - found if s is not None]
-        found.update(frontier)
-    return sorted(map(mask_of, found))
-
-
 def test_boolean_pools_by_close_by_one():
     # the partitions of m atoms are the separating pool of the m-point
     # antichain, the dual poset of the Boolean lattice 2^m; at m = 5 the pool
@@ -769,7 +640,7 @@ def test_boolean_pools_by_close_by_one():
         pool = all_equivalences(m)
         tab = star_table(pool)
         found = generators._closed_subsets(tab)
-        assert found == closure_search(tab), m
+        assert found == ref.closed_subsets(tab), m
         # each permutation of the atoms acts on the pool, conjugating once
         # per member, and so on every family of pool indices
         index = {eq: i for i, eq in enumerate(pool)}

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import reference as ref
 from infalg import order
 from infalg.errors import FormatError, StructureError
 from infalg.generators import (all_labeled_posets, enumerate_lattices, enumerate_posets,
@@ -16,7 +17,6 @@ from infalg.order import (BoundedJoinSemilattice, FinitePoset,
                           lub_row, mask_of, meet_irreducibles, pentagon_n5,
                           powerset_lattice, semilattice_from_poset,
                           try_lattice, up_rows, up_sets, verify_poset, verify_semilattice)
-from infalg.report import Report
 from infalg.semigroup import first_row_witness, homomorphism_witness
 
 
@@ -152,16 +152,6 @@ def test_meet_irreducibles_two_chain():
     assert meet_irreducibles(chain_lattice(2)) == [0]
 
 
-def brute_up_sets(poset):
-    n = poset.n
-    out = []
-    for size in range(n + 1):
-        for xs in combinations(range(n), size):
-            if all(not poset.le(a, b) or b in xs for a in xs for b in range(n)):
-                out.append(sum(1 << x for x in xs))
-    return sorted(out)
-
-
 @pytest.mark.parametrize("poset,count", [
     (chain_poset(2), 3),
     (antichain_poset(2), 4),
@@ -170,19 +160,12 @@ def brute_up_sets(poset):
 def test_up_set_counts(poset, count):
     masks = up_sets(poset)
     assert len(masks) == count
-    assert masks == brute_up_sets(poset)
+    assert masks == list(ref.up_sets(poset.up))
 
 
 def test_up_sets_match_brute_force_on_stock_posets():
     for poset in (chain_poset(4), antichain_poset(3), diamond_m3().poset):
-        assert up_sets(poset) == brute_up_sets(poset)
-
-
-def scan_up_sets(poset):
-    """Every mask of the 2^n, ascending, that contains the up row of each of
-    its points: the up-set list before Close-by-One, kept as its oracle."""
-    return [mask for mask in range(1 << poset.n)
-            if all(poset.up[x] & ~mask == 0 for x in bits(mask))]
+        assert up_sets(poset) == list(ref.up_sets(poset.up))
 
 
 @st.composite
@@ -203,7 +186,7 @@ def random_orders(draw):
 @settings(max_examples=60, deadline=None)
 @given(random_orders())
 def test_up_sets_match_the_mask_scan_on_random_orders(poset):
-    assert up_sets(poset) == scan_up_sets(poset)
+    assert up_sets(poset) == list(ref.up_sets(poset.up))
     assert list(poset.up_set_index.values()) == list(range(len(poset.up_set_index)))
 
 
@@ -214,9 +197,7 @@ def test_up_sets_of_a_100_point_chain():
 
 def test_order_join_coherence():
     for sl in (chain_lattice(4), powerset_lattice(2), diamond_m3(), pentagon_n5()):
-        for a in range(sl.n):
-            for b in range(sl.n):
-                assert sl.poset.le(a, b) == (sl.join[a][b] == b)
+        assert sl.poset.up == ref.order_of(sl.join)
 
 
 def naturally_labeled_lattices(max_n):
@@ -244,19 +225,9 @@ def test_meet_irreducibles_match_definition():
     # meet-irreducible when a = b /\ c forces a in {b, c}, and a is not the top
     sizes = set()
     for lat in naturally_labeled_lattices(6):
-        n, top = lat.n, lat.zero
-        by_def = [a for a in range(n) if a != top
-                  and all(a in (b, c) for b in range(n) for c in range(n)
-                          if lat.meet[b][c] == a)]
-        assert meet_irreducibles(lat) == by_def, lat.poset
-        sizes.add(n)
+        assert meet_irreducibles(lat) == ref.meet_irreducibles(lat.join), lat.poset
+        sizes.add(lat.n)
     assert sizes == set(range(1, 7))
-
-
-def covers(poset, a):
-    """Upper neighbors of a: minimal elements strictly above a."""
-    strict = poset.up[a] & ~(1 << a)
-    return [b for b in bits(strict) if strict & poset.down[b] & ~(1 << b) == 0]
 
 
 def test_meet_irreducibles_are_the_points_with_one_upper_cover():
@@ -266,7 +237,7 @@ def test_meet_irreducibles_are_the_points_with_one_upper_cover():
         diamond_m3(), pentagon_n5(), try_lattice(gen_lattice_valued([2, 2], chain_lattice(3)).sl)]
     assert lattices[-1].n == 81
     for lat in lattices:
-        expected = [a for a in range(lat.n) if len(covers(lat.poset, a)) == 1]
+        expected = [a for a in range(lat.n) if len(ref.upper_covers(lat.poset.up, a)) == 1]
         assert meet_irreducibles(lat) == expected, lat.poset
 
 
@@ -301,7 +272,7 @@ def test_top_reads_up_rows_like_the_down_row_rule():
     # the down-row rule, kept as the oracle: the one point whose down row is full
     for n in range(1, 5):
         for poset in all_labeled_posets(n):
-            tops = [a for a in range(n) if poset.down[a] == poset.full_mask()]
+            tops = [a for a in range(n) if ref.transpose(poset.up)[a] == poset.full_mask()]
             assert poset.top() == (tops[0] if len(tops) == 1 else None)
     # deriving the bounds builds no down rows
     assert "down" not in vars(semilattice_from_poset(chain_poset(3)).poset)
@@ -311,26 +282,8 @@ def test_bits_roundtrip():
     assert list(bits(0b10110)) == [1, 2, 4]
 
 
-# Literal triple-loop definitions: the references the row-at-a-time scans in
+# The kernel's triple loops are the references the row-at-a-time scans in
 # the library must match witness for witness.
-
-def literal_transitive(rows):
-    n = len(rows)
-    return next(((a, b, c) for a in range(n) for b in range(n) for c in range(n)
-                 if rows[a][b] and rows[b][c] and not rows[a][c]), None)
-
-
-def literal_associative(join):
-    n = len(join)
-    return next(((a, b, c) for a in range(n) for b in range(n) for c in range(n)
-                 if join[join[a][b]][c] != join[a][join[b][c]]), None)
-
-
-def literal_distributive(lat):
-    n, join, meet = lat.n, lat.join, lat.meet
-    return next(((a, b, c) for a in range(n) for b in range(n) for c in range(n)
-                 if meet[a][join[b][c]] != join[meet[a][b]][meet[a][c]]), None)
-
 
 def witness_lattices():
     return {"M3": diamond_m3(), "N5": pentagon_n5(),
@@ -344,7 +297,7 @@ def test_distributivity_witness_matches_literal_definition():
                     in enumerate(enumerate_lattices(5, distributive_only=False)))
     failing = 0
     for name, lat in lattices.items():
-        expected = literal_distributive(lat)
+        expected = ref.distributive_witness(lat.join)
         assert is_distributive(lat) == (expected is None, expected), name
         failing += expected is not None
     assert is_distributive(diamond_m3())[1] == (1, 2, 3)
@@ -360,7 +313,7 @@ def test_associativity_witness_matches_literal_on_corrupted_tables():
             join = [list(row) for row in sl.join]
             for _ in range(rng.randint(1, 3)):
                 join[rng.randrange(sl.n)][rng.randrange(sl.n)] = rng.randrange(sl.n)
-            expected = literal_associative(join)
+            expected = ref.associative_witness(join)
             report = verify_semilattice(join, sl.unit, sl.zero)
             assert report.witness("associative") == expected, (name, join)
             failing += expected is not None
@@ -383,7 +336,7 @@ def test_associativity_certificate_on_symmetric_corruptions():
             for _ in range(rng.randint(1, 2)):
                 a, b = rng.sample(range(sl.n), 2)
                 join[a][b] = join[b][a] = rng.randrange(sl.n)
-            expected = literal_associative(join)
+            expected = ref.associative_witness(join)
             report = verify_semilattice(join, sl.unit, sl.zero)
             assert report.witness("commutative") is None
             assert report.witness("associative") == expected, (name, join)
@@ -400,7 +353,7 @@ def test_associativity_of_a_three_cycle():
     # not transitive, so the certificate is never tried
     join = [[0, 1, 0], [1, 1, 2], [0, 2, 2]]
     report = verify_semilattice(join, 0, 2)
-    assert report.witness("associative") == literal_associative(join) == (0, 1, 2)
+    assert report.witness("associative") == ref.associative_witness(join) == (0, 1, 2)
     assert report.witness("transitive") == (0, 1, 2)
     assert "join_is_least_upper_bound" not in [item.name for item in report.items]
 
@@ -410,7 +363,7 @@ def test_associativity_certificate_needs_entries_in_range():
     # bound check alone cannot tell this table from the valid one
     join = [[0, -1, 2], [-1, 1, 2], [2, 2, 2]]
     report = verify_semilattice(join, 0, 2)
-    assert report.witness("associative") == literal_associative(join) == (0, 0, 1)
+    assert report.witness("associative") == ref.associative_witness(join) == (0, 0, 1)
     # an entry outside range(n) is never a bound: the row fails at its first one
     assert report.witness("join_is_least_upper_bound") == (0, 1)
     up = chain_poset(3).up
@@ -463,7 +416,7 @@ def test_distributivity_certificate_on_generator_lattices():
                      for sizes in ([2], [3], [2, 2])]
     assert max(lat.n for lat in distributive) == 81
     for lat in distributive:
-        assert literal_distributive(lat) is None
+        assert ref.distributive_witness(lat.join) is None
         assert is_distributive(lat) == (True, None), lat.n
     # M3 x 2 and 3 x N5 fail; every lattice up to 6 elements is either
     mixed = [product_lattice(diamond_m3(), chain_lattice(2)),
@@ -471,10 +424,10 @@ def test_distributivity_certificate_on_generator_lattices():
     mixed += naturally_labeled_lattices(6)
     refused = 0
     for lat in mixed:
-        expected = literal_distributive(lat)
+        expected = ref.distributive_witness(lat.join)
         assert is_distributive(lat) == (expected is None, expected), lat.poset
         refused += expected is not None
-    assert refused >= 30 and None not in map(literal_distributive, mixed[:2])
+    assert refused >= 30 and None not in (ref.distributive_witness(lat.join) for lat in mixed[:2])
 
 
 def union_gaps(lat):
@@ -490,7 +443,7 @@ def test_union_closure_fails_on_the_irreducibles_up_to_eight_elements():
     failing = 0
     for lat in naturally_labeled_lattices(8):
         gaps = union_gaps(lat)
-        assert bool(gaps) == (literal_distributive(lat) is not None), lat.poset
+        assert bool(gaps) == (ref.distributive_witness(lat.join) is not None), lat.poset
         assert not gaps or gaps & set(lat.meet_irreducibles), lat.poset
         failing += bool(gaps)
     assert failing > 1000
@@ -505,7 +458,7 @@ def test_distributivity_is_refused_off_the_irreducibles():
     assert all(u[m] | u[p] in lat.irreducible_index for m in irreducibles for p in irreducibles)
     gaps = union_gaps(lat)
     assert gaps and not gaps & set(irreducibles)
-    expected = literal_distributive(lat)
+    expected = ref.distributive_witness(lat.join)
     assert expected is not None and is_distributive(lat) == (False, expected)
 
 
@@ -576,7 +529,7 @@ def test_transitivity_witness_matches_literal_on_random_tables():
                        for a in range(n)])
     failing = 0
     for rows in tables:
-        expected = literal_transitive(rows)
+        expected = ref.order_witnesses(rows)[2]
         assert verify_poset(rows).witness("transitive") == expected, rows
         failing += expected is not None
     assert failing >= 100
@@ -587,8 +540,8 @@ def test_derived_order_data_is_cached():
     assert try_lattice(sl) is try_lattice(sl)
     assert meet_irreducibles(try_lattice(sl)) is meet_irreducibles(try_lattice(sl))
     assert sl.poset.down is sl.poset.down
-    assert sl.poset.down == tuple(sum(1 << b for b in range(sl.n) if sl.poset.le(b, a))
-                                  for a in range(sl.n))
+    assert sl.poset.down == ref.transpose(sl.poset.up)
+    assert sl.poset.dual() == FinitePoset(sl.n, ref.transpose(sl.poset.up))
 
 
 def test_equality_and_hash_ignore_cached_order_data():
@@ -608,20 +561,8 @@ def test_equality_and_hash_ignore_cached_order_data():
     assert s1 == s2 and hash(s1) == hash(s2)
 
 
-# Bit scans by point index: the references the row-index bound kernels
-# must match, None included.
-
-def scan_lub(poset, a, b):
-    uppers = poset.up[a] & poset.up[b]
-    return next((c for c in bits(uppers) if uppers & ~poset.up[c] == 0), None)
-
-
-def scan_glb_of_set(poset, mask):
-    lowers = poset.full_mask()
-    for a in bits(mask):
-        lowers &= poset.down[a]
-    return next((c for c in bits(lowers) if lowers & ~poset.down[c] == 0), None)
-
+# The kernel's bounds by scan are the references the row-index bound
+# kernels must match, None included.
 
 def relabeled(poset, perm):
     """The same order with point a renamed perm[a]."""
@@ -650,15 +591,14 @@ def test_row_index_kernels_match_bit_scans():
         # antisymmetry: no two points share a row, so each index is a bijection
         assert len(poset.up_index) == len(poset.down_index) == n
         unsorted += any(b < a for a in range(n) for b in bits(poset.up[a]))
-        meets = [tuple(scan_glb_of_set(poset, 1 << a | 1 << b) for b in range(n))
-                 for a in range(n)]
-        joins = [tuple(scan_lub(poset, a, b) for b in range(n)) for a in range(n)]
+        meets = [tuple(ref.glb(poset.up, (a, b)) for b in range(n)) for a in range(n)]
+        joins = [tuple(ref.lub(poset.up, (a, b)) for b in range(n)) for a in range(n)]
         for a in range(n):
             assert glb_row(poset, a) == meets[a]
             assert lub_row(poset, a) == joins[a]
             assert tuple(glb(poset, a, b) for b in range(n)) == meets[a]
         for mask in range(1 << n):
-            assert glb_of_set(poset, mask) == scan_glb_of_set(poset, mask)
+            assert glb_of_set(poset, mask) == ref.glb(poset.up, ref.members(mask))
         missing["meets"] += any(None in row for row in meets)
         missing["joins"] += any(None in row for row in joins)
 
@@ -669,7 +609,7 @@ def test_row_index_kernels_match_bit_scans():
                 semilattice_from_poset(poset)
             assert exc.value.witness == no_join
             missing["tables"] += 1
-        elif scan_glb_of_set(poset, poset.full_mask()) is None:
+        elif ref.glb(poset.up, range(n)) is None:
             with pytest.raises(StructureError, match="no least element") as exc:
                 semilattice_from_poset(poset)
             assert exc.value.witness is None
@@ -679,8 +619,7 @@ def test_row_index_kernels_match_bit_scans():
             sl = semilattice_from_poset(poset)
             assert sl.join == tuple(joins)
             # the glb of every point is the least, of no point the greatest
-            assert (sl.unit, sl.zero) == (scan_glb_of_set(poset, poset.full_mask()),
-                                          scan_glb_of_set(poset, 0))
+            assert (sl.unit, sl.zero) == (ref.glb(poset.up, range(n)), ref.glb(poset.up, ()))
             assert try_lattice(sl).meet == tuple(meets)
             assert lattice_from_semilattice(sl).meet == tuple(meets)
             assert not any(None in row for row in meets)
@@ -708,34 +647,10 @@ def test_least_upper_bound_witness_matches_literal_on_corrupted_tables():
                        if item.name in ("idempotent", "commutative", "reflexive",
                                         "antisymmetric", "transitive"))
             expected = next(((a, b) for a in range(n) for b in range(n)
-                             if scan_lub(sl.poset, a, b) != join[a][b]), None)
+                             if ref.lub(sl.poset.up, (a, b)) != join[a][b]), None)
             assert report.witness("join_is_least_upper_bound") == expected, join
             failing += expected is not None
     assert failing >= 50
-
-
-def literal_semilattice_items(join, unit, zero):
-    """verify_semilattice's items by the literal route: the boolean order
-    table through verify_poset, then the bound check and the triple loop."""
-    n = len(join)
-    report = Report()
-    idem = next((a for a in range(n) if join[a][a] != a), None)
-    report.add("idempotent", idem is None, idem)
-    comm = next(((a, b) for a in range(n) for b in range(n) if join[a][b] != join[b][a]), None)
-    report.add("commutative", comm is None, comm)
-    rows = [[join[a][b] == b for b in range(n)] for a in range(n)]
-    order_report = verify_poset(rows)
-    assoc = literal_associative(join)
-    report.add("associative", assoc is None, assoc)
-    un = next((a for a in range(n) if join[a][unit] != a), None)
-    report.add("unit_neutral", un is None, un)
-    zr = next((a for a in range(n) if join[a][zero] != zero), None)
-    report.add("zero_absorbing", zr is None, zr)
-    report.items.extend(order_report.items)
-    if order_report.ok and idem is None and comm is None:
-        bad = bound_table_witness(up_rows(rows), join)
-        report.add("join_is_least_upper_bound", bad is None, bad)
-    return report.items
 
 
 def test_order_certificate_matches_the_literal_route():
@@ -764,7 +679,8 @@ def test_order_certificate_matches_the_literal_route():
     seen = {"certified": 0, "lub refused": 0, "order refused": 0, "not commutative": 0}
     for join, unit, zero in tables:
         report = verify_semilattice(join, unit, zero)
-        assert report.items == literal_semilattice_items(join, unit, zero), join
+        assert [(i.name, i.ok, i.witness) for i in report.items] == ref.semilattice_items(
+            join, unit, zero), join
         lub = [item.ok for item in report.items if item.name == "join_is_least_upper_bound"]
         if report.witness("commutative") is not None:
             seen["not commutative"] += 1
@@ -790,11 +706,10 @@ def test_antisymmetry_witness_and_poset_match_literal_tables():
     failing = 0
     for rows in tables:
         n = len(rows)
-        expected = next(((a, b) for a in range(n) for b in range(n)
-                         if a != b and rows[a][b] and rows[b][a]), None)
+        expected = ref.order_witnesses(rows)[1]
         report = verify_poset(rows)
         assert report.witness("antisymmetric") == expected, rows
-        assert report.poset == (FinitePoset(n, up_rows(rows)) if report.ok else None)
+        assert report.poset == (FinitePoset(n, ref.up_rows(rows)) if report.ok else None)
         failing += expected is not None
     assert failing >= 100
 

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+import reference as ref
 from infalg.errors import CapExceeded
 from infalg.generators import enumerate_lattices
 from infalg.semigroup import close, compose, grid, homomorphism_witness, table, unlisted
@@ -22,14 +23,6 @@ def test_compose_on_short_maps_and_lists():
     assert compose([1, 0], (0, 1)) == (1, 0)
     for got in (compose(f, ()), compose(list(f), [1]), compose(list(f), [2, 0])):
         assert type(got) is tuple
-
-
-def literal_homomorphism_witness(f, op_a, op_b):
-    for x in range(len(op_a)):
-        for y in range(len(op_a)):
-            if f[op_a[x][y]] != op_b[f[x]][f[y]]:
-                return (x, y)
-    return None
 
 
 def test_homomorphism_witness_matches_literal_double_loop():
@@ -56,7 +49,7 @@ def test_homomorphism_witness_matches_literal_double_loop():
             cases.append((bent, join, join))
     found = [0, 0]
     for f, op_a, op_b in cases:
-        want = literal_homomorphism_witness(f, op_a, op_b)
+        want = ref.homomorphism_witness(f, op_a, op_b)
         assert homomorphism_witness(f, op_a, op_b) == want, (f, op_a, op_b)
         found[want is None] += 1
     assert min(found) >= 300

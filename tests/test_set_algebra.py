@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+import reference as ref
 from infalg.algebra import AlgebraMorphism, InfoAlgebra, is_isomorphism, make_algebra, verify_axioms
 from infalg.duality import dualize
 from infalg.equivalence import Equivalence, commutation_witness, saturate, star_family
@@ -13,6 +14,7 @@ from infalg.errors import (CapExceeded, InfAlgError, NotDirectedError, Precondit
                            StructureError)
 from infalg.generators import gen_multivariate, gen_string
 from infalg.order import BoundedJoinSemilattice, FinitePoset, chain_poset, up_sets
+from infalg.report import CheckItem, Report
 from infalg.set_algebra import (SetAlgebra, build_block_union_algebra, build_set_algebra,
                                 check_set_algebra, principal_upset_representation, represent)
 
@@ -165,18 +167,11 @@ def test_representation_round_trip(generated_suite):
 
 
 def literal_set_algebra(n, family, eqs):
-    """The items of check_set_algebra as (name, ok, witness), each law a
-    literal loop over the family in its given order."""
-    fam = tuple(family)
-    full = (1 << n) - 1
-    w = next(((a, b) for a in fam for b in fam if a & b not in fam), None)
-    v = next(((lab, mask) for lab, theta in zip(eqs.labels, eqs.members)
-              for mask in fam if saturate(theta, mask) not in fam), None)
-    return [("universe_match", eqs.n == n, (eqs.n, n)),
-            ("contains_bounds", 0 in fam and full in fam, None),
-            ("no_duplicates", len(set(fam)) == len(fam), None),
-            ("intersection_closed", w is None, w),
-            ("saturation_compatible", v is None, v)]
+    return ref.set_algebra_items(n, family, eqs.n, eqs.labels, blocks(eqs))
+
+
+def blocks(eqs):
+    return tuple(theta.block_of for theta in eqs.members)
 
 
 def test_set_algebra_witnesses_match_literal_on_corrupted_families(generated_suite):
@@ -214,23 +209,16 @@ def test_representation_matches_literal_derivation(generated_suite):
 
     algebras = list(generated_suite.values()) + list(enumerate_algebras(4))
     for a in algebras:
-        ground = [x for x in range(a.n) if x != a.zero]
-        pos = {x: i for i, x in enumerate(ground)}
-
-        def upset_mask(x):
-            return sum(1 << pos[y] for y in ground if a.le(x, y))
-
-        fam = sorted({upset_mask(x) for x in ground} | {0})
+        image, sa = representation_input(a)
         rep = principal_upset_representation(a)
-        assert rep.set_algebra.family == tuple(fam)
-        assert rep.morphism.f == tuple(fam.index(0) if x == a.zero else fam.index(upset_mask(x))
-                                       for x in range(a.n))
+        assert rep.set_algebra.family == sa.family
+        assert rep.morphism.f == tuple(map(sa.family.index, image))
     assert {a.zero for a in algebras} != {a.n - 1 for a in algebras}
 
 
-# The representation is decided by represent alone; the table route it had,
-# build_set_algebra and then is_isomorphism on the set algebra's tables, is
-# the oracle here.
+# The representation is decided by represent alone; the kernel's route, the
+# set-algebra laws and then an isomorphism onto the kernel's set algebra,
+# is the oracle here.
 
 def representation_input(a):
     """represent's input as principal_upset_representation forms it, read
@@ -242,15 +230,27 @@ def representation_input(a):
     return image, SetAlgebra(len(ground), tuple(sorted(set(image))), eqs)
 
 
+def table_verdict(a, image, sa):
+    """The kernel's verdict on represent's input."""
+    laws = literal_set_algebra(sa.n, sa.family, sa.eqs)
+    if not (ref.holds(laws) and set(image) <= set(sa.family)):
+        return False
+    return ref.is_isomorphism(tuple(map(sa.family.index, image)), tuple(range(len(a.extractors))),
+                              ref.algebra_of(a), ref.set_algebra(sa.n, sa.family, blocks(sa.eqs)))
+
+
 def table_representation(a):
-    """The table route: the set algebra built and checked by
-    build_set_algebra, the map checked by is_isomorphism on its tables."""
+    """The kernel's outcome: the set algebra and the morphism, or the error
+    principal_upset_representation must raise, as ``outcome`` gives it."""
     image, sa = representation_input(a)
-    sa = build_set_algebra(sa.n, sa.family, sa.eqs)
-    m = AlgebraMorphism(tuple(sa.family.index(u) for u in image), tuple(range(len(a.extractors))))
-    if not is_isomorphism(m, a, sa.to_info_algebra()):
-        raise StructureError("principal up-set representation failed to be an isomorphism")
-    return sa, m
+    laws = literal_set_algebra(sa.n, sa.family, sa.eqs)
+    if not ref.holds(laws):
+        text = Report([CheckItem(*law) for law in laws]).format()
+        return StructureError, "not a set algebra:\n" + text, None, text
+    if not table_verdict(a, image, sa):
+        return (StructureError, "principal up-set representation failed to be an isomorphism",
+                None, None)
+    return sa, AlgebraMorphism(tuple(map(sa.family.index, image)), tuple(range(len(a.extractors))))
 
 
 def library_representation(a):
@@ -270,26 +270,18 @@ def outcome(route, a):
 def broken_laws(a, image, sa):
     """The laws of represent that fail, each a literal loop over the masks."""
     fam, ks, xs = list(sa.family), range(len(a.extractors)), range(a.n)
+    ta, tb = ref.labels_of(ref.algebra_of(a)), ref.set_algebra(sa.n, fam, blocks(sa.eqs))[4]
     laws = {
         "bijective": sorted(image) == sorted(fam) == sorted(set(fam)),
         "unit": image[a.unit] == (1 << sa.n) - 1,
         "zero": image[a.zero] == 0,
         "join": all(image[a.join(x, y)] == image[x] & image[y] for x in xs for y in xs),
-        "saturation": all(image[a.apply(k, x)] == saturate(sa.eqs.members[k], image[x])
+        "saturation": all(image[a.apply(k, x)] == ref.saturate(blocks(sa.eqs)[k], image[x])
                           for k in ks for x in xs),
         "labels": len(sa.eqs.members) == len(ks) and all(
-            a.label_table[k][l] == sa.label_table[k][l] for k in ks for l in ks),
+            ta[k][l] == tb[k][l] for k in ks for l in ks),
     }
     return {law for law, ok in laws.items() if not ok}
-
-
-def table_verdict(a, image, sa):
-    """The table route's verdict on represent's input."""
-    if not (check_set_algebra(sa.n, sa.family, sa.eqs).ok and set(image) <= set(sa.family)):
-        return False
-    f = tuple(sa.family.index(u) for u in image)
-    return is_isomorphism(AlgebraMorphism(f, tuple(range(len(a.extractors)))), a,
-                          sa.to_info_algebra())
 
 
 def with_sl(a, **fields):

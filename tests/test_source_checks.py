@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 SCRIPT = Path(__file__).resolve().parent / "source_checks.py"
+REFERENCE = SCRIPT.parent / "reference.py"
 
 
 @pytest.fixture(scope="module")
@@ -41,6 +42,24 @@ def test_each_rule_names_a_planted_violation(source_checks, tmp_path, capsys, na
     (tmp_path / name).write_text(text)
     assert source_checks.main([str(tmp_path)]) == 1
     assert capsys.readouterr().out == f"{tmp_path / name}:{line}: {rule}: {shown}\n"
+
+
+@pytest.mark.parametrize("planted", ["import infalg\n\ninfalg\n",
+                                     "from infalg.order import bits\n\nbits\n"],
+                         ids=["import", "from-import"])
+def test_the_reference_kernel_imports_nothing_from_the_package(source_checks, tmp_path, capsys,
+                                                              planted):
+    # the kernel passes as a module path, and a copy with the package
+    # imported fails at the planted line
+    assert source_checks.main([str(REFERENCE)]) == 0
+    assert capsys.readouterr().out == "every source check holds\n"
+    text = REFERENCE.read_text()
+    copy = tmp_path / "reference.py"
+    copy.write_text(text + planted)
+    assert source_checks.main([str(copy)]) == 1
+    line = text.count("\n") + 1
+    module = planted.split()[1]
+    assert capsys.readouterr().out == f"{copy}:{line}: stdlib-only: import {module}\n"
 
 
 @pytest.mark.parametrize("name, text", [
