@@ -13,13 +13,15 @@ Conventions used throughout the package:
   docstring;
 * derived order data (the down rows, the row indexes, the up-set index
   and the separation verdicts of a poset, the meet table, the
-  meet-irreducibles, the irreducible rows, their index and meet columns
-  and the kernel-pair verdicts of a semilattice, the CDF verdict of an
-  algebra) is computed on first use and cached on the frozen structure
-  that owns it; callers must not mutate it. The separation verdicts,
-  ``duality.check_separating``'s, are keyed by equivalence, and the
-  kernel-pair verdicts, ``algebra.check_kernel_theorem``'s, by a pair of
-  extractor arrays: every family on one enumerated base reads them;
+  meet-irreducibles, the irreducible rows, their index and meet columns,
+  the kernel-pair verdicts and the member witnesses of a semilattice, the
+  CDF verdict of an algebra) is computed on first use and cached on the
+  frozen structure that owns it; callers must not mutate it. The
+  separation verdicts, ``duality.check_separating``'s, are keyed by
+  equivalence, the kernel-pair verdicts, ``algebra.check_kernel_theorem``'s,
+  by a pair of extractor arrays, and the member witnesses,
+  ``algebra.verify_axioms``'s, by one array: every family on one
+  enumerated base reads them;
 * one Close-by-One search, ``closed_sets``, finds the up-sets of a poset
   and the closed families of a pool in ``generators``, at a cost that
   grows with the sets found: an order is bounded by its up-set count alone;
@@ -133,9 +135,6 @@ class FinitePoset:
         """The greatest element: in a finite order, the only maximal one."""
         tops = [a for a in range(self.n) if self.up[a] == 1 << a]
         return tops[0] if len(tops) == 1 else None
-
-    def dual(self) -> "FinitePoset":
-        return FinitePoset(self.n, self.down)
 
     def restrict(self, elems) -> "FinitePoset":
         """Induced subposet on the given element sequence, in that order."""

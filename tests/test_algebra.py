@@ -1,5 +1,6 @@
 import random
 import re
+from itertools import product
 
 import pytest
 
@@ -14,8 +15,9 @@ from infalg.algebra import (AlgebraMorphism, InfoAlgebra, check_kernel_theorem, 
 from infalg.duality import QSpace, dualize, q_space_report
 from infalg.equivalence import Equivalence, StarFamily, star, star_family
 from infalg.errors import StructureError
-from infalg.generators import enumerate_algebras, gen_string, string_elements
-from infalg.order import FinitePoset, chain_lattice, chain_poset, powerset_lattice
+from infalg.generators import enumerate_algebras, enumerate_lattices, gen_string, string_elements
+from infalg.order import (FinitePoset, chain_lattice, chain_poset, diamond_m3, pentagon_n5,
+                          powerset_lattice)
 from infalg.semigroup import compose, first_row_witness
 
 
@@ -33,13 +35,88 @@ def test_string23_passes_axioms(string23):
     assert report.ok, report.format()
 
 
+# 2.0 passes a range comparison and would fail only as an index
 @pytest.mark.parametrize("extractor, witness", [((0, 1, 2), (1, "length")),
-                                                ((0, 1, 2, 4), (1, 3))],
-                         ids=["short", "out-of-range"])
+                                                ((0, 1, 2, 4), (1, 3)),
+                                                ((0, 1, None, 3), (1, 2)),
+                                                ((0, 1, "2", 3), (1, 2)),
+                                                ((0, 1, 2.0, 3), (1, 2)),
+                                                ([0, 1, 2, 3], (1, "type"))],
+                         ids=["short", "out-of-range", "none", "string", "float", "list"])
 def test_malformed_extractor_fails_well_formed_alone(extractor, witness):
     a = InfoAlgebra(powerset_lattice(2), ((0, 1, 2, 3), extractor), ("id", "e"))
-    items = verify_axioms(a).items
-    assert [(i.name, i.ok, i.witness) for i in items] == [("well_formed", False, witness)]
+    for strict in (True, False):
+        items = verify_axioms(a, strict).items
+        assert [(i.name, i.ok, i.witness) for i in items] == [("well_formed", False, witness)]
+
+
+def report_items(a, strict=True):
+    return [(i.name, i.ok, i.witness) for i in verify_axioms(a, strict).items]
+
+
+def reference_items(a, strict=True):
+    """verify_axioms's items by the kernel: well_formed, then each axiom's
+    first witness, the closure item in strict mode only."""
+    return [("well_formed", True, None)] + [
+        (name, w is None, w) for name, w in ref.axioms(ref.algebra_of(a)).items()
+        if strict or name != "composition_closed"]
+
+
+def test_reports_match_the_kernel_on_every_self_map_and_pair():
+    # every algebra on a base shares its lattice object, so each array's
+    # cached witnesses, failing ones included, are read by the lenient run
+    # and by every pair after its first computation
+    for lat in [*enumerate_lattices(4, distributive_only=False), diamond_m3(), pentagon_n5()]:
+        maps = list(product(range(lat.n), repeat=lat.n))
+        families = [(e,) for e in maps]
+        if lat.n <= 3:
+            families += [(e, f) for e in maps for f in maps]
+        for arrays in families:
+            a = InfoAlgebra(lat, arrays, tuple(f"e{k}" for k in range(len(arrays))))
+            for strict in (True, False):
+                assert report_items(a, strict) == reference_items(a, strict), arrays
+        assert len(vars(lat)["member_witnesses"]) == len(maps)
+
+
+def test_reports_match_the_kernel_on_supplied_label_tables(generated_suite, mv22_algebra):
+    mv = mv22_algebra
+    # a table naming other listed labels fails only its consistency item
+    tampered = InfoAlgebra(mv.sl, mv.extractors, mv.labels,
+                           tuple(row[::-1] for row in mv.composition))
+    images = [extraction_image(a, k)[0] for a in generated_suite.values()
+              for k in range(len(a.extractors))]
+    for a in (mv, tampered, *images):
+        assert a.composition is not None
+        for strict in (True, False):
+            assert report_items(a, strict) == reference_items(a, strict)
+    assert [i.name for i in verify_axioms(tampered).failures()] == [
+        "composition_table_consistent"]
+
+
+def test_member_witnesses_are_computed_once_per_lattice_and_array(monkeypatch):
+    # 209 member slots over the 94 algebras up to 5 elements, on 8 lattices
+    calls = []
+    member = algebra._member_witnesses
+    monkeypatch.setattr(algebra, "_member_witnesses",
+                        lambda sl, e: calls.append(sl) or member(sl, e))
+    cases = list(enumerate_algebras(5))
+    assert sum(len(a.extractors) for a in cases) == 209
+    assert all(verify_axioms(a).ok for a in cases)
+    assert len(calls) == 26 and len(set(map(id, calls))) == 8
+    assert all(verify_axioms(a, strict).ok for a in cases for strict in (True, False))
+    assert len(calls) == 26
+
+
+def test_a_passing_report_owns_its_items(string22):
+    # files.algebra_from_doc extends a report by these items: a caller that
+    # changes one report's list leaves the next report as it was
+    for strict in (True, False):
+        expected = report_items(string22, strict)
+        report = verify_axioms(string22, strict)
+        report.items.append(report.items[0])
+        report.items[0] = None
+        assert report_items(string22, strict) == expected
+        assert verify_axioms(string22, strict).ok
 
 
 def test_extraction_dominated_failure_witnessed():
