@@ -50,10 +50,22 @@ class InfoAlgebra:
     composition: tuple[tuple[int, ...], ...] | None = None
 
     def __post_init__(self):
+        """Labels are distinct, one per extractor, and each extractor is a tuple
+        of n ints in range(n): StructureError names (k, "type"), (k, "length")
+        or the first bad (k, x); only a row failing a C-speed test is rescanned."""
         if len(set(self.labels)) != len(self.labels):
             raise StructureError(f"duplicate labels in {self.labels}")
         if len(self.labels) != len(self.extractors):
             raise StructureError("extractor/label count mismatch")
+        n, exs = self.sl.n, self.extractors
+        w = next(((k, "length" if isinstance(e, tuple) else "type") for k, e in enumerate(exs)
+                  if not isinstance(e, tuple) or len(e) != n), None)
+        if w is None and not all({*map(type, e)} == {int} and 0 <= min(e) and max(e) < n
+                                 for e in exs):
+            w = next(((k, x) for k, e in enumerate(exs) for x, v in enumerate(e)
+                      if not (isinstance(v, int) and 0 <= v < n)), None)
+        if w is not None:
+            raise StructureError(f"extractor {w[0]} is not a tuple of {n} indices", witness=w)
         if self.composition is not None:
             _check_composition(self.composition, len(self.extractors))
 
@@ -142,40 +154,36 @@ def make_algebra(poset: FinitePoset, extractors, labels=None,
     return InfoAlgebra(sl, extractors, tuple(labels), composition)
 
 
-def combination_rows(join, extractors):
-    """Rows of the combination law e(e(x) . y) = e(x) . e(y), keyed (k, x) and
-    running over y, for first_row_witness. Row (k, x) depends on x only
-    through e_k[x], so one row is built per distinct value, at the first x
-    that takes it: equal rows fail alike, and the first witness is kept."""
-    for k, e in enumerate(extractors):
-        seen = set()
-        for x, v in enumerate(e):
-            if v not in seen:
-                seen.add(v)
-                yield (k, x), compose(e, join[v]), compose(join[v], e)
+def combination_rows(join, e):
+    """Rows of the combination law e(e(x) . y) = e(x) . e(y) for one array e,
+    keyed (x,) and running over y, for first_row_witness. Row x depends on x
+    only through e[x], so one row is built per distinct value, at the first
+    x that takes it: equal rows fail alike, and the first witness is kept."""
+    seen = set()
+    for x, v in enumerate(e):
+        if v not in seen:
+            seen.add(v)
+            yield (x,), compose(e, join[v]), compose(join[v], e)
 
 
 _ITEMS = ("well_formed", "zero_fixed", "extraction_dominated", "extraction_combination",
           "extractors_commute", "extraction_idempotent", "unit_fixed", "composition_closed")
 _PASSING = {name: CheckItem(name, True) for name in _ITEMS}
-# the items of _member_witnesses, in the order of its tuple
-_MEMBER_ITEMS = ("zero_fixed", "extraction_dominated", "extraction_combination",
-                 "extraction_idempotent", "unit_fixed")
 
 
 def _member_witnesses(sl: BoundedJoinSemilattice, e) -> tuple:
-    """The witnesses of one extractor array e on sl, its index left out, for
-    zero_fixed, extraction_dominated, extraction_combination,
-    extraction_idempotent and unit_fixed: None where the item holds, else
-    () for a fixed bound and the failing (x,) or (x, y) for the others."""
+    """The failing per-extractor items of one array e on sl, as (name,
+    witness) pairs, e's index left out of the witness: () for a fixed bound
+    (zero_fixed, unit_fixed), else the failing (x,) or (x, y)
+    (extraction_dominated, extraction_combination, extraction_idempotent)."""
     n, join = sl.n, sl.join
-    w = first_row_witness(combination_rows(join, (e,)))
-    return (None if e[sl.zero] == sl.zero else (),
-            first_row_witness([((), tuple(map(getitem, compose(join, e), range(n))),
-                                 tuple(range(n)))]),
-            w and w[1:],
-            first_row_witness([((), compose(e, e), e)]),
-            None if e[sl.unit] == sl.unit else ())
+    found = (("zero_fixed", None if e[sl.zero] == sl.zero else ()),
+             ("extraction_dominated", first_row_witness(
+                 [((), tuple(map(getitem, compose(join, e), range(n))), tuple(range(n)))])),
+             ("extraction_combination", first_row_witness(combination_rows(join, e))),
+             ("extraction_idempotent", first_row_witness([((), compose(e, e), e)])),
+             ("unit_fixed", None if e[sl.unit] == sl.unit else ()))
+    return tuple((name, w) for name, w in found if w is not None)
 
 
 def verify_axioms(a: InfoAlgebra, require_closure: bool = True) -> Report:
@@ -186,40 +194,27 @@ def verify_axioms(a: InfoAlgebra, require_closure: bool = True) -> Report:
     family: pairwise commutation and (strict mode only) closure under
     composition. A lenient check omits only the closure item.
 
-    well_formed asks for each extractor to be a tuple (witness (k, "type"))
-    of n entries (witness (k, "length")), each an int in range(n); a row
-    passes a C-speed type and range test, and only a failing one is
-    rescanned for its first (k, x). The five per-extractor items read only
-    the lattice and one array, so their witnesses are memoized on the
-    lattice ``a.sl``, which every enumerated family on one base shares, in
-    its ``member_witnesses`` cache keyed by the array; an item's witness is
-    the first k whose cached witness fails, k put in front. A report is a
-    fresh list in which each passing item is a shared module-level one.
+    well_formed always holds: InfoAlgebra checks its arrays on construction.
+    The five per-extractor items read only the lattice and one array, so
+    their failing witnesses are memoized on the lattice ``a.sl``, which
+    every enumerated family on one base shares, in its ``member_witnesses``
+    cache keyed by the array; an item's witness is the first k whose cached
+    witness fails, k put in front. A report is a fresh list in which each
+    passing item is a shared module-level one.
     """
-    n, exs = a.n, a.extractors
-    bad = next(((k, "length" if isinstance(e, tuple) else "type") for k, e in enumerate(exs)
-                if not isinstance(e, tuple) or len(e) != n), None)
-    if bad is None and not all({*map(type, e)} == {int} and 0 <= min(e) and max(e) < n
-                               for e in exs):
-        bad = next(((k, x) for k, e in enumerate(exs) for x, v in enumerate(e)
-                    if not (isinstance(v, int) and 0 <= v < n)), None)
-    if bad is not None:
-        return Report([CheckItem("well_formed", False, bad)])
-
-    cache = vars(a.sl).setdefault("member_witnesses", {})
-    members = [cache[e] if e in cache else cache.setdefault(e, _member_witnesses(a.sl, e))
-               for e in exs]
-    ks = range(len(exs))
+    exs, ks = a.extractors, range(len(a.extractors))
     # each ordered pair is composed once: composites[k][l] is e_k after e_l
     composites = grid(exs)
     found = {"extractors_commute": first_row_witness(((k, l), composites[k][l], composites[l][k])
                                                      for k in ks for l in ks)}
     if require_closure:
         found["composition_closed"] = unlisted(table(exs, composites))
-    for k, m in enumerate(members):
-        for name, w in zip(_MEMBER_ITEMS, m):
-            if w is not None:
-                found.setdefault(name, (k, *w) if w else k)
+    cache = vars(a.sl).setdefault("member_witnesses", {})
+    for k, e in enumerate(exs):
+        if e not in cache:
+            cache[e] = _member_witnesses(a.sl, e)
+        for name, w in cache[e]:
+            found.setdefault(name, (k, *w) if w else k)
     names = _ITEMS if require_closure else _ITEMS[:-1]
     report = Report([_PASSING[name] if found.get(name) is None
                      else CheckItem(name, False, found[name]) for name in names])

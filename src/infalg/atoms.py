@@ -9,7 +9,7 @@ from itertools import combinations
 from .algebra import AlgebraMorphism, InfoAlgebra
 from .equivalence import Equivalence, saturate
 from .errors import CapExceeded, PreconditionError
-from .order import (complements, glb_of_set, is_distributive, join_semilattice, mask_of, pullback,
+from .order import (complements, glb_of_set, is_distributive, mask_of, powerset_lattice, pullback,
                     try_lattice)
 from .report import Report
 
@@ -81,8 +81,7 @@ def atom_representation(a: InfoAlgebra) -> AtomRepresentation:
     if m > ATOM_POWERSET_LIMIT:
         raise CapExceeded(f"power set of {m} atoms exceeds the limit {ATOM_POWERSET_LIMIT}")
     size = 1 << m
-    # carrier index == atom-set mask; combination is intersection
-    sl = join_semilattice([[i & j for j in range(size)] for i in range(size)], size - 1, 0)
+    sl = powerset_lattice(m)
     restricted = [Equivalence(m, [a.apply(k, al) for al in ats])
                   for k in range(len(a.extractors))]
     extractors = tuple(tuple(saturate(eq, i) for i in range(size)) for eq in restricted)

@@ -101,8 +101,11 @@ def cmd_close(args) -> int:
     if args.with_identity:
         ident = tuple(range(a.n))
         if ident not in arrays:
+            label = "id"
+            while label in labels:
+                label += "'"
             arrays.append(ident)
-            labels.append("id")
+            labels.append(label)
     arrays, labels = close(arrays, labels, compose, ".", cap)
     closed = InfoAlgebra(a.sl, tuple(arrays), tuple(labels))
     _write_out(args, files.dumps(files.algebra_doc(closed, element_labels)))

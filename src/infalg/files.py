@@ -17,9 +17,9 @@ from .algebra import InfoAlgebra, verify_axioms
 from .duality import QSpace, q_space_report
 from .equivalence import Equivalence, star_family
 from .errors import CapExceeded, FormatError, NonCommutingError, StructureError
-from .order import (bound_table_witness, check_upset_cap, semilattice_from_poset, verify_poset,
-                    verify_semilattice)
+from .order import check_upset_cap, semilattice_from_poset, verify_poset, verify_semilattice
 from .report import Report
+from .semigroup import first_row_witness
 
 
 def decode(text: str, where: str = "") -> object:
@@ -161,8 +161,9 @@ def algebra_from_doc(doc, lenient: bool = False, cap: int | None = None) -> Pars
         sl = sl_report.semilattice
 
     if "meet" in doc:
+        # entries are in range(n): a row differs from the derived meets where one is no glb
         meet = _int_table(doc, "meet", n, n)
-        w = bound_table_witness(sl.poset.down, meet)
+        w = first_row_witness(((a,), tuple(row), sl.meet[a]) for a, row in enumerate(meet))
         report.add("meet_is_greatest_lower_bound", w is None, w)
         if w is not None:
             return ParsedAlgebra(None, report, element_labels)

@@ -313,7 +313,7 @@ def extraction_maps(lat: BoundedJoinSemilattice,
     down = [list(bits(row)) for row in lat.poset.down]
     down[lat.zero] = [lat.zero]
     return sorted(cand for cand in product(*down)
-                  if first_row_witness(combination_rows(lat.join, (cand,))) is None
+                  if first_row_witness(combination_rows(lat.join, cand)) is None
                   and (not require_meets
                        or homomorphism_witness(cand, lat.meet, lat.meet) is None))
 

@@ -29,7 +29,9 @@ Conventions used throughout the package:
   certificate first, and scanned only to name its first witness;
 * so is the order a join table derives: once the table is idempotent and
   commutative and passes the least-upper-bound check, the derived relation
-  is a partial order by proof, and no boolean table is built for it;
+  is a partial order by proof, and no boolean table is built for it; that
+  check, ``commutative_bound_witness``, is the one bound scan, as a meet
+  table read from a file is compared with the derived ``meet`` table;
 * a finite bounded join-semilattice is a lattice, so one type,
   ``BoundedJoinSemilattice``, serves for both: its meets are derived on
   first use, never missing, since the lower bounds of a and b include the
@@ -226,20 +228,12 @@ def glb_row(poset: FinitePoset, a: int) -> tuple[int | None, ...]:
     return tuple(map(poset.down_index.get, map(poset.down[a].__and__, poset.down)))
 
 
-def bound_table_witness(rows, table) -> tuple[int, int] | None:
-    """First (a, b) where table[a][b] is not the bound of {a, b}: c is the join
-    of a and b iff up[c] == up[a] & up[b], and their meet iff the same holds
-    for down rows, so ``rows`` decides which table is checked. An entry
-    outside range(n) is never a bound."""
-    row_of = dict(enumerate(rows))
-    return first_row_witness(((a,), tuple(map(row.__and__, rows)),
-                              tuple(map(row_of.get, table[a])))
-                             for a, row in enumerate(rows))
-
-
 def commutative_bound_witness(rows, table) -> tuple[int, int] | None:
-    """``bound_table_witness`` of a commutative table, scanning only b >= a:
-    (a, b) fails iff (b, a) does, so its first failing pair has b >= a."""
+    """First (a, b) where the entry c = table[a][b] of a commutative table is
+    not the least upper bound of {a, b} in the order of the up rows
+    ``rows``: it is iff c is in range(n) and rows[c] == rows[a] & rows[b].
+    Only b >= a is scanned: (a, b) fails iff (b, a) does, so the first
+    failing pair has b >= a."""
     row_of = dict(enumerate(rows))
     # lazy row tails, not slices: sliced rows, a tuple of each length per
     # scan, fragment the heap; they raised the peak RSS of a 30 s duality
@@ -514,14 +508,18 @@ def powerset_lattice(k: int) -> BoundedJoinSemilattice:
     """Subsets of a k-set in information order: more elements = less informative.
 
     Element index equals the subset mask; unit is the full set, zero the
-    empty set.
+    empty set. Both tables come from the subsets: b is above a iff b is a
+    subset of a, and the join is intersection. The subsets of a are those
+    of a' = a without its highest bit 2^h, and their unions with 2^h, so
+    up[a] is up[a'] together with its copy shifted by 2^h.
     """
     n = 1 << k
-    up = []
-    for a in range(n):
-        # b is above a iff b carries less: b subset of a
-        up.append(mask_of(b for b in range(n) if b & ~a == 0))
-    return semilattice_from_poset(FinitePoset(n, tuple(up)))
+    up = [1]
+    for a in range(1, n):
+        h = 1 << (a.bit_length() - 1)
+        up.append(up[a - h] | up[a - h] << h)
+    join = tuple(tuple(map(a.__and__, range(n))) for a in range(n))
+    return BoundedJoinSemilattice(FinitePoset(n, tuple(up)), join, n - 1, 0)
 
 
 def diamond_m3() -> BoundedJoinSemilattice:

@@ -10,7 +10,7 @@ from infalg.atoms import (AtomRepresentation, atom_representation, atoms,
 from infalg.equivalence import Equivalence, commutation_witness, saturate
 from infalg.errors import CapExceeded, PreconditionError
 from infalg.generators import enumerate_algebras, gen_string, string_elements
-from infalg.order import chain_poset
+from infalg.order import chain_poset, powerset_lattice
 
 
 def test_atoms_two_chain():
@@ -93,6 +93,13 @@ def test_atom_representation_order_is_submasks(generated_suite):
             up.append(row)
         assert target.sl.poset.up == tuple(up), name
         assert (target.unit, target.zero) == (target.n - 1, 0)
+
+
+def test_atom_representation_target_is_the_power_set_lattice(generated_suite):
+    for name, a in generated_suite.items():
+        assert classify(a).atomic, name
+        rep = atom_representation(a)
+        assert rep.target.sl == powerset_lattice(len(rep.atoms)), name
 
 
 def test_atom_representation_matches_classification(generated_suite):

@@ -200,6 +200,16 @@ def test_cli_close_with_identity(tmp_path):
     assert "id" in closed["extractors"]
 
 
+def test_cli_close_primes_an_identity_label_in_use(tmp_path):
+    # the non-identity extractor is labelled id, so the identity is id'
+    path = write(tmp_path, "a.json", json.dumps({
+        "n": 3, "join": [[0, 1, 2], [1, 1, 2], [2, 2, 2]], "unit": 0, "zero": 2,
+        "extractors": {"id": [0, 0, 2]}}))
+    out = tmp_path / "closed.json"
+    assert main(["close", path, "--with-identity", "-o", str(out)]) == 0
+    assert json.loads(out.read_text())["extractors"] == {"id": [0, 0, 2], "id'": [0, 1, 2]}
+
+
 def test_cli_dualize_three_chain(tmp_path):
     doc = {"n": 3, "join": [[0, 1, 2], [1, 1, 2], [2, 2, 2]], "unit": 0, "zero": 2,
            "extractors": {"id": [0, 1, 2]}}

@@ -12,7 +12,7 @@ from infalg.errors import FormatError, StructureError
 from infalg.generators import (all_labeled_posets, enumerate_lattices, enumerate_posets,
                                gen_lattice_valued, gen_string, string_elements)
 from infalg.order import (BoundedJoinSemilattice, FinitePoset,
-                          antichain_poset, bits, bound_table_witness, chain_lattice, chain_poset,
+                          antichain_poset, bits, chain_lattice, chain_poset,
                           commutative_bound_witness, complements, diamond_m3, glb, glb_of_set,
                           glb_row, is_distributive, join_semilattice, lattice_from_semilattice,
                           lub_row, mask_of, meet_irreducibles, pentagon_n5,
@@ -123,6 +123,18 @@ def test_complements_three_chain_missing_middle():
     cmap, missing = complements(chain_lattice(3))
     assert cmap is None
     assert missing == 1
+
+
+def test_powerset_lattice_matches_the_subset_order():
+    # b is above a iff b is a subset of a; the join is intersection
+    for k in range(6):
+        n = 1 << k
+        sl = powerset_lattice(k)
+        assert sl.poset.up == tuple(sum(1 << b for b in range(n) if b & ~a == 0)
+                                    for a in range(n))
+        assert sl.join == tuple(tuple(a & b for b in range(n)) for a in range(n))
+        assert (sl.unit, sl.zero) == (n - 1, 0)
+        assert verify_semilattice(sl.join, sl.unit, sl.zero).semilattice == sl
 
 
 def test_complements_powerset_is_set_complement():
@@ -368,9 +380,9 @@ def test_associativity_certificate_needs_entries_in_range():
     # an entry outside range(n) is never a bound: the row fails at its first one
     assert report.witness("join_is_least_upper_bound") == (0, 1)
     up = chain_poset(3).up
-    assert bound_table_witness(up, [[0, 1, 2], [1, 1, 3], [2, 3, 2]]) == (1, 2)
-    assert bound_table_witness(up, [[0, 1, 2], [1, 1, 2], [2, 2, -1]]) == (2, 2)
-    assert bound_table_witness(up, [[0, 1, 2], [1, 1, 2], [2, 2, 2]]) is None
+    assert commutative_bound_witness(up, [[0, 1, 2], [1, 1, 3], [2, 3, 2]]) == (1, 2)
+    assert commutative_bound_witness(up, [[0, 1, 2], [1, 1, 2], [2, 2, -1]]) == (2, 2)
+    assert commutative_bound_witness(up, [[0, 1, 2], [1, 1, 2], [2, 2, 2]]) is None
 
 
 BOUND_SCAN_LATTICES = [chain_lattice(m) for m in range(1, 6)] + [
@@ -395,10 +407,15 @@ def corrupted_commutative_tables(draw):
 @settings(max_examples=300)
 @given(corrupted_commutative_tables())
 def test_commutative_bound_scan_matches_the_full_scan(case):
-    # the full scan stays the oracle; on a commutative table the upper
-    # triangle names the same first pair
+    # the oracle is the definition, read over every pair: entry c passes iff
+    # it is in range(n) and rows[c] == rows[a] & rows[b]; on a commutative
+    # table the upper triangle names the same first pair
     rows, table = case
-    assert commutative_bound_witness(rows, table) == bound_table_witness(rows, table)
+    n = len(rows)
+    expected = next(((a, b) for a in range(n) for b in range(n)
+                     if not (table[a][b] in range(n)
+                             and rows[table[a][b]] == rows[a] & rows[b])), None)
+    assert commutative_bound_witness(rows, table) == expected
 
 
 def product_lattice(l1, l2):
